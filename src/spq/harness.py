@@ -25,7 +25,6 @@ import numpy as np
 from .dqa import (
     AnnealSchedule,
     RegisterLayout,
-    build_dqa,
     expectation_HQ,
     prepare_per_scenario_optimal,
     run_dqa,
@@ -35,14 +34,21 @@ from .model import (
     DiscreteDistribution,
     UnitCommitmentModel,
     bounds_for,
+    cost_diagonal,
     expected_value_exact,
     generate_instance,
     model_from_instance,
     objective_exact,
 )
-from .oracle import OracleKind, build_oracle, sin_oracle_readback
-from .qae import QaeConfig, build_A, mc_estimate_batch, qpe_state, run_qae
-from .statevector import sample_register
+from .oracle import OracleKind, build_oracle, sin_oracle_readback, target_amplitude
+from .qae import (
+    QaeConfig,
+    ancilla_marginal,
+    build_A,
+    mc_from_amplitude,
+    qae_from_amplitude,
+    sample_readout,
+)
 
 
 class ConfigError(ValueError):
@@ -170,25 +176,27 @@ class OuterLoopResult:
 
 
 def _qae_estimate_for_x(model, dist, x, T, m, oracle, angle_mode, amplify, seed):
-    """One full-pipeline point: DQA, oracle, QAE, readback."""
-    layout = RegisterLayout.standard(model.n_y, dist.n_xi,
-                                     include_ancilla=True, m_estimate=m)
-    schedule = AnnealSchedule.linear(T)
-    dqa_seq = build_dqa(model, x, dist, schedule, layout)
+    """One full-pipeline point: DQA, oracle, QAE, readback.
+
+    The annealed state's probabilities give both <H_Q> and the QAE target
+    a = Pr[ancilla = 1] after the oracle, and the readout is drawn from the
+    closed-form law of a; no circuit is built.
+    """
+    layout = RegisterLayout.standard(model.n_y, dist.n_xi, include_ancilla=True)
     bounds = bounds_for(model, x)
     if oracle == "exact":
         kind = OracleKind.exact(bounds)
     else:
         kind = OracleKind.sin_approx(bounds, literal_pi=(angle_mode == "literal"))
-    oracle_seq = build_oracle(kind, model, x, layout)
-    A = build_A(dqa_seq, oracle_seq, layout)
 
-    state = run_dqa_fast(model, x, dist, schedule)
-    exp_hq = expectation_HQ(state, model)
+    probs = run_dqa_fast(model, x, dist, AnnealSchedule.linear(T)).probabilities()
+    costs = cost_diagonal(model)
+    exp_hq = float(probs @ costs)
     a_true = (exp_hq - bounds.q_l) / bounds.width if oracle == "exact" else None
 
     config = QaeConfig(m=m, repetitions=amplify, rng_seed=seed)
-    results = run_qae(A, config, layout, bounds, a_true=a_true)
+    results = qae_from_amplitude(target_amplitude(kind, probs, costs), config,
+                                 layout, bounds, a_true=a_true)
     med = median_low([r.phi_hat for r in results])
     picked = next(r for r in results if r.phi_hat == med)
     if oracle == "sin":
@@ -323,24 +331,21 @@ def experiment_fig4(spec: ExperimentSpec, out_dir) -> dict:
     bounds = bounds_for(model, x)
     phi = expected_value_exact(model, x, dist)
     a_true = (phi - bounds.q_l) / bounds.width
-    prep = prepare_per_scenario_optimal(model, x, dist)
+    # A does not depend on m: one preparation's ancilla marginal feeds the
+    # QAE law and the Monte Carlo binomial at every m
+    layout = RegisterLayout.standard(model.n_y, dist.n_xi, include_ancilla=True)
+    oracle_seq = build_oracle(OracleKind.exact(bounds), model, x, layout)
+    a = ancilla_marginal(build_A(prepare_per_scenario_optimal(model, x, dist),
+                                 oracle_seq, layout), layout)
 
     estimates, summary = [], []
     for m in spec.m_values:
-        layout = RegisterLayout.standard(model.n_y, dist.n_xi,
-                                         include_ancilla=True, m_estimate=m)
-        oracle_seq = build_oracle(OracleKind.exact(bounds), model, x, layout)
-        A = build_A(prep, oracle_seq, layout)
         config = QaeConfig(m=m, repetitions=spec.n_estimates,
                            rng_seed=derive_seed(spec.master_seed, "fig4", m, "qae"))
-        state = qpe_state(A, config, layout)
-        est_qubits = list(range(layout.num_system_qubits,
-                                layout.num_system_qubits + m))
-        bs = sample_register(state, est_qubits, spec.n_estimates,
-                             np.random.default_rng(config.rng_seed))
+        bs = sample_readout(a, config, layout)
         a_qae = np.sin(np.pi * bs / config.M) ** 2
         shots = 2 ** (m + 1)
-        a_mc = mc_estimate_batch(A, shots, layout,
+        a_mc = mc_from_amplitude(a, shots,
                                  np.random.default_rng(
                                      derive_seed(spec.master_seed, "fig4", m, "mc")),
                                  spec.n_estimates)

@@ -122,6 +122,23 @@ def build_oracle(kind: OracleKind, model: UnitCommitmentModel, x: int,
     return OperatorSequence(tuple(gates), "F_sin")
 
 
+def target_amplitude(kind: OracleKind, probabilities: np.ndarray,
+                     costs: np.ndarray) -> float:
+    """Pr[ancilla = 1] after the oracle acts on a (y, xi) state, from the
+    state's basis-state probabilities and per-basis-state costs
+    (``cost_diagonal``), without building or applying the oracle.
+
+    Every basis state rotates the ancilla on its own: the exact oracle to
+    Pr[1] = qbar clipped to [0, 1], the sin oracle to
+    sin^2(angle_scale * q / 2), as its RY angles add up to angle_scale * q.
+    """
+    if kind.variant == "exact":
+        per_state = np.clip((costs - kind.bounds.q_l) / kind.bounds.width, 0.0, 1.0)
+    else:
+        per_state = np.sin(kind.angle_scale * costs / 2) ** 2
+    return float(probabilities @ per_state)
+
+
 def sin_oracle_readback(a_hat: float, kind: OracleKind) -> float:
     """Invert the per-branch relation Pr[1] = sin^2(angle_scale * q / 2).
 

@@ -5,6 +5,11 @@ Q = A S0 A+ S_psi0, and m-qubit phase estimation with an exact inverse
 QFT.  The measured integer b maps to the amplitude estimate
 sin^2(pi b / 2^m), so estimates live on a fixed grid; b and 2^m - b yield
 the same value.
+
+The law of b depends on A only through a = Pr[ancilla = 1] of A|0>, and
+has a closed form (``readout_distribution``); every estimate is drawn from
+it.  The simulated phase-estimation circuits (``qpe_state``,
+``qpe_state_gates``) are the references the law is tested against.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import numpy as np
 from .model import Bounds
 from .statevector import (
     MAX_QUBITS,
+    PROB_SUM_TOL,
     OperatorSequence,
     SimulationBudgetError,
     StateVector,
@@ -24,11 +30,11 @@ from .statevector import (
     apply,
     apply_controlled_sequence,
     apply_sequence,
+    check_distribution,
     cphase,
     hadamard,
     marginal_probability,
     reflect_zero,
-    sample_register,
     swap_gates,
 )
 
@@ -132,13 +138,13 @@ def _check_budget(layout, m: int) -> None:
 
 
 def qpe_state(A_seq: OperatorSequence, config: QaeConfig, layout) -> StateVector:
-    """Final phase-estimation state over (system, estimate) registers.
+    """Final phase-estimation state over (system, estimate) registers; a
+    simulated reference for ``readout_distribution``.
 
     Computed by stacking Q^k A|0> for k = 0..M-1 and applying the inverse
     QFT as a discrete Fourier transform along the estimate axis; this is
     gate-for-gate equivalent to the controlled-power circuit (pinned by a
-    test) at a fraction of the cost, and one final state then serves any
-    number of estimate samples.
+    test) at a fraction of the cost.
     """
     _check_budget(layout, config.m)
     n_sys = layout.num_system_qubits
@@ -175,6 +181,66 @@ def qpe_state_gates(A_seq: OperatorSequence, config: QaeConfig, layout) -> State
     return state
 
 
+def readout_distribution(a: float, m: int) -> np.ndarray:
+    """Exact law of the m-qubit phase-estimation readout b for a state
+    preparation with Pr[ancilla = 1] = a; entry b is Pr[b], b < M = 2^m.
+
+    Brassard, Hoyer, Mosca and Tapp (quant-ph/0005055), Thm 11:
+    Pr[b] = (F(b/M - theta) + F(b/M + theta)) / 2 with
+    theta = asin(sqrt(a)) / pi and the Fejer kernel
+    F(d) = sin^2(M pi d) / (M^2 sin^2(pi d)).  It holds for any A under
+    ``build_grover``, because Q rotates the two-dimensional subspace
+    reachable from A|0> by 2 pi theta.
+
+    With M theta = k + r, k an integer and |r| <= 1/2, the numerator is
+    sin^2(pi r) for every b, and offsets are reduced mod M before the sine.
+    An on-grid amplitude (r = 0, which includes a = 0 and a = 1) thus puts
+    mass 1/2 on b = k and 1/2 on b = -k mod M exactly.
+    """
+    if m < 1:
+        raise ValueError(f"estimate qubits m={m} must be >= 1")
+    if not -PROB_SUM_TOL <= a <= 1.0 + PROB_SUM_TOL:
+        raise ValueError(f"amplitude {a!r} outside [0, 1]")
+    M = 2 ** m
+    phase = M * math.asin(math.sqrt(min(max(a, 0.0), 1.0))) / math.pi
+    k = round(phase)
+    r = phase - k
+    if r == 0.0:
+        law = np.zeros(M)
+        law[k] += 0.5
+        law[-k % M] += 0.5
+        return law
+    # each kernel is squared after the division, so a tiny r cannot underflow
+    b = np.arange(M)
+    numerator = math.sin(math.pi * r) / M
+    below = numerator / np.sin(np.pi * (np.mod(b - k, M) - r) / M)
+    above = numerator / np.sin(np.pi * (np.mod(b + k, M) + r) / M)
+    return check_distribution(0.5 * (below * below + above * above))
+
+
+def sample_readout(a: float, config: QaeConfig, layout,
+                   rng: np.random.Generator | None = None) -> np.ndarray:
+    """Draw ``config.repetitions`` readouts b from the law of a.
+
+    The generator is consumed as ``sample_register`` consumes it on the
+    simulated phase-estimation state, so both draw the same b.  The circuit
+    is not simulated, but it is held to the simulator's qubit cap: system
+    qubits plus m above MAX_QUBITS raise SimulationBudgetError.
+    """
+    _check_budget(layout, config.m)
+    if rng is None:
+        rng = np.random.default_rng(config.rng_seed)
+    law = readout_distribution(a, config.m)
+    return rng.choice(law.size, size=config.repetitions, p=law)
+
+
+def ancilla_marginal(A_seq: OperatorSequence, layout) -> float:
+    """Pr[ancilla = 1] of A|0> on the system register, prepared gate by gate."""
+    state = StateVector(layout.num_system_qubits)
+    apply_sequence(state, A_seq)
+    return marginal_probability(state, layout.ancilla, 1)
+
+
 def _readout(bs: np.ndarray, config: QaeConfig, bounds: Bounds,
              a_true: float | None) -> list[EstimateResult]:
     out = []
@@ -190,18 +256,21 @@ def _readout(bs: np.ndarray, config: QaeConfig, bounds: Bounds,
     return out
 
 
+def qae_from_amplitude(a: float, config: QaeConfig, layout, bounds: Bounds,
+                       a_true: float | None = None,
+                       rng: np.random.Generator | None = None) -> list[EstimateResult]:
+    """Phase estimation on the Grover operator of any A whose ancilla
+    marginal is ``a``; ``repetitions`` readouts, each rescaled to bounds."""
+    return _readout(sample_readout(a, config, layout, rng), config, bounds, a_true)
+
+
 def run_qae(A_seq: OperatorSequence, config: QaeConfig, layout, bounds: Bounds,
             a_true: float | None = None,
             rng: np.random.Generator | None = None) -> list[EstimateResult]:
-    """Phase estimation on the Grover operator; draws ``repetitions``
-    estimate-register samples from one final state."""
-    state = qpe_state(A_seq, config, layout)
-    n_sys = layout.num_system_qubits
-    est = list(range(n_sys, n_sys + config.m))
-    if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
-    bs = sample_register(state, est, config.repetitions, rng)
-    return _readout(bs, config, bounds, a_true)
+    """Phase estimation on the Grover operator of A: prepares A|0> once and
+    draws ``repetitions`` readouts from the law of its ancilla marginal."""
+    return qae_from_amplitude(ancilla_marginal(A_seq, layout), config, layout,
+                              bounds, a_true, rng)
 
 
 def mc_estimate(A_seq: OperatorSequence, shots: int, layout,
@@ -213,14 +282,18 @@ def mc_estimate(A_seq: OperatorSequence, shots: int, layout,
     return float(mc_estimate_batch(A_seq, shots, layout, rng_seed, 1)[0])
 
 
+def mc_from_amplitude(a: float, shots: int, rng: np.random.Generator,
+                      n_estimates: int) -> np.ndarray:
+    """Batch of independent Monte Carlo estimates: the |1> frequency of
+    ``shots`` ancilla measurements on a preparation with Pr[1] = a."""
+    return rng.binomial(shots, a, size=n_estimates) / shots
+
+
 def mc_estimate_batch(A_seq: OperatorSequence, shots: int, layout,
                       rng: np.random.Generator, n_estimates: int) -> np.ndarray:
     """Batch of independent Monte Carlo estimates from one prepared state
     (non-collapsing sampling is i.i.d.-equivalent to re-preparing)."""
-    state = StateVector(layout.num_system_qubits)
-    apply_sequence(state, A_seq)
-    p1 = marginal_probability(state, layout.ancilla, 1)
-    return rng.binomial(shots, p1, size=n_estimates) / shots
+    return mc_from_amplitude(ancilla_marginal(A_seq, layout), shots, rng, n_estimates)
 
 
 def error_bound_check(a_hat: float, a_true: float, M: int) -> bool:

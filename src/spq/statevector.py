@@ -9,12 +9,16 @@ unitaries go through a gather/scatter path over the target subspace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 # Hard cap on simulated register width (16 GiB of complex128 beyond this).
 MAX_QUBITS = 24
+
+# Largest deviation of a probability vector's sum from 1 that sampling
+# accepts; a state or law further off is a bug upstream, not rounding.
+PROB_SUM_TOL = 1e-9
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -56,7 +60,7 @@ class Gate:
     targets: tuple[int, ...]
     controls: tuple[tuple[int, int], ...] = ()
     angle: float | None = None
-    matrix: np.ndarray | None = field(default=None, compare=False)
+    matrix: np.ndarray | None = None
 
     def __post_init__(self):
         tset = set(self.targets)
@@ -85,6 +89,20 @@ class Gate:
             err = np.abs(m.conj().T @ m - np.eye(dim)).max()
             if err > 1e-10:
                 raise ValueError(f"dense matrix is not unitary (|U+U - I|max = {err:.3e})")
+
+    def __eq__(self, other):
+        if not isinstance(other, Gate):
+            return NotImplemented
+        if (self.kind, self.targets, self.controls, self.angle) != (
+                other.kind, other.targets, other.controls, other.angle):
+            return False
+        if self.matrix is None or other.matrix is None:
+            return self.matrix is other.matrix
+        return np.array_equal(self.matrix, other.matrix)
+
+    def __hash__(self):
+        content = None if self.matrix is None else self.matrix.tobytes()
+        return hash((self.kind, self.targets, self.controls, self.angle, content))
 
     def adjoint(self) -> "Gate":
         if self.kind in _ANGLE_KINDS:
@@ -474,15 +492,29 @@ def register_distribution(state: StateVector, qubits: list[int]) -> np.ndarray:
     return np.bincount(key, weights=p, minlength=2 ** k)
 
 
+def check_distribution(dist: np.ndarray) -> np.ndarray:
+    """Return ``dist`` unchanged if it is a probability vector: no negative
+    entry and a sum within PROB_SUM_TOL of 1.  Raises ValueError otherwise,
+    instead of renormalising what is broken."""
+    total = float(dist.sum())
+    if not abs(total - 1.0) <= PROB_SUM_TOL:
+        raise ValueError(f"probabilities sum to {total!r}, off 1 by more "
+                         f"than {PROB_SUM_TOL}")
+    if dist.min() < 0.0:
+        raise ValueError(f"negative probability {dist.min()!r}")
+    return dist
+
+
 def sample_register(state: StateVector, qubits: list[int], shots: int,
                     rng: np.random.Generator | int | None = None) -> np.ndarray:
     """Draw ``shots`` outcomes from the register marginal without
-    collapsing the stored state (i.i.d.-equivalent to re-preparing)."""
+    collapsing the stored state (i.i.d.-equivalent to re-preparing).
+
+    Raises ValueError when the marginal fails ``check_distribution``, e.g.
+    for a state that lost its normalisation."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    dist = register_distribution(state, qubits)
-    dist = np.clip(dist, 0.0, None)
-    dist /= dist.sum()
+    dist = check_distribution(register_distribution(state, qubits))
     return rng.choice(dist.size, size=shots, p=dist)
 
 

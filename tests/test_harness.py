@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spq.cli import main
+from spq.dqa import AnnealSchedule, RegisterLayout, build_dqa
 from spq.harness import (
     ConfigError,
     ExperimentSpec,
@@ -21,10 +22,13 @@ from spq.harness import (
 )
 from spq.model import (
     DiscreteDistribution,
+    bounds_for,
     generate_instance,
     model_from_instance,
     save_instance,
 )
+from spq.oracle import OracleKind, build_oracle
+from spq.qae import QaeConfig, build_A, run_qae
 
 WORKED_INSTANCE = {"n_y": 2, "c_x": 0.4, "c": [0.1, 0.2], "c_r": 1.0, "d": 2,
                    "distribution": {"type": "uniform"}, "seed": 0}
@@ -70,6 +74,26 @@ class TestOuterLoop:
         res1 = outer_loop(model, dist, T=10, mode="qae", m=4, oracle="exact",
                           amplify=5, seed_tag=("amp",))
         assert len(res1.rows) == 3
+
+    @pytest.mark.parametrize("oracle", ["exact", "sin"])
+    def test_qae_mode_draws_the_gate_level_readouts(self, oracle):
+        # qae mode takes a from the fast evolver and never builds a circuit;
+        # phase estimation on the gate-level A = oracle after DQA, seeded
+        # alike, reads the same b
+        model, dist = model_from_instance(generate_instance(3, 5))
+        m, T = 5, 6
+        lay = RegisterLayout.standard(3, 3, include_ancilla=True, m_estimate=m)
+        for rep in range(8):
+            res = outer_loop(model, dist, T=T, mode="qae", m=m, oracle=oracle,
+                             seed_tag=("gate", rep))
+            for row in res.rows:
+                x = row["x"]
+                b = bounds_for(model, x)
+                kind = OracleKind.exact(b) if oracle == "exact" else OracleKind.sin_approx(b)
+                A = build_A(build_dqa(model, x, dist, AnnealSchedule.linear(T), lay),
+                            build_oracle(kind, model, x, lay), lay)
+                cfg = QaeConfig(m=m, rng_seed=derive_seed(0, "gate", rep, x))
+                assert row["b"] == run_qae(A, cfg, lay, b)[0].b
 
     def test_unknown_mode_rejected(self):
         model, dist = model_from_instance(WORKED_INSTANCE)

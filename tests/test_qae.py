@@ -1,16 +1,33 @@
 """Amplitude estimation tests: QFT correctness, Grover rotation structure,
-phase-estimation readout, and the Monte Carlo baseline."""
+the closed-form readout law against simulated phase estimation, and the
+Monte Carlo baseline."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spq.dqa import AnnealSchedule, RegisterLayout, build_dqa, expectation_HQ, run_dqa
-from spq.model import Bounds, bounds_for, generate_instance, model_from_instance
-from spq.oracle import OracleKind, build_oracle
+from spq.dqa import (
+    AnnealSchedule,
+    RegisterLayout,
+    build_dqa,
+    expectation_HQ,
+    run_dqa,
+    run_dqa_fast,
+)
+from spq.model import (
+    Bounds,
+    bounds_for,
+    cost_diagonal,
+    generate_instance,
+    model_from_instance,
+)
+from spq.oracle import OracleKind, build_oracle, target_amplitude
 from spq.qae import (
     QaeConfig,
+    ancilla_marginal,
     build_A,
     build_grover,
     build_inverse_qft,
@@ -18,16 +35,21 @@ from spq.qae import (
     error_bound_check,
     mc_estimate,
     mc_estimate_batch,
+    qae_from_amplitude,
     qpe_state,
     qpe_state_gates,
+    readout_distribution,
     run_qae,
+    sample_readout,
 )
 from spq.statevector import (
     OperatorSequence,
     SimulationBudgetError,
     StateVector,
     apply_sequence,
+    register_distribution,
     ry,
+    sample_register,
     sequence_to_matrix,
 )
 
@@ -40,6 +62,26 @@ def bernoulli_A(a):
 
 def bernoulli_layout(m):
     return RegisterLayout.standard(0, 0, include_ancilla=True, m_estimate=m)
+
+
+def uc_pipeline(n_y, x, T, oracle, seed=7):
+    """Gate-level A = oracle after DQA on a generated instance, with the
+    oracle kind and the system layout (y, xi, ancilla)."""
+    model, dist = model_from_instance(generate_instance(n_y, seed))
+    lay = RegisterLayout.standard(n_y, n_y, include_ancilla=True)
+    schedule = AnnealSchedule.linear(T)
+    dqa = build_dqa(model, x, dist, schedule, RegisterLayout.standard(n_y, n_y))
+    b = bounds_for(model, x)
+    kind = {"exact": OracleKind.exact(b),
+            "sin": OracleKind.sin_approx(b),
+            "sin_literal": OracleKind.sin_approx(b, literal_pi=True)}[oracle]
+    A = build_A(dqa, build_oracle(kind, model, x, lay), lay)
+    return model, dist, schedule, kind, lay, A
+
+
+def estimate_marginal(state, lay, m):
+    n_sys = lay.num_system_qubits
+    return register_distribution(state, list(range(n_sys, n_sys + m)))
 
 
 class TestQft:
@@ -193,6 +235,89 @@ class TestQpeReadout:
                       a_true=a_true)
         rate = np.mean([r.within_bound for r in res])
         assert rate >= 8 / math.pi ** 2 - 3 * math.sqrt(0.81 * 0.19 / 400)
+
+
+class TestReadoutLaw:
+    """readout_distribution against the simulated phase-estimation
+    circuits, and its properties as a distribution."""
+
+    @pytest.mark.parametrize("oracle", ["exact", "sin"])
+    @pytest.mark.parametrize("n_y", [2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    def test_matches_qpe_state_marginal(self, n_y, m, oracle):
+        _, _, _, _, lay, A = uc_pipeline(n_y, 1, 3, oracle)
+        sim = estimate_marginal(qpe_state(A, QaeConfig(m=m), lay), lay, m)
+        law = readout_distribution(ancilla_marginal(A, lay), m)
+        assert np.abs(law - sim).max() <= 1e-12
+
+    @pytest.mark.parametrize("oracle", ["exact", "sin"])
+    @pytest.mark.parametrize("n_y, m", [(2, 6), (3, 4), (4, 2)])
+    def test_matches_gate_level_qpe_marginal(self, n_y, m, oracle):
+        _, _, _, _, lay, A = uc_pipeline(n_y, 1, 2, oracle)
+        sim = estimate_marginal(qpe_state_gates(A, QaeConfig(m=m), lay), lay, m)
+        law = readout_distribution(ancilla_marginal(A, lay), m)
+        assert np.abs(law - sim).max() <= 1e-12
+
+    @pytest.mark.parametrize("oracle", ["exact", "sin", "sin_literal"])
+    @pytest.mark.parametrize("n_y, x, T", [(2, 1, 3), (3, 0, 5), (4, 2, 4), (5, 1, 3)])
+    def test_fast_evolver_amplitude_matches_gate_level_marginal(self, n_y, x, T,
+                                                                 oracle):
+        model, dist, schedule, kind, lay, A = uc_pipeline(n_y, x, T, oracle)
+        probs = run_dqa_fast(model, x, dist, schedule).probabilities()
+        a = target_amplitude(kind, probs, cost_diagonal(model))
+        assert abs(a - ancilla_marginal(A, lay)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(0.0, 1.0), m=st.integers(1, 10))
+    def test_is_a_symmetric_distribution(self, a, m):
+        law = readout_distribution(a, m)
+        M = 2 ** m
+        assert law.shape == (M,)
+        assert law.min() >= 0.0
+        assert abs(law.sum() - 1.0) <= 1e-12
+        assert np.abs(law - law[-np.arange(M) % M]).max() <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 10), data=st.data())
+    def test_on_grid_amplitude_puts_all_mass_on_its_pair(self, m, data):
+        M = 2 ** m
+        k = data.draw(st.integers(0, M // 2))
+        law = readout_distribution(math.sin(math.pi * k / M) ** 2, m)
+        assert law[sorted({k, (M - k) % M})].sum() >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 12])
+    def test_zero_and_one_are_exact(self, m):
+        M = 2 ** m
+        zero, one = np.zeros(M), np.zeros(M)
+        zero[0] = 1.0
+        one[M // 2] = 1.0
+        assert np.array_equal(readout_distribution(0.0, m), zero)
+        assert np.array_equal(readout_distribution(1.0, m), one)
+
+    @pytest.mark.parametrize("a, m", [(-0.01, 3), (1.01, 3), (math.nan, 3), (0.3, 0)])
+    def test_invalid_input_rejected(self, a, m):
+        with pytest.raises(ValueError):
+            readout_distribution(a, m)
+
+    @pytest.mark.parametrize("oracle", ["exact", "sin"])
+    def test_run_qae_draws_the_simulated_register_samples(self, oracle):
+        _, _, _, kind, lay, A = uc_pipeline(3, 1, 4, oracle)
+        m = 5
+        cfg = QaeConfig(m=m, repetitions=2000, rng_seed=13)
+        n_sys = lay.num_system_qubits
+        simulated = sample_register(qpe_state(A, cfg, lay),
+                                    list(range(n_sys, n_sys + m)), cfg.repetitions,
+                                    np.random.default_rng(cfg.rng_seed))
+        drawn = [r.b for r in run_qae(A, cfg, lay, kind.bounds)]
+        assert drawn == simulated.tolist()
+
+    def test_budget_guard_without_simulation(self):
+        lay = RegisterLayout.standard(7, 7, include_ancilla=True)
+        with pytest.raises(SimulationBudgetError):
+            sample_readout(0.3, QaeConfig(m=12), lay)
+        with pytest.raises(SimulationBudgetError):
+            qae_from_amplitude(0.3, QaeConfig(m=12), lay, Bounds(0.0, 1.0))
+        assert sample_readout(0.3, QaeConfig(m=9), lay).shape == (1,)
 
 
 class TestConfig:

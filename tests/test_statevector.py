@@ -156,6 +156,17 @@ class TestGateSemantics:
         with pytest.raises(SimulationBudgetError):
             StateVector(25)
 
+    def test_dense_gates_differing_in_matrix_are_distinct(self):
+        c, s = math.cos(0.3), math.sin(0.3)
+        a = dense((0, 1), np.eye(4))
+        b = dense((0, 1), np.kron(np.eye(2), [[c, -s], [s, c]]))
+        assert a != b
+        assert len({a, b}) == 2
+        same = dense((0, 1), np.eye(4))
+        assert a == same and hash(a) == hash(same)
+        assert a != dense((1, 0), np.eye(4))
+        assert hadamard(0) == hadamard(0) and hadamard(0) != a
+
 
 class TestSequences:
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -273,6 +284,12 @@ class TestMeasurement:
         p = marginal_probability(sv, 2, 1)
         sigma = math.sqrt(p * (1 - p) / shots)
         assert abs(outcomes.mean() - p) < 4 * sigma
+
+    def test_sampling_rejects_unnormalised_state(self):
+        sv = random_state(3, seed=4)
+        sv.amplitudes *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="sum to"):
+            sample_register(sv, [0, 1], 10, np.random.default_rng(0))
 
     def test_register_distribution_sums_to_one(self):
         sv = random_state(5, seed=12)
