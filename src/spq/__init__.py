@@ -39,7 +39,6 @@ from .qae import (
     build_inverse_qft,
     build_qft,
     error_bound_check,
-    mc_estimate,
     run_qae,
 )
 from .statevector import (
@@ -51,5 +50,4 @@ from .statevector import (
     apply_controlled_sequence,
     apply_sequence,
     marginal_probability,
-    measure_register,
 )

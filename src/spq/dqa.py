@@ -40,6 +40,7 @@ from .statevector import (
     StateVector,
     apply_sequence,
     cphase,
+    dense,
     hadamard,
     partial_swap,
     pauli_x,
@@ -150,29 +151,15 @@ class DqaDiagnostics:
 
 # -- state preparation ----------------------------------------------------
 
-def _unitary_with_first_column(column: np.ndarray) -> np.ndarray:
+def _column_prep_gate(column: np.ndarray, qubits: tuple[int, ...]) -> Gate:
     """Householder reflection sending |0...0> to the given real unit vector."""
     v = np.asarray(column, dtype=float)
     w = -v.copy()
     w[0] += 1.0
     nw2 = float(w @ w)
     if nw2 < 1e-28:
-        return np.eye(v.size, dtype=complex)
-    u = np.eye(v.size) - (2.0 / nw2) * np.outer(w, w)
-    return u.astype(complex)
-
-
-def _column_prep_gate(column: np.ndarray, qubits: tuple[int, ...]) -> Gate:
-    # Householder matrices are exactly orthogonal; skip the unitarity scan,
-    # which is cubic in the dimension.
-    g = Gate.__new__(Gate)
-    object.__setattr__(g, "kind", KIND_DENSE)
-    object.__setattr__(g, "targets", tuple(qubits))
-    object.__setattr__(g, "controls", ())
-    object.__setattr__(g, "angle", None)
-    object.__setattr__(g, "matrix",
-                       np.ascontiguousarray(_unitary_with_first_column(column)))
-    return g
+        return dense(qubits, np.eye(v.size))
+    return dense(qubits, np.eye(v.size) - (2.0 / nw2) * np.outer(w, w))
 
 
 def dicke_amplitudes(n: int, k: int) -> np.ndarray:
@@ -222,17 +209,26 @@ def prepare_distribution(dist: DiscreteDistribution,
     return OperatorSequence((_column_prep_gate(amps, qubits),), "dist")
 
 
+def per_scenario_optimal_amplitudes(model: UnitCommitmentModel, x: int,
+                                    dist: DiscreteDistribution) -> np.ndarray:
+    """Real amplitudes of the per-scenario optimized wavefunction over the
+    (y, xi) register: sqrt(p(xi)) on (xi, y*(xi)), with y* the brute-force
+    second-stage minimum (the T -> infinity surrogate)."""
+    y_stars, _ = scenario_optima(model, x, dist)
+    amps = np.zeros(2 ** (2 * model.n_y))
+    for (scenario, p), y_star in zip(dist.entries, y_stars):
+        amps[(scenario << model.n_y) | int(y_star)] = math.sqrt(p)
+    return amps
+
+
 def prepare_per_scenario_optimal(model: UnitCommitmentModel, x: int,
                                  dist: DiscreteDistribution) -> OperatorSequence:
-    """Exact preparation of the per-scenario optimized wavefunction, built
-    from brute-force second-stage minima (the T -> infinity surrogate)."""
+    """Gate preparing ``per_scenario_optimal_amplitudes`` from |0...0>, as a
+    dense Householder completion; a reference for the amplitude vector."""
     n = 2 * model.n_y
     if n > 12:
         raise ValueError("dense per-scenario preparation is desk scale (n_y <= 6)")
-    y_stars, _ = scenario_optima(model, x, dist)
-    amps = np.zeros(2 ** n)
-    for (scenario, p), y_star in zip(dist.entries, y_stars):
-        amps[(scenario << model.n_y) | int(y_star)] = math.sqrt(p)
+    amps = per_scenario_optimal_amplitudes(model, x, dist)
     return OperatorSequence((_column_prep_gate(amps, tuple(range(n))),), "psi_star")
 
 

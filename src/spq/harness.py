@@ -25,9 +25,7 @@ import numpy as np
 from .dqa import (
     AnnealSchedule,
     RegisterLayout,
-    expectation_HQ,
-    prepare_per_scenario_optimal,
-    run_dqa,
+    per_scenario_optimal_amplitudes,
     run_dqa_fast,
 )
 from .model import (
@@ -40,15 +38,8 @@ from .model import (
     model_from_instance,
     objective_exact,
 )
-from .oracle import OracleKind, build_oracle, sin_oracle_readback, target_amplitude
-from .qae import (
-    QaeConfig,
-    ancilla_marginal,
-    build_A,
-    mc_from_amplitude,
-    qae_from_amplitude,
-    sample_readout,
-)
+from .oracle import OracleKind, sin_oracle_readback, target_amplitude
+from .qae import QaeConfig, mc_from_amplitude, qae_from_amplitude, sample_readout
 
 
 class ConfigError(ValueError):
@@ -175,12 +166,14 @@ class OuterLoopResult:
         return float(np.corrcoef(est, o)[0, 1])
 
 
-def _qae_estimate_for_x(model, dist, x, T, m, oracle, angle_mode, amplify, seed):
+def _qae_estimate_for_x(model, dist, costs, x, T, m, oracle, angle_mode, amplify,
+                        seed):
     """One full-pipeline point: DQA, oracle, QAE, readback.
 
-    The annealed state's probabilities give both <H_Q> and the QAE target
-    a = Pr[ancilla = 1] after the oracle, and the readout is drawn from the
-    closed-form law of a; no circuit is built.
+    The annealed state's probabilities and the model's ``cost_diagonal``
+    give both <H_Q> and the QAE target a = Pr[ancilla = 1] after the
+    oracle, and the readout is drawn from the closed-form law of a; no
+    circuit is built.
     """
     layout = RegisterLayout.standard(model.n_y, dist.n_xi, include_ancilla=True)
     bounds = bounds_for(model, x)
@@ -190,7 +183,6 @@ def _qae_estimate_for_x(model, dist, x, T, m, oracle, angle_mode, amplify, seed)
         kind = OracleKind.sin_approx(bounds, literal_pi=(angle_mode == "literal"))
 
     probs = run_dqa_fast(model, x, dist, AnnealSchedule.linear(T)).probabilities()
-    costs = cost_diagonal(model)
     exp_hq = float(probs @ costs)
     a_true = (exp_hq - bounds.q_l) / bounds.width if oracle == "exact" else None
 
@@ -215,33 +207,34 @@ def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
 
     Modes: "expectation" evaluates <H_Q> on the DQA statevector (no shot
     noise), "qae" runs the full estimation pipeline, and "exact" uses the
-    brute-force per-scenario optimal state as a converged surrogate.
+    brute-force per-scenario optimal state as a converged surrogate.  Each
+    mode takes <H_Q> from a probability vector over the (y, xi) register
+    and the cost diagonal, which does not depend on x.
     """
     if mode not in ("expectation", "qae", "exact"):
         raise ConfigError(f"unknown outer-loop mode {mode!r}")
     if mode == "qae" and m is None:
         raise ConfigError("qae mode requires the estimate width m")
+    costs = cost_diagonal(model)
     result = OuterLoopResult()
     for x in range(model.d + 1):
         phi = expected_value_exact(model, x, dist)
         o_exact = model.c_x * x + phi
         row = {"x": x, "T": T, "phi_exact": phi, "o_exact": o_exact,
                "a_hat": None, "b": None, "within_bound": None, "m": m}
-        if mode == "expectation":
-            state = run_dqa_fast(model, x, dist, AnnealSchedule.linear(T))
-            exp_hq = expectation_HQ(state, model)
-            phi_est = exp_hq
-        elif mode == "exact":
-            layout = RegisterLayout.standard(model.n_y, dist.n_xi)
-            state = run_dqa(prepare_per_scenario_optimal(model, x, dist), layout)
-            exp_hq = expectation_HQ(state, model)
-            phi_est = exp_hq
-        else:
+        if mode == "qae":
             seed = derive_seed(master_seed, *seed_tag, x)
             picked, phi_est, exp_hq = _qae_estimate_for_x(
-                model, dist, x, T, m, oracle, angle_mode, amplify, seed)
+                model, dist, costs, x, T, m, oracle, angle_mode, amplify, seed)
             row.update(a_hat=picked.a_hat, b=picked.b,
                        within_bound=picked.within_bound)
+        else:
+            if mode == "expectation":
+                state = run_dqa_fast(model, x, dist, AnnealSchedule.linear(T))
+                probs = state.probabilities()
+            else:
+                probs = per_scenario_optimal_amplitudes(model, x, dist) ** 2
+            exp_hq = phi_est = float(probs @ costs)
         row.update(exp_hq=exp_hq, delta=exp_hq - phi, phi_est=phi_est,
                    o_est=model.c_x * x + phi_est)
         result.rows.append(row)
@@ -331,14 +324,15 @@ def experiment_fig4(spec: ExperimentSpec, out_dir) -> dict:
     bounds = bounds_for(model, x)
     phi = expected_value_exact(model, x, dist)
     a_true = (phi - bounds.q_l) / bounds.width
-    # A does not depend on m: one preparation's ancilla marginal feeds the
-    # QAE law and the Monte Carlo binomial at every m
+    # Pr[ancilla = 1] after the exact oracle on the converged state psi*
+    # does not depend on m; it feeds the QAE law and the Monte Carlo
+    # binomial at every m
     layout = RegisterLayout.standard(model.n_y, dist.n_xi, include_ancilla=True)
-    oracle_seq = build_oracle(OracleKind.exact(bounds), model, x, layout)
-    a = ancilla_marginal(build_A(prepare_per_scenario_optimal(model, x, dist),
-                                 oracle_seq, layout), layout)
+    probs = per_scenario_optimal_amplitudes(model, x, dist) ** 2
+    a = target_amplitude(OracleKind.exact(bounds), probs, cost_diagonal(model))
 
-    estimates, summary = [], []
+    estimates, summary, hist_rows = [], [], []
+    edges = np.arange(bounds.q_l, bounds.q_u + 2 * _FIG4_BIN_WIDTH, _FIG4_BIN_WIDTH)
     for m in spec.m_values:
         config = QaeConfig(m=m, repetitions=spec.n_estimates,
                            rng_seed=derive_seed(spec.master_seed, "fig4", m, "qae"))
@@ -350,9 +344,17 @@ def experiment_fig4(spec: ExperimentSpec, out_dir) -> dict:
                                      derive_seed(spec.master_seed, "fig4", m, "mc")),
                                  spec.n_estimates)
         for method, arr in (("qae", a_qae), ("mc", a_mc)):
-            for v in arr:
-                estimates.append({"m": m, "method": method, "a_hat": float(v),
-                                  "phi_hat": float(v * bounds.width + bounds.q_l)})
+            phis = arr * bounds.width + bounds.q_l
+            for v, p in zip(arr.tolist(), phis.tolist()):
+                estimates.append({"m": m, "method": method, "a_hat": v,
+                                  "phi_hat": p})
+            counts, _ = np.histogram(phis, bins=edges)
+            for lo, cnt in zip(edges[:-1], counts):
+                if cnt:
+                    hist_rows.append({"m": m, "method": method,
+                                      "bin_left": float(lo),
+                                      "bin_width": _FIG4_BIN_WIDTH,
+                                      "mass": float(cnt) / len(arr)})
         bound = np.pi / config.M + np.pi ** 2 / config.M ** 2
         summary.append({
             "m": m, "method": "qae", "shots": config.a_applications,
@@ -367,19 +369,6 @@ def experiment_fig4(spec: ExperimentSpec, out_dir) -> dict:
             "a_true": a_true, "phi_true": phi,
         })
 
-    hist_rows = []
-    edges = np.arange(bounds.q_l, bounds.q_u + 2 * _FIG4_BIN_WIDTH, _FIG4_BIN_WIDTH)
-    for m in spec.m_values:
-        for method in ("qae", "mc"):
-            vals = [e["phi_hat"] for e in estimates
-                    if e["m"] == m and e["method"] == method]
-            counts, _ = np.histogram(vals, bins=edges)
-            for lo, cnt in zip(edges[:-1], counts):
-                if cnt:
-                    hist_rows.append({"m": m, "method": method,
-                                      "bin_left": float(lo),
-                                      "bin_width": _FIG4_BIN_WIDTH,
-                                      "mass": float(cnt) / len(vals)})
     write_csv(out_dir / "fig4_estimates.csv",
               ["m", "method", "a_hat", "phi_hat"], estimates)
     write_csv(out_dir / "fig4_histogram.csv",
@@ -438,7 +427,7 @@ def single_run(inst: dict, x: int, T: int, oracle: str, m: int, seed: int,
         raise ConfigError(f"x={x} outside [0, {model.d}]")
     started = time.time()
     picked, phi_est, exp_hq = _qae_estimate_for_x(
-        model, dist, x, T, m, oracle, angle_mode, amplify,
+        model, dist, cost_diagonal(model), x, T, m, oracle, angle_mode, amplify,
         derive_seed(seed, "run", x))
     phi = expected_value_exact(model, x, dist)
     return {

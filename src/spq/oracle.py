@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Bounds, UnitCommitmentModel, bounds_for, cost_diagonal
-from .statevector import Gate, KIND_DENSE, OperatorSequence, ccry, pauli_x
+from .statevector import Gate, OperatorSequence, ccry, dense, pauli_x
 
 _EXACT_ORACLE_MAX_NY = 5  # dense 2^(2*n_y + 1) matrix; demonstration scale
 
@@ -85,15 +85,7 @@ def _exact_oracle_gate(model: UnitCommitmentModel, x: int, bounds: Bounds,
     u[dim + idx, idx] = s
     u[idx, dim + idx] = -s
     u[dim + idx, dim + idx] = c
-    # unitary by construction (orthogonal 2x2 block per basis state);
-    # the cubic unitarity scan is skipped at this dimension
-    g = Gate.__new__(Gate)
-    object.__setattr__(g, "kind", KIND_DENSE)
-    object.__setattr__(g, "targets", tuple(range(n)) + (ancilla,))
-    object.__setattr__(g, "controls", ())
-    object.__setattr__(g, "angle", None)
-    object.__setattr__(g, "matrix", u)
-    return g
+    return dense(tuple(range(n)) + (ancilla,), u)
 
 
 def build_oracle(kind: OracleKind, model: UnitCommitmentModel, x: int,

@@ -273,15 +273,6 @@ def run_qae(A_seq: OperatorSequence, config: QaeConfig, layout, bounds: Bounds,
                               bounds, a_true, rng)
 
 
-def mc_estimate(A_seq: OperatorSequence, shots: int, layout,
-                rng_seed: np.random.Generator | int | None = None) -> float:
-    """Monte Carlo baseline: prepare A once and sample the ancilla,
-    returning the |1> frequency."""
-    if not isinstance(rng_seed, np.random.Generator):
-        rng_seed = np.random.default_rng(rng_seed)
-    return float(mc_estimate_batch(A_seq, shots, layout, rng_seed, 1)[0])
-
-
 def mc_from_amplitude(a: float, shots: int, rng: np.random.Generator,
                       n_estimates: int) -> np.ndarray:
     """Batch of independent Monte Carlo estimates: the |1> frequency of

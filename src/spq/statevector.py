@@ -1,4 +1,5 @@
-"""Dense statevector simulation kernels.
+"""Dense statevector simulation kernels: the gate-level reference that the
+experiments' probability-vector and closed-form paths are tested against.
 
 Qubit index 0 is the least-significant bit of the amplitude index
 (little-endian), so extracting a register is a mask/shift.  Gate kernels
@@ -108,14 +109,8 @@ class Gate:
         if self.kind in _ANGLE_KINDS:
             return Gate(self.kind, self.targets, self.controls, -self.angle)
         if self.kind == KIND_DENSE:
-            g = Gate.__new__(Gate)
-            object.__setattr__(g, "kind", KIND_DENSE)
-            object.__setattr__(g, "targets", self.targets)
-            object.__setattr__(g, "controls", self.controls)
-            object.__setattr__(g, "angle", None)
-            # adjoint of a validated unitary is unitary; skip the re-check
-            object.__setattr__(g, "matrix", np.ascontiguousarray(self.matrix.conj().T))
-            return g
+            return Gate(KIND_DENSE, self.targets, self.controls,
+                        matrix=np.ascontiguousarray(self.matrix.conj().T))
         return self  # h, x, reflect0 are self-adjoint
 
     def controlled(self, qubit: int, polarity: int = 1) -> "Gate":
@@ -366,14 +361,7 @@ def _apply_via_fibers(amps: np.ndarray, gate: Gate, n: int) -> None:
 def _apply_dense_low(amps: np.ndarray, matrix: np.ndarray, k: int) -> None:
     """Dense unitary on the k lowest qubits: gather/scatter as a matmul."""
     m = amps.reshape(-1, 2 ** k)
-    # With a constrained input (e.g. preparing from |0...0>) most target
-    # columns are zero; restricting the matmul to live columns is exact.
-    live = np.flatnonzero(np.any(m != 0, axis=0))
-    if live.size <= m.shape[1] // 4:
-        out = m[:, live] @ matrix[:, live].T
-    else:
-        out = m @ matrix.T
-    m[:] = out
+    m[:] = m @ matrix.T
 
 
 def apply(state: StateVector, gate: Gate) -> StateVector:
@@ -518,18 +506,12 @@ def sample_register(state: StateVector, qubits: list[int], shots: int,
     return rng.choice(dist.size, size=shots, p=dist)
 
 
-def measure_register(state: StateVector, qubits: list[int],
-                     rng_seed: np.random.Generator | int | None = None) -> int:
-    """Sample one outcome of the listed qubits.
-
-    The result is the sampled basis index of the sub-register: bit i of the
-    returned integer is the value of qubits[i].
-    """
-    return int(sample_register(state, qubits, 1, rng_seed)[0])
-
-
 def marginal_probability(state: StateVector, qubit: int, outcome: int) -> float:
-    """Exact probability of measuring ``outcome`` on one qubit."""
+    """Exact probability of measuring ``outcome`` on one qubit.
+
+    Raises ValueError when it lies outside [0, 1] by more than
+    PROB_SUM_TOL, e.g. for a state that lost its normalisation; rounding
+    within the tolerance is clipped to 1."""
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
     n = state.num_qubits
@@ -537,7 +519,10 @@ def marginal_probability(state: StateVector, qubit: int, outcome: int) -> float:
         raise IndexError(f"qubit {qubit} out of range for {n}-qubit state")
     v = _axis_view(state.amplitudes, qubit, n)[:, outcome, :]
     p = float((v.real * v.real + v.imag * v.imag).sum())
-    return min(max(p, 0.0), 1.0)
+    if not -PROB_SUM_TOL <= p <= 1.0 + PROB_SUM_TOL:
+        raise ValueError(f"marginal probability {p!r} outside [0, 1] by more "
+                         f"than {PROB_SUM_TOL}")
+    return min(p, 1.0)
 
 
 def sequence_to_matrix(seq: OperatorSequence, num_qubits: int) -> np.ndarray:

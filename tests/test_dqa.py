@@ -36,8 +36,8 @@ from spq.statevector import (
     StateVector,
     apply_sequence,
     fidelity,
-    measure_register,
     register_distribution,
+    sample_register,
 )
 
 
@@ -111,7 +111,7 @@ class TestDickePreparation:
     def test_measurement_support_is_weight_k(self):
         sv = apply_sequence(StateVector(4), prepare_dicke(4, 2))
         for shot in range(200):
-            outcome = measure_register(sv, [0, 1, 2, 3], rng_seed=shot)
+            outcome = int(sample_register(sv, [0, 1, 2, 3], 1, shot)[0])
             assert bin(outcome).count("1") == 2
 
     def test_invertible(self):

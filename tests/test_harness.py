@@ -3,6 +3,7 @@ of result files, and the CLI surface."""
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,9 @@ from spq.model import (
 )
 from spq.oracle import OracleKind, build_oracle
 from spq.qae import QaeConfig, build_A, run_qae
+from spq.statevector import Gate, hadamard
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 WORKED_INSTANCE = {"n_y": 2, "c_x": 0.4, "c": [0.1, 0.2], "c_r": 1.0, "d": 2,
                    "distribution": {"type": "uniform"}, "seed": 0}
@@ -41,10 +45,12 @@ def read_rows(path):
 
 class TestOuterLoop:
     def test_exact_mode_reproduces_objective(self):
-        model, dist = model_from_instance(WORKED_INSTANCE)
-        res = outer_loop(model, dist, T=0, mode="exact")
-        for row in res.rows:
-            assert abs(row["o_est"] - row["o_exact"]) < 1e-10
+        for inst in (WORKED_INSTANCE, generate_instance(6, 5)):
+            model, dist = model_from_instance(inst)
+            res = outer_loop(model, dist, T=0, mode="exact")
+            for row in res.rows:
+                assert abs(row["o_est"] - row["o_exact"]) < 1e-10
+                assert abs(row["exp_hq"] - row["phi_exact"]) <= 1e-12
 
     def test_worked_instance_objective_table(self):
         model, dist = model_from_instance(WORKED_INSTANCE)
@@ -114,6 +120,28 @@ class TestOuterLoop:
         assert res.x_est == res.x_star
         for row in res.rows:
             assert row["delta"] >= -1e-9
+
+
+class TestNoGatesInProduction:
+    def test_experiments_and_runs_build_no_gate(self, tmp_path, monkeypatch):
+        # every Gate passes through __post_init__; production paths take
+        # their numbers from probability vectors and closed forms instead
+        def refuse(gate):
+            raise AssertionError(f"a {gate.kind} gate was built")
+
+        monkeypatch.setattr(Gate, "__post_init__", refuse)
+        with pytest.raises(AssertionError, match="gate was built"):
+            hadamard(0)
+        experiment_fig4(ExperimentSpec.from_json(CONFIG_DIR / "fig4.json"),
+                        tmp_path / "fig4")
+        experiment_fig5(ExperimentSpec(kind="fig5", configs=((3, 4, 6),),
+                                       n_repetitions=1, master_seed=4),
+                        tmp_path / "fig5")
+        model, dist = model_from_instance(generate_instance(4, 13))
+        outer_loop(model, dist, T=8, mode="expectation")
+        outer_loop(model, dist, T=0, mode="exact")
+        for oracle in ("exact", "sin"):
+            single_run(WORKED_INSTANCE, x=1, T=6, oracle=oracle, m=5, seed=7)
 
 
 class TestSpecParsing:

@@ -14,6 +14,8 @@ from spq.dqa import (
     RegisterLayout,
     build_dqa,
     expectation_HQ,
+    per_scenario_optimal_amplitudes,
+    prepare_per_scenario_optimal,
     run_dqa,
     run_dqa_fast,
 )
@@ -33,7 +35,6 @@ from spq.qae import (
     build_inverse_qft,
     build_qft,
     error_bound_check,
-    mc_estimate,
     mc_estimate_batch,
     qae_from_amplitude,
     qpe_state,
@@ -267,6 +268,22 @@ class TestReadoutLaw:
         a = target_amplitude(kind, probs, cost_diagonal(model))
         assert abs(a - ancilla_marginal(A, lay)) <= 1e-12
 
+    @pytest.mark.parametrize("n_y", [2, 3, 4, 5])
+    def test_converged_amplitude_matches_gate_level_marginal(self, n_y):
+        # fig4's a, from the psi* amplitudes and the exact oracle's
+        # per-basis-state rotation, against A = exact oracle after the
+        # Householder preparation of psi*
+        model, dist = model_from_instance(generate_instance(n_y, 11))
+        lay = RegisterLayout.standard(n_y, n_y, include_ancilla=True)
+        costs = cost_diagonal(model)
+        for x in range(model.d + 1):
+            kind = OracleKind.exact(bounds_for(model, x))
+            probs = per_scenario_optimal_amplitudes(model, x, dist) ** 2
+            A = build_A(prepare_per_scenario_optimal(model, x, dist),
+                        build_oracle(kind, model, x, lay), lay)
+            a = target_amplitude(kind, probs, costs)
+            assert abs(a - ancilla_marginal(A, lay)) <= 1e-12
+
     @settings(max_examples=200, deadline=None)
     @given(a=st.floats(0.0, 1.0), m=st.integers(1, 10))
     def test_is_a_symmetric_distribution(self, a, m):
@@ -344,11 +361,13 @@ class TestConfig:
 class TestMonteCarlo:
     def test_certain_amplitude(self):
         lay = bernoulli_layout(1)
-        assert mc_estimate(bernoulli_A(1.0), 100, lay, rng_seed=0) == 1.0
+        rng = np.random.default_rng(0)
+        assert mc_estimate_batch(bernoulli_A(1.0), 100, lay, rng, 1)[0] == 1.0
 
     def test_binomial_spread(self):
         lay = bernoulli_layout(1)
-        est = mc_estimate(bernoulli_A(0.5), 100_000, lay, rng_seed=4)
+        rng = np.random.default_rng(4)
+        est = mc_estimate_batch(bernoulli_A(0.5), 100_000, lay, rng, 1)[0]
         assert abs(est - 0.5) < 0.01
 
     def test_batch_matches_binomial_std(self):

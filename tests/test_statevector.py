@@ -20,7 +20,6 @@ from spq.statevector import (
     dense,
     hadamard,
     marginal_probability,
-    measure_register,
     partial_swap,
     pauli_x,
     phase,
@@ -267,7 +266,7 @@ class TestControlledApplication:
 class TestMeasurement:
     def test_basis_state_is_certain(self):
         sv = StateVector.basis_state(3, 0b101)
-        assert measure_register(sv, [0, 1, 2], rng_seed=0) == 0b101
+        assert sample_register(sv, [0, 1, 2], 1, 0)[0] == 0b101
         # non-collapsing: the stored state is untouched
         assert abs(sv.amplitudes[0b101] - 1.0) < 1e-15
 
@@ -305,6 +304,18 @@ class TestMeasurement:
     def test_ancilla_in_one_state(self):
         sv = StateVector.basis_state(1, 1)
         assert marginal_probability(sv, 0, 1) == 1.0
+
+    def test_marginal_rejects_unnormalised_state(self):
+        # scaled after construction, past the norm check: the marginal is
+        # not clipped back into [0, 1]
+        sv = StateVector.basis_state(2, 0b10)
+        sv.amplitudes *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="outside"):
+            marginal_probability(sv, 1, 1)
+        # rounding-sized excess stays within PROB_SUM_TOL and reads as 1
+        sv = StateVector.basis_state(2, 0b10)
+        sv.amplitudes *= 1.0 + 1e-12
+        assert marginal_probability(sv, 1, 1) == 1.0
 
     def test_measured_qubits_must_be_distinct(self):
         with pytest.raises(ValueError):
