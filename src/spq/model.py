@@ -269,17 +269,6 @@ def cost_diagonal(problem, layout=None) -> np.ndarray:
     return diag
 
 
-def diagonal_cost_lookup(problem, basis_index: int, layout=None) -> float:
-    """Cost-operator diagonal entry for one basis index."""
-    if isinstance(problem, GenericDiagonalProblem):
-        n_y, n_xi = problem.n_y, problem.n_xi
-    else:
-        n_y = n_xi = problem.n_y
-    if not 0 <= basis_index < 2 ** (n_y + n_xi):
-        raise IndexError(f"basis index {basis_index} out of range")
-    return float(cost_diagonal(problem, layout)[basis_index])
-
-
 # -- instance files -------------------------------------------------------
 
 def generate_instance(n_y: int, seed: int, c_x: float = 0.4, c_r: float = 1.0,

@@ -158,10 +158,7 @@ def qpe_state(A_seq: OperatorSequence, config: QaeConfig, layout) -> StateVector
         if k < M - 1:
             apply_sequence(psi, grover)
     final = np.fft.fft(stack, axis=0) / M
-    out = StateVector.__new__(StateVector)
-    out.num_qubits = n_sys + config.m
-    out.amplitudes = final.reshape(-1)
-    return out
+    return StateVector(n_sys + config.m, final.reshape(-1))
 
 
 def qpe_state_gates(A_seq: OperatorSequence, config: QaeConfig, layout) -> StateVector:

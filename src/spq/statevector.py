@@ -2,9 +2,13 @@
 experiments' probability-vector and closed-form paths are tested against.
 
 Qubit index 0 is the least-significant bit of the amplitude index
-(little-endian), so extracting a register is a mask/shift.  Gate kernels
-operate in place over strided views of the amplitude buffer; dense
-unitaries go through a gather/scatter path over the target subspace.
+(little-endian).  Every gate goes through one kernel: the amplitudes are
+viewed as a (2,)*n tensor with qubit q on axis n-1-q, the control axes are
+narrowed to their polarities, and the gate's 2^k-square matrix is
+multiplied into the k target axes of that slice.  reflect0 only negates
+the all-zeros target slice and builds no matrix.  Marginals sum the
+probability tensor over the unmeasured axes.  The kernel is written to be
+plainly correct, not fast: no experiment applies a gate.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ KIND_DENSE = "dense"
 KIND_REFLECT0 = "reflect0"
 
 _ANGLE_KINDS = frozenset({KIND_RY, KIND_PHASE, KIND_PSWAP})
+# number of targets of the fixed-width kinds; dense and reflect0 take any
+_ARITY = {KIND_H: 1, KIND_X: 1, KIND_RY: 1, KIND_PHASE: 1, KIND_PSWAP: 2}
+_KINDS = frozenset(_ARITY) | {KIND_DENSE, KIND_REFLECT0}
 
 
 class SimulationBudgetError(RuntimeError):
@@ -64,6 +71,16 @@ class Gate:
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        if not self.targets:
+            raise ValueError(f"{self.kind} gate needs at least one target")
+        arity = _ARITY.get(self.kind, len(self.targets))
+        if len(self.targets) != arity:
+            raise ValueError(f"{self.kind} acts on exactly {arity} qubit(s), "
+                             f"got targets {self.targets}")
+        if self.matrix is not None and self.kind != KIND_DENSE:
+            raise ValueError(f"only dense gates take a matrix, not {self.kind}")
         tset = set(self.targets)
         if len(tset) != len(self.targets):
             raise ValueError(f"duplicate target qubits: {self.targets}")
@@ -79,8 +96,6 @@ class Gate:
                 raise ValueError(f"control polarity must be 0 or 1, got {pol}")
         if self.kind in _ANGLE_KINDS and self.angle is None:
             raise ValueError(f"{self.kind} gate requires an angle")
-        if self.kind == KIND_PSWAP and len(self.targets) != 2:
-            raise ValueError("pswap acts on exactly two qubits")
         if self.kind == KIND_DENSE:
             dim = 2 ** len(self.targets)
             m = self.matrix
@@ -198,9 +213,6 @@ class OperatorSequence:
         return OperatorSequence(tuple(g.adjoint() for g in reversed(self.gates)),
                                 self.label + "+")
 
-    def then(self, other: "OperatorSequence", label: str = "") -> "OperatorSequence":
-        return OperatorSequence(self.gates + other.gates, label or self.label)
-
     def qubits(self) -> set[int]:
         out: set[int] = set()
         for g in self.gates:
@@ -240,10 +252,7 @@ class StateVector:
         return cls(num_qubits, amps)
 
     def copy(self) -> "StateVector":
-        out = StateVector.__new__(StateVector)
-        out.num_qubits = self.num_qubits
-        out.amplitudes = self.amplitudes.copy()
-        return out
+        return StateVector(self.num_qubits, self.amplitudes.copy())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -262,169 +271,59 @@ class StateVector:
                 f"{n} qubits exceeds the simulator cap of {MAX_QUBITS}")
         amps = np.zeros(2 ** n, dtype=complex)
         amps[: self.amplitudes.size] = self.amplitudes
-        out = StateVector.__new__(StateVector)
-        out.num_qubits = n
-        out.amplitudes = amps
-        return out
-
-
-def inner_product(bra: StateVector, ket: StateVector) -> complex:
-    return complex(np.vdot(bra.amplitudes, ket.amplitudes))
+        return StateVector(n, amps)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
-    return abs(inner_product(a, b)) ** 2
+    return abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
 
 
-# -- application kernels -------------------------------------------------
+# -- application kernel --------------------------------------------------
 
-def _axis_view(amps: np.ndarray, q: int, n: int) -> np.ndarray:
-    return amps.reshape(2 ** (n - 1 - q), 2, 2 ** q)
-
-
-def _pair_view(amps: np.ndarray, lo: int, hi: int, n: int) -> np.ndarray:
-    # axes: (above hi, bit hi, between, bit lo, below lo)
-    return amps.reshape(2 ** (n - 1 - hi), 2, 2 ** (hi - 1 - lo), 2, 2 ** lo)
-
-
-def _one_qubit_matrix(gate: Gate) -> np.ndarray:
-    if gate.kind == KIND_H:
-        return np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]],
-                        dtype=complex)
-    if gate.kind == KIND_X:
+def _gate_matrix(gate: Gate) -> np.ndarray:
+    """The 2^k-square matrix of a gate on its k targets; bit i of a row or
+    column index is the value of targets[i]."""
+    kind = gate.kind
+    if kind == KIND_H:
+        return np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2
+    if kind == KIND_X:
         return np.array([[0, 1], [1, 0]], dtype=complex)
-    if gate.kind == KIND_RY:
+    if kind == KIND_RY:
         c, s = math.cos(gate.angle / 2), math.sin(gate.angle / 2)
         return np.array([[c, -s], [s, c]], dtype=complex)
-    if gate.kind == KIND_PHASE:
+    if kind == KIND_PHASE:
         return np.array([[1, 0], [0, np.exp(1j * gate.angle)]], dtype=complex)
-    if gate.kind == KIND_REFLECT0:
-        return np.array([[-1, 0], [0, 1]], dtype=complex)
-    if gate.kind == KIND_DENSE:
-        return gate.matrix
-    raise ValueError(f"not a one-qubit kind: {gate.kind}")
-
-
-# cache of index arrays for the gather/scatter fallback, keyed by
-# (num_qubits, targets, controls)
-_FIBER_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-_FIBER_CACHE_MAX = 128
-
-
-def _fiber_indices(n: int, targets: tuple[int, ...],
-                   controls: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Base indices (target bits zero, controls satisfied) and the flat
-    index array of shape (n_base, 2^k) spanning the target subspace."""
-    key = (n, targets, controls)
-    hit = _FIBER_CACHE.get(key)
-    if hit is not None:
-        return hit
-    idx = np.arange(2 ** n, dtype=np.int64)
-    keep = np.ones(idx.size, dtype=bool)
-    for t in targets:
-        keep &= (idx >> t) & 1 == 0
-    for q, pol in controls:
-        keep &= (idx >> q) & 1 == pol
-    base = idx[keep]
-    offsets = np.zeros(2 ** len(targets), dtype=np.int64)
-    for bit, t in enumerate(targets):
-        sel = (np.arange(2 ** len(targets)) >> bit) & 1
-        offsets += sel.astype(np.int64) << t
-    fibers = base[:, None] + offsets[None, :]
-    if len(_FIBER_CACHE) >= _FIBER_CACHE_MAX:
-        _FIBER_CACHE.clear()
-    _FIBER_CACHE[key] = (base, fibers)
-    return base, fibers
-
-
-def _apply_via_fibers(amps: np.ndarray, gate: Gate, n: int) -> None:
-    _, fibers = _fiber_indices(n, gate.targets, gate.controls)
-    if gate.kind == KIND_PHASE:
-        amps[fibers[:, 1]] *= np.exp(1j * gate.angle)
-        return
-    if gate.kind == KIND_REFLECT0:
-        amps[fibers[:, 0]] *= -1.0
-        return
-    block = amps[fibers]
-    if gate.kind == KIND_PSWAP:
+    if kind == KIND_PSWAP:
         c, s = math.cos(gate.angle), math.sin(gate.angle)
-        a, b = block[:, 1].copy(), block[:, 2].copy()
-        block[:, 1] = c * a - 1j * s * b
-        block[:, 2] = -1j * s * a + c * b
-    elif gate.kind == KIND_DENSE:
-        block = block @ gate.matrix.T
-    else:
-        block = block @ _one_qubit_matrix(gate).T
-    amps[fibers] = block
-
-
-def _apply_dense_low(amps: np.ndarray, matrix: np.ndarray, k: int) -> None:
-    """Dense unitary on the k lowest qubits: gather/scatter as a matmul."""
-    m = amps.reshape(-1, 2 ** k)
-    m[:] = m @ matrix.T
+        return np.array([[1, 0, 0, 0], [0, c, -1j * s, 0],
+                         [0, -1j * s, c, 0], [0, 0, 0, 1]], dtype=complex)
+    return gate.matrix
 
 
 def apply(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate in place; returns the same StateVector."""
+    """Apply one gate in place; returns the same StateVector.
+
+    The amplitudes are viewed as a (2,)*n tensor with qubit q on axis
+    n-1-q.  Each control axis is narrowed to its polarity, then the gate's
+    matrix is multiplied into the target axes of that slice."""
     n = state.num_qubits
     for q in gate.qubits():
         if not 0 <= q < n:
             raise IndexError(f"qubit {q} out of range for {n}-qubit state")
-    amps = state.amplitudes
-
-    if gate.controls:
-        _apply_via_fibers(amps, gate, n)
+    psi = state.amplitudes.reshape((2,) * n)
+    index = [slice(None)] * n
+    for q, pol in gate.controls:
+        index[n - 1 - q] = slice(pol, pol + 1)
+    if gate.kind == KIND_REFLECT0:
+        for t in gate.targets:
+            index[n - 1 - t] = slice(0, 1)
+        psi[tuple(index)] *= -1.0
         return state
-
-    kind = gate.kind
-    if kind == KIND_PSWAP:
-        q1, q2 = gate.targets
-        lo, hi = (q1, q2) if q1 < q2 else (q2, q1)
-        v = _pair_view(amps, lo, hi, n)
-        a = v[:, 0, :, 1, :]
-        b = v[:, 1, :, 0, :]
-        c, s = math.cos(gate.angle), math.sin(gate.angle)
-        na = c * a - 1j * s * b
-        nb = -1j * s * a + c * b
-        v[:, 0, :, 1, :] = na
-        v[:, 1, :, 0, :] = nb
-        return state
-
-    if kind == KIND_REFLECT0:
-        if len(gate.targets) == n:
-            amps[0] *= -1.0
-        elif len(gate.targets) == 1:
-            v = _axis_view(amps, gate.targets[0], n)
-            v[:, 0, :] *= -1.0
-        else:
-            _apply_via_fibers(amps, gate, n)
-        return state
-
-    if kind == KIND_DENSE and len(gate.targets) > 1:
-        k = len(gate.targets)
-        if gate.targets == tuple(range(k)):
-            _apply_dense_low(amps, gate.matrix, k)
-        else:
-            _apply_via_fibers(amps, gate, n)
-        return state
-
-    # single-qubit fast paths
-    t = gate.targets[0]
-    v = _axis_view(amps, t, n)
-    if kind == KIND_PHASE:
-        v[:, 1, :] *= np.exp(1j * gate.angle)
-    elif kind == KIND_X:
-        tmp = v[:, 0, :].copy()
-        v[:, 0, :] = v[:, 1, :]
-        v[:, 1, :] = tmp
-    else:
-        u = _one_qubit_matrix(gate)
-        a = v[:, 0, :]
-        b = v[:, 1, :]
-        na = u[0, 0] * a + u[0, 1] * b
-        nb = u[1, 0] * a + u[1, 1] * b
-        v[:, 0, :] = na
-        v[:, 1, :] = nb
+    # target axes to the front, the matrix's leading bit (targets[k-1]) first
+    axes = [n - 1 - t for t in reversed(gate.targets)]
+    view = np.moveaxis(psi[tuple(index)], axes, range(len(axes)))
+    out = _gate_matrix(gate) @ view.reshape(2 ** len(axes), -1)
+    view[...] = out.reshape(view.shape)
     return state
 
 
@@ -467,17 +366,10 @@ def register_distribution(state: StateVector, qubits: list[int]) -> np.ndarray:
     for q in qubits:
         if not 0 <= q < n:
             raise IndexError(f"qubit {q} out of range for {n}-qubit state")
-    p = state.probabilities()
-    k = len(qubits)
-    if qubits == list(range(k)):
-        return p.reshape(-1, 2 ** k).sum(axis=0)
-    if qubits == list(range(n - k, n)):
-        return p.reshape(2 ** k, -1).sum(axis=1)
-    idx = np.arange(2 ** n, dtype=np.int64)
-    key = np.zeros(2 ** n, dtype=np.int64)
-    for bit, q in enumerate(qubits):
-        key += ((idx >> q) & 1) << bit
-    return np.bincount(key, weights=p, minlength=2 ** k)
+    # measured axes to the front, the outcome's leading bit first, as in apply
+    axes = [n - 1 - q for q in reversed(qubits)]
+    p = np.moveaxis(state.probabilities().reshape((2,) * n), axes, range(len(axes)))
+    return p.reshape(2 ** len(axes), -1).sum(axis=1)
 
 
 def check_distribution(dist: np.ndarray) -> np.ndarray:
@@ -514,11 +406,7 @@ def marginal_probability(state: StateVector, qubit: int, outcome: int) -> float:
     within the tolerance is clipped to 1."""
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
-    n = state.num_qubits
-    if not 0 <= qubit < n:
-        raise IndexError(f"qubit {qubit} out of range for {n}-qubit state")
-    v = _axis_view(state.amplitudes, qubit, n)[:, outcome, :]
-    p = float((v.real * v.real + v.imag * v.imag).sum())
+    p = float(register_distribution(state, [qubit])[outcome])
     if not -PROB_SUM_TOL <= p <= 1.0 + PROB_SUM_TOL:
         raise ValueError(f"marginal probability {p!r} outside [0, 1] by more "
                          f"than {PROB_SUM_TOL}")

@@ -15,7 +15,6 @@ from spq.model import (
     bounds_for,
     brute_force_Q,
     cost_diagonal,
-    diagonal_cost_lookup,
     expected_value_exact,
     feasible_decisions,
     generate_instance,
@@ -179,12 +178,12 @@ class TestBoundsAndDiagonal:
         model = worked_model()
         # basis index for y=0b01 (turbine 0 on), xi=0b11: xi<<2 | y
         idx = (0b11 << 2) | 0b01
-        assert diagonal_cost_lookup(model, idx) == pytest.approx(0.1)
+        assert cost_diagonal(model)[idx] == pytest.approx(0.1)
 
     def test_diagonal_defined_for_infeasible_y(self):
         model = worked_model()
         idx = (0b00 << 2) | 0b11     # both turbines on, no wind
-        assert diagonal_cost_lookup(model, idx) == pytest.approx(2.0)
+        assert cost_diagonal(model)[idx] == pytest.approx(2.0)
 
     def test_zz_problem_diagonal(self):
         # cost +1 on aligned (y, xi), -1 on anti-aligned: the Z(x)Z(xi) table

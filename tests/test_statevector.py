@@ -4,8 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spq.statevector import (
+    KIND_DENSE,
+    KIND_H,
+    KIND_PHASE,
+    KIND_PSWAP,
+    KIND_REFLECT0,
+    KIND_RY,
+    KIND_X,
     Gate,
     OperatorSequence,
     SimulationBudgetError,
@@ -150,6 +159,22 @@ class TestGateSemantics:
     def test_overlapping_targets_and_controls_rejected(self):
         with pytest.raises(ValueError):
             Gate("phase", (1,), ((1, 1),), 0.3)
+
+    def test_one_qubit_kind_on_two_targets_rejected(self):
+        with pytest.raises(ValueError, match="exactly 1"):
+            Gate(KIND_H, (0, 1))
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown gate kind"):
+            Gate("cz", (0,))
+
+    def test_empty_targets_rejected(self):
+        with pytest.raises(ValueError, match="at least one target"):
+            Gate(KIND_REFLECT0, ())
+
+    def test_matrix_on_non_dense_kind_rejected(self):
+        with pytest.raises(ValueError, match="only dense"):
+            Gate(KIND_X, (0,), matrix=np.array([[0, 1], [1, 0]], dtype=complex))
 
     def test_qubit_budget(self):
         with pytest.raises(SimulationBudgetError):
@@ -342,3 +367,118 @@ class TestStateVector:
         got = sequence_to_matrix(OperatorSequence((cx(0, 1),)), 2)
         expected = np.eye(4)[[0, 3, 2, 1]]
         assert np.abs(got - expected).max() < 1e-12
+
+
+# -- whole-register reference ---------------------------------------------
+
+def local_matrix(kind, k, angle, matrix):
+    """The gate's 2^k-square matrix, bit i of a row/column <-> targets[i],
+    written out entry by entry."""
+    if kind == KIND_DENSE:
+        return matrix
+    u = np.zeros((2 ** k, 2 ** k), dtype=complex)
+    if kind == KIND_H:
+        u[0, 0] = u[0, 1] = u[1, 0] = 1 / math.sqrt(2)
+        u[1, 1] = -1 / math.sqrt(2)
+    elif kind == KIND_X:
+        u[0, 1] = u[1, 0] = 1.0
+    elif kind == KIND_RY:
+        u[0, 0] = u[1, 1] = math.cos(angle / 2)
+        u[1, 0] = math.sin(angle / 2)
+        u[0, 1] = -math.sin(angle / 2)
+    elif kind == KIND_PHASE:
+        u[0, 0] = 1.0
+        u[1, 1] = complex(math.cos(angle), math.sin(angle))
+    elif kind == KIND_PSWAP:
+        u[0b00, 0b00] = u[0b11, 0b11] = 1.0
+        u[0b01, 0b01] = u[0b10, 0b10] = math.cos(angle)
+        u[0b01, 0b10] = u[0b10, 0b01] = -1j * math.sin(angle)
+    else:  # reflect0
+        for r in range(2 ** k):
+            u[r, r] = -1.0 if r == 0 else 1.0
+    return u
+
+
+def full_matrix(n, targets, controls, u):
+    """2^n-square operator of ``u`` on ``targets`` under ``controls``, built
+    by looping over basis indices."""
+    dim = 2 ** n
+    op = np.zeros((dim, dim), dtype=complex)
+    tmask = sum(1 << t for t in targets)
+    for j in range(dim):
+        if any((j >> q) & 1 != pol for q, pol in controls):
+            op[j, j] = 1.0
+            continue
+        col = sum(((j >> t) & 1) << b for b, t in enumerate(targets))
+        for row in range(2 ** len(targets)):
+            i = j & ~tmask
+            for b, t in enumerate(targets):
+                i |= ((row >> b) & 1) << t
+            op[i, j] = u[row, col]
+    return op
+
+
+@st.composite
+def gates_on_register(draw):
+    n = draw(st.integers(1, 6))
+    kinds = [KIND_H, KIND_X, KIND_RY, KIND_PHASE, KIND_DENSE, KIND_REFLECT0]
+    if n >= 2:
+        kinds.append(KIND_PSWAP)
+    kind = draw(st.sampled_from(kinds))
+    order = draw(st.permutations(range(n)))
+    if kind == KIND_PSWAP:
+        k = 2
+    elif kind in (KIND_DENSE, KIND_REFLECT0):
+        k = draw(st.integers(1, n))
+    else:
+        k = 1
+    targets = tuple(order[:k])
+    n_controls = draw(st.integers(0, n - k))
+    controls = tuple((q, draw(st.integers(0, 1))) for q in order[k:k + n_controls])
+    angle = draw(st.floats(-2 * math.pi, 2 * math.pi)) \
+        if kind in (KIND_RY, KIND_PHASE, KIND_PSWAP) else None
+    matrix = None
+    if kind == KIND_DENSE:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        dim = 2 ** k
+        matrix, _ = np.linalg.qr(rng.standard_normal((dim, dim))
+                                 + 1j * rng.standard_normal((dim, dim)))
+    gate = Gate(kind, targets, controls, angle, matrix)
+    return n, gate, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def brute_force_distribution(probs, qubits):
+    idx = np.arange(probs.size)
+    key = np.zeros(probs.size, dtype=np.int64)
+    for bit, q in enumerate(qubits):
+        key += ((idx >> q) & 1) << bit
+    return np.bincount(key, weights=probs, minlength=2 ** len(qubits))
+
+
+class TestAgainstFullMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(gates_on_register())
+    def test_apply_matches_full_matrix(self, case):
+        n, gate, seed = case
+        sv = random_state(n, seed=seed)
+        u = local_matrix(gate.kind, len(gate.targets), gate.angle, gate.matrix)
+        expected = full_matrix(n, gate.targets, gate.controls, u) @ sv.amplitudes
+        apply(sv, gate)
+        assert np.abs(sv.amplitudes - expected).max() <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.permutations(range(n)), st.integers(0, n),
+        st.integers(0, 2 ** 32 - 1))))
+    def test_marginals_match_bincount(self, case):
+        n, order, k, seed = case
+        sv = random_state(n, seed=seed)
+        qubits = list(order[:k])
+        probs = np.abs(sv.amplitudes) ** 2
+        got = register_distribution(sv, qubits)
+        assert got.shape == (2 ** k,)
+        assert np.abs(got - brute_force_distribution(probs, qubits)).max() <= 1e-12
+        for q in range(n):
+            ref = brute_force_distribution(probs, [q])
+            for outcome in (0, 1):
+                assert abs(marginal_probability(sv, q, outcome) - ref[outcome]) <= 1e-12
