@@ -198,6 +198,19 @@ def _qae_estimate_for_x(model, dist, costs, x, T, m, oracle, angle_mode, amplify
     return picked, phi_est, exp_hq
 
 
+def _expectation_for_x(model, dist, costs, x, T, mode) -> float:
+    """<H_Q> on the annealed state ("expectation") or on psi* ("exact").
+
+    The state and its probabilities die on return, so they are not held
+    while the next x anneals.
+    """
+    if mode == "expectation":
+        probs = run_dqa_fast(model, x, dist, AnnealSchedule.linear(T)).probabilities()
+    else:
+        probs = per_scenario_optimal_amplitudes(model, x, dist) ** 2
+    return float(probs @ costs)
+
+
 def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
                mode: str = "expectation", *, m: int | None = None,
                oracle: str = "exact", angle_mode: str = "normalized",
@@ -229,12 +242,7 @@ def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
             row.update(a_hat=picked.a_hat, b=picked.b,
                        within_bound=picked.within_bound)
         else:
-            if mode == "expectation":
-                state = run_dqa_fast(model, x, dist, AnnealSchedule.linear(T))
-                probs = state.probabilities()
-            else:
-                probs = per_scenario_optimal_amplitudes(model, x, dist) ** 2
-            exp_hq = phi_est = float(probs @ costs)
+            exp_hq = phi_est = _expectation_for_x(model, dist, costs, x, T, mode)
         row.update(exp_hq=exp_hq, delta=exp_hq - phi, phi_est=phi_est,
                    o_est=model.c_x * x + phi_est)
         result.rows.append(row)
@@ -246,6 +254,38 @@ def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
 
 
 # -- fig3: annealing-time sweep ----------------------------------------------
+
+# BLAS reads these when a worker imports numpy.  The workers already keep
+# the cores busy, so a BLAS thread per core in each one oversubscribes them:
+# on 2 cores, a 2-worker fig3 of two n_y=10 instances took 24-25 s with
+# forked workers at the default thread count and 12 s with these.
+_WORKER_BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                    "MKL_NUM_THREADS": "1"}
+
+
+def _pool_map(fn, tasks: list, workers: int) -> list:
+    """``fn`` over ``tasks`` on freshly spawned workers with one BLAS thread
+    each; the parent's environment is restored afterwards.
+
+    A worker that dies, for instance because the calling script re-runs
+    the pool at import, raises ``BrokenProcessPool`` here instead of being
+    replaced forever as in ``multiprocessing.Pool``.
+    """
+    # imported here so that runs without a pool do not pay for it at start-up
+    from concurrent.futures import ProcessPoolExecutor
+
+    saved = {k: os.environ.get(k) for k in _WORKER_BLAS_ENV}
+    os.environ.update(_WORKER_BLAS_ENV)
+    try:
+        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+            return list(pool.map(fn, tasks))
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
+
 
 def _fig3_task(payload: tuple) -> list[dict]:
     n_y, index, instance_seed = payload
@@ -266,7 +306,12 @@ def _fig3_task(payload: tuple) -> list[dict]:
 
 def experiment_fig3(spec: ExperimentSpec, out_dir, workers: int | None = None) -> dict:
     """Relative objective error and minima quality over seeded instances,
-    for the linear and quadratic annealing-time rules."""
+    for the linear and quadratic annealing-time rules.
+
+    With ``workers > 1`` the instances run on spawned worker processes, so
+    a script that calls this must guard its entry point with
+    ``if __name__ == "__main__":``.
+    """
     started = time.time()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -275,8 +320,7 @@ def experiment_fig3(spec: ExperimentSpec, out_dir, workers: int | None = None) -
     if workers is None:
         workers = min(os.cpu_count() or 1, len(tasks))
     if workers > 1:
-        with get_context("fork").Pool(workers) as pool:
-            chunks = pool.map(_fig3_task, tasks)
+        chunks = _pool_map(_fig3_task, tasks, workers)
     else:
         chunks = [_fig3_task(t) for t in tasks]
     rows = [row for chunk in chunks for row in chunk]

@@ -235,6 +235,20 @@ def bounds_for(model: UnitCommitmentModel, x: int) -> Bounds:
     return Bounds(0.0, width)
 
 
+def _uc_cost_table(model: UnitCommitmentModel) -> np.ndarray:
+    """q(y, xi) for every y and scenario, shape (2^n_xi, 2^n_y).
+
+    Turbine j adds c_j when its scenario bit is set and c_r otherwise,
+    times y_j, summed in j order as in ``second_stage_cost``.
+    """
+    bits = np.arange(2 ** model.n_y, dtype=np.int64)
+    table = np.zeros((bits.size, bits.size))
+    for j in range(model.n_y):
+        on = ((bits >> j) & 1).astype(bool)
+        table += np.where(on, model.c[j], model.c_r)[:, None] * on[None, :]
+    return table
+
+
 def cost_diagonal(problem, layout=None) -> np.ndarray:
     """Diagonal of the cost operator over the full (y, xi) basis.
 
@@ -244,29 +258,20 @@ def cost_diagonal(problem, layout=None) -> np.ndarray:
     """
     if isinstance(problem, GenericDiagonalProblem):
         n_y, n_xi = problem.n_y, problem.n_xi
-        table = problem.cost
+        table = problem.cost.T
     else:
         n_y = n_xi = problem.n_y
-        table = None
-    idx = np.arange(2 ** (n_y + n_xi), dtype=np.int64)
+        table = _uc_cost_table(problem)
     if layout is None:
-        y = idx & (2 ** n_y - 1)
-        xi = idx >> n_y
-    else:
-        y = np.zeros_like(idx)
-        for bit, q in enumerate(layout.y_register):
-            y |= ((idx >> q) & 1) << bit
-        xi = np.zeros_like(idx)
-        for bit, q in enumerate(layout.xi_register):
-            xi |= ((idx >> q) & 1) << bit
-    if table is not None:
-        return table[y, xi]
-    diag = np.zeros(idx.size)
-    for j in range(n_y):
-        yj = ((y >> j) & 1).astype(float)
-        xij = ((xi >> j) & 1).astype(float)
-        diag += yj * (problem.c[j] * xij + problem.c_r * (1.0 - xij))
-    return diag
+        return table.ravel()
+    idx = np.arange(2 ** (n_y + n_xi), dtype=np.int64)
+    y = np.zeros_like(idx)
+    for bit, q in enumerate(layout.y_register):
+        y |= ((idx >> q) & 1) << bit
+    xi = np.zeros_like(idx)
+    for bit, q in enumerate(layout.xi_register):
+        xi |= ((idx >> q) & 1) << bit
+    return table[xi, y]
 
 
 # -- instance files -------------------------------------------------------

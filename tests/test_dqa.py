@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spq.dqa import (
     AnnealSchedule,
@@ -19,6 +21,7 @@ from spq.dqa import (
     residual_diagnostics,
     run_dqa,
     run_dqa_fast,
+    _mixer_unitary,
 )
 from spq.model import (
     DiscreteDistribution,
@@ -36,8 +39,10 @@ from spq.statevector import (
     StateVector,
     apply_sequence,
     fidelity,
+    partial_swap,
     register_distribution,
     sample_register,
+    sequence_to_matrix,
 )
 
 
@@ -255,6 +260,42 @@ class TestRunDqa:
         ref = run_dqa(build_dqa(model, 1, dist, sched, lay), lay)
         fast = run_dqa_fast(model, 1, dist, sched)
         assert np.abs(ref.amplitudes - fast.amplitudes).max() < 1e-10
+
+    @pytest.mark.parametrize("n_y,x,T,seed", [(5, 2, 10, 5), (6, 3, 8, 6),
+                                              (6, 1, 5, 7)])
+    def test_fast_evolver_pinned_to_gate_circuit(self, n_y, x, T, seed):
+        model, dist = model_from_instance(generate_instance(n_y, seed))
+        lay = RegisterLayout.standard(n_y, n_y)
+        ref = run_dqa(build_dqa(model, x, dist, AnnealSchedule.linear(T), lay), lay)
+        fast = run_dqa_fast(model, x, dist, AnnealSchedule.linear(T))
+        assert np.abs(ref.amplitudes - fast.amplitudes).max() <= 1e-12
+
+    def test_fast_evolver_pinned_on_nonlinear_schedule(self):
+        model, dist = model_from_instance(generate_instance(5, 8))
+        sched = AnnealSchedule(7, a=lambda t: (t / 7) ** 2,
+                               b=lambda t: 1.0 - (t / 7) ** 2)
+        lay = RegisterLayout.standard(5, 5)
+        ref = run_dqa(build_dqa(model, 2, dist, sched, lay), lay)
+        fast = run_dqa_fast(model, 2, dist, sched)
+        assert np.abs(ref.amplitudes - fast.amplitudes).max() <= 1e-12
+
+
+class TestMixerUnitary:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, n),
+        st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False))))
+    def test_equals_weight_block_of_layer_gates(self, case):
+        n_y, weight, beta = case
+        angle = mixer_pair_angle(beta, n_y)
+        layer = OperatorSequence(tuple(partial_swap(j, k, angle)
+                                       for j in range(n_y - 1)
+                                       for k in range(j + 1, n_y)))
+        ys = feasible_decisions(n_y, weight)
+        block = sequence_to_matrix(layer, n_y)[np.ix_(ys, ys)]
+        u = _mixer_unitary(n_y, weight, beta)
+        assert np.abs(u - block).max() <= 1e-12
+        assert np.abs(u.conj().T @ u - np.eye(len(ys))).max() <= 1e-12
 
 
 class TestExpectation:

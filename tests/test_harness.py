@@ -3,11 +3,15 @@ of result files, and the CLI surface."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spq
 from spq.cli import main
 from spq.dqa import AnnealSchedule, RegisterLayout, build_dqa
 from spq.harness import (
@@ -193,6 +197,38 @@ class TestExperimentOutputs:
         for name in ("fig3_runs.csv", "fig3_summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    def test_fig3_deterministic_across_worker_counts_with_blas(self, tmp_path,
+                                                               monkeypatch):
+        # n_y = 8 makes each mixer layer a 70 x 70 by 70 x 256 GEMM, which
+        # BLAS runs threaded in this process and single-threaded in workers
+        spec = ExperimentSpec(kind="fig3", n_y_values=(8,), n_instances=1,
+                              master_seed=4)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        env = dict(os.environ)
+        experiment_fig3(spec, tmp_path / "a", workers=1)
+        experiment_fig3(spec, tmp_path / "b", workers=2)
+        assert dict(os.environ) == env
+        for name in ("fig3_runs.csv", "fig3_summary.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()
+
+    def test_fig3_pool_in_unguarded_script_fails_instead_of_respawning(self,
+                                                                      tmp_path):
+        # spawned workers re-run the calling script; without a __main__
+        # guard each one dies at start-up, and the run must end in an error
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from spq.harness import ExperimentSpec, experiment_fig3\n"
+            "spec = ExperimentSpec(kind='fig3', n_y_values=(3,), n_instances=2)\n"
+            f"experiment_fig3(spec, {str(tmp_path / 'out')!r}, workers=2)\n")
+        src = str(Path(spq.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, str(script)], env=env, timeout=120,
+                              capture_output=True, text=True)
+        assert proc.returncode != 0
+        assert "BrokenProcessPool" in proc.stderr
 
     def test_fig4_estimates_on_grid(self, tmp_path):
         spec = ExperimentSpec(kind="fig4", m_values=(5,), n_estimates=500,

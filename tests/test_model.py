@@ -180,6 +180,15 @@ class TestBoundsAndDiagonal:
         idx = (0b11 << 2) | 0b01
         assert cost_diagonal(model)[idx] == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("n_y", [1, 2, 3, 4])
+    def test_diagonal_equals_second_stage_cost_exactly(self, n_y):
+        model, _ = model_from_instance(generate_instance(n_y, seed=10 + n_y))
+        diag = cost_diagonal(model)
+        for idx in range(4 ** n_y):
+            y, xi = idx & (2 ** n_y - 1), idx >> n_y
+            x = model.d - bin(y).count("1")
+            assert diag[idx] == second_stage_cost(model, x, y, xi)
+
     def test_diagonal_defined_for_infeasible_y(self):
         model = worked_model()
         idx = (0b00 << 2) | 0b11     # both turbines on, no wind
