@@ -374,35 +374,89 @@ def _mixer_unitary(n_y: int, weight: int, beta: float) -> np.ndarray:
     return u
 
 
-def run_dqa_fast(model: UnitCommitmentModel, x: int, dist: DiscreteDistribution,
-                 schedule: AnnealSchedule) -> StateVector:
-    """Statevector-equivalent DQA run confined to the feasible subspace.
+@dataclass
+class FeasibleBlock:
+    """One first-stage decision's state on its feasible rows.
 
-    The evolving state is a (C(n_y, d-x), 2^n_xi) block: feasible y rows,
-    scenario columns.  The mixer never leaks out of the weight-(d-x) block
-    and the cost and penalty layers are diagonal, so each layer is one
-    elementwise phase product followed by one GEMM with the layer's fused
-    mixer unitary (``_mixer_unitary``).  The result, scattered back to the
-    full (y, xi) register, reproduces run_dqa(build_dqa(...)) to rounding;
-    tests pin the equivalence at 1e-12.
+    ``amps[i, s]`` is the amplitude of |y = ys[i]>|xi = s>; every other
+    amplitude of the (y, xi) register is zero.  ``costs`` holds q(y, xi)
+    on the same grid.
     """
-    if not 0 <= x <= model.d:
-        raise ValueError(f"first-stage decision x={x} outside [0, {model.d}]")
+
+    x: int
+    ys: np.ndarray
+    amps: np.ndarray
+    costs: np.ndarray
+
+    def expectation_hq(self) -> float:
+        """<H_Q> = sum |amp|^2 q over the block, without the full register."""
+        a = self.amps
+        return float(np.sum((a.real * a.real + a.imag * a.imag) * self.costs))
+
+
+def lockstep_groups(model: UnitCommitmentModel) -> list[tuple[int, ...]]:
+    """The decisions 0..d grouped for ``anneal_feasible_blocks``.
+
+    x (weight w = d - x) pairs with the x' of weight n_y - w when both
+    weights lie in [0, d]; a weight without a partner, or its own
+    complement, anneals alone.  Groups are ordered by their first x.
+    """
+    groups = []
+    for x in range(model.d + 1):
+        partner = model.d - (model.n_y - (model.d - x))
+        if x < partner <= model.d:
+            groups.append((x, partner))
+        elif not 0 <= partner < x:          # else grouped with partner
+            groups.append((x,))
+    return groups
+
+
+def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
+                           dist: DiscreteDistribution,
+                           schedule: AnnealSchedule) -> list[FeasibleBlock]:
+    """DQA confined to the feasible subspace, for one x or for two whose
+    weights d - x add up to n_y, annealed in lockstep.
+
+    Each evolving state is a (C(n_y, d-x), 2^n_xi) block: feasible y rows,
+    scenario columns.  The mixer never leaks out of the weight block and
+    the cost and penalty layers are diagonal, so each layer is one
+    elementwise phase product per block followed by one GEMM per block
+    with the layer's fused mixer unitary (``_mixer_unitary``).  The XY
+    mixer commutes with complementing every bit, so the unitary at weight
+    n_y - w is the weight-w one with rows and columns permuted by bit
+    complement, bit for bit; a pair builds it once per layer.  The blocks
+    keep separate GEMMs, so each one's sums run in the order of a lone
+    anneal.  Where the mixer angle is exactly 0 (the last layer of the
+    linear ramp) the unitary is the identity and is skipped.
+    """
+    if len(xs) not in (1, 2):
+        raise ValueError(f"anneal one or two first-stage decisions, got {len(xs)}")
+    for x in xs:
+        if not 0 <= x <= model.d:
+            raise ValueError(f"first-stage decision x={x} outside [0, {model.d}]")
     n_y, n_xi = model.n_y, dist.n_xi
-    weight = model.d - x
-    ys = feasible_decisions(n_y, weight)
+    weights = [model.d - x for x in xs]
+    if len(xs) == 2 and (weights[0] + weights[1] != n_y or xs[0] == xs[1]):
+        raise ValueError(f"weights {weights} of x={xs} are not complementary "
+                         f"on {n_y} qubits")
 
     xi_amps = np.zeros(2 ** n_xi)
     xi_amps[dist.scenarios] = np.sqrt(dist.probabilities)
-    m = np.broadcast_to(xi_amps / math.sqrt(len(ys)),
-                        (len(ys), 2 ** n_xi)).astype(complex)
-    m = np.ascontiguousarray(m)
+    scenarios = np.arange(2 ** n_xi, dtype=np.int64)
+    rows = [feasible_decisions(n_y, w) for w in weights]
+    # q(y, xi) for populated rows; the fused cost+penalty layer is the
+    # diagonal phase e^{+i a(t) q} (P(theta) has the +i convention)
+    costs = [_cost_matrix(model, ys, scenarios).T for ys in rows]
+    ms = [np.ascontiguousarray(np.broadcast_to(
+              xi_amps / math.sqrt(len(ys)), (len(ys), 2 ** n_xi)).astype(complex))
+          for ys in rows]
 
     T = schedule.T
     if T > 0:
-        # q(x, y, xi) for populated rows; the fused cost+penalty layer is
-        # the diagonal phase e^{+i a(t) q} (P(theta) has the +i convention)
-        qmat = _cost_matrix(model, ys, np.arange(2 ** n_xi, dtype=np.int64)).T
+        # the partner's rows in the first block's order: row i of the
+        # partner is the complement of row perm[i] of the first block
+        perm = (np.searchsorted(rows[0], (2 ** n_y - 1) ^ rows[1])
+                if len(xs) == 2 else None)
         gammas = schedule.cost_angles()
         betas = schedule.mixer_angles()
         steps = np.diff(gammas, prepend=0.0)
@@ -410,19 +464,37 @@ def run_dqa_fast(model: UnitCommitmentModel, x: int, dist: DiscreteDistribution,
         # multiplication per layer instead of a complex exp
         incremental = np.allclose(steps, steps[0], rtol=0.0, atol=1e-15)
         if incremental:
-            base = np.exp(1j * steps[0] * qmat)
-            u = np.ones_like(base)
+            bases = [np.exp(1j * steps[0] * q) for q in costs]
+            phases = [np.ones_like(base) for base in bases]
         for t in range(T):
-            if incremental:
-                u *= base
-                m *= u
-            else:
-                m *= np.exp(1j * gammas[t] * qmat)
-            m = _mixer_unitary(n_y, weight, betas[t]) @ m
+            for i, q in enumerate(costs):
+                if incremental:
+                    phases[i] *= bases[i]
+                    ms[i] *= phases[i]
+                else:
+                    ms[i] *= np.exp(1j * gammas[t] * q)
+            if betas[t] == 0.0:
+                continue
+            u = _mixer_unitary(n_y, weights[0], betas[t])
+            ms[0] = u @ ms[0]
+            if perm is not None:
+                ms[1] = u[np.ix_(perm, perm)] @ ms[1]
 
-    full = np.zeros((2 ** n_xi, 2 ** n_y), dtype=complex)
-    full[:, ys] = m.T
-    return StateVector(n_y + n_xi, full.ravel())
+    return [FeasibleBlock(x, ys, m, q) for x, ys, m, q in zip(xs, rows, ms, costs)]
+
+
+def run_dqa_fast(model: UnitCommitmentModel, x: int, dist: DiscreteDistribution,
+                 schedule: AnnealSchedule) -> StateVector:
+    """Statevector-equivalent DQA run confined to the feasible subspace.
+
+    ``anneal_feasible_blocks`` on x alone, scattered back to the full
+    (y, xi) register.  The result reproduces run_dqa(build_dqa(...)) to
+    rounding; tests pin the equivalence at 1e-12.
+    """
+    (block,) = anneal_feasible_blocks(model, (x,), dist, schedule)
+    full = np.zeros((2 ** dist.n_xi, 2 ** model.n_y), dtype=complex)
+    full[:, block.ys] = block.amps.T
+    return StateVector(model.n_y + dist.n_xi, full.ravel())
 
 
 # -- observables ------------------------------------------------------------

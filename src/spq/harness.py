@@ -25,6 +25,8 @@ import numpy as np
 from .dqa import (
     AnnealSchedule,
     RegisterLayout,
+    anneal_feasible_blocks,
+    lockstep_groups,
     per_scenario_optimal_amplitudes,
     run_dqa_fast,
 )
@@ -136,8 +138,9 @@ def write_csv(path, fieldnames, rows) -> None:
             writer.writerow([_fmt(row[k]) for k in fieldnames])
 
 
-def _write_meta(out_dir: Path, spec: ExperimentSpec, started: float) -> None:
-    meta = {"spec": asdict(spec), "wall_time_s": time.time() - started}
+def _write_meta(out_dir: Path, spec: ExperimentSpec, started: float,
+                **extra) -> None:
+    meta = {"spec": asdict(spec), "wall_time_s": time.time() - started, **extra}
     with open(out_dir / "meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, default=list)
         fh.write("\n")
@@ -198,17 +201,18 @@ def _qae_estimate_for_x(model, dist, costs, x, T, m, oracle, angle_mode, amplify
     return picked, phi_est, exp_hq
 
 
-def _expectation_for_x(model, dist, costs, x, T, mode) -> float:
-    """<H_Q> on the annealed state ("expectation") or on psi* ("exact").
+def _annealed_expectations(model, dist, T) -> dict[int, float]:
+    """<H_Q> of the annealed state for every x, from the feasible blocks.
 
-    The state and its probabilities die on return, so they are not held
-    while the next x anneals.
+    Each ``lockstep_groups`` group anneals together and its blocks die
+    before the next group anneals, so at most two blocks are live.
     """
-    if mode == "expectation":
-        probs = run_dqa_fast(model, x, dist, AnnealSchedule.linear(T)).probabilities()
-    else:
-        probs = per_scenario_optimal_amplitudes(model, x, dist) ** 2
-    return float(probs @ costs)
+    schedule = AnnealSchedule.linear(T)
+    exp_hq = {}
+    for xs in lockstep_groups(model):
+        exp_hq.update((block.x, block.expectation_hq())
+                      for block in anneal_feasible_blocks(model, xs, dist, schedule))
+    return exp_hq
 
 
 def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
@@ -218,17 +222,23 @@ def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
                seed_tag: tuple = ()) -> OuterLoopResult:
     """Objective table over x in {0..d}.
 
-    Modes: "expectation" evaluates <H_Q> on the DQA statevector (no shot
-    noise), "qae" runs the full estimation pipeline, and "exact" uses the
-    brute-force per-scenario optimal state as a converged surrogate.  Each
-    mode takes <H_Q> from a probability vector over the (y, xi) register
+    Modes: "expectation" evaluates <H_Q> on the DQA state (no shot noise),
+    "qae" runs the full estimation pipeline, and "exact" uses the
+    brute-force per-scenario optimal state as a converged surrogate.
+    Expectation mode anneals each x together with the x' of complementary
+    weight (``lockstep_groups``) and sums |amp|^2 q on the feasible blocks,
+    so it never builds the full register or the cost diagonal.  The other
+    modes take <H_Q> from a probability vector over the (y, xi) register
     and the cost diagonal, which does not depend on x.
     """
     if mode not in ("expectation", "qae", "exact"):
         raise ConfigError(f"unknown outer-loop mode {mode!r}")
     if mode == "qae" and m is None:
         raise ConfigError("qae mode requires the estimate width m")
-    costs = cost_diagonal(model)
+    if mode == "expectation":
+        annealed = _annealed_expectations(model, dist, T)
+    else:
+        costs = cost_diagonal(model)
     result = OuterLoopResult()
     for x in range(model.d + 1):
         phi = expected_value_exact(model, x, dist)
@@ -241,8 +251,11 @@ def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
                 model, dist, costs, x, T, m, oracle, angle_mode, amplify, seed)
             row.update(a_hat=picked.a_hat, b=picked.b,
                        within_bound=picked.within_bound)
+        elif mode == "exact":
+            exp_hq = phi_est = float(
+                per_scenario_optimal_amplitudes(model, x, dist) ** 2 @ costs)
         else:
-            exp_hq = phi_est = _expectation_for_x(model, dist, costs, x, T, mode)
+            exp_hq = phi_est = annealed[x]
         row.update(exp_hq=exp_hq, delta=exp_hq - phi, phi_est=phi_est,
                    o_est=model.c_x * x + phi_est)
         result.rows.append(row)
@@ -310,7 +323,8 @@ def experiment_fig3(spec: ExperimentSpec, out_dir, workers: int | None = None) -
 
     With ``workers > 1`` the instances run on spawned worker processes, so
     a script that calls this must guard its entry point with
-    ``if __name__ == "__main__":``.
+    ``if __name__ == "__main__":``.  ``meta.json`` records the worker count
+    and the BLAS thread variables the instances ran with (None: unset).
     """
     started = time.time()
     out_dir = Path(out_dir)
@@ -320,8 +334,10 @@ def experiment_fig3(spec: ExperimentSpec, out_dir, workers: int | None = None) -
     if workers is None:
         workers = min(os.cpu_count() or 1, len(tasks))
     if workers > 1:
+        blas_env = dict(_WORKER_BLAS_ENV)
         chunks = _pool_map(_fig3_task, tasks, workers)
     else:
+        blas_env = {k: os.environ.get(k) for k in _WORKER_BLAS_ENV}
         chunks = [_fig3_task(t) for t in tasks]
     rows = [row for chunk in chunks for row in chunk]
 
@@ -341,7 +357,7 @@ def experiment_fig3(spec: ExperimentSpec, out_dir, workers: int | None = None) -
                "rel_error_sum", "minima_rel_error", "x_star", "x_est"], rows)
     write_csv(out_dir / "fig3_summary.csv",
               ["n_y", "t_rule", "metric", "min", "median", "max"], summary)
-    _write_meta(out_dir, spec, started)
+    _write_meta(out_dir, spec, started, workers=workers, worker_blas_env=blas_env)
     return {"rows": rows, "summary": summary}
 
 

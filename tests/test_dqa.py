@@ -1,6 +1,7 @@
 """Annealing circuit tests: preparation, layer structure, convergence
 diagnostics, and the fast feasible-subspace evolver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 from spq.dqa import (
     AnnealSchedule,
     RegisterLayout,
+    anneal_feasible_blocks,
     build_dqa,
     dicke_amplitudes,
     expectation_HQ,
+    lockstep_groups,
     mixer_pair_angle,
     prepare_dicke,
     prepare_distribution,
@@ -296,6 +299,109 @@ class TestMixerUnitary:
         u = _mixer_unitary(n_y, weight, beta)
         assert np.abs(u - block).max() <= 1e-12
         assert np.abs(u.conj().T @ u - np.eye(len(ys))).max() <= 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, n),
+        st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False))))
+    def test_complement_weight_is_permuted_unitary_bit_for_bit(self, case):
+        # the lockstep anneal uses the permuted unitary for the partner
+        # weight instead of building it
+        n_y, weight, beta = case
+        perm = np.searchsorted(feasible_decisions(n_y, weight),
+                               (2 ** n_y - 1) ^ feasible_decisions(n_y, n_y - weight))
+        u = _mixer_unitary(n_y, weight, beta)
+        assert np.array_equal(u[np.ix_(perm, perm)],
+                              _mixer_unitary(n_y, n_y - weight, beta))
+
+    @pytest.mark.parametrize("n_y", [2, 5, 8])
+    def test_zero_angle_is_exactly_the_identity(self, n_y):
+        # so skipping the beta = 0 layer changes no amplitude
+        for weight in range(n_y + 1):
+            u = _mixer_unitary(n_y, weight, 0.0)
+            assert np.array_equal(u, np.eye(len(u)))
+
+
+def scattered(block, n_y, n_xi):
+    """A feasible block's amplitudes on the full (y, xi) register."""
+    full = np.zeros((2 ** n_xi, 2 ** n_y), dtype=complex)
+    full[:, block.ys] = block.amps.T
+    return full.ravel()
+
+
+class TestLockstepAnneal:
+    """Pairs of complementary weights annealed together reproduce the lone
+    anneal of each x exactly, and their in-block <H_Q> the full-register one."""
+
+    @staticmethod
+    def assert_blocks_match_lone_runs(model, dist, schedule, groups):
+        for xs in groups:
+            blocks = anneal_feasible_blocks(model, xs, dist, schedule)
+            assert [b.x for b in blocks] == list(xs)
+            for block in blocks:
+                lone = run_dqa_fast(model, block.x, dist, schedule)
+                assert np.array_equal(scattered(block, model.n_y, dist.n_xi),
+                                      lone.amplitudes)
+                assert abs(block.expectation_hq()
+                           - expectation_HQ(lone, model)) <= 1e-12
+
+    @pytest.mark.parametrize("n_y", [4, 5, 6, 7, 8])
+    def test_every_block_equals_the_lone_anneal(self, n_y):
+        model, dist = model_from_instance(generate_instance(n_y, 20 + n_y))
+        groups = lockstep_groups(model)
+        assert sorted(x for xs in groups for x in xs) == list(range(model.d + 1))
+        assert sum(len(xs) == 2 for xs in groups) == (n_y + 1) // 2
+        self.assert_blocks_match_lone_runs(model, dist, AnnealSchedule.linear(n_y),
+                                           groups)
+
+    def test_unpaired_weights_below_full_demand(self):
+        # d = 4 < n_y = 6: weights 4..0 for x = 0..4; 4 and 2 pair, 3 is its
+        # own complement, and the complements 5 and 6 of weights 1 and 0
+        # exceed d
+        model, dist = model_from_instance(generate_instance(6, 3))
+        model = dataclasses.replace(model, d=4)
+        groups = lockstep_groups(model)
+        assert groups == [(0, 2), (1,), (3,), (4,)]
+        self.assert_blocks_match_lone_runs(model, dist, AnnealSchedule.linear(9),
+                                           groups)
+
+    def test_groups_pair_exactly_the_complementary_weights(self):
+        for n_y in range(1, 8):
+            for d in range(0, n_y + 3):
+                model = UnitCommitmentModel(n_y=n_y, c_x=0.4, c=(0.1,) * n_y,
+                                            c_r=1.0, d=d)
+                groups = lockstep_groups(model)
+                assert sorted(x for xs in groups for x in xs) == list(range(d + 1))
+                for xs in groups:
+                    weights = [d - x for x in xs]
+                    partner = n_y - weights[0]
+                    if len(xs) == 2:
+                        assert sum(weights) == n_y and xs[0] < xs[1]
+                    else:
+                        assert partner == weights[0] or not 0 <= partner <= d
+
+    def test_nonlinear_schedule_with_zero_angle_only_at_the_end(self):
+        # non-incremental phases; the mixer is skipped at t = T only, and
+        # the pair still matches the gate-level circuit
+        n_y, T = 4, 7
+        sched = AnnealSchedule(T, a=lambda t: (t / T) ** 2,
+                               b=lambda t: 1.0 - (t / T) ** 2)
+        betas = sched.mixer_angles()
+        assert betas[-1] == 0.0 and np.all(betas[:-1] != 0.0)
+        model, dist = model_from_instance(generate_instance(n_y, 11))
+        groups = lockstep_groups(model)
+        self.assert_blocks_match_lone_runs(model, dist, sched, groups)
+        lay = RegisterLayout.standard(n_y, n_y)
+        for block in anneal_feasible_blocks(model, (1, 3), dist, sched):
+            ref = run_dqa(build_dqa(model, block.x, dist, sched, lay), lay)
+            assert np.abs(scattered(block, n_y, n_y) - ref.amplitudes).max() <= 1e-12
+
+    def test_rejects_non_complementary_pairs(self):
+        model, dist = model_from_instance(generate_instance(4, 2))
+        sched = AnnealSchedule.linear(3)
+        for xs in ((0, 1), (2, 2), (0, 1, 4), (), (0, 5)):
+            with pytest.raises(ValueError):
+                anneal_feasible_blocks(model, xs, dist, sched)
 
 
 class TestExpectation:

@@ -13,7 +13,14 @@ import pytest
 
 import spq
 from spq.cli import main
-from spq.dqa import AnnealSchedule, RegisterLayout, build_dqa
+from spq import harness
+from spq.dqa import (
+    AnnealSchedule,
+    RegisterLayout,
+    build_dqa,
+    expectation_HQ,
+    run_dqa_fast,
+)
 from spq.harness import (
     ConfigError,
     ExperimentSpec,
@@ -104,6 +111,30 @@ class TestOuterLoop:
                             build_oracle(kind, model, x, lay), lay)
                 cfg = QaeConfig(m=m, rng_seed=derive_seed(0, "gate", rep, x))
                 assert row["b"] == run_qae(A, cfg, lay, b)[0].b
+
+    @pytest.mark.parametrize("n_y,T", [(4, 16), (5, 5), (6, 12)])
+    def test_expectation_mode_matches_lone_anneals(self, n_y, T):
+        # lockstep pairs and in-block sums against one full-register
+        # anneal per x
+        model, dist = model_from_instance(generate_instance(n_y, 30 + n_y))
+        res = outer_loop(model, dist, T=T, mode="expectation")
+        assert [r["x"] for r in res.rows] == list(range(model.d + 1))
+        for row in res.rows:
+            sv = run_dqa_fast(model, row["x"], dist, AnnealSchedule.linear(T))
+            assert abs(row["exp_hq"] - expectation_HQ(sv, model)) <= 1e-12
+
+    def test_expectation_mode_builds_no_cost_diagonal(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("cost_diagonal was built")
+
+        monkeypatch.setattr(harness, "cost_diagonal", refuse)
+        model, dist = model_from_instance(generate_instance(5, 2))
+        outer_loop(model, dist, T=10, mode="expectation")
+        experiment_fig3(ExperimentSpec(kind="fig3", n_y_values=(3, 4),
+                                       n_instances=2, master_seed=6),
+                        tmp_path, workers=1)
+        with pytest.raises(AssertionError, match="cost_diagonal was built"):
+            outer_loop(model, dist, T=0, mode="exact")
 
     def test_unknown_mode_rejected(self):
         model, dist = model_from_instance(WORKED_INSTANCE)
@@ -210,6 +241,29 @@ class TestExperimentOutputs:
         experiment_fig3(spec, tmp_path / "a", workers=1)
         experiment_fig3(spec, tmp_path / "b", workers=2)
         assert dict(os.environ) == env
+        for name in ("fig3_runs.csv", "fig3_summary.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()
+
+    def test_fig3_meta_records_workers_and_blas_env(self, tmp_path, monkeypatch):
+        spec = ExperimentSpec(kind="fig3", n_y_values=(3,), n_instances=2,
+                              master_seed=1)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        experiment_fig3(spec, tmp_path / "a", workers=1)
+        experiment_fig3(spec, tmp_path / "b", workers=2)
+        meta_a = json.loads((tmp_path / "a" / "meta.json").read_text())
+        meta_b = json.loads((tmp_path / "b" / "meta.json").read_text())
+        assert meta_a["workers"] == 1
+        assert meta_a["worker_blas_env"] == {"OPENBLAS_NUM_THREADS": "3",
+                                             "OMP_NUM_THREADS": None,
+                                             "MKL_NUM_THREADS": None}
+        assert meta_b["workers"] == 2
+        assert meta_b["worker_blas_env"] == {"OPENBLAS_NUM_THREADS": "1",
+                                             "OMP_NUM_THREADS": "1",
+                                             "MKL_NUM_THREADS": "1"}
+        # the sidecar only: the result CSVs stay identical
         for name in ("fig3_runs.csv", "fig3_summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
