@@ -102,7 +102,12 @@ class Gate:
             if m is None or m.shape != (dim, dim):
                 raise ValueError(f"dense gate on {len(self.targets)} qubits "
                                  f"needs a {dim}x{dim} matrix")
-            err = np.abs(m.conj().T @ m - np.eye(dim)).max()
+            if m.imag.any():
+                err = np.abs(m.conj().T @ m - np.eye(dim)).max()
+            else:
+                # U+U = U^T U for a real U; a real GEMM costs a quarter
+                r = np.ascontiguousarray(m.real)
+                err = np.abs(r.T @ r - np.eye(dim)).max()
             if err > 1e-10:
                 raise ValueError(f"dense matrix is not unitary (|U+U - I|max = {err:.3e})")
 

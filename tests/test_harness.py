@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spq
 from spq.cli import main
@@ -19,6 +21,7 @@ from spq.dqa import (
     RegisterLayout,
     build_dqa,
     expectation_HQ,
+    lockstep_groups,
     run_dqa_fast,
 )
 from spq.harness import (
@@ -35,13 +38,14 @@ from spq.harness import (
 from spq.model import (
     DiscreteDistribution,
     bounds_for,
+    cost_diagonal,
     generate_instance,
     model_from_instance,
     save_instance,
 )
-from spq.oracle import OracleKind, build_oracle
+from spq.oracle import OracleKind, build_oracle, target_amplitude
 from spq.qae import QaeConfig, build_A, run_qae
-from spq.statevector import Gate, hadamard
+from spq.statevector import Gate, StateVector, hadamard
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -157,6 +161,75 @@ class TestOuterLoop:
             assert row["delta"] >= -1e-9
 
 
+class TestQaeOnFeasibleBlocks:
+    @pytest.mark.parametrize("n_y", [2, 3, 4, 5, 6])
+    def test_block_points_match_the_full_register(self, n_y):
+        # <H_Q> and the oracle target a from the lockstep blocks against
+        # one lone full-register anneal per x and the cost diagonal
+        model, dist = model_from_instance(generate_instance(n_y, 40 + n_y))
+        T = 2 * n_y
+        costs = cost_diagonal(model)
+        for oracle, angle_mode in (("exact", "normalized"), ("sin", "normalized"),
+                                   ("sin", "literal")):
+            points = harness._qae_points(model, dist, T, oracle, angle_mode)
+            assert len(points) == model.d + 1
+            for x, (exp_hq, a) in enumerate(points):
+                sv = run_dqa_fast(model, x, dist, AnnealSchedule.linear(T))
+                b = bounds_for(model, x)
+                kind = (OracleKind.exact(b) if oracle == "exact" else
+                        OracleKind.sin_approx(b, literal_pi=angle_mode == "literal"))
+                assert abs(exp_hq - expectation_HQ(sv, model)) <= 1e-12
+                assert abs(a - target_amplitude(kind, sv.probabilities(), costs)) <= 1e-12
+
+    def _count_anneals(self, monkeypatch) -> list:
+        calls = []
+        inner = harness.anneal_feasible_blocks
+
+        def counted(model, xs, *args, **kwargs):
+            calls.append(tuple(xs))
+            return inner(model, xs, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "anneal_feasible_blocks", counted)
+        harness._qae_points.cache_clear()
+        return calls
+
+    def test_fig5_anneals_each_config_once(self, tmp_path, monkeypatch):
+        configs = ((3, 4, 6), (4, 4, 8))
+        models = [model_from_instance(generate_instance(n_y, derive_seed(4, "fig5", ci)))[0]
+                  for ci, (n_y, _, _) in enumerate(configs)]
+        groups = sum(len(lockstep_groups(model)) for model in models)
+        for reps in (1, 3):
+            calls = self._count_anneals(monkeypatch)
+            experiment_fig5(ExperimentSpec(kind="fig5", configs=configs,
+                                           n_repetitions=reps, master_seed=4),
+                            tmp_path / str(reps))
+            assert len(calls) == groups
+
+    def test_single_run_anneals_only_its_x(self, monkeypatch):
+        calls = self._count_anneals(monkeypatch)
+        inst = generate_instance(5, 8)
+        record = single_run(inst, x=2, T=10, oracle="sin", m=5, seed=1)
+        assert calls == [(2,)]
+        model, dist = model_from_instance(inst)
+        sv = run_dqa_fast(model, 2, dist, AnnealSchedule.linear(10))
+        assert abs(record["exp_hq"] - expectation_HQ(sv, model)) <= 1e-12
+
+    def test_qae_mode_builds_no_register_or_cost_diagonal(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("full-register object was built")
+
+        harness._qae_points.cache_clear()
+        monkeypatch.setattr(harness, "cost_diagonal", refuse)
+        monkeypatch.setattr(StateVector, "__init__", refuse)
+        model, dist = model_from_instance(generate_instance(5, 2))
+        for oracle in ("exact", "sin"):
+            outer_loop(model, dist, T=10, mode="qae", m=5, oracle=oracle,
+                       seed_tag=("nofull",))
+            single_run(WORKED_INSTANCE, x=1, T=6, oracle=oracle, m=5, seed=7)
+        with pytest.raises(AssertionError, match="full-register"):
+            run_dqa_fast(model, 1, dist, AnnealSchedule.linear(4))
+
+
 class TestNoGatesInProduction:
     def test_experiments_and_runs_build_no_gate(self, tmp_path, monkeypatch):
         # every Gate passes through __post_init__; production paths take
@@ -177,6 +250,47 @@ class TestNoGatesInProduction:
         outer_loop(model, dist, T=0, mode="exact")
         for oracle in ("exact", "sin"):
             single_run(WORKED_INSTANCE, x=1, T=6, oracle=oracle, m=5, seed=7)
+
+
+# -0.0, subnormals, the largest finite value, integral and negative values
+_EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                1.7976931348623157e308, -1e300, 1e16, 3.0, -2.0, 123456789012.0,
+                0.1, -0.30000000000000004, 1e-5, float("inf"), float("nan"))
+
+
+def _write_csv_value_by_value(path, fieldnames, rows):
+    # the writer ``write_csv`` replaced, kept as its reference
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(fieldnames)
+        for row in rows:
+            writer.writerow([harness._fmt(row[k]) for k in fieldnames])
+
+
+class TestWriteCsv:
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))))
+    @settings(max_examples=200, deadline=None)
+    def test_float_column_formats_like_fmt(self, values):
+        assert harness._fmt_column(values) == [harness._fmt(v) for v in values]
+
+    @given(st.lists(st.one_of(st.floats(), st.integers(), st.booleans(), st.none(),
+                              st.text(max_size=4), st.sampled_from(_EDGE_FLOATS))))
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_column_formats_like_fmt(self, values):
+        assert harness._fmt_column(values) == [harness._fmt(v) for v in values]
+
+    def test_bytes_match_value_by_value_writer(self, tmp_path):
+        # more rows than one chunk; columns of one type, of mixed types, and
+        # text that needs quoting
+        rng = np.random.default_rng(5)
+        rows = [{"i": i, "f": float(v), "np": np.float64(v), "flag": bool(v > 0.5),
+                 "maybe": None if i % 7 else -float(v),
+                 "text": ("a,b", 'say "x"', "line\nbreak", "plain")[i % 4]}
+                for i, v in enumerate(rng.standard_normal(9000))]
+        fields = ["i", "f", "np", "flag", "maybe", "text"]
+        harness.write_csv(tmp_path / "new.csv", fields, rows)
+        _write_csv_value_by_value(tmp_path / "ref.csv", fields, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestSpecParsing:

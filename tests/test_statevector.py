@@ -152,6 +152,23 @@ class TestGateSemantics:
         with pytest.raises(ValueError, match="unitary"):
             dense((0,), np.array([[1, 0], [0, 2]], dtype=complex))
 
+    def test_unitarity_checked_on_real_and_complex_matrices(self):
+        # a real matrix is checked with U^T U, a complex one with U+U; both
+        # at the same 1e-10 tolerance
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((8, 8)))
+        dense((0, 1, 2), q)
+        dense((0, 1, 2), q * np.exp(0.7j))
+        Gate(KIND_DENSE, (0, 1, 2), matrix=q)
+        scaled = q.copy()
+        scaled[:, 5] *= 1 + 1e-9
+        # the real part is orthogonal, so only the imaginary part breaks it
+        tilted = q + 1e-6j * np.eye(8)
+        for bad in (scaled, scaled.astype(complex), tilted, tilted * np.exp(0.7j)):
+            with pytest.raises(ValueError, match="unitary"):
+                dense((0, 1, 2), bad)
+        with pytest.raises(ValueError, match="unitary"):
+            Gate(KIND_DENSE, (0, 1, 2), matrix=scaled)
+
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             apply(StateVector(2), hadamard(5))
