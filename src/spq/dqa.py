@@ -209,26 +209,13 @@ def prepare_distribution(dist: DiscreteDistribution,
     return OperatorSequence((_column_prep_gate(amps, qubits),), "dist")
 
 
-def per_scenario_optimal_amplitudes(model: UnitCommitmentModel, x: int,
-                                    dist: DiscreteDistribution) -> np.ndarray:
-    """Real amplitudes of the per-scenario optimized wavefunction over the
-    (y, xi) register: sqrt(p(xi)) on (xi, y*(xi)), with y* the brute-force
-    second-stage minimum (the T -> infinity surrogate)."""
-    y_stars, _ = scenario_optima(model, x, dist)
-    amps = np.zeros(2 ** (2 * model.n_y))
-    for (scenario, p), y_star in zip(dist.entries, y_stars):
-        amps[(scenario << model.n_y) | int(y_star)] = math.sqrt(p)
-    return amps
-
-
 def prepare_per_scenario_optimal(model: UnitCommitmentModel, x: int,
                                  dist: DiscreteDistribution) -> OperatorSequence:
-    """Gate preparing ``per_scenario_optimal_amplitudes`` from |0...0>, as a
-    dense Householder completion; a reference for the amplitude vector."""
+    """Dense Householder preparation of psi* (``per_scenario_optimal_block``)."""
     n = 2 * model.n_y
     if n > 12:
         raise ValueError("dense per-scenario preparation is desk scale (n_y <= 6)")
-    amps = per_scenario_optimal_amplitudes(model, x, dist)
+    amps = per_scenario_optimal_block(model, x, dist).scatter(model.n_y)
     return OperatorSequence((_column_prep_gate(amps, tuple(range(n))),), "psi_star")
 
 
@@ -388,10 +375,37 @@ class FeasibleBlock:
     amps: np.ndarray
     costs: np.ndarray
 
+    def probabilities(self) -> np.ndarray:
+        """|amp|^2 on the block's grid."""
+        return self.amps.real ** 2 + self.amps.imag ** 2
+
     def expectation_hq(self) -> float:
         """<H_Q> = sum |amp|^2 q over the block, without the full register."""
-        a = self.amps
-        return float(np.sum((a.real * a.real + a.imag * a.imag) * self.costs))
+        return float(np.sum(self.probabilities() * self.costs))
+
+    def scatter(self, n_y: int) -> np.ndarray:
+        """The amplitudes on the full (y, xi) register, in the block's dtype."""
+        full = np.zeros((self.amps.shape[1], 2 ** n_y), dtype=self.amps.dtype)
+        full[:, self.ys] = self.amps.T
+        return full.ravel()
+
+
+def _feasible_grid(model: UnitCommitmentModel, x: int,
+                   dist: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """x's feasible rows and q(y, xi) on its ``FeasibleBlock`` grid."""
+    ys = feasible_decisions(model.n_y, model.d - x)
+    return ys, _cost_matrix(model, ys, np.arange(2 ** dist.n_xi, dtype=np.int64)).T
+
+
+def per_scenario_optimal_block(model: UnitCommitmentModel, x: int,
+                               dist: DiscreteDistribution) -> FeasibleBlock:
+    """psi*, the T -> infinity surrogate: real amplitude sqrt(p(xi)) at
+    (y*(xi), xi), with y* from ``scenario_optima`` (ties to the lowest y)."""
+    y_stars, _ = scenario_optima(model, x, dist)
+    ys, costs = _feasible_grid(model, x, dist)
+    amps = np.zeros(costs.shape)
+    amps[np.searchsorted(ys, y_stars), dist.scenarios] = np.sqrt(dist.probabilities)
+    return FeasibleBlock(x, ys, amps, costs)
 
 
 def lockstep_groups(model: UnitCommitmentModel) -> list[tuple[int, ...]]:
@@ -442,11 +456,9 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
 
     xi_amps = np.zeros(2 ** n_xi)
     xi_amps[dist.scenarios] = np.sqrt(dist.probabilities)
-    scenarios = np.arange(2 ** n_xi, dtype=np.int64)
-    rows = [feasible_decisions(n_y, w) for w in weights]
     # q(y, xi) for populated rows; the fused cost+penalty layer is the
     # diagonal phase e^{+i a(t) q} (P(theta) has the +i convention)
-    costs = [_cost_matrix(model, ys, scenarios).T for ys in rows]
+    rows, costs = zip(*(_feasible_grid(model, x, dist) for x in xs))
     ms = [np.ascontiguousarray(np.broadcast_to(
               xi_amps / math.sqrt(len(ys)), (len(ys), 2 ** n_xi)).astype(complex))
           for ys in rows]
@@ -492,9 +504,7 @@ def run_dqa_fast(model: UnitCommitmentModel, x: int, dist: DiscreteDistribution,
     rounding; tests pin the equivalence at 1e-12.
     """
     (block,) = anneal_feasible_blocks(model, (x,), dist, schedule)
-    full = np.zeros((2 ** dist.n_xi, 2 ** model.n_y), dtype=complex)
-    full[:, block.ys] = block.amps.T
-    return StateVector(model.n_y + dist.n_xi, full.ravel())
+    return StateVector(model.n_y + dist.n_xi, block.scatter(model.n_y))
 
 
 # -- observables ------------------------------------------------------------

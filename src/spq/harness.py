@@ -25,21 +25,18 @@ import numpy as np
 
 from .dqa import (
     AnnealSchedule,
-    RegisterLayout,
     anneal_feasible_blocks,
     lockstep_groups,
-    per_scenario_optimal_amplitudes,
+    per_scenario_optimal_block,
     run_dqa_fast,  # not called here; perfbench/selftest.py checks that it is traced
 )
 from .model import (
     DiscreteDistribution,
     UnitCommitmentModel,
     bounds_for,
-    cost_diagonal,
     expected_value_exact,
     generate_instance,
     model_from_instance,
-    objective_exact,
 )
 from .oracle import OracleKind, sin_oracle_readback, target_amplitude
 from .qae import QaeConfig, mc_from_amplitude, qae_from_amplitude, sample_readout
@@ -98,6 +95,8 @@ class ExperimentSpec:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path} is not a JSON object")
         unknown = set(raw) - set(cls._FIELDS)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -213,13 +212,11 @@ def _block_values(model, dist, T, value) -> dict:
 
 
 def _qae_point(model, block, oracle, angle_mode) -> tuple[float, float]:
-    """(<H_Q>, a) of one annealed feasible block, where a = Pr[ancilla = 1]
-    after the oracle; every amplitude outside the block is zero, so the
-    block's probabilities and costs give both without the full register."""
-    amps = block.amps
-    probs = (amps.real * amps.real + amps.imag * amps.imag).ravel()
+    """(<H_Q>, a) of one feasible block, annealed or psi*, where a =
+    Pr[ancilla = 1] after the oracle; both are sums over the block alone."""
     kind = _oracle_kind(model, block.x, oracle, angle_mode)
-    return block.expectation_hq(), target_amplitude(kind, probs, block.costs.ravel())
+    return block.expectation_hq(), target_amplitude(
+        kind, block.probabilities().ravel(), block.costs.ravel())
 
 
 @lru_cache(maxsize=1)
@@ -241,13 +238,13 @@ def _qae_estimate_for_x(model, dist, x, exp_hq, a, m, oracle, angle_mode, amplif
     closed-form law of a, the median estimate is picked and, for the sin
     oracle, read back to phi.  No state or circuit is built here.
     """
-    layout = RegisterLayout.standard(model.n_y, dist.n_xi, include_ancilla=True)
     kind = _oracle_kind(model, x, oracle, angle_mode)
     bounds = kind.bounds
     a_true = (exp_hq - bounds.q_l) / bounds.width if oracle == "exact" else None
 
     config = QaeConfig(m=m, repetitions=amplify, rng_seed=seed)
-    results = qae_from_amplitude(a, config, layout, bounds, a_true=a_true)
+    n_system = model.n_y + dist.n_xi + 1            # y, xi and the ancilla
+    results = qae_from_amplitude(a, config, n_system, bounds, a_true=a_true)
     med = median_low([r.phi_hat for r in results])
     picked = next(r for r in results if r.phi_hat == med)
     if oracle == "sin":
@@ -266,26 +263,25 @@ def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
 
     Modes: "expectation" evaluates <H_Q> on the DQA state (no shot noise),
     "qae" runs the full estimation pipeline, and "exact" uses the
-    brute-force per-scenario optimal state as a converged surrogate.
-    Expectation and qae modes anneal each x together with the x' of
-    complementary weight (``lockstep_groups``) and take <H_Q>, and in qae
-    mode the QAE target a, from sums over the feasible blocks, so they
-    never build the full register or the cost diagonal.  qae mode keeps
-    the last (model, dist, T, oracle, angle_mode) anneal (``_qae_points``),
-    so repeated calls differing only in ``seed_tag`` anneal once; each x's
-    readout seed still comes from ``seed_tag`` and x.  Exact mode takes
-    <H_Q> from psi*'s probabilities and the cost diagonal.
+    brute-force per-scenario optimal state psi* as a converged surrogate.
+    Every mode takes <H_Q>, and qae mode the QAE target a, from sums over
+    a feasible block, never the full register.  Expectation and qae modes
+    anneal x with the x' of complementary weight (``lockstep_groups``);
+    qae mode keeps the last (model, dist, T, oracle, angle_mode) anneal
+    (``_qae_points``), so repeated calls differing only in ``seed_tag``
+    anneal once; each x's readout seed still comes from ``seed_tag`` and x.
     """
     if mode not in ("expectation", "qae", "exact"):
         raise ConfigError(f"unknown outer-loop mode {mode!r}")
     if mode == "qae" and m is None:
         raise ConfigError("qae mode requires the estimate width m")
     if mode == "expectation":
-        annealed = _block_values(model, dist, T, lambda block: block.expectation_hq())
-    elif mode == "qae":
-        points = _qae_points(model, dist, T, oracle, angle_mode)
+        exp_hqs = _block_values(model, dist, T, lambda block: block.expectation_hq())
+    elif mode == "exact":
+        exp_hqs = {x: per_scenario_optimal_block(model, x, dist).expectation_hq()
+                   for x in range(model.d + 1)}
     else:
-        costs = cost_diagonal(model)
+        points = _qae_points(model, dist, T, oracle, angle_mode)
     result = OuterLoopResult()
     for x in range(model.d + 1):
         phi = expected_value_exact(model, x, dist)
@@ -299,11 +295,8 @@ def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
                 model, dist, x, exp_hq, a, m, oracle, angle_mode, amplify, seed)
             row.update(a_hat=picked.a_hat, b=picked.b,
                        within_bound=picked.within_bound)
-        elif mode == "exact":
-            exp_hq = phi_est = float(
-                per_scenario_optimal_amplitudes(model, x, dist) ** 2 @ costs)
         else:
-            exp_hq = phi_est = annealed[x]
+            exp_hq = phi_est = exp_hqs[x]
         row.update(exp_hq=exp_hq, delta=exp_hq - phi, phi_est=phi_est,
                    o_est=model.c_x * x + phi_est)
         result.rows.append(row)
@@ -374,6 +367,8 @@ def experiment_fig3(spec: ExperimentSpec, out_dir, workers: int | None = None) -
     ``if __name__ == "__main__":``.  ``meta.json`` records the worker count
     and the BLAS thread variables the instances ran with (None: unset).
     """
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     started = time.time()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -435,16 +430,16 @@ def experiment_fig4(spec: ExperimentSpec, out_dir) -> dict:
     # Pr[ancilla = 1] after the exact oracle on the converged state psi*
     # does not depend on m; it feeds the QAE law and the Monte Carlo
     # binomial at every m
-    layout = RegisterLayout.standard(model.n_y, dist.n_xi, include_ancilla=True)
-    probs = per_scenario_optimal_amplitudes(model, x, dist) ** 2
-    a = target_amplitude(OracleKind.exact(bounds), probs, cost_diagonal(model))
+    _, a = _qae_point(model, per_scenario_optimal_block(model, x, dist),
+                      "exact", "normalized")
+    n_system = model.n_y + dist.n_xi + 1            # y, xi and the ancilla
 
     estimates, summary, hist_rows = [], [], []
     edges = np.arange(bounds.q_l, bounds.q_u + 2 * _FIG4_BIN_WIDTH, _FIG4_BIN_WIDTH)
     for m in spec.m_values:
         config = QaeConfig(m=m, repetitions=spec.n_estimates,
                            rng_seed=derive_seed(spec.master_seed, "fig4", m, "qae"))
-        bs = sample_readout(a, config, layout)
+        bs = sample_readout(a, config, n_system)
         a_qae = np.sin(np.pi * bs / config.M) ** 2
         shots = 2 ** (m + 1)
         a_mc = mc_from_amplitude(a, shots,
@@ -550,7 +545,7 @@ def single_run(inst: dict, x: int, T: int, oracle: str, m: int, seed: int,
         "phi_exact": phi, "exp_hq": exp_hq, "delta": exp_hq - phi,
         "b": picked.b, "a_hat": picked.a_hat, "phi_est": phi_est,
         "o_est": model.c_x * x + phi_est,
-        "o_exact": objective_exact(model, x, dist),
+        "o_exact": model.c_x * x + phi,
         "within_bound": picked.within_bound,
         "wall_time_s": time.time() - started,
     }

@@ -117,8 +117,9 @@ def build_oracle(kind: OracleKind, model: UnitCommitmentModel, x: int,
 def target_amplitude(kind: OracleKind, probabilities: np.ndarray,
                      costs: np.ndarray) -> float:
     """Pr[ancilla = 1] after the oracle acts on a (y, xi) state, from the
-    state's basis-state probabilities and per-basis-state costs
-    (``cost_diagonal``), without building or applying the oracle.
+    probabilities and costs q(y, xi) of its basis states in one order (a
+    ``dqa.FeasibleBlock`` grid: states left out have zero probability),
+    without building or applying the oracle.
 
     Every basis state rotates the ancilla on its own: the exact oracle to
     Pr[1] = qbar clipped to [0, 1], the sin oracle to

@@ -130,8 +130,8 @@ def build_grover(A_seq: OperatorSequence, layout) -> OperatorSequence:
     return OperatorSequence(gates, "Q")
 
 
-def _check_budget(layout, m: int) -> None:
-    total = layout.num_system_qubits + m
+def _check_budget(n_system_qubits: int, m: int) -> None:
+    total = n_system_qubits + m
     if total > MAX_QUBITS:
         raise SimulationBudgetError(
             f"QAE needs {total} qubits, over the simulator cap of {MAX_QUBITS}")
@@ -146,8 +146,8 @@ def qpe_state(A_seq: OperatorSequence, config: QaeConfig, layout) -> StateVector
     gate-for-gate equivalent to the controlled-power circuit (pinned by a
     test) at a fraction of the cost.
     """
-    _check_budget(layout, config.m)
     n_sys = layout.num_system_qubits
+    _check_budget(n_sys, config.m)
     grover = build_grover(A_seq, layout)
     M = config.M
     psi = StateVector(n_sys)
@@ -164,8 +164,8 @@ def qpe_state(A_seq: OperatorSequence, config: QaeConfig, layout) -> StateVector
 def qpe_state_gates(A_seq: OperatorSequence, config: QaeConfig, layout) -> StateVector:
     """Reference gate-level phase estimation: Hadamards on the estimate
     register, controlled Q^(2^j) per estimate qubit, exact inverse QFT."""
-    _check_budget(layout, config.m)
     n_sys = layout.num_system_qubits
+    _check_budget(n_sys, config.m)
     est = tuple(range(n_sys, n_sys + config.m))
     grover = build_grover(A_seq, layout)
     state = StateVector(n_sys + config.m)
@@ -215,7 +215,7 @@ def readout_distribution(a: float, m: int) -> np.ndarray:
     return check_distribution(0.5 * (below * below + above * above))
 
 
-def sample_readout(a: float, config: QaeConfig, layout,
+def sample_readout(a: float, config: QaeConfig, n_system_qubits: int,
                    rng: np.random.Generator | None = None) -> np.ndarray:
     """Draw ``config.repetitions`` readouts b from the law of a.
 
@@ -224,7 +224,7 @@ def sample_readout(a: float, config: QaeConfig, layout,
     is not simulated, but it is held to the simulator's qubit cap: system
     qubits plus m above MAX_QUBITS raise SimulationBudgetError.
     """
-    _check_budget(layout, config.m)
+    _check_budget(n_system_qubits, config.m)
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
     law = readout_distribution(a, config.m)
@@ -253,12 +253,13 @@ def _readout(bs: np.ndarray, config: QaeConfig, bounds: Bounds,
     return out
 
 
-def qae_from_amplitude(a: float, config: QaeConfig, layout, bounds: Bounds,
-                       a_true: float | None = None,
+def qae_from_amplitude(a: float, config: QaeConfig, n_system_qubits: int,
+                       bounds: Bounds, a_true: float | None = None,
                        rng: np.random.Generator | None = None) -> list[EstimateResult]:
     """Phase estimation on the Grover operator of any A whose ancilla
     marginal is ``a``; ``repetitions`` readouts, each rescaled to bounds."""
-    return _readout(sample_readout(a, config, layout, rng), config, bounds, a_true)
+    return _readout(sample_readout(a, config, n_system_qubits, rng), config,
+                    bounds, a_true)
 
 
 def run_qae(A_seq: OperatorSequence, config: QaeConfig, layout, bounds: Bounds,
@@ -266,8 +267,8 @@ def run_qae(A_seq: OperatorSequence, config: QaeConfig, layout, bounds: Bounds,
             rng: np.random.Generator | None = None) -> list[EstimateResult]:
     """Phase estimation on the Grover operator of A: prepares A|0> once and
     draws ``repetitions`` readouts from the law of its ancilla marginal."""
-    return qae_from_amplitude(ancilla_marginal(A_seq, layout), config, layout,
-                              bounds, a_true, rng)
+    return qae_from_amplitude(ancilla_marginal(A_seq, layout), config,
+                              layout.num_system_qubits, bounds, a_true, rng)
 
 
 def mc_from_amplitude(a: float, shots: int, rng: np.random.Generator,

@@ -18,6 +18,7 @@ from spq.dqa import (
     expectation_HQ,
     lockstep_groups,
     mixer_pair_angle,
+    per_scenario_optimal_block,
     prepare_dicke,
     prepare_distribution,
     prepare_per_scenario_optimal,
@@ -29,12 +30,15 @@ from spq.dqa import (
 from spq.model import (
     DiscreteDistribution,
     GenericDiagonalProblem,
+    InfeasibleDecisionError,
     UnitCommitmentModel,
     brute_force_Q,
+    cost_diagonal,
     expected_value_exact,
     feasible_decisions,
     generate_instance,
     model_from_instance,
+    scenario_optima,
     second_stage_cost,
 )
 from spq.statevector import (
@@ -402,6 +406,85 @@ class TestLockstepAnneal:
         for xs in ((0, 1), (2, 2), (0, 1, 4), (), (0, 5)):
             with pytest.raises(ValueError):
                 anneal_feasible_blocks(model, xs, dist, sched)
+
+
+def full_register_psi_star(model, x, dist):
+    """psi* over the full (y, xi) register: sqrt(p(xi)) at (y*(xi), xi)."""
+    y_stars, _ = scenario_optima(model, x, dist)
+    amps = np.zeros(2 ** (model.n_y + dist.n_xi))
+    for (scenario, p), y_star in zip(dist.entries, y_stars):
+        amps[(scenario << model.n_y) | int(y_star)] = math.sqrt(p)
+    return amps
+
+
+def psi_star_cases(n_y):
+    """(model, dist) pairs: a generated instance under the uniform
+    distribution and under an explicit one with a zero-probability
+    scenario, and the same instance with every turbine cost tied."""
+    model, uniform = model_from_instance(generate_instance(n_y, 50 + n_y))
+    order = np.random.default_rng(n_y).permutation(2 ** n_y)
+    probs = (0.0, 1.0) if n_y == 1 else (0.0, 0.5, 0.3, 0.2)
+    explicit = DiscreteDistribution(n_y, tuple(zip(order.tolist(), probs)))
+    tied = dataclasses.replace(model, c=(0.1,) * n_y)
+    return [(model, uniform), (model, explicit), (tied, uniform), (tied, explicit)]
+
+
+class TestPerScenarioOptimalBlock:
+    @pytest.mark.parametrize("n_y", [1, 2, 3, 4, 5, 6, 7])
+    def test_scatter_equals_the_full_register_psi_star(self, n_y):
+        for model, dist in psi_star_cases(n_y):
+            for x in range(model.d + 1):
+                block = per_scenario_optimal_block(model, x, dist)
+                assert block.x == x and block.amps.dtype == np.float64
+                assert np.array_equal(block.ys, feasible_decisions(n_y, model.d - x))
+                full = block.scatter(n_y)
+                assert full.dtype == np.float64
+                assert np.array_equal(full, full_register_psi_star(model, x, dist))
+
+    @pytest.mark.parametrize("n_y", [1, 3, 5, 7])
+    def test_ties_go_to_the_lowest_y(self, n_y):
+        # the populated row of each scenario is brute_force_Q's y*, which
+        # takes the lowest bitmask among equal costs
+        for model, dist in psi_star_cases(n_y):
+            for x in range(model.d + 1):
+                block = per_scenario_optimal_block(model, x, dist)
+                for scenario, p in dist.entries:
+                    rows = np.flatnonzero(block.amps[:, scenario])
+                    if p == 0.0:
+                        assert rows.size == 0
+                    else:
+                        assert block.ys[rows].tolist() == [
+                            brute_force_Q(model, x, scenario)[0]]
+
+    @pytest.mark.parametrize("n_y", [1, 2, 4, 6])
+    def test_block_sums_match_the_full_register(self, n_y):
+        # <H_Q> over the block is phi(x), and the costs are the cost
+        # diagonal on the block's rows, at rounding level
+        for model, dist in psi_star_cases(n_y):
+            diag = cost_diagonal(model)
+            for x in range(model.d + 1):
+                block = per_scenario_optimal_block(model, x, dist)
+                full = full_register_psi_star(model, x, dist)
+                assert abs(block.expectation_hq() - float(full ** 2 @ diag)) <= 1e-12
+                assert abs(block.expectation_hq()
+                           - expected_value_exact(model, x, dist)) <= 1e-12
+                grid = diag.reshape(2 ** dist.n_xi, 2 ** n_y)[:, block.ys].T
+                assert np.abs(block.costs - grid).max() <= 1e-12
+                assert np.array_equal(block.probabilities(), block.amps ** 2)
+
+    def test_infeasible_x_rejected(self):
+        model, dist = model_from_instance(generate_instance(3, 1))
+        with pytest.raises(InfeasibleDecisionError):
+            per_scenario_optimal_block(model, model.d + 1, dist)
+
+    def test_scatter_keeps_an_annealed_block_complex(self):
+        model, dist = model_from_instance(generate_instance(4, 9))
+        for block in anneal_feasible_blocks(model, (1, 3), dist,
+                                            AnnealSchedule.linear(5)):
+            full = block.scatter(4)
+            assert full.dtype == np.complex128
+            assert np.array_equal(full, scattered(block, 4, 4))
+            assert np.abs(block.probabilities() - np.abs(block.amps) ** 2).max() <= 1e-15
 
 
 class TestExpectation:

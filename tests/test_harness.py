@@ -58,6 +58,33 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def refuse_full_register(monkeypatch) -> None:
+    """Make ``cost_diagonal``, in every spq namespace that binds it, and
+    every StateVector construction raise; then check that both refusals
+    bite on the full-register references."""
+    def refuse_diagonal(*args, **kwargs):
+        raise AssertionError("cost_diagonal was built")
+
+    def refuse_register(*args, **kwargs):
+        raise AssertionError("a full-register StateVector was built")
+
+    model, dist = model_from_instance(WORKED_INSTANCE)
+    schedule = AnnealSchedule.linear(3)
+    sv = run_dqa_fast(model, 1, dist, schedule)
+    bound = sorted(name for name, module in list(sys.modules.items())
+                   if name.split(".")[0] == "spq"
+                   and getattr(module, "cost_diagonal", None) is spq.model.cost_diagonal)
+    assert {"spq.model", "spq.dqa", "spq.oracle"} <= set(bound)
+    assert not hasattr(harness, "cost_diagonal")
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "cost_diagonal", refuse_diagonal)
+    monkeypatch.setattr(StateVector, "__init__", refuse_register)
+    with pytest.raises(AssertionError, match="cost_diagonal was built"):
+        expectation_HQ(sv, model)
+    with pytest.raises(AssertionError, match="full-register"):
+        expectation_HQ(run_dqa_fast(model, 1, dist, schedule), model)
+
+
 class TestOuterLoop:
     def test_exact_mode_reproduces_objective(self):
         for inst in (WORKED_INSTANCE, generate_instance(6, 5)):
@@ -128,17 +155,20 @@ class TestOuterLoop:
             assert abs(row["exp_hq"] - expectation_HQ(sv, model)) <= 1e-12
 
     def test_expectation_mode_builds_no_cost_diagonal(self, tmp_path, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("cost_diagonal was built")
-
-        monkeypatch.setattr(harness, "cost_diagonal", refuse)
+        # nor does exact mode, fig3 or fig4: all read psi* or the annealed
+        # state as a feasible block
+        refuse_full_register(monkeypatch)
         model, dist = model_from_instance(generate_instance(5, 2))
         outer_loop(model, dist, T=10, mode="expectation")
+        outer_loop(model, dist, T=0, mode="exact")
         experiment_fig3(ExperimentSpec(kind="fig3", n_y_values=(3, 4),
                                        n_instances=2, master_seed=6),
-                        tmp_path, workers=1)
-        with pytest.raises(AssertionError, match="cost_diagonal was built"):
-            outer_loop(model, dist, T=0, mode="exact")
+                        tmp_path / "fig3", workers=1)
+        experiment_fig4(ExperimentSpec.from_json(CONFIG_DIR / "fig4.json"),
+                        tmp_path / "fig4")
+        experiment_fig4(ExperimentSpec(kind="fig4", n_y=5, x=2, m_values=(5,),
+                                       n_estimates=100, master_seed=3),
+                        tmp_path / "fig4_5")
 
     def test_unknown_mode_rejected(self):
         model, dist = model_from_instance(WORKED_INSTANCE)
@@ -214,20 +244,22 @@ class TestQaeOnFeasibleBlocks:
         sv = run_dqa_fast(model, 2, dist, AnnealSchedule.linear(10))
         assert abs(record["exp_hq"] - expectation_HQ(sv, model)) <= 1e-12
 
-    def test_qae_mode_builds_no_register_or_cost_diagonal(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("full-register object was built")
-
+    def test_qae_mode_builds_no_register_or_cost_diagonal(self, tmp_path,
+                                                          monkeypatch, capsys):
         harness._qae_points.cache_clear()
-        monkeypatch.setattr(harness, "cost_diagonal", refuse)
-        monkeypatch.setattr(StateVector, "__init__", refuse)
+        refuse_full_register(monkeypatch)
         model, dist = model_from_instance(generate_instance(5, 2))
+        inst_path = str(tmp_path / "inst.json")
+        save_instance(WORKED_INSTANCE, inst_path)
         for oracle in ("exact", "sin"):
             outer_loop(model, dist, T=10, mode="qae", m=5, oracle=oracle,
                        seed_tag=("nofull",))
             single_run(WORKED_INSTANCE, x=1, T=6, oracle=oracle, m=5, seed=7)
-        with pytest.raises(AssertionError, match="full-register"):
-            run_dqa_fast(model, 1, dist, AnnealSchedule.linear(4))
+            assert main(["run", "--instance", inst_path, "--x", "1", "--T", "6",
+                         "--oracle", oracle, "--m", "5"]) == 0
+        experiment_fig5(ExperimentSpec(kind="fig5", configs=((3, 4, 6), (4, 4, 8)),
+                                       n_repetitions=2, master_seed=4),
+                        tmp_path / "fig5")
 
 
 class TestNoGatesInProduction:
@@ -298,6 +330,13 @@ class TestSpecParsing:
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"kind": "fig3", "bogus": 1}))
         with pytest.raises(ConfigError, match="bogus"):
+            ExperimentSpec.from_json(p)
+
+    @pytest.mark.parametrize("text", ["5", "null", "[1, 2]", '"fig4"', "true"])
+    def test_non_object_rejected(self, tmp_path, text):
+        p = tmp_path / "c.json"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match="not a JSON object"):
             ExperimentSpec.from_json(p)
 
     def test_missing_kind_rejected(self, tmp_path):
@@ -495,6 +534,25 @@ class TestCli:
         cfg.write_text(json.dumps({"kind": "fig4", "nope": 1}))
         assert main(["experiment", "fig4", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("text", ["5", "null", "[]"])
+    def test_non_object_config_exits_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["experiment", "fig4", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "not a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_fig3_nonpositive_workers_exit_2(self, tmp_path, capsys, workers):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "fig3", "n_y_values": [3],
+                                   "n_instances": 1}))
+        out = tmp_path / "out"
+        assert main(["experiment", "fig3", "--config", str(cfg),
+                     "--out", str(out), "--workers", workers]) == 2
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_kind_mismatch_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

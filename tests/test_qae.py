@@ -14,11 +14,12 @@ from spq.dqa import (
     RegisterLayout,
     build_dqa,
     expectation_HQ,
-    per_scenario_optimal_amplitudes,
+    per_scenario_optimal_block,
     prepare_per_scenario_optimal,
     run_dqa,
     run_dqa_fast,
 )
+from spq.harness import _qae_point
 from spq.model import (
     Bounds,
     bounds_for,
@@ -29,6 +30,7 @@ from spq.model import (
 from spq.oracle import OracleKind, build_oracle, target_amplitude
 from spq.qae import (
     QaeConfig,
+    _check_budget,
     ancilla_marginal,
     build_A,
     build_grover,
@@ -270,18 +272,16 @@ class TestReadoutLaw:
 
     @pytest.mark.parametrize("n_y", [2, 3, 4, 5])
     def test_converged_amplitude_matches_gate_level_marginal(self, n_y):
-        # fig4's a, from the psi* amplitudes and the exact oracle's
-        # per-basis-state rotation, against A = exact oracle after the
-        # Householder preparation of psi*
+        # fig4's a, taken as fig4 takes it from the psi* block, against
+        # A = exact oracle after the Householder preparation of psi*
         model, dist = model_from_instance(generate_instance(n_y, 11))
         lay = RegisterLayout.standard(n_y, n_y, include_ancilla=True)
-        costs = cost_diagonal(model)
         for x in range(model.d + 1):
             kind = OracleKind.exact(bounds_for(model, x))
-            probs = per_scenario_optimal_amplitudes(model, x, dist) ** 2
             A = build_A(prepare_per_scenario_optimal(model, x, dist),
                         build_oracle(kind, model, x, lay), lay)
-            a = target_amplitude(kind, probs, costs)
+            _, a = _qae_point(model, per_scenario_optimal_block(model, x, dist),
+                              "exact", "normalized")
             assert abs(a - ancilla_marginal(A, lay)) <= 1e-12
 
     @settings(max_examples=200, deadline=None)
@@ -329,12 +329,21 @@ class TestReadoutLaw:
         assert drawn == simulated.tolist()
 
     def test_budget_guard_without_simulation(self):
-        lay = RegisterLayout.standard(7, 7, include_ancilla=True)
+        n_sys = RegisterLayout.standard(7, 7, include_ancilla=True).num_system_qubits
         with pytest.raises(SimulationBudgetError):
-            sample_readout(0.3, QaeConfig(m=12), lay)
+            sample_readout(0.3, QaeConfig(m=12), n_sys)
         with pytest.raises(SimulationBudgetError):
-            qae_from_amplitude(0.3, QaeConfig(m=12), lay, Bounds(0.0, 1.0))
-        assert sample_readout(0.3, QaeConfig(m=9), lay).shape == (1,)
+            qae_from_amplitude(0.3, QaeConfig(m=12), n_sys, Bounds(0.0, 1.0))
+        assert sample_readout(0.3, QaeConfig(m=9), n_sys).shape == (1,)
+
+    def test_budget_boundary_is_24_qubits(self):
+        _check_budget(12, 12)
+        assert sample_readout(0.3, QaeConfig(m=12), 12).shape == (1,)
+        for n_sys, m in ((13, 12), (24, 1)):
+            with pytest.raises(SimulationBudgetError, match="25 qubits"):
+                _check_budget(n_sys, m)
+            with pytest.raises(SimulationBudgetError):
+                sample_readout(0.3, QaeConfig(m=m), n_sys)
 
 
 class TestConfig:
