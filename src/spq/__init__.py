@@ -32,8 +32,8 @@ from .dqa import (
 )
 from .oracle import OracleKind, build_oracle, qbar, sin_oracle_readback
 from .qae import (
-    EstimateResult,
     QaeConfig,
+    QaeEstimates,
     build_A,
     build_grover,
     build_inverse_qft,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -51,42 +50,28 @@ _GENERIC_QUBIT_CAP = 8  # dense per-layer cost unitaries; desk scale only
 
 @dataclass(frozen=True)
 class AnnealSchedule:
-    """Layer count plus cost/mixer angle interpolators.
+    """Layer count of the fixed linear ramp a(t) = t/T, b(t) = 1 - t/T.
 
-    Defaults are the linear ramp a(t) = t/T, b(t) = 1 - t/T; the time step
-    is absorbed into the layer index, so layer t uses angles (a(t), b(t))
-    for t = 1..T.
+    The time step is absorbed into the layer index, so layer t uses the
+    cost and mixer angles (a(t), b(t)) for t = 1..T; a(0) = 0 and
+    b(T) = 0.
     """
 
     T: int
-    a: Callable[[int], float] | None = None
-    b: Callable[[int], float] | None = None
 
     def __post_init__(self):
         if self.T < 0 or int(self.T) != self.T:
             raise ValueError("annealing layer count T must be a nonnegative integer")
-        if self.T >= 1:
-            if abs(self.cost_angle(0)) > 1e-12:
-                raise ValueError("cost interpolator must satisfy a(0) = 0")
-            if abs(self.mixer_angle(self.T)) > 1e-12:
-                raise ValueError("mixer interpolator must satisfy b(T) = 0")
 
     @classmethod
     def linear(cls, T: int) -> "AnnealSchedule":
         return cls(T)
 
     def cost_angle(self, t: int) -> float:
-        if self.a is not None:
-            return self.a(t)
         return t / self.T
 
     def mixer_angle(self, t: int) -> float:
-        if self.b is not None:
-            return self.b(t)
         return 1.0 - t / self.T
-
-    def cost_angles(self) -> np.ndarray:
-        return np.array([self.cost_angle(t) for t in range(1, self.T + 1)])
 
     def mixer_angles(self) -> np.ndarray:
         return np.array([self.mixer_angle(t) for t in range(1, self.T + 1)])
@@ -435,7 +420,10 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
     scenario columns.  The mixer never leaks out of the weight block and
     the cost and penalty layers are diagonal, so each layer is one
     elementwise phase product per block followed by one GEMM per block
-    with the layer's fused mixer unitary (``_mixer_unitary``).  The XY
+    with the layer's fused mixer unitary (``_mixer_unitary``).  On the
+    linear ramp a(t) = t/T the layer-t phase e^{i q t/T} is base^t with
+    base = e^{i q/T}, so each layer multiplies the running phase by the
+    base instead of taking a complex exp.  The XY
     mixer commutes with complementing every bit, so the unitary at weight
     n_y - w is the weight-w one with rows and columns permuted by bit
     complement, bit for bit; a pair builds it once per layer.  The blocks
@@ -469,25 +457,15 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
         # partner is the complement of row perm[i] of the first block
         perm = (np.searchsorted(rows[0], (2 ** n_y - 1) ^ rows[1])
                 if len(xs) == 2 else None)
-        gammas = schedule.cost_angles()
-        betas = schedule.mixer_angles()
-        steps = np.diff(gammas, prepend=0.0)
-        # on an evenly spaced ramp the layer-t phase is base^t, one
-        # multiplication per layer instead of a complex exp
-        incremental = np.allclose(steps, steps[0], rtol=0.0, atol=1e-15)
-        if incremental:
-            bases = [np.exp(1j * steps[0] * q) for q in costs]
-            phases = [np.ones_like(base) for base in bases]
-        for t in range(T):
-            for i, q in enumerate(costs):
-                if incremental:
-                    phases[i] *= bases[i]
-                    ms[i] *= phases[i]
-                else:
-                    ms[i] *= np.exp(1j * gammas[t] * q)
-            if betas[t] == 0.0:
+        bases = [np.exp(1j * (1 / T) * q) for q in costs]
+        phases = [np.ones_like(base) for base in bases]
+        for beta in schedule.mixer_angles():
+            for i, base in enumerate(bases):
+                phases[i] *= base
+                ms[i] *= phases[i]
+            if beta == 0.0:
                 continue
-            u = _mixer_unitary(n_y, weights[0], betas[t])
+            u = _mixer_unitary(n_y, weights[0], beta)
             ms[0] = u @ ms[0]
             if perm is not None:
                 ms[1] = u[np.ix_(perm, perm)] @ ms[1]

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 import time
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
 from multiprocessing import get_context
 from pathlib import Path
@@ -39,7 +40,13 @@ from .model import (
     model_from_instance,
 )
 from .oracle import OracleKind, sin_oracle_readback, target_amplitude
-from .qae import QaeConfig, mc_from_amplitude, qae_from_amplitude, sample_readout
+from .qae import (
+    QaeConfig,
+    check_budget,
+    error_bound_check,
+    mc_from_amplitude,
+    qae_from_amplitude,
+)
 
 
 class ConfigError(ValueError):
@@ -47,6 +54,14 @@ class ConfigError(ValueError):
 
 
 _FIG5_DEFAULT_CONFIGS = ((4, 6, 10), (5, 6, 15), (6, 5, 20))
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a float, even an integral one, or a bool is a
+    config error rather than a crash or a silent truncation."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -71,11 +86,14 @@ class ExperimentSpec:
     amplify: int = 1
     instance_file: str | None = None
 
-    _FIELDS = ("kind", "master_seed", "n_y_values", "n_instances", "n_y", "x",
-               "m_values", "n_estimates", "configs", "n_repetitions", "oracle",
-               "angle_mode", "amplify", "instance_file")
-
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "int":
+                setattr(self, f.name, _integer(f.name, getattr(self, f.name)))
+        self.n_y_values = tuple(_integer("n_y_values", v) for v in self.n_y_values)
+        self.m_values = tuple(_integer("m_values", v) for v in self.m_values)
+        self.configs = tuple(tuple(_integer("configs", v) for v in (n_y, m, T))
+                             for n_y, m, T in self.configs)
         if self.kind not in ("fig3", "fig4", "fig5"):
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.oracle not in ("exact", "sin"):
@@ -84,9 +102,6 @@ class ExperimentSpec:
             raise ConfigError(f"angle_mode must be 'normalized' or 'literal'")
         if self.amplify < 1 or self.n_instances < 1 or self.n_repetitions < 1:
             raise ConfigError("counts must be positive")
-        self.n_y_values = tuple(int(v) for v in self.n_y_values)
-        self.m_values = tuple(int(v) for v in self.m_values)
-        self.configs = tuple((int(a), int(b), int(c)) for a, b, c in self.configs)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
@@ -97,7 +112,7 @@ class ExperimentSpec:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} is not a JSON object")
-        unknown = set(raw) - set(cls._FIELDS)
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "kind" not in raw:
@@ -231,27 +246,40 @@ def _qae_points(model, dist, T, oracle, angle_mode) -> tuple[tuple[float, float]
     return tuple(points[x] for x in range(model.d + 1))
 
 
-def _qae_estimate_for_x(model, dist, x, exp_hq, a, m, oracle, angle_mode, amplify,
-                        seed):
+def _system_qubits(model, dist) -> int:
+    """Qubits of the circuit a readout stands for: y, xi and the ancilla."""
+    return model.n_y + dist.n_xi + 1
+
+
+def _qae_config(model, dist, m, amplify) -> QaeConfig:
+    """The readout plan, with m, the readout count and the qubit budget
+    checked; built before the anneal, so a run that cannot read out fails
+    without annealing."""
+    config = QaeConfig(m=m, repetitions=amplify)
+    check_budget(_system_qubits(model, dist), m)
+    return config
+
+
+def _qae_estimate_for_x(model, dist, x, exp_hq, a, config, oracle, angle_mode):
     """One full-pipeline point from the annealed state's <H_Q> and its QAE
-    target a (``_qae_point``): ``amplify`` readouts are drawn from the
-    closed-form law of a, the median estimate is picked and, for the sin
-    oracle, read back to phi.  No state or circuit is built here.
+    target a (``_qae_point``): ``config.repetitions`` readouts are drawn
+    from the closed-form law of a, the median estimate is picked and, for
+    the sin oracle, read back to phi.  Returns the picked readout's ``b``,
+    ``a_hat`` and ``within_bound`` (None for the sin oracle), and phi's
+    estimate.  No state or circuit is built here.
     """
     kind = _oracle_kind(model, x, oracle, angle_mode)
     bounds = kind.bounds
-    a_true = (exp_hq - bounds.q_l) / bounds.width if oracle == "exact" else None
-
-    config = QaeConfig(m=m, repetitions=amplify, rng_seed=seed)
-    n_system = model.n_y + dist.n_xi + 1            # y, xi and the ancilla
-    results = qae_from_amplitude(a, config, n_system, bounds, a_true=a_true)
-    med = median_low([r.phi_hat for r in results])
-    picked = next(r for r in results if r.phi_hat == med)
+    estimates = qae_from_amplitude(a, config, _system_qubits(model, dist), bounds)
+    phis = estimates.phi_hat.tolist()
+    i = phis.index(median_low(phis))
+    picked = {"b": int(estimates.b[i]), "a_hat": float(estimates.a_hat[i]),
+              "within_bound": None}
     if oracle == "sin":
-        phi_est = sin_oracle_readback(picked.a_hat, kind)
-    else:
-        phi_est = picked.phi_hat
-    return picked, phi_est
+        return picked, sin_oracle_readback(picked["a_hat"], kind)
+    a_true = (exp_hq - bounds.q_l) / bounds.width
+    picked["within_bound"] = error_bound_check(picked["a_hat"], a_true, config.M)
+    return picked, phis[i]
 
 
 def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
@@ -270,11 +298,14 @@ def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
     qae mode keeps the last (model, dist, T, oracle, angle_mode) anneal
     (``_qae_points``), so repeated calls differing only in ``seed_tag``
     anneal once; each x's readout seed still comes from ``seed_tag`` and x.
+    qae mode checks m, ``amplify`` and the qubit budget before any anneal.
     """
     if mode not in ("expectation", "qae", "exact"):
         raise ConfigError(f"unknown outer-loop mode {mode!r}")
-    if mode == "qae" and m is None:
-        raise ConfigError("qae mode requires the estimate width m")
+    if mode == "qae":
+        if m is None:
+            raise ConfigError("qae mode requires the estimate width m")
+        config = _qae_config(model, dist, m, amplify)
     if mode == "expectation":
         exp_hqs = _block_values(model, dist, T, lambda block: block.expectation_hq())
     elif mode == "exact":
@@ -292,9 +323,9 @@ def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
             seed = derive_seed(master_seed, *seed_tag, x)
             exp_hq, a = points[x]
             picked, phi_est = _qae_estimate_for_x(
-                model, dist, x, exp_hq, a, m, oracle, angle_mode, amplify, seed)
-            row.update(a_hat=picked.a_hat, b=picked.b,
-                       within_bound=picked.within_bound)
+                model, dist, x, exp_hq, a, replace(config, rng_seed=seed),
+                oracle, angle_mode)
+            row.update(picked)
         else:
             exp_hq = phi_est = exp_hqs[x]
         row.update(exp_hq=exp_hq, delta=exp_hq - phi, phi_est=phi_est,
@@ -432,21 +463,21 @@ def experiment_fig4(spec: ExperimentSpec, out_dir) -> dict:
     # binomial at every m
     _, a = _qae_point(model, per_scenario_optimal_block(model, x, dist),
                       "exact", "normalized")
-    n_system = model.n_y + dist.n_xi + 1            # y, xi and the ancilla
+    n_system = _system_qubits(model, dist)
 
     estimates, summary, hist_rows = [], [], []
     edges = np.arange(bounds.q_l, bounds.q_u + 2 * _FIG4_BIN_WIDTH, _FIG4_BIN_WIDTH)
     for m in spec.m_values:
         config = QaeConfig(m=m, repetitions=spec.n_estimates,
                            rng_seed=derive_seed(spec.master_seed, "fig4", m, "qae"))
-        bs = sample_readout(a, config, n_system)
-        a_qae = np.sin(np.pi * bs / config.M) ** 2
+        a_qae = qae_from_amplitude(a, config, n_system, bounds).a_hat
         shots = 2 ** (m + 1)
         a_mc = mc_from_amplitude(a, shots,
                                  np.random.default_rng(
                                      derive_seed(spec.master_seed, "fig4", m, "mc")),
                                  spec.n_estimates)
-        for method, arr in (("qae", a_qae), ("mc", a_mc)):
+        for method, arr, n_shots in (("qae", a_qae, config.a_applications),
+                                     ("mc", a_mc, shots)):
             phis = arr * bounds.width + bounds.q_l
             for v, p in zip(arr.tolist(), phis.tolist()):
                 estimates.append({"m": m, "method": method, "a_hat": v,
@@ -458,19 +489,13 @@ def experiment_fig4(spec: ExperimentSpec, out_dir) -> dict:
                                       "bin_left": float(lo),
                                       "bin_width": _FIG4_BIN_WIDTH,
                                       "mass": float(cnt) / len(arr)})
-        bound = np.pi / config.M + np.pi ** 2 / config.M ** 2
-        summary.append({
-            "m": m, "method": "qae", "shots": config.a_applications,
-            "rmse": float(np.sqrt(np.mean((a_qae - a_true) ** 2))),
-            "within_bound_rate": float(np.mean(np.abs(a_qae - a_true) <= bound)),
-            "a_true": a_true, "phi_true": phi,
-        })
-        summary.append({
-            "m": m, "method": "mc", "shots": shots,
-            "rmse": float(np.sqrt(np.mean((a_mc - a_true) ** 2))),
-            "within_bound_rate": float(np.mean(np.abs(a_mc - a_true) <= bound)),
-            "a_true": a_true, "phi_true": phi,
-        })
+            summary.append({
+                "m": m, "method": method, "shots": n_shots,
+                "rmse": float(np.sqrt(np.mean((arr - a_true) ** 2))),
+                "within_bound_rate": float(np.mean(
+                    error_bound_check(arr, a_true, config.M))),
+                "a_true": a_true, "phi_true": phi,
+            })
 
     write_csv(out_dir / "fig4_estimates.csv",
               ["m", "method", "a_hat", "phi_hat"], estimates)
@@ -526,27 +551,28 @@ def single_run(inst: dict, x: int, T: int, oracle: str, m: int, seed: int,
                amplify: int = 1, angle_mode: str = "normalized") -> dict:
     """One full-pipeline run; returns the run record.
 
-    Anneals x alone on its feasible block and takes <H_Q> and the QAE
-    target a from it as qae-mode ``outer_loop`` does (``_qae_point``).
+    Checks m, ``amplify`` and the qubit budget, then anneals x alone on
+    its feasible block and takes <H_Q> and the QAE target a from it as
+    qae-mode ``outer_loop`` does (``_qae_point``).
     """
     model, dist = model_from_instance(inst)
     if not 0 <= x <= model.d:
         raise ConfigError(f"x={x} outside [0, {model.d}]")
     started = time.time()
+    config = replace(_qae_config(model, dist, m, amplify),
+                     rng_seed=derive_seed(seed, "run", x))
     (block,) = anneal_feasible_blocks(model, (x,), dist, AnnealSchedule.linear(T))
     exp_hq, a = _qae_point(model, block, oracle, angle_mode)
-    picked, phi_est = _qae_estimate_for_x(
-        model, dist, x, exp_hq, a, m, oracle, angle_mode, amplify,
-        derive_seed(seed, "run", x))
+    picked, phi_est = _qae_estimate_for_x(model, dist, x, exp_hq, a, config,
+                                          oracle, angle_mode)
     phi = expected_value_exact(model, x, dist)
     return {
         "instance_seed": inst.get("seed"), "n_y": model.n_y, "x": x, "T": T,
         "m": m, "oracle": oracle, "amplify": amplify, "seed": seed,
         "phi_exact": phi, "exp_hq": exp_hq, "delta": exp_hq - phi,
-        "b": picked.b, "a_hat": picked.a_hat, "phi_est": phi_est,
+        **picked, "phi_est": phi_est,
         "o_est": model.c_x * x + phi_est,
         "o_exact": model.c_x * x + phi,
-        "within_bound": picked.within_bound,
         "wall_time_s": time.time() - started,
     }
 

@@ -51,13 +51,10 @@ class OracleKind:
         return cls("exact", bounds)
 
     @classmethod
-    def sin_approx(cls, bounds: Bounds, angle_scale: float | None = None,
-                   literal_pi: bool = False) -> "OracleKind":
+    def sin_approx(cls, bounds: Bounds, literal_pi: bool = False) -> "OracleKind":
         if literal_pi:
             return cls("sin", bounds, math.pi, allow_aliasing=True)
-        if angle_scale is None:
-            angle_scale = math.pi / bounds.q_u
-        return cls("sin", bounds, angle_scale)
+        return cls("sin", bounds, math.pi / bounds.q_u)
 
 
 def qbar(model: UnitCommitmentModel, x: int, q: float) -> float:

@@ -67,14 +67,14 @@ class QaeConfig:
 
 
 @dataclass(frozen=True)
-class EstimateResult:
-    """One amplitude-estimation readout."""
+class QaeEstimates:
+    """``repetitions`` amplitude-estimation readouts, as arrays in draw
+    order: the integers ``b``, the estimates a_hat = sin^2(pi b / M) and
+    ``phi_hat``, a_hat rescaled to the cost bounds."""
 
-    b: int
-    a_hat: float
-    phi_hat: float
-    a_true: float | None = None
-    within_bound: bool | None = None
+    b: np.ndarray
+    a_hat: np.ndarray
+    phi_hat: np.ndarray
 
 
 def build_qft(qubits: tuple[int, ...]) -> OperatorSequence:
@@ -130,7 +130,9 @@ def build_grover(A_seq: OperatorSequence, layout) -> OperatorSequence:
     return OperatorSequence(gates, "Q")
 
 
-def _check_budget(n_system_qubits: int, m: int) -> None:
+def check_budget(n_system_qubits: int, m: int) -> None:
+    """Raise SimulationBudgetError when system qubits plus m estimate qubits
+    exceed the simulator cap; callers run it before any anneal."""
     total = n_system_qubits + m
     if total > MAX_QUBITS:
         raise SimulationBudgetError(
@@ -147,7 +149,7 @@ def qpe_state(A_seq: OperatorSequence, config: QaeConfig, layout) -> StateVector
     test) at a fraction of the cost.
     """
     n_sys = layout.num_system_qubits
-    _check_budget(n_sys, config.m)
+    check_budget(n_sys, config.m)
     grover = build_grover(A_seq, layout)
     M = config.M
     psi = StateVector(n_sys)
@@ -165,7 +167,7 @@ def qpe_state_gates(A_seq: OperatorSequence, config: QaeConfig, layout) -> State
     """Reference gate-level phase estimation: Hadamards on the estimate
     register, controlled Q^(2^j) per estimate qubit, exact inverse QFT."""
     n_sys = layout.num_system_qubits
-    _check_budget(n_sys, config.m)
+    check_budget(n_sys, config.m)
     est = tuple(range(n_sys, n_sys + config.m))
     grover = build_grover(A_seq, layout)
     state = StateVector(n_sys + config.m)
@@ -215,20 +217,19 @@ def readout_distribution(a: float, m: int) -> np.ndarray:
     return check_distribution(0.5 * (below * below + above * above))
 
 
-def sample_readout(a: float, config: QaeConfig, n_system_qubits: int,
-                   rng: np.random.Generator | None = None) -> np.ndarray:
+def sample_readout(a: float, config: QaeConfig, n_system_qubits: int) -> np.ndarray:
     """Draw ``config.repetitions`` readouts b from the law of a.
 
-    The generator is consumed as ``sample_register`` consumes it on the
-    simulated phase-estimation state, so both draw the same b.  The circuit
-    is not simulated, but it is held to the simulator's qubit cap: system
-    qubits plus m above MAX_QUBITS raise SimulationBudgetError.
+    The generator seeded with ``config.rng_seed`` is consumed as
+    ``sample_register`` consumes it on the simulated phase-estimation
+    state, so both draw the same b.  The circuit is not simulated, but it
+    is held to the simulator's qubit cap: system qubits plus m above
+    MAX_QUBITS raise SimulationBudgetError.
     """
-    _check_budget(n_system_qubits, config.m)
-    if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
+    check_budget(n_system_qubits, config.m)
     law = readout_distribution(a, config.m)
-    return rng.choice(law.size, size=config.repetitions, p=law)
+    return np.random.default_rng(config.rng_seed).choice(
+        law.size, size=config.repetitions, p=law)
 
 
 def ancilla_marginal(A_seq: OperatorSequence, layout) -> float:
@@ -238,37 +239,21 @@ def ancilla_marginal(A_seq: OperatorSequence, layout) -> float:
     return marginal_probability(state, layout.ancilla, 1)
 
 
-def _readout(bs: np.ndarray, config: QaeConfig, bounds: Bounds,
-             a_true: float | None) -> list[EstimateResult]:
-    out = []
-    for b in bs:
-        b = int(b)
-        a_hat = math.sin(math.pi * b / config.M) ** 2
-        phi_hat = a_hat * bounds.width + bounds.q_l
-        within = None
-        if a_true is not None:
-            within = error_bound_check(a_hat, a_true, config.M)
-        out.append(EstimateResult(b=b, a_hat=a_hat, phi_hat=phi_hat,
-                                  a_true=a_true, within_bound=within))
-    return out
-
-
 def qae_from_amplitude(a: float, config: QaeConfig, n_system_qubits: int,
-                       bounds: Bounds, a_true: float | None = None,
-                       rng: np.random.Generator | None = None) -> list[EstimateResult]:
+                       bounds: Bounds) -> QaeEstimates:
     """Phase estimation on the Grover operator of any A whose ancilla
     marginal is ``a``; ``repetitions`` readouts, each rescaled to bounds."""
-    return _readout(sample_readout(a, config, n_system_qubits, rng), config,
-                    bounds, a_true)
+    b = sample_readout(a, config, n_system_qubits)
+    a_hat = np.sin(np.pi * b / config.M) ** 2
+    return QaeEstimates(b, a_hat, a_hat * bounds.width + bounds.q_l)
 
 
-def run_qae(A_seq: OperatorSequence, config: QaeConfig, layout, bounds: Bounds,
-            a_true: float | None = None,
-            rng: np.random.Generator | None = None) -> list[EstimateResult]:
+def run_qae(A_seq: OperatorSequence, config: QaeConfig, layout,
+            bounds: Bounds) -> QaeEstimates:
     """Phase estimation on the Grover operator of A: prepares A|0> once and
     draws ``repetitions`` readouts from the law of its ancilla marginal."""
     return qae_from_amplitude(ancilla_marginal(A_seq, layout), config,
-                              layout.num_system_qubits, bounds, a_true, rng)
+                              layout.num_system_qubits, bounds)
 
 
 def mc_from_amplitude(a: float, shots: int, rng: np.random.Generator,
@@ -285,6 +270,7 @@ def mc_estimate_batch(A_seq: OperatorSequence, shots: int, layout,
     return mc_from_amplitude(ancilla_marginal(A_seq, layout), shots, rng, n_estimates)
 
 
-def error_bound_check(a_hat: float, a_true: float, M: int) -> bool:
-    """|a_hat - a_true| <= pi/M + pi^2/M^2 (the canonical confidence box)."""
+def error_bound_check(a_hat, a_true, M: int):
+    """|a_hat - a_true| <= pi/M + pi^2/M^2 (the canonical confidence box),
+    elementwise: a bool for floats, a boolean array for arrays."""
     return abs(a_hat - a_true) <= math.pi / M + math.pi ** 2 / M ** 2

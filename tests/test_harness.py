@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from statistics import median_low
 
 import numpy as np
 import pytest
@@ -44,8 +45,8 @@ from spq.model import (
     save_instance,
 )
 from spq.oracle import OracleKind, build_oracle, target_amplitude
-from spq.qae import QaeConfig, build_A, run_qae
-from spq.statevector import Gate, StateVector, hadamard
+from spq.qae import QaeConfig, build_A, qae_from_amplitude, run_qae
+from spq.statevector import Gate, SimulationBudgetError, StateVector, hadamard
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -122,6 +123,15 @@ class TestOuterLoop:
         res1 = outer_loop(model, dist, T=10, mode="qae", m=4, oracle="exact",
                           amplify=5, seed_tag=("amp",))
         assert len(res1.rows) == 3
+        points = harness._qae_points(model, dist, 10, "exact", "normalized")
+        for row in res1.rows:
+            x = row["x"]
+            config = QaeConfig(m=4, repetitions=5, rng_seed=derive_seed(0, "amp", x))
+            draws = qae_from_amplitude(points[x][1], config, 5, bounds_for(model, x))
+            phis = draws.phi_hat.tolist()
+            i = phis.index(median_low(phis))
+            assert (row["b"], row["a_hat"], row["phi_est"]) == \
+                (draws.b[i], draws.a_hat[i], phis[i])
 
     @pytest.mark.parametrize("oracle", ["exact", "sin"])
     def test_qae_mode_draws_the_gate_level_readouts(self, oracle):
@@ -141,7 +151,10 @@ class TestOuterLoop:
                 A = build_A(build_dqa(model, x, dist, AnnealSchedule.linear(T), lay),
                             build_oracle(kind, model, x, lay), lay)
                 cfg = QaeConfig(m=m, rng_seed=derive_seed(0, "gate", rep, x))
-                assert row["b"] == run_qae(A, cfg, lay, b)[0].b
+                readout = run_qae(A, cfg, lay, b)
+                assert readout.b.shape == (1,)
+                assert row["b"] == readout.b[0]
+                assert row["a_hat"] == readout.a_hat[0]
 
     @pytest.mark.parametrize("n_y,T", [(4, 16), (5, 5), (6, 12)])
     def test_expectation_mode_matches_lone_anneals(self, n_y, T):
@@ -244,6 +257,29 @@ class TestQaeOnFeasibleBlocks:
         sv = run_dqa_fast(model, 2, dist, AnnealSchedule.linear(10))
         assert abs(record["exp_hq"] - expectation_HQ(sv, model)) <= 1e-12
 
+    def test_fig4_qae_mode_and_single_run_read_through_the_array_readout(
+            self, tmp_path, monkeypatch):
+        calls = []
+        inner = harness.qae_from_amplitude
+
+        def counted(a, config, *args):
+            calls.append(config.repetitions)
+            return inner(a, config, *args)
+
+        monkeypatch.setattr(harness, "qae_from_amplitude", counted)
+        experiment_fig4(ExperimentSpec(kind="fig4", m_values=(5, 6),
+                                       n_estimates=50, master_seed=3),
+                        tmp_path / "fig4")
+        assert calls == [50, 50]
+        model, dist = model_from_instance(generate_instance(3, 5))
+        calls.clear()
+        outer_loop(model, dist, T=6, mode="qae", m=5, amplify=3,
+                   seed_tag=("count",))
+        assert calls == [3] * (model.d + 1)
+        calls.clear()
+        single_run(WORKED_INSTANCE, x=1, T=6, oracle="sin", m=5, seed=7, amplify=5)
+        assert calls == [5]
+
     def test_qae_mode_builds_no_register_or_cost_diagonal(self, tmp_path,
                                                           monkeypatch, capsys):
         harness._qae_points.cache_clear()
@@ -260,6 +296,47 @@ class TestQaeOnFeasibleBlocks:
         experiment_fig5(ExperimentSpec(kind="fig5", configs=((3, 4, 6), (4, 4, 8)),
                                        n_repetitions=2, master_seed=4),
                         tmp_path / "fig5")
+
+
+class TestReadoutChecksBeforeAnneal:
+    """A readout that cannot run (m outside [1, 12], no readouts, or a
+    circuit over the qubit cap) fails before any anneal."""
+
+    BAD_READOUTS = [({"m": 12}, SimulationBudgetError, 3),
+                    ({"m": 13}, ValueError, 2),
+                    ({"m": 5, "amplify": 0}, ValueError, 2)]
+
+    @staticmethod
+    def refuse_anneal(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("annealed")
+
+        monkeypatch.setattr(harness, "anneal_feasible_blocks", refuse)
+        harness._qae_points.cache_clear()
+
+    @pytest.mark.parametrize("kwargs, error, _", BAD_READOUTS)
+    def test_single_run_and_qae_outer_loop(self, monkeypatch, kwargs, error, _):
+        self.refuse_anneal(monkeypatch)
+        inst = generate_instance(10, 1)
+        with pytest.raises(error):
+            single_run(inst, x=5, T=200, oracle="sin", seed=0, **kwargs)
+        model, dist = model_from_instance(inst)
+        with pytest.raises(error):
+            outer_loop(model, dist, T=200, mode="qae", **kwargs)
+        with pytest.raises(AssertionError, match="annealed"):
+            outer_loop(model, dist, T=200, mode="qae", m=3)
+
+    @pytest.mark.parametrize("kwargs, _, exit_code", BAD_READOUTS)
+    def test_cli_run_exit_codes(self, tmp_path, capsys, monkeypatch, kwargs, _,
+                                exit_code):
+        self.refuse_anneal(monkeypatch)
+        inst_path = str(tmp_path / "inst.json")
+        save_instance(generate_instance(10, 1), inst_path)
+        argv = ["run", "--instance", inst_path, "--x", "5", "--T", "200",
+                "--oracle", "sin", "--seed", "0"]
+        argv += [f"--{k}={v}" for k, v in kwargs.items()]
+        assert main(argv) == exit_code
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestNoGatesInProduction:
@@ -534,6 +611,26 @@ class TestCli:
         cfg.write_text(json.dumps({"kind": "fig4", "nope": 1}))
         assert main(["experiment", "fig4", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("config", [
+        {"kind": "fig3", "n_instances": 2.5},
+        {"kind": "fig3", "n_y_values": [4.7]},
+        {"kind": "fig4", "n_y": 3.0},
+        {"kind": "fig4", "n_estimates": 10.5},
+        {"kind": "fig4", "m_values": [5, True]},
+        {"kind": "fig5", "n_repetitions": 1.5},
+        {"kind": "fig5", "configs": [[4.2, 6, 10.9]]},
+        {"kind": "fig5", "amplify": True},
+        {"kind": "fig5", "master_seed": "0"},
+    ])
+    def test_non_integer_config_value_exits_2(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["experiment", config["kind"], "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert "expected an integer" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ["5", "null", "[]"])
     def test_non_object_config_exits_2(self, tmp_path, capsys, text):

@@ -19,6 +19,7 @@ from spq.dqa import (
     run_dqa,
     run_dqa_fast,
 )
+from spq import qae
 from spq.harness import _qae_point
 from spq.model import (
     Bounds,
@@ -30,12 +31,12 @@ from spq.model import (
 from spq.oracle import OracleKind, build_oracle, target_amplitude
 from spq.qae import (
     QaeConfig,
-    _check_budget,
     ancilla_marginal,
     build_A,
     build_grover,
     build_inverse_qft,
     build_qft,
+    check_budget,
     error_bound_check,
     mc_estimate_batch,
     qae_from_amplitude,
@@ -176,22 +177,25 @@ class TestQpeReadout:
         M = 2 ** m
         a = math.sin(math.pi * k0 / M) ** 2
         res = run_qae(bernoulli_A(a), QaeConfig(m=m, repetitions=50, rng_seed=3),
-                      bernoulli_layout(m), Bounds(0.0, 1.0), a_true=a)
-        assert {r.b for r in res} <= {k0, (M - k0) % M}
-        assert all(abs(r.a_hat - a) < 1e-12 for r in res)
-        assert all(r.within_bound for r in res)
+                      bernoulli_layout(m), Bounds(0.0, 1.0))
+        assert res.b.shape == res.a_hat.shape == (50,)
+        assert set(res.b.tolist()) <= {k0, (M - k0) % M}
+        assert np.all(np.abs(res.a_hat - a) < 1e-12)
+        assert np.all(error_bound_check(res.a_hat, a, M))
 
     def test_zero_amplitude_always_reads_zero(self):
         res = run_qae(bernoulli_A(0.0), QaeConfig(m=5, repetitions=30, rng_seed=1),
-                      bernoulli_layout(5), Bounds(0.0, 1.0), a_true=0.0)
-        assert all(r.b == 0 and r.a_hat == 0.0 for r in res)
+                      bernoulli_layout(5), Bounds(0.0, 1.0))
+        assert res.b.shape == (30,)
+        assert np.all(res.b == 0) and np.all(res.a_hat == 0.0)
 
     def test_estimates_live_on_sin_squared_grid(self):
         m = 4
         res = run_qae(bernoulli_A(0.2713), QaeConfig(m=m, repetitions=200, rng_seed=5),
                       bernoulli_layout(m), Bounds(0.0, 1.0))
         grid = {round(math.sin(math.pi * b / 2 ** m) ** 2, 12) for b in range(2 ** m)}
-        assert {round(r.a_hat, 12) for r in res} <= grid
+        assert res.a_hat.shape == (200,)
+        assert {round(v, 12) for v in res.a_hat.tolist()} <= grid
 
     def test_reflection_symmetry_of_readout(self):
         m = 4
@@ -203,8 +207,10 @@ class TestQpeReadout:
     def test_off_grid_pass_rate_exceeds_canonical_bound(self):
         m, a = 5, 0.2137
         res = run_qae(bernoulli_A(a), QaeConfig(m=m, repetitions=5000, rng_seed=11),
-                      bernoulli_layout(m), Bounds(0.0, 1.0), a_true=a)
-        rate = np.mean([r.within_bound for r in res])
+                      bernoulli_layout(m), Bounds(0.0, 1.0))
+        within = error_bound_check(res.a_hat, a, 2 ** m)
+        assert within.shape == (5000,)
+        rate = np.mean(within)
         sigma = math.sqrt(0.81 * 0.19 / 5000)
         assert rate >= 8 / math.pi ** 2 - 3 * sigma
 
@@ -212,8 +218,24 @@ class TestQpeReadout:
         b = Bounds(1.0, 3.0)
         res = run_qae(bernoulli_A(0.25), QaeConfig(m=2, repetitions=10, rng_seed=0),
                       bernoulli_layout(2), b)
-        for r in res:
-            assert r.phi_hat == pytest.approx(r.a_hat * b.width + b.q_l, abs=1e-15)
+        assert res.phi_hat.shape == (10,)
+        for a_hat, phi_hat in zip(res.a_hat.tolist(), res.phi_hat.tolist()):
+            assert phi_hat == pytest.approx(a_hat * b.width + b.q_l, abs=1e-15)
+
+    def test_estimates_on_the_whole_grid(self, monkeypatch):
+        # every readout b for m = 1..12, fed through the array readout, is
+        # the scalar sin^2(pi b / M) to 1e-15 and is rescaled exactly
+        bounds = Bounds(1.0, 3.5)
+        for m in range(1, 13):
+            M = 2 ** m
+            monkeypatch.setattr(qae, "sample_readout",
+                                lambda a, config, n_system_qubits: np.arange(M))
+            res = qae_from_amplitude(0.3, QaeConfig(m=m), 1, bounds)
+            assert res.b.tolist() == list(range(M))
+            for b, a_hat, phi_hat in zip(range(M), res.a_hat.tolist(),
+                                         res.phi_hat.tolist()):
+                assert abs(a_hat - math.sin(math.pi * b / M) ** 2) <= 1e-15
+                assert phi_hat == a_hat * bounds.width + bounds.q_l
 
     def test_budget_guard(self):
         lay = RegisterLayout.standard(7, 7, include_ancilla=True, m_estimate=12)
@@ -234,9 +256,10 @@ class TestQpeReadout:
         A = build_A(dqa, oracle, lay)
         sv = run_dqa(dqa, problem_lay)
         a_true = (expectation_HQ(sv, model) - b.q_l) / b.width
-        res = run_qae(A, QaeConfig(m=m, repetitions=400, rng_seed=2), lay, b,
-                      a_true=a_true)
-        rate = np.mean([r.within_bound for r in res])
+        res = run_qae(A, QaeConfig(m=m, repetitions=400, rng_seed=2), lay, b)
+        within = error_bound_check(res.a_hat, a_true, 2 ** m)
+        assert within.shape == (400,)
+        rate = np.mean(within)
         assert rate >= 8 / math.pi ** 2 - 3 * math.sqrt(0.81 * 0.19 / 400)
 
 
@@ -325,8 +348,8 @@ class TestReadoutLaw:
         simulated = sample_register(qpe_state(A, cfg, lay),
                                     list(range(n_sys, n_sys + m)), cfg.repetitions,
                                     np.random.default_rng(cfg.rng_seed))
-        drawn = [r.b for r in run_qae(A, cfg, lay, kind.bounds)]
-        assert drawn == simulated.tolist()
+        drawn = run_qae(A, cfg, lay, kind.bounds).b
+        assert drawn.tolist() == simulated.tolist()
 
     def test_budget_guard_without_simulation(self):
         n_sys = RegisterLayout.standard(7, 7, include_ancilla=True).num_system_qubits
@@ -337,11 +360,11 @@ class TestReadoutLaw:
         assert sample_readout(0.3, QaeConfig(m=9), n_sys).shape == (1,)
 
     def test_budget_boundary_is_24_qubits(self):
-        _check_budget(12, 12)
+        check_budget(12, 12)
         assert sample_readout(0.3, QaeConfig(m=12), 12).shape == (1,)
         for n_sys, m in ((13, 12), (24, 1)):
             with pytest.raises(SimulationBudgetError, match="25 qubits"):
-                _check_budget(n_sys, m)
+                check_budget(n_sys, m)
             with pytest.raises(SimulationBudgetError):
                 sample_readout(0.3, QaeConfig(m=m), n_sys)
 
@@ -365,6 +388,13 @@ class TestConfig:
         assert error_bound_check(0.5, 0.5, 32)
         assert error_bound_check(0.5, 0.5 + 0.107, 32)
         assert not error_bound_check(0.5, 0.72, 32)
+
+    def test_error_bound_check_is_elementwise(self):
+        a_hat = np.array([0.5, 0.5 + 0.107, 0.72, 0.5 - 0.109])
+        within = error_bound_check(a_hat, 0.5, 32)
+        assert within.tolist() == [error_bound_check(float(v), 0.5, 32)
+                                   for v in a_hat]
+        assert within.tolist() == [True, True, False, False]
 
 
 class TestMonteCarlo:
