@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 on success, 2 on invalid configuration or arguments, 3 when a
-run would exceed the simulator's qubit budget.
+run would exceed the simulator's qubit budget or its anneal block budget.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .harness import (
     experiment_fig5,
     single_run,
 )
-from .model import generate_instance, load_instance, save_instance
+from .model import generate_instance, load_instance, model_from_instance, save_instance
 from .statevector import SimulationBudgetError
 
 EXIT_OK = 0
@@ -102,7 +102,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_make_instance(args) -> int:
-    inst = generate_instance(getattr(args, "n_y"), args.seed)
+    inst = generate_instance(args.n_y, args.seed)
+    model_from_instance(inst)  # an instance the other commands reject is not written
     save_instance(inst, args.out)
     print(f"wrote instance to {args.out}")
     return EXIT_OK

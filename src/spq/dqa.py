@@ -25,6 +25,7 @@ import numpy as np
 from .model import (
     DiscreteDistribution,
     GenericDiagonalProblem,
+    InfeasibleDecisionError,
     UnitCommitmentModel,
     cost_diagonal,
     expected_value_exact,
@@ -35,7 +36,9 @@ from .model import (
 from .statevector import (
     Gate,
     KIND_DENSE,
+    MAX_QUBITS,
     OperatorSequence,
+    SimulationBudgetError,
     StateVector,
     apply_sequence,
     cphase,
@@ -259,8 +262,7 @@ def build_dqa(problem, x: int | None, dist: DiscreteDistribution,
     """Full annealing circuit: constrained initialization, then T layers of
     cost, penalty, mixer (in that order within a layer)."""
     if isinstance(problem, UnitCommitmentModel):
-        if x is None or not 0 <= x <= problem.d:
-            raise ValueError(f"first-stage decision x={x} outside [0, {problem.d}]")
+        check_block(problem, x, dist)
         if layout is None:
             layout = RegisterLayout.standard(problem.n_y, problem.n_xi)
         gates = list(prepare_dicke(problem.n_y, problem.d - x, layout.y_register))
@@ -375,9 +377,25 @@ class FeasibleBlock:
         return full.ravel()
 
 
+def check_block(model: UnitCommitmentModel, x: int,
+                dist: DiscreteDistribution) -> None:
+    """Raise unless x lies in [0, d] and its feasible block of
+    C(n_y, d - x) * 2^n_xi amplitudes fits the simulator: at most
+    2^MAX_QUBITS, the largest statevector it allows."""
+    if not 0 <= x <= model.d:
+        raise InfeasibleDecisionError(f"x={x} outside [0, {model.d}]")
+    size = math.comb(model.n_y, model.d - x) * 2 ** dist.n_xi
+    if size > 2 ** MAX_QUBITS:
+        raise SimulationBudgetError(
+            f"x={x} needs a feasible block of {size} amplitudes, over the "
+            f"simulator cap of 2^{MAX_QUBITS}")
+
+
 def _feasible_grid(model: UnitCommitmentModel, x: int,
                    dist: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """x's feasible rows and q(y, xi) on its ``FeasibleBlock`` grid."""
+    """x's feasible rows and q(y, xi) on its ``FeasibleBlock`` grid, after
+    ``check_block``; every anneal and psi* starts here, so none skips it."""
+    check_block(model, x, dist)
     ys = feasible_decisions(model.n_y, model.d - x)
     return ys, _cost_matrix(model, ys, np.arange(2 ** dist.n_xi, dtype=np.int64)).T
 
@@ -386,8 +404,8 @@ def per_scenario_optimal_block(model: UnitCommitmentModel, x: int,
                                dist: DiscreteDistribution) -> FeasibleBlock:
     """psi*, the T -> infinity surrogate: real amplitude sqrt(p(xi)) at
     (y*(xi), xi), with y* from ``scenario_optima`` (ties to the lowest y)."""
-    y_stars, _ = scenario_optima(model, x, dist)
     ys, costs = _feasible_grid(model, x, dist)
+    y_stars, _ = scenario_optima(model, x, dist)
     amps = np.zeros(costs.shape)
     amps[np.searchsorted(ys, y_stars), dist.scenarios] = np.sqrt(dist.probabilities)
     return FeasibleBlock(x, ys, amps, costs)
@@ -433,9 +451,6 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
     """
     if len(xs) not in (1, 2):
         raise ValueError(f"anneal one or two first-stage decisions, got {len(xs)}")
-    for x in xs:
-        if not 0 <= x <= model.d:
-            raise ValueError(f"first-stage decision x={x} outside [0, {model.d}]")
     n_y, n_xi = model.n_y, dist.n_xi
     weights = [model.d - x for x in xs]
     if len(xs) == 2 and (weights[0] + weights[1] != n_y or xs[0] == xs[1]):

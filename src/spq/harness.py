@@ -27,11 +27,13 @@ import numpy as np
 from .dqa import (
     AnnealSchedule,
     anneal_feasible_blocks,
+    check_block,
     lockstep_groups,
     per_scenario_optimal_block,
     run_dqa_fast,  # not called here; perfbench/selftest.py checks that it is traced
 )
 from .model import (
+    ConfigError,
     DiscreteDistribution,
     UnitCommitmentModel,
     bounds_for,
@@ -47,10 +49,6 @@ from .qae import (
     mc_from_amplitude,
     qae_from_amplitude,
 )
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration (CLI exit code 2)."""
 
 
 _FIG5_DEFAULT_CONFIGS = ((4, 6, 10), (5, 6, 15), (6, 5, 20))
@@ -84,7 +82,6 @@ class ExperimentSpec:
     oracle: str = "sin"
     angle_mode: str = "normalized"
     amplify: int = 1
-    instance_file: str | None = None
 
     def __post_init__(self):
         for f in fields(self):
@@ -102,6 +99,9 @@ class ExperimentSpec:
             raise ConfigError(f"angle_mode must be 'normalized' or 'literal'")
         if self.amplify < 1 or self.n_instances < 1 or self.n_repetitions < 1:
             raise ConfigError("counts must be positive")
+        for name in ("n_y_values", "m_values", "configs"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must not be empty")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
@@ -112,12 +112,7 @@ class ExperimentSpec:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} is not a JSON object")
-        unknown = set(raw) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "kind" not in raw:
-            raise ConfigError("config is missing 'kind'")
-        try:
+        try:  # an unknown field or a missing kind is a TypeError here
             return cls(**raw)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
@@ -251,11 +246,22 @@ def _system_qubits(model, dist) -> int:
     return model.n_y + dist.n_xi + 1
 
 
-def _qae_config(model, dist, m, amplify) -> QaeConfig:
-    """The readout plan, with m, the readout count and the qubit budget
-    checked; built before the anneal, so a run that cannot read out fails
-    without annealing."""
-    config = QaeConfig(m=m, repetitions=amplify)
+def check_run(model, dist, xs, T: int | None = None, m: int | None = None,
+              repetitions: int = 1) -> QaeConfig | None:
+    """The one check a run passes before any output directory or anneal.
+
+    Checks every x in ``xs`` and the size of its feasible block
+    (``check_block``), the layer count T unless None and, when the estimate
+    width m is given, m, the readout count and the qubit budget of the
+    circuit the readout stands for.  Returns that readout plan, or None.
+    """
+    for x in xs:
+        check_block(model, x, dist)
+    if T is not None:
+        AnnealSchedule.linear(T)
+    if m is None:
+        return None
+    config = QaeConfig(m=m, repetitions=repetitions)
     check_budget(_system_qubits(model, dist), m)
     return config
 
@@ -298,14 +304,14 @@ def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
     qae mode keeps the last (model, dist, T, oracle, angle_mode) anneal
     (``_qae_points``), so repeated calls differing only in ``seed_tag``
     anneal once; each x's readout seed still comes from ``seed_tag`` and x.
-    qae mode checks m, ``amplify`` and the qubit budget before any anneal.
+    Every mode passes ``check_run``, qae mode with m and ``amplify``, first.
     """
     if mode not in ("expectation", "qae", "exact"):
         raise ConfigError(f"unknown outer-loop mode {mode!r}")
-    if mode == "qae":
-        if m is None:
-            raise ConfigError("qae mode requires the estimate width m")
-        config = _qae_config(model, dist, m, amplify)
+    if mode == "qae" and m is None:
+        raise ConfigError("qae mode requires the estimate width m")
+    config = check_run(model, dist, range(model.d + 1), T,
+                       m if mode == "qae" else None, amplify)
     if mode == "expectation":
         exp_hqs = _block_values(model, dist, T, lambda block: block.expectation_hq())
     elif mode == "exact":
@@ -401,10 +407,13 @@ def experiment_fig3(spec: ExperimentSpec, out_dir, workers: int | None = None) -
     if workers is not None and workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     started = time.time()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(n_y, i, derive_seed(spec.master_seed, "fig3", n_y, i))
              for n_y in spec.n_y_values for i in range(spec.n_instances)]
+    for n_y, _, instance_seed in tasks:
+        model, dist = model_from_instance(generate_instance(n_y, instance_seed))
+        check_run(model, dist, range(model.d + 1))  # T = n_y and n_y^2 always valid
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     if workers is None:
         workers = min(os.cpu_count() or 1, len(tasks))
     if workers > 1:
@@ -444,17 +453,13 @@ def experiment_fig4(spec: ExperimentSpec, out_dir) -> dict:
     """QAE versus Monte Carlo at equal sample budget on a perfectly
     converged state (brute-force construction, zero residual temperature)."""
     started = time.time()
+    model, dist = model_from_instance(
+        generate_instance(spec.n_y, derive_seed(spec.master_seed, "fig4")))
+    x = spec.x
+    configs = [check_run(model, dist, (x,), m=m, repetitions=spec.n_estimates)
+               for m in spec.m_values]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if spec.instance_file:
-        with open(spec.instance_file) as fh:
-            inst = json.load(fh)
-    else:
-        inst = generate_instance(spec.n_y, derive_seed(spec.master_seed, "fig4"))
-    model, dist = model_from_instance(inst)
-    x = spec.x
-    if not 0 <= x <= model.d:
-        raise ConfigError(f"x={x} outside [0, {model.d}]")
     bounds = bounds_for(model, x)
     phi = expected_value_exact(model, x, dist)
     a_true = (phi - bounds.q_l) / bounds.width
@@ -467,9 +472,8 @@ def experiment_fig4(spec: ExperimentSpec, out_dir) -> dict:
 
     estimates, summary, hist_rows = [], [], []
     edges = np.arange(bounds.q_l, bounds.q_u + 2 * _FIG4_BIN_WIDTH, _FIG4_BIN_WIDTH)
-    for m in spec.m_values:
-        config = QaeConfig(m=m, repetitions=spec.n_estimates,
-                           rng_seed=derive_seed(spec.master_seed, "fig4", m, "qae"))
+    for m, config in zip(spec.m_values, configs):
+        config = replace(config, rng_seed=derive_seed(spec.master_seed, "fig4", m, "qae"))
         a_qae = qae_from_amplitude(a, config, n_system, bounds).a_hat
         shots = 2 ** (m + 1)
         a_mc = mc_from_amplitude(a, shots,
@@ -514,12 +518,16 @@ def experiment_fig5(spec: ExperimentSpec, out_dir) -> dict:
     """Objective surfaces from the entire algorithm, one measurement per
     first-stage point."""
     started = time.time()
+    models = []
+    for ci, (n_y, m, T) in enumerate(spec.configs):
+        model, dist = model_from_instance(
+            generate_instance(n_y, derive_seed(spec.master_seed, "fig5", ci)))
+        check_run(model, dist, range(model.d + 1), T, m, spec.amplify)
+        models.append((model, dist))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     surface, summary = [], []
-    for ci, (n_y, m, T) in enumerate(spec.configs):
-        inst = generate_instance(n_y, derive_seed(spec.master_seed, "fig5", ci))
-        model, dist = model_from_instance(inst)
+    for ci, ((n_y, m, T), (model, dist)) in enumerate(zip(spec.configs, models)):
         for rep in range(spec.n_repetitions):
             res = outer_loop(model, dist, T, mode="qae", m=m,
                              oracle=spec.oracle, angle_mode=spec.angle_mode,
@@ -551,15 +559,13 @@ def single_run(inst: dict, x: int, T: int, oracle: str, m: int, seed: int,
                amplify: int = 1, angle_mode: str = "normalized") -> dict:
     """One full-pipeline run; returns the run record.
 
-    Checks m, ``amplify`` and the qubit budget, then anneals x alone on
-    its feasible block and takes <H_Q> and the QAE target a from it as
-    qae-mode ``outer_loop`` does (``_qae_point``).
+    Passes ``check_run``, then anneals x alone on its feasible block and
+    takes <H_Q> and the QAE target a from it as qae-mode ``outer_loop``
+    does (``_qae_point``).
     """
     model, dist = model_from_instance(inst)
-    if not 0 <= x <= model.d:
-        raise ConfigError(f"x={x} outside [0, {model.d}]")
     started = time.time()
-    config = replace(_qae_config(model, dist, m, amplify),
+    config = replace(check_run(model, dist, (x,), T, m, amplify),
                      rng_seed=derive_seed(seed, "run", x))
     (block,) = anneal_feasible_blocks(model, (x,), dist, AnnealSchedule.linear(T))
     exp_hq, a = _qae_point(model, block, oracle, angle_mode)

@@ -15,8 +15,12 @@ from itertools import combinations
 import numpy as np
 
 
-class InfeasibleDecisionError(ValueError):
-    """A second-stage decision violates the demand constraint."""
+class ConfigError(ValueError):
+    """Invalid configuration or run argument (CLI exit code 2)."""
+
+
+class InfeasibleDecisionError(ConfigError):
+    """A first- or second-stage decision violates the demand constraint."""
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spq import dqa
 from spq.dqa import (
     AnnealSchedule,
     RegisterLayout,
     anneal_feasible_blocks,
     build_dqa,
+    check_block,
     dicke_amplitudes,
     expectation_HQ,
     lockstep_groups,
@@ -42,7 +44,9 @@ from spq.model import (
     second_stage_cost,
 )
 from spq.statevector import (
+    MAX_QUBITS,
     OperatorSequence,
+    SimulationBudgetError,
     StateVector,
     apply_sequence,
     fidelity,
@@ -461,6 +465,57 @@ class TestPerScenarioOptimalBlock:
             assert full.dtype == np.complex128
             assert np.array_equal(full, scattered(block, 4, 4))
             assert np.abs(block.probabilities() - np.abs(block.amps) ** 2).max() <= 1e-15
+
+
+class TestBlockBudget:
+    """A feasible block may hold at most 2^MAX_QUBITS amplitudes, the
+    largest statevector the simulator allows."""
+
+    def test_boundary(self):
+        # n_y = 14: C(14, 7) * 2^14 = 56,229,888 at x = 7, while x = 4 and
+        # 10 still fit at C(14, 4) * 2^14 = 16,400,384
+        model, dist = model_from_instance(generate_instance(14, 1))
+        refused = []
+        for x in range(model.d + 1):
+            try:
+                check_block(model, x, dist)
+            except SimulationBudgetError:
+                refused.append(x)
+        assert refused == [5, 6, 7, 8, 9]
+        # exactly 2^24 amplitudes fit; a point-mass scenario law keeps
+        # n_xi = 24 cheap to build
+        model = UnitCommitmentModel(24, 0.4, (0.1,) * 24, 1.0, 24)
+        dist = DiscreteDistribution.point_mass(24, 0)
+        assert math.comb(24, 0) * 2 ** 24 == 2 ** MAX_QUBITS
+        check_block(model, 24, dist)
+        with pytest.raises(SimulationBudgetError, match="402653184"):
+            check_block(model, 23, dist)
+
+    def test_x_outside_the_domain_is_infeasible(self):
+        model, dist = model_from_instance(generate_instance(3, 1))
+        for x in (-1, 4):
+            with pytest.raises(InfeasibleDecisionError, match=f"x={x} outside"):
+                check_block(model, x, dist)
+
+    def test_oversized_block_raises_before_building_it(self, monkeypatch):
+        model, dist = model_from_instance(generate_instance(16, 1))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a feasible grid")
+
+        monkeypatch.setattr(dqa, "feasible_decisions", refuse)
+        monkeypatch.setattr(dqa, "scenario_optima", refuse)
+        sched = AnnealSchedule.linear(3)
+        for xs in ((8,), (4, 12)):
+            with pytest.raises(SimulationBudgetError):
+                anneal_feasible_blocks(model, xs, dist, sched)
+        with pytest.raises(SimulationBudgetError):
+            per_scenario_optimal_block(model, 8, dist)
+        # a block within the budget reaches the refused builders
+        with pytest.raises(AssertionError, match="feasible grid"):
+            anneal_feasible_blocks(model, (16,), dist, sched)
+        with pytest.raises(AssertionError, match="feasible grid"):
+            per_scenario_optimal_block(model, 16, dist)
 
 
 class TestExpectation:

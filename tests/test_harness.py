@@ -28,6 +28,7 @@ from spq.dqa import (
 from spq.harness import (
     ConfigError,
     ExperimentSpec,
+    check_run,
     derive_seed,
     exact_table,
     experiment_fig3,
@@ -337,6 +338,75 @@ class TestReadoutChecksBeforeAnneal:
         argv += [f"--{k}={v}" for k, v in kwargs.items()]
         assert main(argv) == exit_code
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestCheckBeforeWork:
+    """``spq experiment`` checks the whole config (every x, T and readout,
+    and every feasible block) before it makes the output directory or
+    anneals; a rejected config leaves nothing behind."""
+
+    REJECTED = [
+        ({"kind": "fig3", "n_y_values": [16]}, 3),
+        ({"kind": "fig3", "n_y_values": [0]}, 2),
+        ({"kind": "fig3", "n_y_values": []}, 2),
+        ({"kind": "fig4", "x": -1}, 2),
+        ({"kind": "fig4", "x": 4}, 2),
+        ({"kind": "fig4", "m_values": [5, 13]}, 2),
+        ({"kind": "fig4", "m_values": []}, 2),
+        ({"kind": "fig4", "n_estimates": 0}, 2),
+        ({"kind": "fig4", "n_y": 12}, 3),
+        ({"kind": "fig5", "configs": [[8, 6, 64], [6, 13, 20]]}, 2),
+        ({"kind": "fig5", "configs": [[4, 6, 10], [6, 12, 20]]}, 3),
+        ({"kind": "fig5", "configs": [[3, 5, -1]]}, 2),
+        ({"kind": "fig5", "configs": [[0, 5, 5]]}, 2),
+        ({"kind": "fig5", "configs": []}, 2),
+    ]
+
+    @staticmethod
+    def refuse_work(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached an anneal or psi*")
+
+        monkeypatch.setattr(harness, "anneal_feasible_blocks", refuse)
+        monkeypatch.setattr(harness, "per_scenario_optimal_block", refuse)
+        harness._qae_points.cache_clear()
+
+    @staticmethod
+    def experiment(tmp_path, config) -> int:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        return main(["experiment", config["kind"], "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("config, exit_code", REJECTED)
+    def test_rejected_config_exits_before_any_work(self, tmp_path, capsys,
+                                                   monkeypatch, config, exit_code):
+        self.refuse_work(monkeypatch)
+        assert self.experiment(tmp_path, config) == exit_code
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config", [
+        {"kind": "fig3", "n_y_values": [3], "n_instances": 1},
+        {"kind": "fig4", "m_values": [5], "n_estimates": 4},
+        {"kind": "fig5", "configs": [[3, 4, 6]], "n_repetitions": 1},
+    ])
+    def test_accepted_config_reaches_the_refused_work(self, tmp_path, monkeypatch,
+                                                      config):
+        self.refuse_work(monkeypatch)
+        with pytest.raises(AssertionError, match="reached"):
+            self.experiment(tmp_path, config)
+
+    def test_block_budget_boundary_without_annealing(self, monkeypatch):
+        self.refuse_work(monkeypatch)
+        # n_y = 13: every block holds at most C(13, 6) * 2^13 = 14,057,472
+        model, dist = model_from_instance(generate_instance(13, 2))
+        assert check_run(model, dist, range(model.d + 1), 169) is None
+        model, dist = model_from_instance(generate_instance(14, 2))
+        with pytest.raises(SimulationBudgetError, match="x=5 .* 32800768 amp"):
+            check_run(model, dist, range(model.d + 1), 196)
+        with pytest.raises(SimulationBudgetError, match="56229888 amplitudes"):
+            check_run(model, dist, (7,), 196)
 
 
 class TestNoGatesInProduction:
@@ -650,6 +720,13 @@ class TestCli:
                      "--out", str(out), "--workers", workers]) == 2
         assert "workers" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_make_instance_writes_only_a_valid_instance(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        assert main(["make-instance", "--n-y", "0", "--seed", "5",
+                     "--out", str(inst_path)]) == 2
+        assert "turbine" in capsys.readouterr().err
+        assert not inst_path.exists()
 
     def test_kind_mismatch_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
