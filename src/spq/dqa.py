@@ -13,6 +13,9 @@ e^{-i gamma H} with mixer gates e^{+i beta X}.  Each pairing drives the
 decision register toward the per-scenario cost minimum (the uniform
 initial state is the mixer ground state); the worked two-qubit example in
 the tests pins both conventions.
+
+The gate-level circuits use one qubit packing (``RegisterLayout``): y on
+the low qubits, xi above it, then the QAE ancilla.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    ConfigError,
     DiscreteDistribution,
     GenericDiagonalProblem,
     InfeasibleDecisionError,
@@ -82,48 +86,33 @@ class AnnealSchedule:
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Role-to-qubit assignment for a simulation register."""
+    """The circuit's one qubit packing: y on qubits [0, n_y), xi on
+    [n_y, n_y + n_xi), then the QAE ancilla if included.  Phase estimation
+    puts its estimate qubits above these (``qae.qpe_state``)."""
 
-    y_register: tuple[int, ...]
-    xi_register: tuple[int, ...]
-    ancilla: int | None = None
-    estimate_register: tuple[int, ...] = ()
+    n_y: int
+    n_xi: int
+    include_ancilla: bool = False
 
-    def __post_init__(self):
-        groups = [tuple(self.y_register), tuple(self.xi_register),
-                  tuple(self.estimate_register)]
-        if self.ancilla is not None:
-            groups.append((self.ancilla,))
-        flat = [q for g in groups for q in g]
-        if len(set(flat)) != len(flat):
-            raise ValueError(f"register roles overlap: {groups}")
-        object.__setattr__(self, "y_register", tuple(self.y_register))
-        object.__setattr__(self, "xi_register", tuple(self.xi_register))
-        object.__setattr__(self, "estimate_register", tuple(self.estimate_register))
+    @property
+    def y_register(self) -> tuple[int, ...]:
+        return tuple(range(self.n_y))
 
-    @classmethod
-    def standard(cls, n_y: int, n_xi: int, include_ancilla: bool = False,
-                 m_estimate: int = 0) -> "RegisterLayout":
-        """y on qubits [0, n_y), xi on [n_y, n_y + n_xi), then the QAE
-        ancilla, then the estimate register on top."""
-        y = tuple(range(n_y))
-        xi = tuple(range(n_y, n_y + n_xi))
-        anc = n_y + n_xi if include_ancilla else None
-        base = n_y + n_xi + (1 if include_ancilla else 0)
-        est = tuple(range(base, base + m_estimate))
-        return cls(y, xi, anc, est)
+    @property
+    def xi_register(self) -> tuple[int, ...]:
+        return tuple(range(self.n_y, self.num_problem_qubits))
+
+    @property
+    def ancilla(self) -> int | None:
+        return self.num_problem_qubits if self.include_ancilla else None
 
     @property
     def num_problem_qubits(self) -> int:
-        return len(self.y_register) + len(self.xi_register)
+        return self.n_y + self.n_xi
 
     @property
     def num_system_qubits(self) -> int:
-        return self.num_problem_qubits + (1 if self.ancilla is not None else 0)
-
-    @property
-    def num_qubits(self) -> int:
-        return self.num_system_qubits + len(self.estimate_register)
+        return self.num_problem_qubits + self.include_ancilla
 
 
 @dataclass
@@ -257,14 +246,13 @@ def _generic_layer_gates(problem: GenericDiagonalProblem, layout: RegisterLayout
 
 
 def build_dqa(problem, x: int | None, dist: DiscreteDistribution,
-              schedule: AnnealSchedule,
-              layout: RegisterLayout | None = None) -> OperatorSequence:
-    """Full annealing circuit: constrained initialization, then T layers of
-    cost, penalty, mixer (in that order within a layer)."""
+              schedule: AnnealSchedule) -> OperatorSequence:
+    """Full annealing circuit on ``RegisterLayout(n_y, n_xi)``: constrained
+    initialization, then T layers of cost, penalty, mixer (in that order
+    within a layer).  A generic problem starts from Hadamards on every y."""
+    layout = RegisterLayout(problem.n_y, problem.n_xi)
     if isinstance(problem, UnitCommitmentModel):
         check_block(problem, x, dist)
-        if layout is None:
-            layout = RegisterLayout.standard(problem.n_y, problem.n_xi)
         gates = list(prepare_dicke(problem.n_y, problem.d - x, layout.y_register))
         gates += list(prepare_distribution(dist, layout.xi_register))
         for t in range(1, schedule.T + 1):
@@ -274,21 +262,13 @@ def build_dqa(problem, x: int | None, dist: DiscreteDistribution,
         return OperatorSequence(tuple(gates), "dqa")
 
     if isinstance(problem, GenericDiagonalProblem):
-        if layout is None:
-            layout = RegisterLayout.standard(problem.n_y, problem.n_xi)
         n = layout.num_problem_qubits
         if n > _GENERIC_QUBIT_CAP:
             raise ValueError(f"generic problems are capped at {_GENERIC_QUBIT_CAP} "
                              f"qubits (dense cost layers), got {n}")
-        if problem.feasible is None:
-            gates = [hadamard(q) for q in layout.y_register]
-        else:
-            col = np.zeros(2 ** problem.n_y)
-            col[problem.feasible_decisions()] = 1.0
-            col /= np.linalg.norm(col)
-            gates = [_column_prep_gate(col, layout.y_register)]
+        gates = [hadamard(q) for q in layout.y_register]
         gates += list(prepare_distribution(dist, layout.xi_register))
-        diag = cost_diagonal(problem, layout)
+        diag = cost_diagonal(problem)
         for t in range(1, schedule.T + 1):
             gates += _generic_layer_gates(problem, layout, diag,
                                           gamma=schedule.cost_angle(t),
@@ -379,9 +359,12 @@ class FeasibleBlock:
 
 def check_block(model: UnitCommitmentModel, x: int,
                 dist: DiscreteDistribution) -> None:
-    """Raise unless x lies in [0, d] and its feasible block of
-    C(n_y, d - x) * 2^n_xi amplitudes fits the simulator: at most
-    2^MAX_QUBITS, the largest statevector it allows."""
+    """Raise unless dist has the model's n_xi scenario bits, x lies in
+    [0, d] and its feasible block of C(n_y, d - x) * 2^n_xi amplitudes fits
+    the simulator: at most 2^MAX_QUBITS, the largest statevector it allows."""
+    if dist.n_xi != model.n_xi:
+        raise ConfigError(f"distribution has {dist.n_xi} scenario bits, "
+                          f"the model has {model.n_xi} turbines")
     if not 0 <= x <= model.d:
         raise InfeasibleDecisionError(f"x={x} outside [0, {model.d}]")
     size = math.comb(model.n_y, model.d - x) * 2 ** dist.n_xi
@@ -502,28 +485,21 @@ def run_dqa_fast(model: UnitCommitmentModel, x: int, dist: DiscreteDistribution,
 
 # -- observables ------------------------------------------------------------
 
-def expectation_HQ(state: StateVector, problem, layout: RegisterLayout | None = None) -> float:
+def expectation_HQ(state: StateVector, problem) -> float:
     """Exact <H_Q> = sum_i |amp_i|^2 q_i over the (y, xi) register."""
-    if isinstance(problem, GenericDiagonalProblem):
-        n = problem.n_y + problem.n_xi
-    else:
-        n = 2 * problem.n_y
+    n = problem.n_y + problem.n_xi
     if state.num_qubits != n:
         raise ValueError(f"state has {state.num_qubits} qubits, problem needs {n}")
-    diag = cost_diagonal(problem, layout)
-    return float(state.probabilities() @ diag)
+    return float(state.probabilities() @ cost_diagonal(problem))
 
 
 def residual_diagnostics(state: StateVector, model: UnitCommitmentModel, x: int,
-                         dist: DiscreteDistribution,
-                         layout: RegisterLayout | None = None) -> DqaDiagnostics:
+                         dist: DiscreteDistribution) -> DqaDiagnostics:
     """Residual temperature delta = <H_Q> - phi(x), its per-scenario
     decomposition, and the conditional mass on each scenario's optimal set.
 
     Scenarios with zero probability report an overlap of None.
     """
-    if layout is not None and layout.y_register != tuple(range(model.n_y)):
-        raise ValueError("diagnostics assume the standard register packing")
     n_y, n_xi = model.n_y, dist.n_xi
     exp_hq = expectation_HQ(state, model)
     phi = expected_value_exact(model, x, dist)

@@ -62,6 +62,14 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _check_oracle(oracle: str, angle_mode: str) -> None:
+    if oracle not in ("exact", "sin"):
+        raise ConfigError(f"oracle must be 'exact' or 'sin', got {oracle!r}")
+    if angle_mode not in ("normalized", "literal"):
+        raise ConfigError(
+            f"angle_mode must be 'normalized' or 'literal', got {angle_mode!r}")
+
+
 @dataclass
 class ExperimentSpec:
     """Declarative description of one experiment; mirrors the config JSON."""
@@ -93,10 +101,7 @@ class ExperimentSpec:
                              for n_y, m, T in self.configs)
         if self.kind not in ("fig3", "fig4", "fig5"):
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if self.oracle not in ("exact", "sin"):
-            raise ConfigError(f"oracle must be 'exact' or 'sin', got {self.oracle!r}")
-        if self.angle_mode not in ("normalized", "literal"):
-            raise ConfigError(f"angle_mode must be 'normalized' or 'literal'")
+        _check_oracle(self.oracle, self.angle_mode)
         if self.amplify < 1 or self.n_instances < 1 or self.n_repetitions < 1:
             raise ConfigError("counts must be positive")
         for name in ("n_y_values", "m_values", "configs"):
@@ -247,14 +252,17 @@ def _system_qubits(model, dist) -> int:
 
 
 def check_run(model, dist, xs, T: int | None = None, m: int | None = None,
-              repetitions: int = 1) -> QaeConfig | None:
+              repetitions: int = 1, oracle: str = "exact",
+              angle_mode: str = "normalized") -> QaeConfig | None:
     """The one check a run passes before any output directory or anneal.
 
-    Checks every x in ``xs`` and the size of its feasible block
-    (``check_block``), the layer count T unless None and, when the estimate
-    width m is given, m, the readout count and the qubit budget of the
-    circuit the readout stands for.  Returns that readout plan, or None.
+    Checks the oracle and angle mode names, every x in ``xs`` and the size
+    of its feasible block (``check_block``, which also matches dist to the
+    model), the layer count T unless None and, when the estimate width m
+    is given, m, the readout count and the qubit budget of the circuit the
+    readout stands for.  Returns that readout plan, or None.
     """
+    _check_oracle(oracle, angle_mode)
     for x in xs:
         check_block(model, x, dist)
     if T is not None:
@@ -304,14 +312,15 @@ def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
     qae mode keeps the last (model, dist, T, oracle, angle_mode) anneal
     (``_qae_points``), so repeated calls differing only in ``seed_tag``
     anneal once; each x's readout seed still comes from ``seed_tag`` and x.
-    Every mode passes ``check_run``, qae mode with m and ``amplify``, first.
+    Every mode passes ``check_run``, with the oracle and angle mode names,
+    and qae mode with m and ``amplify``, first.
     """
     if mode not in ("expectation", "qae", "exact"):
         raise ConfigError(f"unknown outer-loop mode {mode!r}")
     if mode == "qae" and m is None:
         raise ConfigError("qae mode requires the estimate width m")
     config = check_run(model, dist, range(model.d + 1), T,
-                       m if mode == "qae" else None, amplify)
+                       m if mode == "qae" else None, amplify, oracle, angle_mode)
     if mode == "expectation":
         exp_hqs = _block_values(model, dist, T, lambda block: block.expectation_hq())
     elif mode == "exact":
@@ -565,7 +574,7 @@ def single_run(inst: dict, x: int, T: int, oracle: str, m: int, seed: int,
     """
     model, dist = model_from_instance(inst)
     started = time.time()
-    config = replace(check_run(model, dist, (x,), T, m, amplify),
+    config = replace(check_run(model, dist, (x,), T, m, amplify, oracle, angle_mode),
                      rng_seed=derive_seed(seed, "run", x))
     (block,) = anneal_feasible_blocks(model, (x,), dist, AnnealSchedule.linear(T))
     exp_hq, a = _qae_point(model, block, oracle, angle_mode)

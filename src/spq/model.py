@@ -125,14 +125,13 @@ class GenericDiagonalProblem:
 
     ``cost`` is the full (2^n_y, 2^n_xi) table; columns for scenarios
     outside the distribution support should be zero (the cost operator is a
-    sum of per-scenario projectors, so it vanishes off support).
-    ``feasible`` lists the allowed y bitmasks, or None for all of them.
+    sum of per-scenario projectors, so it vanishes off support).  Every y
+    is feasible.
     """
 
     n_y: int
     n_xi: int
     cost: np.ndarray
-    feasible: tuple[int, ...] | None = None
 
     def __post_init__(self):
         cost = np.asarray(self.cost, dtype=float)
@@ -142,13 +141,6 @@ class GenericDiagonalProblem:
         if not np.all(np.isfinite(cost)):
             raise ValueError("cost table must be finite")
         object.__setattr__(self, "cost", cost)
-        if self.feasible is not None:
-            object.__setattr__(self, "feasible", tuple(sorted(self.feasible)))
-
-    def feasible_decisions(self) -> np.ndarray:
-        if self.feasible is None:
-            return np.arange(2 ** self.n_y, dtype=np.int64)
-        return np.array(self.feasible, dtype=np.int64)
 
 
 # -- feasibility and costs ------------------------------------------------
@@ -253,29 +245,16 @@ def _uc_cost_table(model: UnitCommitmentModel) -> np.ndarray:
     return table
 
 
-def cost_diagonal(problem, layout=None) -> np.ndarray:
+def cost_diagonal(problem) -> np.ndarray:
     """Diagonal of the cost operator over the full (y, xi) basis.
 
-    Entry for basis index i is q(x, y, xi) with y = low n_y bits and xi the
-    next n_xi bits (or per ``layout`` if given).  Defined for every basis
-    state, including infeasible y.
+    Entry for basis index i is q(x, y, xi) with y the low n_y bits and xi
+    the next n_xi bits, the packing of ``dqa.RegisterLayout``.  Defined for
+    every basis state, including infeasible y.
     """
     if isinstance(problem, GenericDiagonalProblem):
-        n_y, n_xi = problem.n_y, problem.n_xi
-        table = problem.cost.T
-    else:
-        n_y = n_xi = problem.n_y
-        table = _uc_cost_table(problem)
-    if layout is None:
-        return table.ravel()
-    idx = np.arange(2 ** (n_y + n_xi), dtype=np.int64)
-    y = np.zeros_like(idx)
-    for bit, q in enumerate(layout.y_register):
-        y |= ((idx >> q) & 1) << bit
-    xi = np.zeros_like(idx)
-    for bit, q in enumerate(layout.xi_register):
-        xi |= ((idx >> q) & 1) << bit
-    return table[xi, y]
+        return problem.cost.T.ravel()
+    return _uc_cost_table(problem).ravel()
 
 
 # -- instance files -------------------------------------------------------

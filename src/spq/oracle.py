@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dqa import RegisterLayout
 from .model import Bounds, UnitCommitmentModel, bounds_for, cost_diagonal
 from .statevector import Gate, OperatorSequence, ccry, dense, pauli_x
 
@@ -85,18 +86,15 @@ def _exact_oracle_gate(model: UnitCommitmentModel, x: int, bounds: Bounds,
     return dense(tuple(range(n)) + (ancilla,), u)
 
 
-def build_oracle(kind: OracleKind, model: UnitCommitmentModel, x: int,
-                 layout) -> OperatorSequence:
-    """Oracle sequence on the (y, xi, ancilla) registers."""
-    if layout.ancilla is None:
-        raise ValueError("oracle construction needs an ancilla in the layout")
+def build_oracle(kind: OracleKind, model: UnitCommitmentModel,
+                 x: int) -> OperatorSequence:
+    """Oracle sequence on ``RegisterLayout(n_y, n_xi, include_ancilla=True)``."""
+    layout = RegisterLayout(model.n_y, model.n_xi, include_ancilla=True)
     anc = layout.ancilla
     if kind.variant == "exact":
         if model.n_y > _EXACT_ORACLE_MAX_NY:
             raise ValueError(f"exact oracle is brute-force dense; "
                              f"capped at n_y <= {_EXACT_ORACLE_MAX_NY}")
-        if anc != 2 * model.n_y or layout.y_register != tuple(range(model.n_y)):
-            raise ValueError("exact oracle assumes the standard register packing")
         return OperatorSequence((_exact_oracle_gate(model, x, kind.bounds, anc),),
                                 "F_exact")
 

@@ -95,17 +95,8 @@ def build_inverse_qft(qubits: tuple[int, ...]) -> OperatorSequence:
     return build_qft(qubits).adjoint()
 
 
-def build_A(dqa_seq: OperatorSequence, oracle_seq: OperatorSequence,
-            layout=None) -> OperatorSequence:
+def build_A(dqa_seq: OperatorSequence, oracle_seq: OperatorSequence) -> OperatorSequence:
     """State preparation: the oracle applied after the annealing circuit."""
-    if layout is not None:
-        system = set(layout.y_register) | set(layout.xi_register)
-        if layout.ancilla is not None:
-            system.add(layout.ancilla)
-        extra = (dqa_seq.qubits() | oracle_seq.qubits()) - system
-        if extra:
-            raise ValueError(f"register mismatch: qubits {sorted(extra)} are "
-                             "outside the layout's system registers")
     return OperatorSequence(dqa_seq.gates + oracle_seq.gates, "A")
 
 
@@ -119,7 +110,7 @@ def build_grover(A_seq: OperatorSequence, layout) -> OperatorSequence:
     """
     if layout.ancilla is None:
         raise ValueError("Grover construction needs an ancilla in the layout")
-    system = tuple(sorted(layout.y_register + layout.xi_register + (layout.ancilla,)))
+    system = tuple(range(layout.num_system_qubits))
     extra = A_seq.qubits() - set(system)
     if extra:
         raise ValueError(f"A touches qubits {sorted(extra)} outside the system register")

@@ -78,8 +78,8 @@ def test_criterion_1_appendix_b_identity(dqa_state_batch):
     worst = 0.0
     for model, dist, x, state in dqa_state_batch:
         bounds = bounds_for(model, x)
-        layout = RegisterLayout.standard(model.n_y, dist.n_xi, include_ancilla=True)
-        oracle = build_oracle(OracleKind.exact(bounds), model, x, layout)
+        layout = RegisterLayout(model.n_y, dist.n_xi, include_ancilla=True)
+        oracle = build_oracle(OracleKind.exact(bounds), model, x)
         extended = state.extended(1)
         apply_sequence(extended, oracle)
         p1 = marginal_probability(extended, layout.ancilla, 1)
@@ -108,8 +108,8 @@ def test_criterion_3_zz_example():
     cost = np.array([[1.0, -1.0], [-1.0, 1.0]])   # Z x Z diagonal over (y, xi)
     problem = GenericDiagonalProblem(n_y=1, n_xi=1, cost=cost)
     dist = DiscreteDistribution.uniform(1)
-    layout = RegisterLayout.standard(1, 1)
-    seq = build_dqa(problem, None, dist, AnnealSchedule.linear(20), layout)
+    layout = RegisterLayout(1, 1)
+    seq = build_dqa(problem, None, dist, AnnealSchedule.linear(20))
     state = run_dqa(seq, layout)
     target = np.zeros(4, dtype=complex)
     target[0b01] = target[0b10] = 1 / math.sqrt(2)
@@ -187,11 +187,10 @@ def test_criterion_8_simulator_unit_properties():
     # Grover operator unitarity on the worked pipeline
     inst = generate_instance(2, 123)
     model, dist = model_from_instance(inst)
-    layout = RegisterLayout.standard(2, 2, include_ancilla=True)
-    dqa = build_dqa(model, 1, dist, AnnealSchedule.linear(4),
-                    RegisterLayout.standard(2, 2))
-    oracle = build_oracle(OracleKind.exact(bounds_for(model, 1)), model, 1, layout)
-    grover = build_grover(build_A(dqa, oracle, layout), layout)
+    layout = RegisterLayout(2, 2, include_ancilla=True)
+    dqa = build_dqa(model, 1, dist, AnnealSchedule.linear(4))
+    oracle = build_oracle(OracleKind.exact(bounds_for(model, 1)), model, 1)
+    grover = build_grover(build_A(dqa, oracle), layout)
     u = sequence_to_matrix(grover, 5)
     grover_dev = np.abs(u.conj().T @ u - np.eye(32)).max()
     assert grover_dev <= 1e-9
@@ -210,8 +209,8 @@ def test_criterion_8_simulator_unit_properties():
     # mixer Hamming-weight leakage
     inst = generate_instance(4, 7)
     model, dist = model_from_instance(inst)
-    pl = RegisterLayout.standard(4, 4)
-    state = run_dqa(build_dqa(model, 2, dist, AnnealSchedule.linear(10), pl), pl)
+    pl = RegisterLayout(4, 4)
+    state = run_dqa(build_dqa(model, 2, dist, AnnealSchedule.linear(10)), pl)
     probs = state.probabilities().reshape(16, 16)
     leak = sum(probs[:, y].sum() for y in range(16) if bin(y).count("1") != 2)
     assert leak <= 1e-10

@@ -30,6 +30,7 @@ from spq.dqa import (
     _mixer_unitary,
 )
 from spq.model import (
+    ConfigError,
     DiscreteDistribution,
     GenericDiagonalProblem,
     InfeasibleDecisionError,
@@ -89,17 +90,11 @@ class TestSchedule:
 
 class TestLayout:
     def test_standard_packing(self):
-        lay = RegisterLayout.standard(3, 3, include_ancilla=True, m_estimate=4)
+        lay = RegisterLayout(3, 3, include_ancilla=True)
         assert lay.y_register == (0, 1, 2)
         assert lay.xi_register == (3, 4, 5)
         assert lay.ancilla == 6
-        assert lay.estimate_register == (7, 8, 9, 10)
         assert lay.num_system_qubits == 7
-        assert lay.num_qubits == 11
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError, match="overlap"):
-            RegisterLayout((0, 1), (1, 2))
 
 
 class TestDickePreparation:
@@ -167,8 +162,8 @@ class TestBuildDqa:
     def test_zero_layers_gives_initial_expectation(self):
         model = worked_model()
         dist = DiscreteDistribution.uniform(2)
-        lay = RegisterLayout.standard(2, 2)
-        sv = run_dqa(build_dqa(model, 1, dist, AnnealSchedule.linear(0), lay), lay)
+        lay = RegisterLayout(2, 2)
+        sv = run_dqa(build_dqa(model, 1, dist, AnnealSchedule.linear(0)), lay)
         # mean cost over the Dicke x distribution support, by enumeration
         expected = np.mean([second_stage_cost(model, 1, y, xi)
                             for y in (0b01, 0b10) for xi in range(4)])
@@ -177,8 +172,8 @@ class TestBuildDqa:
     def test_zz_example_converges_to_paired_ground_states(self):
         problem = zz_problem(1)
         dist = DiscreteDistribution.uniform(1)
-        lay = RegisterLayout.standard(1, 1)
-        seq = build_dqa(problem, None, dist, AnnealSchedule.linear(20), lay)
+        lay = RegisterLayout(1, 1)
+        seq = build_dqa(problem, None, dist, AnnealSchedule.linear(20))
         sv = run_dqa(seq, lay)
         target = np.zeros(4, dtype=complex)
         target[0b01] = target[0b10] = 1 / math.sqrt(2)   # y != xi (anti-aligned)
@@ -209,24 +204,24 @@ class TestRunDqa:
     def test_xi_marginal_preserved(self, seed):
         inst = generate_instance(3, seed)
         model, dist = model_from_instance(inst)
-        lay = RegisterLayout.standard(3, 3)
-        sv = run_dqa(build_dqa(model, 1, dist, AnnealSchedule.linear(9), lay), lay)
+        lay = RegisterLayout(3, 3)
+        sv = run_dqa(build_dqa(model, 1, dist, AnnealSchedule.linear(9)), lay)
         marg = register_distribution(sv, list(lay.xi_register))
         assert np.abs(marg - 1 / 8).max() < 1e-10
 
     def test_nonuniform_xi_marginal_preserved(self):
         model = worked_model()
         dist = DiscreteDistribution.from_pmf(2, {0: 0.5, 1: 0.25, 2: 0.25})
-        lay = RegisterLayout.standard(2, 2)
-        sv = run_dqa(build_dqa(model, 1, dist, AnnealSchedule.linear(12), lay), lay)
+        lay = RegisterLayout(2, 2)
+        sv = run_dqa(build_dqa(model, 1, dist, AnnealSchedule.linear(12)), lay)
         marg = register_distribution(sv, list(lay.xi_register))
         assert np.abs(marg - [0.5, 0.25, 0.25, 0.0]).max() < 1e-10
 
     def test_hamming_weight_conserved_at_every_layer_prefix(self):
         model = worked_model()
         dist = DiscreteDistribution.uniform(2)
-        lay = RegisterLayout.standard(2, 2)
-        seq = build_dqa(model, 1, dist, AnnealSchedule.linear(6), lay)
+        lay = RegisterLayout(2, 2)
+        seq = build_dqa(model, 1, dist, AnnealSchedule.linear(6))
         sv = StateVector(4)
         feasible = set(int(v) for v in feasible_decisions(2, 1))
         for i, gate in enumerate(seq):
@@ -253,8 +248,8 @@ class TestRunDqa:
     def test_fast_evolver_matches_gate_circuit(self, n_y, x, T, seed):
         inst = generate_instance(n_y, seed)
         model, dist = model_from_instance(inst)
-        lay = RegisterLayout.standard(n_y, n_y)
-        ref = run_dqa(build_dqa(model, x, dist, AnnealSchedule.linear(T), lay), lay)
+        lay = RegisterLayout(n_y, n_y)
+        ref = run_dqa(build_dqa(model, x, dist, AnnealSchedule.linear(T)), lay)
         fast = run_dqa_fast(model, x, dist, AnnealSchedule.linear(T))
         assert np.abs(ref.amplitudes - fast.amplitudes).max() < 1e-10
 
@@ -262,8 +257,8 @@ class TestRunDqa:
                                               (6, 1, 5, 7)])
     def test_fast_evolver_pinned_to_gate_circuit(self, n_y, x, T, seed):
         model, dist = model_from_instance(generate_instance(n_y, seed))
-        lay = RegisterLayout.standard(n_y, n_y)
-        ref = run_dqa(build_dqa(model, x, dist, AnnealSchedule.linear(T), lay), lay)
+        lay = RegisterLayout(n_y, n_y)
+        ref = run_dqa(build_dqa(model, x, dist, AnnealSchedule.linear(T)), lay)
         fast = run_dqa_fast(model, x, dist, AnnealSchedule.linear(T))
         assert np.abs(ref.amplitudes - fast.amplitudes).max() <= 1e-12
 
@@ -375,9 +370,9 @@ class TestLockstepAnneal:
         model, dist = model_from_instance(generate_instance(n_y, 11))
         groups = lockstep_groups(model)
         self.assert_blocks_match_lone_runs(model, dist, sched, groups)
-        lay = RegisterLayout.standard(n_y, n_y)
+        lay = RegisterLayout(n_y, n_y)
         for block in anneal_feasible_blocks(model, (1, 3), dist, sched):
-            ref = run_dqa(build_dqa(model, block.x, dist, sched, lay), lay)
+            ref = run_dqa(build_dqa(model, block.x, dist, sched), lay)
             assert np.abs(scattered(block, n_y, n_y) - ref.amplitudes).max() <= 1e-12
 
     def test_rejects_non_complementary_pairs(self):
@@ -497,6 +492,20 @@ class TestBlockBudget:
             with pytest.raises(InfeasibleDecisionError, match=f"x={x} outside"):
                 check_block(model, x, dist)
 
+    @pytest.mark.parametrize("n_xi", [2, 5])
+    def test_distribution_must_match_the_model(self, n_xi):
+        # a narrower law never blows at turbines 2 and 3; a wider one
+        # carries a bit no turbine reads
+        model, _ = model_from_instance(generate_instance(4, 3))
+        dist = DiscreteDistribution.uniform(n_xi)
+        sched = AnnealSchedule.linear(3)
+        for build in (lambda: check_block(model, 2, dist),
+                      lambda: anneal_feasible_blocks(model, (2,), dist, sched),
+                      lambda: per_scenario_optimal_block(model, 2, dist),
+                      lambda: build_dqa(model, 2, dist, sched)):
+            with pytest.raises(ConfigError, match=f"{n_xi} scenario bits"):
+                build()
+
     def test_oversized_block_raises_before_building_it(self, monkeypatch):
         model, dist = model_from_instance(generate_instance(16, 1))
 
@@ -522,7 +531,7 @@ class TestExpectation:
     def test_perfect_state_gives_phi_exactly(self):
         inst = generate_instance(3, 5)
         model, dist = model_from_instance(inst)
-        lay = RegisterLayout.standard(3, 3)
+        lay = RegisterLayout(3, 3)
         for x in range(4):
             sv = run_dqa(prepare_per_scenario_optimal(model, x, dist), lay)
             phi = expected_value_exact(model, x, dist)
@@ -551,7 +560,7 @@ class TestResidualDiagnostics:
     def test_perfect_state_has_zero_residual(self):
         inst = generate_instance(3, 6)
         model, dist = model_from_instance(inst)
-        lay = RegisterLayout.standard(3, 3)
+        lay = RegisterLayout(3, 3)
         sv = run_dqa(prepare_per_scenario_optimal(model, 1, dist), lay)
         diag = residual_diagnostics(sv, model, 1, dist)
         assert abs(diag.delta) < 1e-10
@@ -560,8 +569,8 @@ class TestResidualDiagnostics:
     def test_initial_state_residual_is_mean_minus_min(self):
         model = worked_model()
         dist = DiscreteDistribution.uniform(2)
-        lay = RegisterLayout.standard(2, 2)
-        sv = run_dqa(build_dqa(model, 1, dist, AnnealSchedule.linear(0), lay), lay)
+        lay = RegisterLayout(2, 2)
+        sv = run_dqa(build_dqa(model, 1, dist, AnnealSchedule.linear(0)), lay)
         diag = residual_diagnostics(sv, model, 1, dist)
         # brute force: mean over feasible y minus the minimum, per scenario
         expected = np.mean([
@@ -601,8 +610,8 @@ class TestScenarioIndependence:
         for n_xi in (1, 2, 3, 4):
             problem = zz_problem(n_xi)
             dist = DiscreteDistribution.uniform(n_xi)
-            lay = RegisterLayout.standard(1, n_xi)
-            sv = run_dqa(build_dqa(problem, None, dist, AnnealSchedule.linear(T), lay),
+            lay = RegisterLayout(1, n_xi)
+            sv = run_dqa(build_dqa(problem, None, dist, AnnealSchedule.linear(T)),
                          lay)
             probs = sv.probabilities().reshape(2 ** n_xi, 2)   # [xi, y]
             overlaps = []

@@ -141,7 +141,7 @@ class TestOuterLoop:
         # alike, reads the same b
         model, dist = model_from_instance(generate_instance(3, 5))
         m, T = 5, 6
-        lay = RegisterLayout.standard(3, 3, include_ancilla=True, m_estimate=m)
+        lay = RegisterLayout(3, 3, include_ancilla=True)
         for rep in range(8):
             res = outer_loop(model, dist, T=T, mode="qae", m=m, oracle=oracle,
                              seed_tag=("gate", rep))
@@ -149,8 +149,8 @@ class TestOuterLoop:
                 x = row["x"]
                 b = bounds_for(model, x)
                 kind = OracleKind.exact(b) if oracle == "exact" else OracleKind.sin_approx(b)
-                A = build_A(build_dqa(model, x, dist, AnnealSchedule.linear(T), lay),
-                            build_oracle(kind, model, x, lay), lay)
+                A = build_A(build_dqa(model, x, dist, AnnealSchedule.linear(T)),
+                            build_oracle(kind, model, x))
                 cfg = QaeConfig(m=m, rng_seed=derive_seed(0, "gate", rep, x))
                 readout = run_qae(A, cfg, lay, b)
                 assert readout.b.shape == (1,)
@@ -300,8 +300,9 @@ class TestQaeOnFeasibleBlocks:
 
 
 class TestReadoutChecksBeforeAnneal:
-    """A readout that cannot run (m outside [1, 12], no readouts, or a
-    circuit over the qubit cap) fails before any anneal."""
+    """A readout that cannot run (m outside [1, 12], no readouts, a circuit
+    over the qubit cap, an unknown oracle or angle mode, or a scenario law
+    of the wrong width) fails before any anneal."""
 
     BAD_READOUTS = [({"m": 12}, SimulationBudgetError, 3),
                     ({"m": 13}, ValueError, 2),
@@ -310,9 +311,10 @@ class TestReadoutChecksBeforeAnneal:
     @staticmethod
     def refuse_anneal(monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("annealed")
+            raise AssertionError("annealed or built psi*")
 
         monkeypatch.setattr(harness, "anneal_feasible_blocks", refuse)
+        monkeypatch.setattr(harness, "per_scenario_optimal_block", refuse)
         harness._qae_points.cache_clear()
 
     @pytest.mark.parametrize("kwargs, error, _", BAD_READOUTS)
@@ -326,6 +328,35 @@ class TestReadoutChecksBeforeAnneal:
             outer_loop(model, dist, T=200, mode="qae", **kwargs)
         with pytest.raises(AssertionError, match="annealed"):
             outer_loop(model, dist, T=200, mode="qae", m=3)
+
+    @pytest.mark.parametrize("names, error", [
+        ({"oracle": "Sin"}, "oracle must be"),
+        ({"angle_mode": "degrees"}, "angle_mode must be"),
+    ])
+    def test_unknown_oracle_or_angle_mode(self, monkeypatch, names, error):
+        # "Sin" used to build the sin oracle and read it back linearly
+        self.refuse_anneal(monkeypatch)
+        inst = generate_instance(4, 3)
+        model, dist = model_from_instance(inst)
+        kwargs = {"oracle": "sin", "angle_mode": "normalized", **names}
+        with pytest.raises(ConfigError, match=error):
+            single_run(inst, x=2, T=8, m=5, seed=0, **kwargs)
+        for mode in ("expectation", "qae", "exact"):
+            with pytest.raises(ConfigError, match=error):
+                outer_loop(model, dist, T=8, mode=mode, m=5, **kwargs)
+
+    @pytest.mark.parametrize("n_xi", [2, 5])
+    def test_distribution_width_must_match_the_model(self, monkeypatch, n_xi):
+        self.refuse_anneal(monkeypatch)
+        inst = generate_instance(4, 3)
+        model, _ = model_from_instance(inst)
+        dist = DiscreteDistribution.uniform(n_xi)
+        for mode in ("expectation", "qae", "exact"):
+            with pytest.raises(ConfigError, match=f"{n_xi} scenario bits"):
+                outer_loop(model, dist, T=8, mode=mode, m=5)
+        monkeypatch.setattr(harness, "model_from_instance", lambda _: (model, dist))
+        with pytest.raises(ConfigError, match=f"{n_xi} scenario bits"):
+            single_run(inst, x=2, T=8, oracle="sin", m=5, seed=0)
 
     @pytest.mark.parametrize("kwargs, _, exit_code", BAD_READOUTS)
     def test_cli_run_exit_codes(self, tmp_path, capsys, monkeypatch, kwargs, _,
@@ -360,7 +391,16 @@ class TestCheckBeforeWork:
         ({"kind": "fig5", "configs": [[3, 5, -1]]}, 2),
         ({"kind": "fig5", "configs": [[0, 5, 5]]}, 2),
         ({"kind": "fig5", "configs": []}, 2),
+        ({"kind": "fig5", "angle_mode": "degrees"}, 2),
+        ({"kind": "fig5", "amplify": 0}, 2),
+        ({"kind": "fig3", "n_instances": 0}, 2),
+        ({"kind": "fig5", "n_repetitions": 0}, 2),
     ]
+
+    # (command-line kind, config): a kind no experiment has, no config
+    # file, and a config that is not JSON
+    UNREADABLE = [("fig3", {"kind": "fig6"}), ("fig4", None),
+                  ("fig4", '{"kind": "fig4", "x": 1')]
 
     @staticmethod
     def refuse_work(monkeypatch):
@@ -372,10 +412,13 @@ class TestCheckBeforeWork:
         harness._qae_points.cache_clear()
 
     @staticmethod
-    def experiment(tmp_path, config) -> int:
+    def experiment(tmp_path, config, kind=None) -> int:
+        """``spq experiment`` on ``config``: a dict, the raw text of the
+        config file, or None for no file."""
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        return main(["experiment", config["kind"], "--config", str(cfg),
+        if config is not None:
+            cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+        return main(["experiment", kind or config["kind"], "--config", str(cfg),
                      "--out", str(tmp_path / "out")])
 
     @pytest.mark.parametrize("config, exit_code", REJECTED)
@@ -383,6 +426,14 @@ class TestCheckBeforeWork:
                                                    monkeypatch, config, exit_code):
         self.refuse_work(monkeypatch)
         assert self.experiment(tmp_path, config) == exit_code
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, config", UNREADABLE)
+    def test_unreadable_config_exits_2_before_any_work(self, tmp_path, capsys,
+                                                      monkeypatch, kind, config):
+        self.refuse_work(monkeypatch)
+        assert self.experiment(tmp_path, config, kind) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
@@ -648,6 +699,15 @@ class TestCli:
         assert main(["exact", "--instance", inst_path]) == 0
         out = capsys.readouterr().out
         assert "x,phi,o" in out and "x* =" in out
+
+    def test_exact_out_writes_the_printed_table(self, tmp_path, capsys):
+        inst_path, csv_path = str(tmp_path / "inst.json"), tmp_path / "exact.csv"
+        save_instance(WORKED_INSTANCE, inst_path)
+        assert main(["exact", "--instance", inst_path, "--out", str(csv_path)]) == 0
+        *table, best = capsys.readouterr().out.splitlines()
+        assert csv_path.read_text() == "\n".join(table) + "\n"
+        assert table[0] == "x,phi,o" and len(table) == 4
+        assert best.startswith("# x* = 1 ")
 
     def test_run_command(self, tmp_path, capsys):
         inst_path = str(tmp_path / "inst.json")

@@ -31,7 +31,7 @@ def worked_model():
 
 
 def layout_with_ancilla(n_y):
-    return RegisterLayout.standard(n_y, n_y, include_ancilla=True)
+    return RegisterLayout(n_y, n_y, include_ancilla=True)
 
 
 class TestQbar:
@@ -53,7 +53,7 @@ class TestExactOracle:
     def test_zero_cost_branch_leaves_ancilla_down(self):
         model = worked_model()
         lay = layout_with_ancilla(2)
-        seq = build_oracle(OracleKind.exact(bounds_for(model, 2)), model, 2, lay)
+        seq = build_oracle(OracleKind.exact(bounds_for(model, 2)), model, 2)
         sv = StateVector.basis_state(5, (0b11 << 2) | 0b00)   # y=0, any wind
         apply_sequence(sv, seq)
         assert marginal_probability(sv, lay.ancilla, 1) < 1e-14
@@ -61,7 +61,7 @@ class TestExactOracle:
     def test_max_cost_branch_flips_ancilla(self):
         model = worked_model()
         lay = layout_with_ancilla(2)
-        seq = build_oracle(OracleKind.exact(bounds_for(model, 1)), model, 1, lay)
+        seq = build_oracle(OracleKind.exact(bounds_for(model, 1)), model, 1)
         sv = StateVector.basis_state(5, (0b01 << 2) | 0b10)   # turbine 1 on, no wind there
         apply_sequence(sv, seq)
         assert marginal_probability(sv, lay.ancilla, 1) == pytest.approx(1.0, abs=1e-12)
@@ -70,7 +70,7 @@ class TestExactOracle:
         model = worked_model()
         lay = layout_with_ancilla(2)
         x = 0
-        seq = build_oracle(OracleKind.exact(bounds_for(model, x)), model, x, lay)
+        seq = build_oracle(OracleKind.exact(bounds_for(model, x)), model, x)
         y, xi = 0b11, 0b01
         sv = StateVector.basis_state(5, (xi << 2) | y)
         apply_sequence(sv, seq)
@@ -81,7 +81,7 @@ class TestExactOracle:
     def test_unitary(self):
         model = worked_model()
         lay = layout_with_ancilla(2)
-        seq = build_oracle(OracleKind.exact(bounds_for(model, 1)), model, 1, lay)
+        seq = build_oracle(OracleKind.exact(bounds_for(model, 1)), model, 1)
         u = sequence_to_matrix(seq, 5)
         assert np.abs(u.conj().T @ u - np.eye(32)).max() < 1e-10
 
@@ -90,22 +90,20 @@ class TestExactOracle:
         model, dist = model_from_instance(inst)
         lay = layout_with_ancilla(3)
         x = 1
-        seq = build_dqa(model, x, dist, AnnealSchedule.linear(30),
-                        RegisterLayout.standard(3, 3))
-        sv = run_dqa(seq, RegisterLayout.standard(3, 3))
+        seq = build_dqa(model, x, dist, AnnealSchedule.linear(30))
+        sv = run_dqa(seq, RegisterLayout(3, 3))
         b = bounds_for(model, x)
         hq = expectation_HQ(sv, model)
         svx = sv.extended(1)
-        apply_sequence(svx, build_oracle(OracleKind.exact(b), model, x, lay))
+        apply_sequence(svx, build_oracle(OracleKind.exact(b), model, x))
         p1 = marginal_probability(svx, lay.ancilla, 1)
         assert abs(p1 - (hq - b.q_l) / b.width) < 1e-9
 
     def test_desk_scale_cap(self):
         inst = generate_instance(6, 1)
         model, _ = model_from_instance(inst)
-        lay = layout_with_ancilla(6)
         with pytest.raises(ValueError, match="n_y"):
-            build_oracle(OracleKind.exact(bounds_for(model, 1)), model, 1, lay)
+            build_oracle(OracleKind.exact(bounds_for(model, 1)), model, 1)
 
 
 class TestSinOracle:
@@ -115,7 +113,7 @@ class TestSinOracle:
         lay = layout_with_ancilla(2)
         x = 0
         kind = OracleKind.sin_approx(bounds_for(model, x))
-        seq = build_oracle(kind, model, x, lay)
+        seq = build_oracle(kind, model, x)
         for y in range(4):
             for xi in range(4):
                 sv = StateVector.basis_state(5, (xi << 2) | y)
@@ -130,15 +128,13 @@ class TestSinOracle:
     def test_registers_untouched(self):
         inst = generate_instance(3, 31)
         model, dist = model_from_instance(inst)
-        problem_lay = RegisterLayout.standard(3, 3)
-        lay = layout_with_ancilla(3)
-        sv = run_dqa(build_dqa(model, 1, dist, AnnealSchedule.linear(8),
-                               problem_lay), problem_lay)
+        problem_lay = RegisterLayout(3, 3)
+        sv = run_dqa(build_dqa(model, 1, dist, AnnealSchedule.linear(8)), problem_lay)
         before = register_distribution(sv, list(range(6)))
         for kind in (OracleKind.exact(bounds_for(model, 1)),
                      OracleKind.sin_approx(bounds_for(model, 1))):
             svx = sv.extended(1)
-            apply_sequence(svx, build_oracle(kind, model, 1, lay))
+            apply_sequence(svx, build_oracle(kind, model, 1))
             after = register_distribution(svx, list(range(6)))
             assert np.abs(before - after).max() < 1e-12
 
@@ -167,11 +163,10 @@ class TestReadback:
         x = 1
         lay = layout_with_ancilla(2)
         kind = OracleKind.sin_approx(bounds_for(model, x))
-        problem_lay = RegisterLayout.standard(2, 2)
-        sv = run_dqa(build_dqa(model, x, dist, AnnealSchedule.linear(300),
-                               problem_lay), problem_lay)
+        problem_lay = RegisterLayout(2, 2)
+        sv = run_dqa(build_dqa(model, x, dist, AnnealSchedule.linear(300)), problem_lay)
         svx = sv.extended(1)
-        apply_sequence(svx, build_oracle(kind, model, x, lay))
+        apply_sequence(svx, build_oracle(kind, model, x))
         a = marginal_probability(svx, lay.ancilla, 1)
         q_recovered = sin_oracle_readback(a, kind)
         # wind at turbine 0 only -> optimal decision costs c_0 = 0.1; the

@@ -64,22 +64,21 @@ def bernoulli_A(a):
     return OperatorSequence((ry(0, theta),), "bernoulli")
 
 
-def bernoulli_layout(m):
-    return RegisterLayout.standard(0, 0, include_ancilla=True, m_estimate=m)
+BERNOULLI_LAYOUT = RegisterLayout(0, 0, include_ancilla=True)  # the ancilla alone
 
 
 def uc_pipeline(n_y, x, T, oracle, seed=7):
     """Gate-level A = oracle after DQA on a generated instance, with the
     oracle kind and the system layout (y, xi, ancilla)."""
     model, dist = model_from_instance(generate_instance(n_y, seed))
-    lay = RegisterLayout.standard(n_y, n_y, include_ancilla=True)
+    lay = RegisterLayout(n_y, n_y, include_ancilla=True)
     schedule = AnnealSchedule.linear(T)
-    dqa = build_dqa(model, x, dist, schedule, RegisterLayout.standard(n_y, n_y))
+    dqa = build_dqa(model, x, dist, schedule)
     b = bounds_for(model, x)
     kind = {"exact": OracleKind.exact(b),
             "sin": OracleKind.sin_approx(b),
             "sin_literal": OracleKind.sin_approx(b, literal_pi=True)}[oracle]
-    A = build_A(dqa, build_oracle(kind, model, x, lay), lay)
+    A = build_A(dqa, build_oracle(kind, model, x))
     return model, dist, schedule, kind, lay, A
 
 
@@ -111,11 +110,10 @@ class TestGrover:
     def test_unitary_on_random_states(self):
         inst = generate_instance(2, 3)
         model, dist = model_from_instance(inst)
-        lay = RegisterLayout.standard(2, 2, include_ancilla=True)
-        dqa = build_dqa(model, 1, dist, AnnealSchedule.linear(3),
-                        RegisterLayout.standard(2, 2))
-        oracle = build_oracle(OracleKind.exact(bounds_for(model, 1)), model, 1, lay)
-        grover = build_grover(build_A(dqa, oracle, lay), lay)
+        lay = RegisterLayout(2, 2, include_ancilla=True)
+        dqa = build_dqa(model, 1, dist, AnnealSchedule.linear(3))
+        oracle = build_oracle(OracleKind.exact(bounds_for(model, 1)), model, 1)
+        grover = build_grover(build_A(dqa, oracle), lay)
         u = sequence_to_matrix(grover, 5)
         assert np.abs(u.conj().T @ u - np.eye(32)).max() < 1e-9
 
@@ -123,14 +121,14 @@ class TestGrover:
         # eigenphases of Q restricted to span{A|0>, ...} are +-2 theta_a
         a = 0.3173
         theta = math.asin(math.sqrt(a))
-        lay = bernoulli_layout(1)
+        lay = BERNOULLI_LAYOUT
         grover = build_grover(bernoulli_A(a), lay)
         u = sequence_to_matrix(grover, 1)
         eigenphases = np.sort(np.angle(np.linalg.eigvals(u)))
         assert np.allclose(np.abs(eigenphases), 2 * theta, atol=1e-10)
 
     def test_degenerate_rotation_at_zero_amplitude(self):
-        lay = bernoulli_layout(1)
+        lay = BERNOULLI_LAYOUT
         grover = build_grover(bernoulli_A(0.0), lay)
         sv = StateVector(1)
         apply_sequence(sv, grover)
@@ -139,33 +137,29 @@ class TestGrover:
     def test_A_then_adjoint_is_identity(self):
         inst = generate_instance(2, 9)
         model, dist = model_from_instance(inst)
-        lay = RegisterLayout.standard(2, 2, include_ancilla=True)
-        dqa = build_dqa(model, 1, dist, AnnealSchedule.linear(4),
-                        RegisterLayout.standard(2, 2))
+        dqa = build_dqa(model, 1, dist, AnnealSchedule.linear(4))
         oracle = build_oracle(OracleKind.sin_approx(bounds_for(model, 1)),
-                              model, 1, lay)
-        A = build_A(dqa, oracle, lay)
+                              model, 1)
+        A = build_A(dqa, oracle)
         sv = StateVector(5)
         apply_sequence(sv, A)
         apply_sequence(sv, A, "adjoint")
         assert abs(sv.amplitudes[0] - 1.0) < 1e-9
 
     def test_register_mismatch_rejected(self):
-        lay = bernoulli_layout(1)
         bad = OperatorSequence((ry(3, 0.2),))
         with pytest.raises(ValueError, match="mismatch|outside"):
-            build_A(bad, OperatorSequence(()), lay)
+            build_grover(bad, BERNOULLI_LAYOUT)
 
 
 class TestQpeReadout:
     def test_fast_path_matches_gate_path(self):
         inst = generate_instance(2, 7)
         model, dist = model_from_instance(inst)
-        lay = RegisterLayout.standard(2, 2, include_ancilla=True, m_estimate=3)
-        dqa = build_dqa(model, 1, dist, AnnealSchedule.linear(4),
-                        RegisterLayout.standard(2, 2))
-        oracle = build_oracle(OracleKind.exact(bounds_for(model, 1)), model, 1, lay)
-        A = build_A(dqa, oracle, lay)
+        lay = RegisterLayout(2, 2, include_ancilla=True)
+        dqa = build_dqa(model, 1, dist, AnnealSchedule.linear(4))
+        oracle = build_oracle(OracleKind.exact(bounds_for(model, 1)), model, 1)
+        A = build_A(dqa, oracle)
         cfg = QaeConfig(m=3)
         fast = qpe_state(A, cfg, lay)
         gates = qpe_state_gates(A, cfg, lay)
@@ -177,7 +171,7 @@ class TestQpeReadout:
         M = 2 ** m
         a = math.sin(math.pi * k0 / M) ** 2
         res = run_qae(bernoulli_A(a), QaeConfig(m=m, repetitions=50, rng_seed=3),
-                      bernoulli_layout(m), Bounds(0.0, 1.0))
+                      BERNOULLI_LAYOUT, Bounds(0.0, 1.0))
         assert res.b.shape == res.a_hat.shape == (50,)
         assert set(res.b.tolist()) <= {k0, (M - k0) % M}
         assert np.all(np.abs(res.a_hat - a) < 1e-12)
@@ -185,14 +179,14 @@ class TestQpeReadout:
 
     def test_zero_amplitude_always_reads_zero(self):
         res = run_qae(bernoulli_A(0.0), QaeConfig(m=5, repetitions=30, rng_seed=1),
-                      bernoulli_layout(5), Bounds(0.0, 1.0))
+                      BERNOULLI_LAYOUT, Bounds(0.0, 1.0))
         assert res.b.shape == (30,)
         assert np.all(res.b == 0) and np.all(res.a_hat == 0.0)
 
     def test_estimates_live_on_sin_squared_grid(self):
         m = 4
         res = run_qae(bernoulli_A(0.2713), QaeConfig(m=m, repetitions=200, rng_seed=5),
-                      bernoulli_layout(m), Bounds(0.0, 1.0))
+                      BERNOULLI_LAYOUT, Bounds(0.0, 1.0))
         grid = {round(math.sin(math.pi * b / 2 ** m) ** 2, 12) for b in range(2 ** m)}
         assert res.a_hat.shape == (200,)
         assert {round(v, 12) for v in res.a_hat.tolist()} <= grid
@@ -207,7 +201,7 @@ class TestQpeReadout:
     def test_off_grid_pass_rate_exceeds_canonical_bound(self):
         m, a = 5, 0.2137
         res = run_qae(bernoulli_A(a), QaeConfig(m=m, repetitions=5000, rng_seed=11),
-                      bernoulli_layout(m), Bounds(0.0, 1.0))
+                      BERNOULLI_LAYOUT, Bounds(0.0, 1.0))
         within = error_bound_check(res.a_hat, a, 2 ** m)
         assert within.shape == (5000,)
         rate = np.mean(within)
@@ -217,7 +211,7 @@ class TestQpeReadout:
     def test_phi_rescale(self):
         b = Bounds(1.0, 3.0)
         res = run_qae(bernoulli_A(0.25), QaeConfig(m=2, repetitions=10, rng_seed=0),
-                      bernoulli_layout(2), b)
+                      BERNOULLI_LAYOUT, b)
         assert res.phi_hat.shape == (10,)
         for a_hat, phi_hat in zip(res.a_hat.tolist(), res.phi_hat.tolist()):
             assert phi_hat == pytest.approx(a_hat * b.width + b.q_l, abs=1e-15)
@@ -238,7 +232,7 @@ class TestQpeReadout:
                 assert phi_hat == a_hat * bounds.width + bounds.q_l
 
     def test_budget_guard(self):
-        lay = RegisterLayout.standard(7, 7, include_ancilla=True, m_estimate=12)
+        lay = RegisterLayout(7, 7, include_ancilla=True)
         with pytest.raises(SimulationBudgetError):
             qpe_state(OperatorSequence(()), QaeConfig(m=12), lay)
 
@@ -248,12 +242,12 @@ class TestQpeReadout:
         inst = generate_instance(2, 17)
         model, dist = model_from_instance(inst)
         x, m = 1, 6
-        lay = RegisterLayout.standard(2, 2, include_ancilla=True, m_estimate=m)
-        problem_lay = RegisterLayout.standard(2, 2)
-        dqa = build_dqa(model, x, dist, AnnealSchedule.linear(6), problem_lay)
+        lay = RegisterLayout(2, 2, include_ancilla=True)
+        problem_lay = RegisterLayout(2, 2)
+        dqa = build_dqa(model, x, dist, AnnealSchedule.linear(6))
         b = bounds_for(model, x)
-        oracle = build_oracle(OracleKind.exact(b), model, x, lay)
-        A = build_A(dqa, oracle, lay)
+        oracle = build_oracle(OracleKind.exact(b), model, x)
+        A = build_A(dqa, oracle)
         sv = run_dqa(dqa, problem_lay)
         a_true = (expectation_HQ(sv, model) - b.q_l) / b.width
         res = run_qae(A, QaeConfig(m=m, repetitions=400, rng_seed=2), lay, b)
@@ -298,11 +292,11 @@ class TestReadoutLaw:
         # fig4's a, taken as fig4 takes it from the psi* block, against
         # A = exact oracle after the Householder preparation of psi*
         model, dist = model_from_instance(generate_instance(n_y, 11))
-        lay = RegisterLayout.standard(n_y, n_y, include_ancilla=True)
+        lay = RegisterLayout(n_y, n_y, include_ancilla=True)
         for x in range(model.d + 1):
             kind = OracleKind.exact(bounds_for(model, x))
             A = build_A(prepare_per_scenario_optimal(model, x, dist),
-                        build_oracle(kind, model, x, lay), lay)
+                        build_oracle(kind, model, x))
             _, a = _qae_point(model, per_scenario_optimal_block(model, x, dist),
                               "exact", "normalized")
             assert abs(a - ancilla_marginal(A, lay)) <= 1e-12
@@ -352,7 +346,7 @@ class TestReadoutLaw:
         assert drawn.tolist() == simulated.tolist()
 
     def test_budget_guard_without_simulation(self):
-        n_sys = RegisterLayout.standard(7, 7, include_ancilla=True).num_system_qubits
+        n_sys = RegisterLayout(7, 7, include_ancilla=True).num_system_qubits
         with pytest.raises(SimulationBudgetError):
             sample_readout(0.3, QaeConfig(m=12), n_sys)
         with pytest.raises(SimulationBudgetError):
@@ -399,18 +393,18 @@ class TestConfig:
 
 class TestMonteCarlo:
     def test_certain_amplitude(self):
-        lay = bernoulli_layout(1)
+        lay = BERNOULLI_LAYOUT
         rng = np.random.default_rng(0)
         assert mc_estimate_batch(bernoulli_A(1.0), 100, lay, rng, 1)[0] == 1.0
 
     def test_binomial_spread(self):
-        lay = bernoulli_layout(1)
+        lay = BERNOULLI_LAYOUT
         rng = np.random.default_rng(4)
         est = mc_estimate_batch(bernoulli_A(0.5), 100_000, lay, rng, 1)[0]
         assert abs(est - 0.5) < 0.01
 
     def test_batch_matches_binomial_std(self):
-        lay = bernoulli_layout(1)
+        lay = BERNOULLI_LAYOUT
         a, shots = 0.3, 256
         rng = np.random.default_rng(8)
         batch = mc_estimate_batch(bernoulli_A(a), shots, lay, rng, 20_000)
