@@ -145,33 +145,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _fmt_column(values: list) -> list[str]:
-    """``_fmt`` of every value; a column of one plain type skips the
-    per-value dispatch."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        return [f"{v:.12g}" for v in values]
-    if kinds <= {int, str}:
-        return list(map(str, values))
-    return list(map(_fmt, values))
-
-
-_CSV_CHUNK_ROWS = 256  # rows formatted at once: bounds the strings held alive
-
-
 def write_csv(path, fieldnames, rows: list[dict]) -> None:
-    """Header plus one line per row, each value formatted by ``_fmt``.
-
-    Values are formatted a column of a chunk at a time; fig4's 80k-row
-    estimate table spent most of its write in per-value ``_fmt`` calls.
-    """
+    """Header plus one line per row, each value formatted by ``_fmt``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
-        for start in range(0, len(rows), _CSV_CHUNK_ROWS):
-            chunk = rows[start:start + _CSV_CHUNK_ROWS]
-            writer.writerows(zip(*(_fmt_column([row[k] for row in chunk])
-                                   for k in fieldnames)))
+        for row in rows:
+            writer.writerow([_fmt(row[k]) for k in fieldnames])
 
 
 def _write_meta(out_dir: Path, spec: ExperimentSpec, started: float,
@@ -458,9 +438,33 @@ def experiment_fig3(spec: ExperimentSpec, out_dir, workers: int | None = None) -
 _FIG4_BIN_WIDTH = 0.02237  # histogram bin width used for figure parity
 
 
+def _estimate_lines(m: int, method: str, a_hats: np.ndarray,
+                    phis: np.ndarray) -> np.ndarray:
+    """The ``fig4_estimates.csv`` lines of one batch, in row order, with the
+    bytes ``write_csv`` writes for them.
+
+    The estimates lie on a readout grid, sin^2(pi b / 2^m) for QAE and
+    k / 2^(m+1) for Monte Carlo, so a batch holds at most 2^(m+1) + 1
+    distinct values: each is formatted once, by bit pattern, and its line
+    repeated.
+    """
+    _, first, inverse = np.unique(a_hats.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    lines = np.array([f"{m},{method},{a:.12g},{phi:.12g}\r\n"
+                      for a, phi in zip(a_hats[first].tolist(),
+                                        phis[first].tolist())], dtype=object)
+    return lines[inverse]
+
+
 def experiment_fig4(spec: ExperimentSpec, out_dir) -> dict:
     """QAE versus Monte Carlo at equal sample budget on a perfectly
-    converged state (brute-force construction, zero residual temperature)."""
+    converged state (brute-force construction, zero residual temperature).
+
+    Returns ``estimates``, one ``{"m", "method", "a_hat", "phi_hat"}`` dict
+    per row of ``fig4_estimates.csv`` in the same order, ``summary`` (the
+    rows of ``fig4_summary.csv``) and ``a_true``.  The estimate table is
+    written one (m, method) batch at a time, as soon as the batch is drawn.
+    """
     started = time.time()
     model, dist = model_from_instance(
         generate_instance(spec.n_y, derive_seed(spec.master_seed, "fig4")))
@@ -481,37 +485,38 @@ def experiment_fig4(spec: ExperimentSpec, out_dir) -> dict:
 
     estimates, summary, hist_rows = [], [], []
     edges = np.arange(bounds.q_l, bounds.q_u + 2 * _FIG4_BIN_WIDTH, _FIG4_BIN_WIDTH)
-    for m, config in zip(spec.m_values, configs):
-        config = replace(config, rng_seed=derive_seed(spec.master_seed, "fig4", m, "qae"))
-        a_qae = qae_from_amplitude(a, config, n_system, bounds).a_hat
-        shots = 2 ** (m + 1)
-        a_mc = mc_from_amplitude(a, shots,
-                                 np.random.default_rng(
-                                     derive_seed(spec.master_seed, "fig4", m, "mc")),
-                                 spec.n_estimates)
-        for method, arr, n_shots in (("qae", a_qae, config.a_applications),
-                                     ("mc", a_mc, shots)):
-            phis = arr * bounds.width + bounds.q_l
-            for v, p in zip(arr.tolist(), phis.tolist()):
-                estimates.append({"m": m, "method": method, "a_hat": v,
-                                  "phi_hat": p})
-            counts, _ = np.histogram(phis, bins=edges)
-            for lo, cnt in zip(edges[:-1], counts):
-                if cnt:
-                    hist_rows.append({"m": m, "method": method,
-                                      "bin_left": float(lo),
-                                      "bin_width": _FIG4_BIN_WIDTH,
-                                      "mass": float(cnt) / len(arr)})
-            summary.append({
-                "m": m, "method": method, "shots": n_shots,
-                "rmse": float(np.sqrt(np.mean((arr - a_true) ** 2))),
-                "within_bound_rate": float(np.mean(
-                    error_bound_check(arr, a_true, config.M))),
-                "a_true": a_true, "phi_true": phi,
-            })
+    with open(out_dir / "fig4_estimates.csv", "w", newline="") as est_fh:
+        est_fh.write("m,method,a_hat,phi_hat\r\n")  # the header csv.writer writes
+        for m, config in zip(spec.m_values, configs):
+            config = replace(config,
+                             rng_seed=derive_seed(spec.master_seed, "fig4", m, "qae"))
+            a_qae = qae_from_amplitude(a, config, n_system, bounds).a_hat
+            shots = 2 ** (m + 1)
+            a_mc = mc_from_amplitude(a, shots,
+                                     np.random.default_rng(
+                                         derive_seed(spec.master_seed, "fig4", m, "mc")),
+                                     spec.n_estimates)
+            for method, arr, n_shots in (("qae", a_qae, config.a_applications),
+                                         ("mc", a_mc, shots)):
+                phis = arr * bounds.width + bounds.q_l
+                est_fh.writelines(_estimate_lines(m, method, arr, phis))
+                estimates += [{"m": m, "method": method, "a_hat": v, "phi_hat": p}
+                              for v, p in zip(arr.tolist(), phis.tolist())]
+                counts, _ = np.histogram(phis, bins=edges)
+                for lo, cnt in zip(edges[:-1], counts):
+                    if cnt:
+                        hist_rows.append({"m": m, "method": method,
+                                          "bin_left": float(lo),
+                                          "bin_width": _FIG4_BIN_WIDTH,
+                                          "mass": float(cnt) / len(arr)})
+                summary.append({
+                    "m": m, "method": method, "shots": n_shots,
+                    "rmse": float(np.sqrt(np.mean((arr - a_true) ** 2))),
+                    "within_bound_rate": float(np.mean(
+                        error_bound_check(arr, a_true, config.M))),
+                    "a_true": a_true, "phi_true": phi,
+                })
 
-    write_csv(out_dir / "fig4_estimates.csv",
-              ["m", "method", "a_hat", "phi_hat"], estimates)
     write_csv(out_dir / "fig4_histogram.csv",
               ["m", "method", "bin_left", "bin_width", "mass"], hist_rows)
     write_csv(out_dir / "fig4_summary.csv",

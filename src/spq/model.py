@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -52,6 +53,11 @@ class UnitCommitmentModel:
         return self.n_y
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Sample space with pmf: entries are (scenario bitmask, probability)."""
@@ -89,13 +95,18 @@ class DiscreteDistribution:
     def from_pmf(cls, n_xi: int, pmf: dict[int, float]) -> "DiscreteDistribution":
         return cls(n_xi, tuple(sorted(pmf.items())))
 
-    @property
+    # Both arrays are built from ``entries`` on first access and kept,
+    # read-only; ``__getstate__`` leaves them out of a pickle.
+    @cached_property
     def scenarios(self) -> np.ndarray:
-        return np.array([s for s, _ in self.entries], dtype=np.int64)
+        return _read_only(np.array([s for s, _ in self.entries], dtype=np.int64))
 
-    @property
+    @cached_property
     def probabilities(self) -> np.ndarray:
-        return np.array([p for _, p in self.entries])
+        return _read_only(np.array([p for _, p in self.entries]))
+
+    def __getstate__(self) -> dict:
+        return {"n_xi": self.n_xi, "entries": self.entries}
 
     @property
     def is_uniform(self) -> bool:

@@ -11,8 +11,6 @@ from statistics import median_low
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import spq
 from spq.cli import main
@@ -482,14 +480,8 @@ class TestNoGatesInProduction:
             single_run(WORKED_INSTANCE, x=1, T=6, oracle=oracle, m=5, seed=7)
 
 
-# -0.0, subnormals, the largest finite value, integral and negative values
-_EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
-                1.7976931348623157e308, -1e300, 1e16, 3.0, -2.0, 123456789012.0,
-                0.1, -0.30000000000000004, 1e-5, float("inf"), float("nan"))
-
-
 def _write_csv_value_by_value(path, fieldnames, rows):
-    # the writer ``write_csv`` replaced, kept as its reference
+    # the per-value writer, kept as ``write_csv``'s reference
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
@@ -498,17 +490,6 @@ def _write_csv_value_by_value(path, fieldnames, rows):
 
 
 class TestWriteCsv:
-    @given(st.lists(st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))))
-    @settings(max_examples=200, deadline=None)
-    def test_float_column_formats_like_fmt(self, values):
-        assert harness._fmt_column(values) == [harness._fmt(v) for v in values]
-
-    @given(st.lists(st.one_of(st.floats(), st.integers(), st.booleans(), st.none(),
-                              st.text(max_size=4), st.sampled_from(_EDGE_FLOATS))))
-    @settings(max_examples=200, deadline=None)
-    def test_mixed_column_formats_like_fmt(self, values):
-        assert harness._fmt_column(values) == [harness._fmt(v) for v in values]
-
     def test_bytes_match_value_by_value_writer(self, tmp_path):
         # more rows than one chunk; columns of one type, of mixed types, and
         # text that needs quoting
@@ -657,6 +638,27 @@ class TestExperimentOutputs:
         for name in ("fig4_estimates.csv", "fig4_histogram.csv", "fig4_summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("n_y", [3, 5])
+    def test_fig4_estimate_table_is_write_csv_of_the_estimates(self, tmp_path, n_y):
+        # the batched writer against write_csv on the returned rows; at m=1
+        # the QAE readouts are exactly 0.0 and 1.0 and the Monte Carlo ones k/4
+        spec = ExperimentSpec(kind="fig4", n_y=n_y, m_values=(1, 2, 5, 8),
+                              n_estimates=400, master_seed=45)
+        out = experiment_fig4(spec, tmp_path / "fig4")
+        fields = ["m", "method", "a_hat", "phi_hat"]
+        harness.write_csv(tmp_path / "ref.csv", fields, out["estimates"])
+        assert (tmp_path / "fig4" / "fig4_estimates.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+        assert all(type(e) is dict and list(e) == fields for e in out["estimates"])
+        assert [(e["m"], e["method"]) for e in out["estimates"]] == [
+            (m, method) for m in spec.m_values for method in ("qae", "mc")
+            for _ in range(spec.n_estimates)]
+        at_m1 = {method: {e["a_hat"] for e in out["estimates"]
+                          if e["m"] == 1 and e["method"] == method}
+                 for method in ("qae", "mc")}
+        assert at_m1["qae"] == {0.0, 1.0}
+        assert at_m1["mc"] <= {0.0, 0.25, 0.5, 0.75, 1.0} and len(at_m1["mc"]) > 1
 
     def test_fig5_schema_and_cross_checks(self, tmp_path):
         spec = ExperimentSpec(kind="fig5", configs=((3, 4, 6),),

@@ -4,6 +4,8 @@ The n_y=2 worked instance (d=2, c_x=0.4, c=[0.1, 0.2], c_r=1, uniform
 wind) is enumerated by hand here and reused as a regression anchor.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,35 @@ class TestDistribution:
     def test_negative_probability_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             DiscreteDistribution(1, ((0, 1.5), (1, -0.5)))
+
+    @pytest.mark.parametrize("name", ["scenarios", "probabilities"])
+    def test_arrays_are_built_once(self, name):
+        dist = DiscreteDistribution.from_pmf(2, {1: 0.25, 3: 0.75})
+        assert getattr(dist, name) is getattr(dist, name)
+
+    @pytest.mark.parametrize("name", ["scenarios", "probabilities"])
+    def test_arrays_are_read_only(self, name):
+        array = getattr(DiscreteDistribution.uniform(2), name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+    def test_cached_arrays_leave_equality_and_hash_alone(self):
+        used, fresh = DiscreteDistribution.uniform(3), DiscreteDistribution.uniform(3)
+        _ = used.scenarios, used.probabilities  # fill the caches of one
+        assert used == fresh and hash(used) == hash(fresh)
+        assert used != DiscreteDistribution.point_mass(3, 0)
+
+    def test_pickle_round_trip(self):
+        dist = DiscreteDistribution.from_pmf(2, {0: 0.5, 2: 0.5})
+        before = pickle.dumps(dist)
+        _ = dist.scenarios, dist.probabilities
+        # the cached arrays stay out of the pickle
+        assert pickle.dumps(dist) == before
+        back = pickle.loads(before)
+        assert back == dist and hash(back) == hash(dist)
+        assert np.array_equal(back.scenarios, [0, 2])
+        assert np.array_equal(back.probabilities, [0.5, 0.5])
+        assert not back.probabilities.flags.writeable
 
 
 class TestModelValidation:
