@@ -53,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("kind", choices=("fig3", "fig4", "fig5"))
     exp.add_argument("--config", required=True, help="experiment config JSON")
     exp.add_argument("--out", required=True, help="output directory")
-    exp.add_argument("--workers", type=int, default=None)
+    exp.add_argument("--workers", type=int, default=None,
+                     help="fig3 only: worker processes (default: one per core)")
 
     gen = sub.add_parser("make-instance", help="generate a seeded instance file")
     gen.add_argument("--n-y", type=int, required=True)
@@ -87,6 +88,8 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.workers is not None and args.kind != "fig3":
+        raise ConfigError(f"--workers applies to fig3 only, not {args.kind}")
     spec = ExperimentSpec.from_json(args.config)
     if spec.kind != args.kind:
         raise ConfigError(f"config kind {spec.kind!r} does not match "

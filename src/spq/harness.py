@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import os
 import time
 import zlib
@@ -36,6 +35,7 @@ from .model import (
     ConfigError,
     DiscreteDistribution,
     UnitCommitmentModel,
+    as_integer,
     bounds_for,
     expected_value_exact,
     generate_instance,
@@ -54,20 +54,9 @@ from .qae import (
 _FIG5_DEFAULT_CONFIGS = ((4, 6, 10), (5, 6, 15), (6, 5, 20))
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a float, even an integral one, or a bool is a
-    config error rather than a crash or a silent truncation."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name}: expected an integer, got {value!r}")
-    return int(value)
-
-
-def _check_oracle(oracle: str, angle_mode: str) -> None:
+def _check_oracle(oracle: str) -> None:
     if oracle not in ("exact", "sin"):
         raise ConfigError(f"oracle must be 'exact' or 'sin', got {oracle!r}")
-    if angle_mode not in ("normalized", "literal"):
-        raise ConfigError(
-            f"angle_mode must be 'normalized' or 'literal', got {angle_mode!r}")
 
 
 @dataclass
@@ -88,20 +77,19 @@ class ExperimentSpec:
     configs: tuple[tuple[int, int, int], ...] = _FIG5_DEFAULT_CONFIGS
     n_repetitions: int = 10
     oracle: str = "sin"
-    angle_mode: str = "normalized"
     amplify: int = 1
 
     def __post_init__(self):
         for f in fields(self):
             if f.type == "int":
-                setattr(self, f.name, _integer(f.name, getattr(self, f.name)))
-        self.n_y_values = tuple(_integer("n_y_values", v) for v in self.n_y_values)
-        self.m_values = tuple(_integer("m_values", v) for v in self.m_values)
-        self.configs = tuple(tuple(_integer("configs", v) for v in (n_y, m, T))
+                setattr(self, f.name, as_integer(f.name, getattr(self, f.name)))
+        self.n_y_values = tuple(as_integer("n_y_values", v) for v in self.n_y_values)
+        self.m_values = tuple(as_integer("m_values", v) for v in self.m_values)
+        self.configs = tuple(tuple(as_integer("configs", v) for v in (n_y, m, T))
                              for n_y, m, T in self.configs)
         if self.kind not in ("fig3", "fig4", "fig5"):
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        _check_oracle(self.oracle, self.angle_mode)
+        _check_oracle(self.oracle)
         if self.amplify < 1 or self.n_instances < 1 or self.n_repetitions < 1:
             raise ConfigError("counts must be positive")
         for name in ("n_y_values", "m_values", "configs"):
@@ -185,13 +173,6 @@ class OuterLoopResult:
         return float(np.corrcoef(est, o)[0, 1])
 
 
-def _oracle_kind(model, x, oracle, angle_mode) -> OracleKind:
-    bounds = bounds_for(model, x)
-    if oracle == "exact":
-        return OracleKind.exact(bounds)
-    return OracleKind.sin_approx(bounds, literal_pi=(angle_mode == "literal"))
-
-
 def _block_values(model, dist, T, value) -> dict:
     """``value(block)`` for the annealed feasible block of every x.
 
@@ -206,23 +187,23 @@ def _block_values(model, dist, T, value) -> dict:
     return out
 
 
-def _qae_point(model, block, oracle, angle_mode) -> tuple[float, float]:
+def _qae_point(model, block, oracle) -> tuple[float, float]:
     """(<H_Q>, a) of one feasible block, annealed or psi*, where a =
     Pr[ancilla = 1] after the oracle; both are sums over the block alone."""
-    kind = _oracle_kind(model, block.x, oracle, angle_mode)
+    kind = OracleKind(oracle, bounds_for(model, block.x))
     return block.expectation_hq(), target_amplitude(
         kind, block.probabilities().ravel(), block.costs.ravel())
 
 
 @lru_cache(maxsize=1)
-def _qae_points(model, dist, T, oracle, angle_mode) -> tuple[tuple[float, float], ...]:
+def _qae_points(model, dist, T, oracle) -> tuple[tuple[float, float], ...]:
     """(<H_Q>, a) of the annealed state for every x in 0..d.
 
     Pure in its hashable arguments; the one cached entry lets fig5's
     repetitions of a config share one anneal per x.
     """
     points = _block_values(
-        model, dist, T, lambda block: _qae_point(model, block, oracle, angle_mode))
+        model, dist, T, lambda block: _qae_point(model, block, oracle))
     return tuple(points[x] for x in range(model.d + 1))
 
 
@@ -232,17 +213,16 @@ def _system_qubits(model, dist) -> int:
 
 
 def check_run(model, dist, xs, T: int | None = None, m: int | None = None,
-              repetitions: int = 1, oracle: str = "exact",
-              angle_mode: str = "normalized") -> QaeConfig | None:
+              repetitions: int = 1, oracle: str = "exact") -> QaeConfig | None:
     """The one check a run passes before any output directory or anneal.
 
-    Checks the oracle and angle mode names, every x in ``xs`` and the size
-    of its feasible block (``check_block``, which also matches dist to the
-    model), the layer count T unless None and, when the estimate width m
-    is given, m, the readout count and the qubit budget of the circuit the
-    readout stands for.  Returns that readout plan, or None.
+    Checks the oracle name, every x in ``xs`` and the size of its feasible
+    block (``check_block``, which also matches dist to the model), the
+    layer count T unless None and, when the estimate width m is given, m,
+    the readout count and the qubit budget of the circuit the readout
+    stands for.  Returns that readout plan, or None.
     """
-    _check_oracle(oracle, angle_mode)
+    _check_oracle(oracle)
     for x in xs:
         check_block(model, x, dist)
     if T is not None:
@@ -254,7 +234,7 @@ def check_run(model, dist, xs, T: int | None = None, m: int | None = None,
     return config
 
 
-def _qae_estimate_for_x(model, dist, x, exp_hq, a, config, oracle, angle_mode):
+def _qae_estimate_for_x(model, dist, x, exp_hq, a, config, oracle):
     """One full-pipeline point from the annealed state's <H_Q> and its QAE
     target a (``_qae_point``): ``config.repetitions`` readouts are drawn
     from the closed-form law of a, the median estimate is picked and, for
@@ -262,7 +242,7 @@ def _qae_estimate_for_x(model, dist, x, exp_hq, a, config, oracle, angle_mode):
     ``a_hat`` and ``within_bound`` (None for the sin oracle), and phi's
     estimate.  No state or circuit is built here.
     """
-    kind = _oracle_kind(model, x, oracle, angle_mode)
+    kind = OracleKind(oracle, bounds_for(model, x))
     bounds = kind.bounds
     estimates = qae_from_amplitude(a, config, _system_qubits(model, dist), bounds)
     phis = estimates.phi_hat.tolist()
@@ -278,8 +258,7 @@ def _qae_estimate_for_x(model, dist, x, exp_hq, a, config, oracle, angle_mode):
 
 def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
                mode: str = "expectation", *, m: int | None = None,
-               oracle: str = "exact", angle_mode: str = "normalized",
-               amplify: int = 1, master_seed: int = 0,
+               oracle: str = "exact", amplify: int = 1, master_seed: int = 0,
                seed_tag: tuple = ()) -> OuterLoopResult:
     """Objective table over x in {0..d}.
 
@@ -289,25 +268,25 @@ def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
     Every mode takes <H_Q>, and qae mode the QAE target a, from sums over
     a feasible block, never the full register.  Expectation and qae modes
     anneal x with the x' of complementary weight (``lockstep_groups``);
-    qae mode keeps the last (model, dist, T, oracle, angle_mode) anneal
+    qae mode keeps the last (model, dist, T, oracle) anneal
     (``_qae_points``), so repeated calls differing only in ``seed_tag``
     anneal once; each x's readout seed still comes from ``seed_tag`` and x.
-    Every mode passes ``check_run``, with the oracle and angle mode names,
-    and qae mode with m and ``amplify``, first.
+    Every mode passes ``check_run``, with the oracle name, and qae mode
+    with m and ``amplify``, first.
     """
     if mode not in ("expectation", "qae", "exact"):
         raise ConfigError(f"unknown outer-loop mode {mode!r}")
     if mode == "qae" and m is None:
         raise ConfigError("qae mode requires the estimate width m")
     config = check_run(model, dist, range(model.d + 1), T,
-                       m if mode == "qae" else None, amplify, oracle, angle_mode)
+                       m if mode == "qae" else None, amplify, oracle)
     if mode == "expectation":
         exp_hqs = _block_values(model, dist, T, lambda block: block.expectation_hq())
     elif mode == "exact":
         exp_hqs = {x: per_scenario_optimal_block(model, x, dist).expectation_hq()
                    for x in range(model.d + 1)}
     else:
-        points = _qae_points(model, dist, T, oracle, angle_mode)
+        points = _qae_points(model, dist, T, oracle)
     result = OuterLoopResult()
     for x in range(model.d + 1):
         phi = expected_value_exact(model, x, dist)
@@ -318,8 +297,7 @@ def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
             seed = derive_seed(master_seed, *seed_tag, x)
             exp_hq, a = points[x]
             picked, phi_est = _qae_estimate_for_x(
-                model, dist, x, exp_hq, a, replace(config, rng_seed=seed),
-                oracle, angle_mode)
+                model, dist, x, exp_hq, a, replace(config, rng_seed=seed), oracle)
             row.update(picked)
         else:
             exp_hq = phi_est = exp_hqs[x]
@@ -479,8 +457,7 @@ def experiment_fig4(spec: ExperimentSpec, out_dir) -> dict:
     # Pr[ancilla = 1] after the exact oracle on the converged state psi*
     # does not depend on m; it feeds the QAE law and the Monte Carlo
     # binomial at every m
-    _, a = _qae_point(model, per_scenario_optimal_block(model, x, dist),
-                      "exact", "normalized")
+    _, a = _qae_point(model, per_scenario_optimal_block(model, x, dist), "exact")
     n_system = _system_qubits(model, dist)
 
     estimates, summary, hist_rows = [], [], []
@@ -543,8 +520,7 @@ def experiment_fig5(spec: ExperimentSpec, out_dir) -> dict:
     surface, summary = [], []
     for ci, ((n_y, m, T), (model, dist)) in enumerate(zip(spec.configs, models)):
         for rep in range(spec.n_repetitions):
-            res = outer_loop(model, dist, T, mode="qae", m=m,
-                             oracle=spec.oracle, angle_mode=spec.angle_mode,
+            res = outer_loop(model, dist, T, mode="qae", m=m, oracle=spec.oracle,
                              amplify=spec.amplify, master_seed=spec.master_seed,
                              seed_tag=("fig5", ci, rep))
             for r in res.rows:
@@ -570,7 +546,7 @@ def experiment_fig5(spec: ExperimentSpec, out_dir) -> dict:
 # -- single runs (CLI) ----------------------------------------------------------
 
 def single_run(inst: dict, x: int, T: int, oracle: str, m: int, seed: int,
-               amplify: int = 1, angle_mode: str = "normalized") -> dict:
+               amplify: int = 1) -> dict:
     """One full-pipeline run; returns the run record.
 
     Passes ``check_run``, then anneals x alone on its feasible block and
@@ -579,12 +555,11 @@ def single_run(inst: dict, x: int, T: int, oracle: str, m: int, seed: int,
     """
     model, dist = model_from_instance(inst)
     started = time.time()
-    config = replace(check_run(model, dist, (x,), T, m, amplify, oracle, angle_mode),
+    config = replace(check_run(model, dist, (x,), T, m, amplify, oracle),
                      rng_seed=derive_seed(seed, "run", x))
     (block,) = anneal_feasible_blocks(model, (x,), dist, AnnealSchedule.linear(T))
-    exp_hq, a = _qae_point(model, block, oracle, angle_mode)
-    picked, phi_est = _qae_estimate_for_x(model, dist, x, exp_hq, a, config,
-                                          oracle, angle_mode)
+    exp_hq, a = _qae_point(model, block, oracle)
+    picked, phi_est = _qae_estimate_for_x(model, dist, x, exp_hq, a, config, oracle)
     phi = expected_value_exact(model, x, dist)
     return {
         "instance_seed": inst.get("seed"), "n_y": model.n_y, "x": x, "T": T,

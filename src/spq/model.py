@@ -9,6 +9,7 @@ throughout; scenario bit 1 means the wind blows at that turbine.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -22,6 +23,14 @@ class ConfigError(ValueError):
 
 class InfeasibleDecisionError(ConfigError):
     """A first- or second-stage decision violates the demand constraint."""
+
+
+def as_integer(name: str, value) -> int:
+    """``value`` as an int; a float, even an integral one, or a bool is a
+    config error rather than a crash or a silent truncation."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -270,36 +279,51 @@ def cost_diagonal(problem) -> np.ndarray:
 
 # -- instance files -------------------------------------------------------
 
-def generate_instance(n_y: int, seed: int, c_x: float = 0.4, c_r: float = 1.0,
-                      c_range: tuple[float, float] = (0.01, 0.2),
-                      d: int | None = None) -> dict:
+# The benchmark family: gas cost, recourse cost and the range the turbine
+# costs are drawn from; demand is d = n_y.
+_FAMILY_C_X = 0.4
+_FAMILY_C_R = 1.0
+_FAMILY_C_RANGE = (0.01, 0.2)
+
+
+def generate_instance(n_y: int, seed: int) -> dict:
     """Random instance of the benchmark family, seed recorded."""
     rng = np.random.default_rng(seed)
-    c = rng.uniform(c_range[0], c_range[1], size=n_y)
+    c = rng.uniform(*_FAMILY_C_RANGE, size=n_y)
     return {
         "n_y": n_y,
-        "c_x": c_x,
+        "c_x": _FAMILY_C_X,
         "c": [float(v) for v in c],
-        "c_r": c_r,
-        "d": n_y if d is None else d,
+        "c_r": _FAMILY_C_R,
+        "d": n_y,
         "distribution": {"type": "uniform"},
         "seed": seed,
     }
 
 
 def model_from_instance(inst: dict) -> tuple[UnitCommitmentModel, DiscreteDistribution]:
-    model = UnitCommitmentModel(n_y=inst["n_y"], c_x=inst["c_x"],
-                                c=tuple(inst["c"]), c_r=inst["c_r"], d=inst["d"])
-    spec = inst.get("distribution", {"type": "uniform"})
-    if spec.get("type") == "uniform":
-        dist = DiscreteDistribution.uniform(model.n_xi)
-    elif spec.get("type") == "explicit":
-        entries = tuple((int(e["scenario"], 2) if isinstance(e["scenario"], str)
-                         else int(e["scenario"]), float(e["p"]))
-                        for e in spec["entries"])
-        dist = DiscreteDistribution(model.n_xi, entries)
-    else:
-        raise ValueError(f"unknown distribution type {spec.get('type')!r}")
+    """The model and scenario law of an instance file's contents; a
+    malformed instance raises ``ConfigError`` (a bad value ``ValueError``)."""
+    if not isinstance(inst, dict):
+        raise ConfigError("instance is not a JSON object")
+    try:
+        model = UnitCommitmentModel(
+            n_y=as_integer("n_y", inst["n_y"]), c_x=inst["c_x"], c=tuple(inst["c"]),
+            c_r=inst["c_r"], d=as_integer("d", inst["d"]))
+        spec = inst.get("distribution", {"type": "uniform"})
+        if spec.get("type") == "uniform":
+            dist = DiscreteDistribution.uniform(model.n_xi)
+        elif spec.get("type") == "explicit":
+            entries = tuple((int(e["scenario"], 2) if isinstance(e["scenario"], str)
+                             else as_integer("scenario", e["scenario"]), float(e["p"]))
+                            for e in spec["entries"])
+            dist = DiscreteDistribution(model.n_xi, entries)
+        else:
+            raise ValueError(f"unknown distribution type {spec.get('type')!r}")
+    except KeyError as exc:
+        raise ConfigError(f"instance: missing field {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ConfigError(f"malformed instance: {exc}") from exc
     return model, dist
 
 

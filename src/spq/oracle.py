@@ -2,7 +2,8 @@
 
 Two constructions: an exact per-basis-state rotation (brute-force dense,
 demonstration scale only) and the small-angle product of doubly controlled
-RY gates, whose per-branch rotation angle is additive in the cost terms.
+RY gates, whose per-branch rotation angle is additive in the cost terms and
+scaled by pi / q_u, so that it stays in [0, pi] where sin^2 is invertible.
 """
 
 from __future__ import annotations
@@ -21,41 +22,32 @@ _EXACT_ORACLE_MAX_NY = 5  # dense 2^(2*n_y + 1) matrix; demonstration scale
 
 @dataclass(frozen=True)
 class OracleKind:
-    """Which oracle to build and how costs map to rotation angles.
+    """Which oracle to build, for the certified cost bounds of one x.
 
-    ``angle_scale`` (sin variant) is the rotation in radians per unit of
-    cost.  The default pi / q_u keeps the total per-branch angle inside
-    [0, pi] so sin^2 stays invertible; the literal angle scale of pi can be
-    requested with ``allow_aliasing`` for parity runs where costs stay
-    below one.
+    The sin variant rotates the ancilla by ``angle_scale`` = pi / q_u
+    radians per unit of cost.  The scale is worked out from the bounds,
+    never set: a branch's total angle is at most pi, so sin^2 stays
+    invertible.
     """
 
     variant: str
     bounds: Bounds
-    angle_scale: float | None = None
-    allow_aliasing: bool = False
 
     def __post_init__(self):
         if self.variant not in ("exact", "sin"):
             raise ValueError(f"unknown oracle variant {self.variant!r}")
-        if self.variant == "sin":
-            if self.angle_scale is None or self.angle_scale <= 0:
-                raise ValueError("sin oracle requires a positive angle_scale")
-            total = self.angle_scale * self.bounds.q_u
-            if total > math.pi + 1e-12 and not self.allow_aliasing:
-                raise ValueError(
-                    f"angle_scale * q_u = {total:.4f} > pi aliases the rotation; "
-                    "pass allow_aliasing=True to override")
+
+    @property
+    def angle_scale(self) -> float:
+        return math.pi / self.bounds.q_u
 
     @classmethod
     def exact(cls, bounds: Bounds) -> "OracleKind":
         return cls("exact", bounds)
 
     @classmethod
-    def sin_approx(cls, bounds: Bounds, literal_pi: bool = False) -> "OracleKind":
-        if literal_pi:
-            return cls("sin", bounds, math.pi, allow_aliasing=True)
-        return cls("sin", bounds, math.pi / bounds.q_u)
+    def sin_approx(cls, bounds: Bounds) -> "OracleKind":
+        return cls("sin", bounds)
 
 
 def qbar(model: UnitCommitmentModel, x: int, q: float) -> float:

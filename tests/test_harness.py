@@ -122,7 +122,7 @@ class TestOuterLoop:
         res1 = outer_loop(model, dist, T=10, mode="qae", m=4, oracle="exact",
                           amplify=5, seed_tag=("amp",))
         assert len(res1.rows) == 3
-        points = harness._qae_points(model, dist, 10, "exact", "normalized")
+        points = harness._qae_points(model, dist, 10, "exact")
         for row in res1.rows:
             x = row["x"]
             config = QaeConfig(m=4, repetitions=5, rng_seed=derive_seed(0, "amp", x))
@@ -211,15 +211,13 @@ class TestQaeOnFeasibleBlocks:
         model, dist = model_from_instance(generate_instance(n_y, 40 + n_y))
         T = 2 * n_y
         costs = cost_diagonal(model)
-        for oracle, angle_mode in (("exact", "normalized"), ("sin", "normalized"),
-                                   ("sin", "literal")):
-            points = harness._qae_points(model, dist, T, oracle, angle_mode)
+        for oracle in ("exact", "sin"):
+            points = harness._qae_points(model, dist, T, oracle)
             assert len(points) == model.d + 1
             for x, (exp_hq, a) in enumerate(points):
                 sv = run_dqa_fast(model, x, dist, AnnealSchedule.linear(T))
                 b = bounds_for(model, x)
-                kind = (OracleKind.exact(b) if oracle == "exact" else
-                        OracleKind.sin_approx(b, literal_pi=angle_mode == "literal"))
+                kind = OracleKind(oracle, b)
                 assert abs(exp_hq - expectation_HQ(sv, model)) <= 1e-12
                 assert abs(a - target_amplitude(kind, sv.probabilities(), costs)) <= 1e-12
 
@@ -299,8 +297,8 @@ class TestQaeOnFeasibleBlocks:
 
 class TestReadoutChecksBeforeAnneal:
     """A readout that cannot run (m outside [1, 12], no readouts, a circuit
-    over the qubit cap, an unknown oracle or angle mode, or a scenario law
-    of the wrong width) fails before any anneal."""
+    over the qubit cap, an unknown oracle, or a scenario law of the wrong
+    width) fails before any anneal."""
 
     BAD_READOUTS = [({"m": 12}, SimulationBudgetError, 3),
                     ({"m": 13}, ValueError, 2),
@@ -329,14 +327,13 @@ class TestReadoutChecksBeforeAnneal:
 
     @pytest.mark.parametrize("names, error", [
         ({"oracle": "Sin"}, "oracle must be"),
-        ({"angle_mode": "degrees"}, "angle_mode must be"),
     ])
     def test_unknown_oracle_or_angle_mode(self, monkeypatch, names, error):
         # "Sin" used to build the sin oracle and read it back linearly
         self.refuse_anneal(monkeypatch)
         inst = generate_instance(4, 3)
         model, dist = model_from_instance(inst)
-        kwargs = {"oracle": "sin", "angle_mode": "normalized", **names}
+        kwargs = {"oracle": "sin", **names}
         with pytest.raises(ConfigError, match=error):
             single_run(inst, x=2, T=8, m=5, seed=0, **kwargs)
         for mode in ("expectation", "qae", "exact"):
@@ -456,6 +453,20 @@ class TestCheckBeforeWork:
             check_run(model, dist, range(model.d + 1), 196)
         with pytest.raises(SimulationBudgetError, match="56229888 amplitudes"):
             check_run(model, dist, (7,), 196)
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
+                             ids=lambda path: path.name)
+    def test_shipped_config_passes_its_check_step(self, tmp_path, monkeypatch, path):
+        # the check step runs in full, without annealing, up to the output
+        # directory, which cannot be made under a regular file
+        self.refuse_work(monkeypatch)
+        spec = ExperimentSpec.from_json(path)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        experiment = {"fig3": experiment_fig3, "fig4": experiment_fig4,
+                      "fig5": experiment_fig5}[spec.kind]
+        with pytest.raises((FileExistsError, NotADirectoryError)):
+            experiment(spec, blocker / "out")
 
 
 class TestNoGatesInProduction:
@@ -772,6 +783,17 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == 2
         assert "not a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["fig4", "fig5"])
+    def test_workers_refused_for_fig4_and_fig5(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": kind}))
+        out = tmp_path / "out"
+        for workers in ("0", "2"):
+            assert main(["experiment", kind, "--config", str(cfg),
+                         "--out", str(out), "--workers", workers]) == 2
+            assert "--workers applies to fig3 only" in capsys.readouterr().err
+            assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_fig3_nonpositive_workers_exit_2(self, tmp_path, capsys, workers):
         cfg = tmp_path / "cfg.json"
@@ -789,6 +811,30 @@ class TestCli:
                      "--out", str(inst_path)]) == 2
         assert "turbine" in capsys.readouterr().err
         assert not inst_path.exists()
+
+    MALFORMED_INSTANCES = [
+        ({k: v for k, v in WORKED_INSTANCE.items() if k != "c_x"}, "missing field 'c_x'"),
+        ({**WORKED_INSTANCE, "d": 2.0}, "d: expected an integer"),
+        ({**WORKED_INSTANCE, "n_y": 2.0}, "n_y: expected an integer"),
+        ([WORKED_INSTANCE], "not a JSON object"),
+        ({**WORKED_INSTANCE, "distribution": {"type": "explicit", "entries": [
+            {"scenario": 0, "p": 0.5}, {"scenario": 3}]}}, "missing field 'p'"),
+        ({**WORKED_INSTANCE, "distribution": "uniform"}, "malformed instance"),
+        ({**WORKED_INSTANCE, "distribution": {"type": "explicit", "entries": [
+            {"scenario": 1.5, "p": 1.0}]}}, "scenario: expected an integer"),
+    ]
+
+    @pytest.mark.parametrize("command", ["exact", "run"])
+    @pytest.mark.parametrize("inst, error", MALFORMED_INSTANCES)
+    def test_malformed_instance_exits_2(self, tmp_path, capsys, command, inst, error):
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(inst))
+        argv = [command, "--instance", str(inst_path)]
+        if command == "run":
+            argv += ["--x", "1", "--T", "4", "--m", "5"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and error in err
 
     def test_kind_mismatch_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -143,13 +143,6 @@ class TestSinOracle:
         kind = OracleKind.sin_approx(b)
         assert kind.angle_scale * b.q_u == pytest.approx(math.pi)
 
-    def test_literal_pi_mode_requires_opt_in(self):
-        b = Bounds(0.0, 3.0)
-        with pytest.raises(ValueError, match="alias"):
-            OracleKind("sin", b, math.pi)
-        kind = OracleKind.sin_approx(b, literal_pi=True)
-        assert kind.angle_scale == pytest.approx(math.pi)
-
 
 class TestReadback:
     def test_zero_maps_to_zero(self):

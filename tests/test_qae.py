@@ -76,8 +76,7 @@ def uc_pipeline(n_y, x, T, oracle, seed=7):
     dqa = build_dqa(model, x, dist, schedule)
     b = bounds_for(model, x)
     kind = {"exact": OracleKind.exact(b),
-            "sin": OracleKind.sin_approx(b),
-            "sin_literal": OracleKind.sin_approx(b, literal_pi=True)}[oracle]
+            "sin": OracleKind.sin_approx(b)}[oracle]
     A = build_A(dqa, build_oracle(kind, model, x))
     return model, dist, schedule, kind, lay, A
 
@@ -278,7 +277,7 @@ class TestReadoutLaw:
         law = readout_distribution(ancilla_marginal(A, lay), m)
         assert np.abs(law - sim).max() <= 1e-12
 
-    @pytest.mark.parametrize("oracle", ["exact", "sin", "sin_literal"])
+    @pytest.mark.parametrize("oracle", ["exact", "sin"])
     @pytest.mark.parametrize("n_y, x, T", [(2, 1, 3), (3, 0, 5), (4, 2, 4), (5, 1, 3)])
     def test_fast_evolver_amplitude_matches_gate_level_marginal(self, n_y, x, T,
                                                                  oracle):
@@ -297,8 +296,7 @@ class TestReadoutLaw:
             kind = OracleKind.exact(bounds_for(model, x))
             A = build_A(prepare_per_scenario_optimal(model, x, dist),
                         build_oracle(kind, model, x))
-            _, a = _qae_point(model, per_scenario_optimal_block(model, x, dist),
-                              "exact", "normalized")
+            _, a = _qae_point(model, per_scenario_optimal_block(model, x, dist), "exact")
             assert abs(a - ancilla_marginal(A, lay)) <= 1e-12
 
     @settings(max_examples=200, deadline=None)
