@@ -6,7 +6,6 @@ expectation, and brute-force solvers provide ground truth."""
 __version__ = "0.1.0"
 
 from .model import (
-    Bounds,
     DiscreteDistribution,
     GenericDiagonalProblem,
     InfeasibleDecisionError,

@@ -13,6 +13,7 @@ import sys
 from .harness import (
     ConfigError,
     ExperimentSpec,
+    check_run,
     exact_table,
     experiment_fig3,
     experiment_fig4,
@@ -20,6 +21,7 @@ from .harness import (
     single_run,
 )
 from .model import generate_instance, load_instance, model_from_instance, save_instance
+from .oracle import ORACLES
 from .statevector import SimulationBudgetError
 
 EXIT_OK = 0
@@ -38,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--instance", required=True, help="instance JSON file")
     run.add_argument("--x", type=int, required=True, help="first-stage decision")
     run.add_argument("--T", type=int, required=True, help="annealing layers")
-    run.add_argument("--oracle", choices=("exact", "sin"), default="sin")
+    run.add_argument("--oracle", choices=ORACLES, default="sin")
     run.add_argument("--m", type=int, required=True, help="estimate qubits")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--amplify", type=int, default=1,
@@ -106,7 +108,9 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_make_instance(args) -> int:
     inst = generate_instance(args.n_y, args.seed)
-    model_from_instance(inst)  # an instance the other commands reject is not written
+    model, dist = model_from_instance(inst)
+    # an instance the other commands reject is not written
+    check_run(model, dist, range(model.d + 1))
     save_instance(inst, args.out)
     print(f"wrote instance to {args.out}")
     return EXIT_OK

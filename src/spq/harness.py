@@ -36,12 +36,12 @@ from .model import (
     DiscreteDistribution,
     UnitCommitmentModel,
     as_integer,
-    bounds_for,
+    cost_bound,
     expected_value_exact,
     generate_instance,
     model_from_instance,
 )
-from .oracle import OracleKind, sin_oracle_readback, target_amplitude
+from .oracle import OracleKind, check_oracle, sin_oracle_readback, target_amplitude
 from .qae import (
     QaeConfig,
     check_budget,
@@ -52,11 +52,6 @@ from .qae import (
 
 
 _FIG5_DEFAULT_CONFIGS = ((4, 6, 10), (5, 6, 15), (6, 5, 20))
-
-
-def _check_oracle(oracle: str) -> None:
-    if oracle not in ("exact", "sin"):
-        raise ConfigError(f"oracle must be 'exact' or 'sin', got {oracle!r}")
 
 
 @dataclass
@@ -89,7 +84,7 @@ class ExperimentSpec:
                              for n_y, m, T in self.configs)
         if self.kind not in ("fig3", "fig4", "fig5"):
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        _check_oracle(self.oracle)
+        check_oracle(self.oracle)
         if self.amplify < 1 or self.n_instances < 1 or self.n_repetitions < 1:
             raise ConfigError("counts must be positive")
         for name in ("n_y_values", "m_values", "configs"):
@@ -190,7 +185,7 @@ def _block_values(model, dist, T, value) -> dict:
 def _qae_point(model, block, oracle) -> tuple[float, float]:
     """(<H_Q>, a) of one feasible block, annealed or psi*, where a =
     Pr[ancilla = 1] after the oracle; both are sums over the block alone."""
-    kind = OracleKind(oracle, bounds_for(model, block.x))
+    kind = OracleKind(oracle, cost_bound(model, block.x))
     return block.expectation_hq(), target_amplitude(
         kind, block.probabilities().ravel(), block.costs.ravel())
 
@@ -222,7 +217,7 @@ def check_run(model, dist, xs, T: int | None = None, m: int | None = None,
     the readout count and the qubit budget of the circuit the readout
     stands for.  Returns that readout plan, or None.
     """
-    _check_oracle(oracle)
+    check_oracle(oracle)
     for x in xs:
         check_block(model, x, dist)
     if T is not None:
@@ -237,23 +232,20 @@ def check_run(model, dist, xs, T: int | None = None, m: int | None = None,
 def _qae_estimate_for_x(model, dist, x, exp_hq, a, config, oracle):
     """One full-pipeline point from the annealed state's <H_Q> and its QAE
     target a (``_qae_point``): ``config.repetitions`` readouts are drawn
-    from the closed-form law of a, the median estimate is picked and, for
-    the sin oracle, read back to phi.  Returns the picked readout's ``b``,
-    ``a_hat`` and ``within_bound`` (None for the sin oracle), and phi's
-    estimate.  No state or circuit is built here.
+    from the closed-form law of a, and the median amplitude is picked and
+    turned into phi (times q_u, or the sin oracle's readback).  Returns the
+    picked readout's ``b``, ``a_hat`` and ``within_bound`` (None for the sin
+    oracle), and phi's estimate.  No state or circuit is built here.
     """
-    kind = OracleKind(oracle, bounds_for(model, x))
-    bounds = kind.bounds
-    estimates = qae_from_amplitude(a, config, _system_qubits(model, dist), bounds)
-    phis = estimates.phi_hat.tolist()
-    i = phis.index(median_low(phis))
-    picked = {"b": int(estimates.b[i]), "a_hat": float(estimates.a_hat[i]),
-              "within_bound": None}
+    kind = OracleKind(oracle, cost_bound(model, x))
+    estimates = qae_from_amplitude(a, config, _system_qubits(model, dist))
+    a_hats = estimates.a_hat.tolist()
+    i = a_hats.index(median_low(a_hats))
+    picked = {"b": int(estimates.b[i]), "a_hat": a_hats[i], "within_bound": None}
     if oracle == "sin":
         return picked, sin_oracle_readback(picked["a_hat"], kind)
-    a_true = (exp_hq - bounds.q_l) / bounds.width
-    picked["within_bound"] = error_bound_check(picked["a_hat"], a_true, config.M)
-    return picked, phis[i]
+    picked["within_bound"] = error_bound_check(a_hats[i], exp_hq / kind.q_u, config.M)
+    return picked, a_hats[i] * kind.q_u
 
 
 def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
@@ -451,9 +443,9 @@ def experiment_fig4(spec: ExperimentSpec, out_dir) -> dict:
                for m in spec.m_values]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    bounds = bounds_for(model, x)
+    q_u = cost_bound(model, x)
     phi = expected_value_exact(model, x, dist)
-    a_true = (phi - bounds.q_l) / bounds.width
+    a_true = phi / q_u
     # Pr[ancilla = 1] after the exact oracle on the converged state psi*
     # does not depend on m; it feeds the QAE law and the Monte Carlo
     # binomial at every m
@@ -461,13 +453,13 @@ def experiment_fig4(spec: ExperimentSpec, out_dir) -> dict:
     n_system = _system_qubits(model, dist)
 
     estimates, summary, hist_rows = [], [], []
-    edges = np.arange(bounds.q_l, bounds.q_u + 2 * _FIG4_BIN_WIDTH, _FIG4_BIN_WIDTH)
+    edges = np.arange(0.0, q_u + 2 * _FIG4_BIN_WIDTH, _FIG4_BIN_WIDTH)
     with open(out_dir / "fig4_estimates.csv", "w", newline="") as est_fh:
         est_fh.write("m,method,a_hat,phi_hat\r\n")  # the header csv.writer writes
         for m, config in zip(spec.m_values, configs):
             config = replace(config,
                              rng_seed=derive_seed(spec.master_seed, "fig4", m, "qae"))
-            a_qae = qae_from_amplitude(a, config, n_system, bounds).a_hat
+            a_qae = qae_from_amplitude(a, config, n_system).a_hat
             shots = 2 ** (m + 1)
             a_mc = mc_from_amplitude(a, shots,
                                      np.random.default_rng(
@@ -475,7 +467,7 @@ def experiment_fig4(spec: ExperimentSpec, out_dir) -> dict:
                                      spec.n_estimates)
             for method, arr, n_shots in (("qae", a_qae, config.a_applications),
                                          ("mc", a_mc, shots)):
-                phis = arr * bounds.width + bounds.q_l
+                phis = arr * q_u
                 est_fh.writelines(_estimate_lines(m, method, arr, phis))
                 estimates += [{"m": m, "method": method, "a_hat": v, "phi_hat": p}
                               for v, p in zip(arr.tolist(), phis.tolist())]
@@ -573,8 +565,10 @@ def single_run(inst: dict, x: int, T: int, oracle: str, m: int, seed: int,
 
 
 def exact_table(inst: dict) -> list[dict]:
-    """Classical oracles only: phi(x) and o(x) over the whole domain."""
+    """Classical oracles only: phi(x) and o(x) over the whole domain, after
+    ``check_run``: x's cost matrix holds as many entries as its feasible block."""
     model, dist = model_from_instance(inst)
+    check_run(model, dist, range(model.d + 1))
     rows = []
     for x in range(model.d + 1):
         phi = expected_value_exact(model, x, dist)

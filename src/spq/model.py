@@ -33,6 +33,14 @@ def as_integer(name: str, value) -> int:
     return int(value)
 
 
+def as_float(name: str, value) -> float:
+    """``value`` as a float; a bool or a string, even a numeric one, is a
+    config error rather than a number read from it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name}: expected a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class UnitCommitmentModel:
     """Problem instance: costs, demand, and turbine count."""
@@ -121,22 +129,6 @@ class DiscreteDistribution:
     def is_uniform(self) -> bool:
         return (len(self.entries) == 2 ** self.n_xi
                 and np.allclose(self.probabilities, 1.0 / 2 ** self.n_xi, atol=1e-15))
-
-
-@dataclass(frozen=True)
-class Bounds:
-    """Certified range of the second-stage objective."""
-
-    q_l: float
-    q_u: float
-
-    def __post_init__(self):
-        if not self.q_u > self.q_l:
-            raise ValueError(f"need q_u > q_l, got [{self.q_l}, {self.q_u}]")
-
-    @property
-    def width(self) -> float:
-        return self.q_u - self.q_l
 
 
 @dataclass(frozen=True)
@@ -240,15 +232,14 @@ def objective_exact(model: UnitCommitmentModel, x: int,
     return model.c_x * x + expected_value_exact(model, x, dist)
 
 
-def bounds_for(model: UnitCommitmentModel, x: int) -> Bounds:
-    """q_l = 0 and q_u = c_r (d - x).
+def cost_bound(model: UnitCommitmentModel, x: int) -> float:
+    """q_u = c_r (d - x): every second-stage cost of x lies in [0, q_u].
 
     At x = d the second stage is identically zero and c_r (d - x)
-    degenerates to q_l; any positive width then normalizes q = 0 to 0, so
+    degenerates to 0; any positive bound then normalizes q = 0 to 0, so
     c_r is used as the scale.
     """
-    width = model.c_r * max(model.d - x, 1)
-    return Bounds(0.0, width)
+    return model.c_r * max(model.d - x, 1)
 
 
 def _uc_cost_table(model: UnitCommitmentModel) -> np.ndarray:
@@ -308,14 +299,16 @@ def model_from_instance(inst: dict) -> tuple[UnitCommitmentModel, DiscreteDistri
         raise ConfigError("instance is not a JSON object")
     try:
         model = UnitCommitmentModel(
-            n_y=as_integer("n_y", inst["n_y"]), c_x=inst["c_x"], c=tuple(inst["c"]),
-            c_r=inst["c_r"], d=as_integer("d", inst["d"]))
+            n_y=as_integer("n_y", inst["n_y"]), c_x=as_float("c_x", inst["c_x"]),
+            c=tuple(as_float("c", v) for v in inst["c"]),
+            c_r=as_float("c_r", inst["c_r"]), d=as_integer("d", inst["d"]))
         spec = inst.get("distribution", {"type": "uniform"})
         if spec.get("type") == "uniform":
             dist = DiscreteDistribution.uniform(model.n_xi)
         elif spec.get("type") == "explicit":
             entries = tuple((int(e["scenario"], 2) if isinstance(e["scenario"], str)
-                             else as_integer("scenario", e["scenario"]), float(e["p"]))
+                             else as_integer("scenario", e["scenario"]),
+                             as_float("p", e["p"]))
                             for e in spec["entries"])
             dist = DiscreteDistribution(model.n_xi, entries)
         else:

@@ -1,4 +1,4 @@
-"""Payoff oracles: cost-dependent amplitude written onto the QAE ancilla.
+"""Payoff oracles: the normalized cost q / q_u written onto the QAE ancilla.
 
 Two constructions: an exact per-basis-state rotation (brute-force dense,
 demonstration scale only) and the small-angle product of doubly controlled
@@ -14,58 +14,58 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dqa import RegisterLayout
-from .model import Bounds, UnitCommitmentModel, bounds_for, cost_diagonal
+from .model import ConfigError, UnitCommitmentModel, cost_bound, cost_diagonal
 from .statevector import Gate, OperatorSequence, ccry, dense, pauli_x
 
 _EXACT_ORACLE_MAX_NY = 5  # dense 2^(2*n_y + 1) matrix; demonstration scale
 
+ORACLES = ("exact", "sin")
+
+
+def check_oracle(oracle: str) -> None:
+    """Raise ``ConfigError`` unless ``oracle`` names one of ``ORACLES``."""
+    if oracle not in ORACLES:
+        names = " or ".join(map(repr, ORACLES))
+        raise ConfigError(f"oracle must be {names}, got {oracle!r}")
+
 
 @dataclass(frozen=True)
 class OracleKind:
-    """Which oracle to build, for the certified cost bounds of one x.
+    """Which oracle to build for one x, whose costs lie in [0, ``q_u``].
 
-    The sin variant rotates the ancilla by ``angle_scale`` = pi / q_u
-    radians per unit of cost.  The scale is worked out from the bounds,
-    never set: a branch's total angle is at most pi, so sin^2 stays
-    invertible.
+    The exact variant writes Pr[1] = q / q_u.  The sin variant rotates the
+    ancilla by ``angle_scale`` = pi / q_u radians per unit of cost.  The
+    scale is worked out from q_u, never set: a branch's total angle is at
+    most pi, so sin^2 stays invertible.
     """
 
     variant: str
-    bounds: Bounds
+    q_u: float
 
     def __post_init__(self):
-        if self.variant not in ("exact", "sin"):
-            raise ValueError(f"unknown oracle variant {self.variant!r}")
+        check_oracle(self.variant)
 
     @property
     def angle_scale(self) -> float:
-        return math.pi / self.bounds.q_u
-
-    @classmethod
-    def exact(cls, bounds: Bounds) -> "OracleKind":
-        return cls("exact", bounds)
-
-    @classmethod
-    def sin_approx(cls, bounds: Bounds) -> "OracleKind":
-        return cls("sin", bounds)
+        return math.pi / self.q_u
 
 
 def qbar(model: UnitCommitmentModel, x: int, q: float) -> float:
-    """Cost normalized to [0, 1] by the certified bounds."""
-    b = bounds_for(model, x)
-    if q < b.q_l - 1e-12 or q > b.q_u + 1e-12:
-        raise ValueError(f"cost {q} outside certified bounds [{b.q_l}, {b.q_u}]")
-    return min(max((q - b.q_l) / b.width, 0.0), 1.0)
+    """Cost normalized to [0, 1] by the certified bound, q / q_u."""
+    q_u = cost_bound(model, x)
+    if q < -1e-12 or q > q_u + 1e-12:
+        raise ValueError(f"cost {q} outside certified bounds [0, {q_u}]")
+    return min(max(q / q_u, 0.0), 1.0)
 
 
-def _exact_oracle_gate(model: UnitCommitmentModel, x: int, bounds: Bounds,
+def _exact_oracle_gate(model: UnitCommitmentModel, q_u: float,
                        ancilla: int) -> Gate:
     """Block-diagonal RY(2 arcsin sqrt(qbar)) per (y, xi) basis state."""
     n = 2 * model.n_y
     diag = cost_diagonal(model)
     # Infeasible y values can exceed q_u; they carry no amplitude after
     # the constraint-preserving evolution, so their angles are clamped.
-    qb = np.clip((diag - bounds.q_l) / bounds.width, 0.0, 1.0)
+    qb = np.clip(diag / q_u, 0.0, 1.0)
     s = np.sqrt(qb)
     c = np.sqrt(1.0 - qb)
     dim = 2 ** n
@@ -87,7 +87,7 @@ def build_oracle(kind: OracleKind, model: UnitCommitmentModel,
         if model.n_y > _EXACT_ORACLE_MAX_NY:
             raise ValueError(f"exact oracle is brute-force dense; "
                              f"capped at n_y <= {_EXACT_ORACLE_MAX_NY}")
-        return OperatorSequence((_exact_oracle_gate(model, x, kind.bounds, anc),),
+        return OperatorSequence((_exact_oracle_gate(model, kind.q_u, anc),),
                                 "F_exact")
 
     yq, xq = layout.y_register, layout.xi_register
@@ -109,11 +109,11 @@ def target_amplitude(kind: OracleKind, probabilities: np.ndarray,
     without building or applying the oracle.
 
     Every basis state rotates the ancilla on its own: the exact oracle to
-    Pr[1] = qbar clipped to [0, 1], the sin oracle to
+    Pr[1] = q / q_u clipped to [0, 1], the sin oracle to
     sin^2(angle_scale * q / 2), as its RY angles add up to angle_scale * q.
     """
     if kind.variant == "exact":
-        per_state = np.clip((costs - kind.bounds.q_l) / kind.bounds.width, 0.0, 1.0)
+        per_state = np.clip(costs / kind.q_u, 0.0, 1.0)
     else:
         per_state = np.sin(kind.angle_scale * costs / 2) ** 2
     return float(probabilities @ per_state)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Bounds
 from .statevector import (
     MAX_QUBITS,
     PROB_SUM_TOL,
@@ -69,12 +68,11 @@ class QaeConfig:
 @dataclass(frozen=True)
 class QaeEstimates:
     """``repetitions`` amplitude-estimation readouts, as arrays in draw
-    order: the integers ``b``, the estimates a_hat = sin^2(pi b / M) and
-    ``phi_hat``, a_hat rescaled to the cost bounds."""
+    order: the integers ``b`` and the amplitude estimates
+    a_hat = sin^2(pi b / M), never rescaled to a cost."""
 
     b: np.ndarray
     a_hat: np.ndarray
-    phi_hat: np.ndarray
 
 
 def build_qft(qubits: tuple[int, ...]) -> OperatorSequence:
@@ -230,21 +228,19 @@ def ancilla_marginal(A_seq: OperatorSequence, layout) -> float:
     return marginal_probability(state, layout.ancilla, 1)
 
 
-def qae_from_amplitude(a: float, config: QaeConfig, n_system_qubits: int,
-                       bounds: Bounds) -> QaeEstimates:
+def qae_from_amplitude(a: float, config: QaeConfig,
+                       n_system_qubits: int) -> QaeEstimates:
     """Phase estimation on the Grover operator of any A whose ancilla
-    marginal is ``a``; ``repetitions`` readouts, each rescaled to bounds."""
+    marginal is ``a``: ``repetitions`` readouts and their amplitudes."""
     b = sample_readout(a, config, n_system_qubits)
-    a_hat = np.sin(np.pi * b / config.M) ** 2
-    return QaeEstimates(b, a_hat, a_hat * bounds.width + bounds.q_l)
+    return QaeEstimates(b, np.sin(np.pi * b / config.M) ** 2)
 
 
-def run_qae(A_seq: OperatorSequence, config: QaeConfig, layout,
-            bounds: Bounds) -> QaeEstimates:
+def run_qae(A_seq: OperatorSequence, config: QaeConfig, layout) -> QaeEstimates:
     """Phase estimation on the Grover operator of A: prepares A|0> once and
     draws ``repetitions`` readouts from the law of its ancilla marginal."""
     return qae_from_amplitude(ancilla_marginal(A_seq, layout), config,
-                              layout.num_system_qubits, bounds)
+                              layout.num_system_qubits)
 
 
 def mc_from_amplitude(a: float, shots: int, rng: np.random.Generator,

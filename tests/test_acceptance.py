@@ -31,7 +31,7 @@ from spq.model import (
     DiscreteDistribution,
     GenericDiagonalProblem,
     UnitCommitmentModel,
-    bounds_for,
+    cost_bound,
     expected_value_exact,
     generate_instance,
     model_from_instance,
@@ -77,13 +77,13 @@ def fig4_results(tmp_path_factory):
 def test_criterion_1_appendix_b_identity(dqa_state_batch):
     worst = 0.0
     for model, dist, x, state in dqa_state_batch:
-        bounds = bounds_for(model, x)
+        q_u = cost_bound(model, x)
         layout = RegisterLayout(model.n_y, dist.n_xi, include_ancilla=True)
-        oracle = build_oracle(OracleKind.exact(bounds), model, x)
+        oracle = build_oracle(OracleKind("exact", q_u), model, x)
         extended = state.extended(1)
         apply_sequence(extended, oracle)
         p1 = marginal_probability(extended, layout.ancilla, 1)
-        a_bar = (expectation_HQ(state, model) - bounds.q_l) / bounds.width
+        a_bar = expectation_HQ(state, model) / q_u
         worst = max(worst, abs(p1 - a_bar))
         assert 0.0 - 1e-12 <= p1 <= 1.0 + 1e-12
     assert worst <= 1e-9
@@ -189,7 +189,7 @@ def test_criterion_8_simulator_unit_properties():
     model, dist = model_from_instance(inst)
     layout = RegisterLayout(2, 2, include_ancilla=True)
     dqa = build_dqa(model, 1, dist, AnnealSchedule.linear(4))
-    oracle = build_oracle(OracleKind.exact(bounds_for(model, 1)), model, 1)
+    oracle = build_oracle(OracleKind("exact", cost_bound(model, 1)), model, 1)
     grover = build_grover(build_A(dqa, oracle), layout)
     u = sequence_to_matrix(grover, 5)
     grover_dev = np.abs(u.conj().T @ u - np.eye(32)).max()

@@ -37,7 +37,7 @@ from spq.harness import (
 )
 from spq.model import (
     DiscreteDistribution,
-    bounds_for,
+    cost_bound,
     cost_diagonal,
     generate_instance,
     model_from_instance,
@@ -126,11 +126,12 @@ class TestOuterLoop:
         for row in res1.rows:
             x = row["x"]
             config = QaeConfig(m=4, repetitions=5, rng_seed=derive_seed(0, "amp", x))
-            draws = qae_from_amplitude(points[x][1], config, 5, bounds_for(model, x))
-            phis = draws.phi_hat.tolist()
-            i = phis.index(median_low(phis))
-            assert (row["b"], row["a_hat"], row["phi_est"]) == \
-                (draws.b[i], draws.a_hat[i], phis[i])
+            draws = qae_from_amplitude(points[x][1], config, 5)
+            a_hats = draws.a_hat.tolist()
+            i = a_hats.index(median_low(a_hats))
+            assert (row["b"], row["a_hat"]) == (draws.b[i], a_hats[i])
+            # the exact oracle's estimate is the amplitude times q_u, bit for bit
+            assert row["phi_est"] == a_hats[i] * cost_bound(model, x)
 
     @pytest.mark.parametrize("oracle", ["exact", "sin"])
     def test_qae_mode_draws_the_gate_level_readouts(self, oracle):
@@ -145,12 +146,11 @@ class TestOuterLoop:
                              seed_tag=("gate", rep))
             for row in res.rows:
                 x = row["x"]
-                b = bounds_for(model, x)
-                kind = OracleKind.exact(b) if oracle == "exact" else OracleKind.sin_approx(b)
+                kind = OracleKind(oracle, cost_bound(model, x))
                 A = build_A(build_dqa(model, x, dist, AnnealSchedule.linear(T)),
                             build_oracle(kind, model, x))
                 cfg = QaeConfig(m=m, rng_seed=derive_seed(0, "gate", rep, x))
-                readout = run_qae(A, cfg, lay, b)
+                readout = run_qae(A, cfg, lay)
                 assert readout.b.shape == (1,)
                 assert row["b"] == readout.b[0]
                 assert row["a_hat"] == readout.a_hat[0]
@@ -216,8 +216,7 @@ class TestQaeOnFeasibleBlocks:
             assert len(points) == model.d + 1
             for x, (exp_hq, a) in enumerate(points):
                 sv = run_dqa_fast(model, x, dist, AnnealSchedule.linear(T))
-                b = bounds_for(model, x)
-                kind = OracleKind(oracle, b)
+                kind = OracleKind(oracle, cost_bound(model, x))
                 assert abs(exp_hq - expectation_HQ(sv, model)) <= 1e-12
                 assert abs(a - target_amplitude(kind, sv.probabilities(), costs)) <= 1e-12
 
@@ -325,20 +324,18 @@ class TestReadoutChecksBeforeAnneal:
         with pytest.raises(AssertionError, match="annealed"):
             outer_loop(model, dist, T=200, mode="qae", m=3)
 
-    @pytest.mark.parametrize("names, error", [
-        ({"oracle": "Sin"}, "oracle must be"),
-    ])
-    def test_unknown_oracle_or_angle_mode(self, monkeypatch, names, error):
+    def test_unknown_oracle(self, monkeypatch):
         # "Sin" used to build the sin oracle and read it back linearly
         self.refuse_anneal(monkeypatch)
         inst = generate_instance(4, 3)
         model, dist = model_from_instance(inst)
-        kwargs = {"oracle": "sin", **names}
-        with pytest.raises(ConfigError, match=error):
-            single_run(inst, x=2, T=8, m=5, seed=0, **kwargs)
+        with pytest.raises(ConfigError, match="oracle must be"):
+            single_run(inst, x=2, T=8, m=5, seed=0, oracle="Sin")
         for mode in ("expectation", "qae", "exact"):
-            with pytest.raises(ConfigError, match=error):
-                outer_loop(model, dist, T=8, mode=mode, m=5, **kwargs)
+            with pytest.raises(ConfigError, match="oracle must be"):
+                outer_loop(model, dist, T=8, mode=mode, m=5, oracle="Sin")
+        with pytest.raises(ConfigError, match="oracle must be"):
+            OracleKind("Sin", 1.0)
 
     @pytest.mark.parametrize("n_xi", [2, 5])
     def test_distribution_width_must_match_the_model(self, monkeypatch, n_xi):
@@ -812,6 +809,31 @@ class TestCli:
         assert "turbine" in capsys.readouterr().err
         assert not inst_path.exists()
 
+    @pytest.mark.parametrize("command", ["exact", "make-instance"])
+    def test_block_over_the_cap_exits_3(self, tmp_path, capsys, monkeypatch, command):
+        # at n_y = 14 the feasible blocks of weight 5 to 9, and so those x's
+        # cost matrices, hold more than 2^24 entries, the simulator cap
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed phi")
+
+        monkeypatch.setattr(harness, "expected_value_exact", refuse)
+        inst_path = tmp_path / "inst.json"
+        if command == "exact":
+            save_instance(generate_instance(14, 1), str(inst_path))
+            argv = ["exact", "--instance", str(inst_path)]
+        else:
+            argv = ["make-instance", "--n-y", "14", "--seed", "1", "--out", str(inst_path)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert inst_path.exists() == (command == "exact")
+
+    def test_make_instance_at_the_cap(self, tmp_path, capsys):
+        # n_y = 13's largest block, C(13, 6) * 2^13 entries, fits
+        inst_path = tmp_path / "inst.json"
+        assert main(["make-instance", "--n-y", "13", "--seed", "1",
+                     "--out", str(inst_path)]) == 0
+        assert model_from_instance(json.loads(inst_path.read_text()))[0].n_y == 13
+
     MALFORMED_INSTANCES = [
         ({k: v for k, v in WORKED_INSTANCE.items() if k != "c_x"}, "missing field 'c_x'"),
         ({**WORKED_INSTANCE, "d": 2.0}, "d: expected an integer"),
@@ -822,6 +844,10 @@ class TestCli:
         ({**WORKED_INSTANCE, "distribution": "uniform"}, "malformed instance"),
         ({**WORKED_INSTANCE, "distribution": {"type": "explicit", "entries": [
             {"scenario": 1.5, "p": 1.0}]}}, "scenario: expected an integer"),
+        ({**WORKED_INSTANCE, "c_r": True}, "c_r: expected a number"),
+        ({**WORKED_INSTANCE, "c": ["0.1", 0.2]}, "c: expected a number"),
+        ({**WORKED_INSTANCE, "distribution": {"type": "explicit", "entries": [
+            {"scenario": 0, "p": "1"}]}}, "p: expected a number"),
     ]
 
     @pytest.mark.parametrize("command", ["exact", "run"])

@@ -14,7 +14,7 @@ from spq.model import (
     GenericDiagonalProblem,
     InfeasibleDecisionError,
     UnitCommitmentModel,
-    bounds_for,
+    cost_bound,
     brute_force_Q,
     cost_diagonal,
     expected_value_exact,
@@ -152,20 +152,19 @@ class TestBoundsAndDiagonal:
             inst = generate_instance(n_y, seed=n_y)
             model, _ = model_from_instance(inst)
             for x in range(model.d + 1):
-                b = bounds_for(model, x)
+                q_u = cost_bound(model, x)
                 ys = feasible_decisions(n_y, model.d - x)
                 # spot-check all scenarios for small n, a sample for n=8
                 xis = range(2 ** n_y) if n_y <= 4 else range(0, 2 ** n_y, 37)
                 for xi in xis:
                     for y in ys[:64]:
                         q = second_stage_cost(model, x, int(y), xi)
-                        assert b.q_l - 1e-12 <= q <= b.q_u + 1e-12
+                        assert -1e-12 <= q <= q_u + 1e-12
 
     def test_bounds_formula(self):
         model = worked_model()
-        assert bounds_for(model, 0).q_u == pytest.approx(2.0)
-        assert bounds_for(model, 1).q_u == pytest.approx(1.0)
-        assert bounds_for(model, 0).q_l == 0.0
+        assert cost_bound(model, 0) == pytest.approx(2.0)
+        assert cost_bound(model, 1) == pytest.approx(1.0)
 
     def test_more_wind_never_costs_more(self):
         model = UnitCommitmentModel(3, 0.4, (0.02, 0.1, 0.19), 1.0, 3)

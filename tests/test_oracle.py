@@ -8,10 +8,9 @@ import pytest
 
 from spq.dqa import AnnealSchedule, RegisterLayout, build_dqa, expectation_HQ, run_dqa
 from spq.model import (
-    Bounds,
     DiscreteDistribution,
     UnitCommitmentModel,
-    bounds_for,
+    cost_bound,
     generate_instance,
     model_from_instance,
     second_stage_cost,
@@ -41,7 +40,7 @@ class TestQbar:
         assert qbar(model, 1, 1.0) == 1.0
 
     def test_worked_value(self):
-        # x=1: q_u - q_l = 1, so qbar is the identity on [0, 1]
+        # x=1: q_u = 1, so qbar is the identity on [0, 1]
         assert qbar(worked_model(), 1, 0.35) == pytest.approx(0.35)
 
     def test_out_of_bounds_rejected(self):
@@ -53,7 +52,7 @@ class TestExactOracle:
     def test_zero_cost_branch_leaves_ancilla_down(self):
         model = worked_model()
         lay = layout_with_ancilla(2)
-        seq = build_oracle(OracleKind.exact(bounds_for(model, 2)), model, 2)
+        seq = build_oracle(OracleKind("exact", cost_bound(model, 2)), model, 2)
         sv = StateVector.basis_state(5, (0b11 << 2) | 0b00)   # y=0, any wind
         apply_sequence(sv, seq)
         assert marginal_probability(sv, lay.ancilla, 1) < 1e-14
@@ -61,7 +60,7 @@ class TestExactOracle:
     def test_max_cost_branch_flips_ancilla(self):
         model = worked_model()
         lay = layout_with_ancilla(2)
-        seq = build_oracle(OracleKind.exact(bounds_for(model, 1)), model, 1)
+        seq = build_oracle(OracleKind("exact", cost_bound(model, 1)), model, 1)
         sv = StateVector.basis_state(5, (0b01 << 2) | 0b10)   # turbine 1 on, no wind there
         apply_sequence(sv, seq)
         assert marginal_probability(sv, lay.ancilla, 1) == pytest.approx(1.0, abs=1e-12)
@@ -70,7 +69,7 @@ class TestExactOracle:
         model = worked_model()
         lay = layout_with_ancilla(2)
         x = 0
-        seq = build_oracle(OracleKind.exact(bounds_for(model, x)), model, x)
+        seq = build_oracle(OracleKind("exact", cost_bound(model, x)), model, x)
         y, xi = 0b11, 0b01
         sv = StateVector.basis_state(5, (xi << 2) | y)
         apply_sequence(sv, seq)
@@ -81,7 +80,7 @@ class TestExactOracle:
     def test_unitary(self):
         model = worked_model()
         lay = layout_with_ancilla(2)
-        seq = build_oracle(OracleKind.exact(bounds_for(model, 1)), model, 1)
+        seq = build_oracle(OracleKind("exact", cost_bound(model, 1)), model, 1)
         u = sequence_to_matrix(seq, 5)
         assert np.abs(u.conj().T @ u - np.eye(32)).max() < 1e-10
 
@@ -92,18 +91,18 @@ class TestExactOracle:
         x = 1
         seq = build_dqa(model, x, dist, AnnealSchedule.linear(30))
         sv = run_dqa(seq, RegisterLayout(3, 3))
-        b = bounds_for(model, x)
+        q_u = cost_bound(model, x)
         hq = expectation_HQ(sv, model)
         svx = sv.extended(1)
-        apply_sequence(svx, build_oracle(OracleKind.exact(b), model, x))
+        apply_sequence(svx, build_oracle(OracleKind("exact", q_u), model, x))
         p1 = marginal_probability(svx, lay.ancilla, 1)
-        assert abs(p1 - (hq - b.q_l) / b.width) < 1e-9
+        assert abs(p1 - hq / q_u) < 1e-9
 
     def test_desk_scale_cap(self):
         inst = generate_instance(6, 1)
         model, _ = model_from_instance(inst)
         with pytest.raises(ValueError, match="n_y"):
-            build_oracle(OracleKind.exact(bounds_for(model, 1)), model, 1)
+            build_oracle(OracleKind("exact", cost_bound(model, 1)), model, 1)
 
 
 class TestSinOracle:
@@ -112,7 +111,7 @@ class TestSinOracle:
         model = worked_model()
         lay = layout_with_ancilla(2)
         x = 0
-        kind = OracleKind.sin_approx(bounds_for(model, x))
+        kind = OracleKind("sin", cost_bound(model, x))
         seq = build_oracle(kind, model, x)
         for y in range(4):
             for xi in range(4):
@@ -131,22 +130,21 @@ class TestSinOracle:
         problem_lay = RegisterLayout(3, 3)
         sv = run_dqa(build_dqa(model, 1, dist, AnnealSchedule.linear(8)), problem_lay)
         before = register_distribution(sv, list(range(6)))
-        for kind in (OracleKind.exact(bounds_for(model, 1)),
-                     OracleKind.sin_approx(bounds_for(model, 1))):
+        for kind in (OracleKind("exact", cost_bound(model, 1)),
+                     OracleKind("sin", cost_bound(model, 1))):
             svx = sv.extended(1)
             apply_sequence(svx, build_oracle(kind, model, 1))
             after = register_distribution(svx, list(range(6)))
             assert np.abs(before - after).max() < 1e-12
 
     def test_default_scale_avoids_aliasing(self):
-        b = Bounds(0.0, 3.0)
-        kind = OracleKind.sin_approx(b)
-        assert kind.angle_scale * b.q_u == pytest.approx(math.pi)
+        kind = OracleKind("sin", 3.0)
+        assert kind.angle_scale * kind.q_u == pytest.approx(math.pi)
 
 
 class TestReadback:
     def test_zero_maps_to_zero(self):
-        kind = OracleKind.sin_approx(Bounds(0.0, 2.0))
+        kind = OracleKind("sin", 2.0)
         assert sin_oracle_readback(0.0, kind) == 0.0
 
     def test_single_branch_inversion_is_exact(self):
@@ -155,7 +153,7 @@ class TestReadback:
         dist = DiscreteDistribution.point_mass(2, 0b01)
         x = 1
         lay = layout_with_ancilla(2)
-        kind = OracleKind.sin_approx(bounds_for(model, x))
+        kind = OracleKind("sin", cost_bound(model, x))
         problem_lay = RegisterLayout(2, 2)
         sv = run_dqa(build_dqa(model, x, dist, AnnealSchedule.linear(300)), problem_lay)
         svx = sv.extended(1)
@@ -169,7 +167,7 @@ class TestReadback:
     def test_two_point_mixture_bias_formula(self):
         scale = math.pi / 2.0
         q_u = 2.0
-        kind = OracleKind.sin_approx(Bounds(0.0, q_u))
+        kind = OracleKind("sin", q_u)
         a_mix = 0.5 * (math.sin(scale * 0.0 / 2) ** 2
                        + math.sin(scale * q_u / 2) ** 2)
         got_bias = sin_oracle_readback(a_mix, kind) - q_u / 2
@@ -178,10 +176,10 @@ class TestReadback:
         assert got_bias == pytest.approx(expected_bias, abs=1e-12)
 
     def test_out_of_range_rejected(self):
-        kind = OracleKind.sin_approx(Bounds(0.0, 1.0))
+        kind = OracleKind("sin", 1.0)
         with pytest.raises(ValueError):
             sin_oracle_readback(1.5, kind)
 
     def test_exact_kind_rejected(self):
         with pytest.raises(ValueError, match="sin"):
-            sin_oracle_readback(0.5, OracleKind.exact(Bounds(0.0, 1.0)))
+            sin_oracle_readback(0.5, OracleKind("exact", 1.0))

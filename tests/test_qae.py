@@ -22,8 +22,7 @@ from spq.dqa import (
 from spq import qae
 from spq.harness import _qae_point
 from spq.model import (
-    Bounds,
-    bounds_for,
+    cost_bound,
     cost_diagonal,
     generate_instance,
     model_from_instance,
@@ -74,9 +73,7 @@ def uc_pipeline(n_y, x, T, oracle, seed=7):
     lay = RegisterLayout(n_y, n_y, include_ancilla=True)
     schedule = AnnealSchedule.linear(T)
     dqa = build_dqa(model, x, dist, schedule)
-    b = bounds_for(model, x)
-    kind = {"exact": OracleKind.exact(b),
-            "sin": OracleKind.sin_approx(b)}[oracle]
+    kind = OracleKind(oracle, cost_bound(model, x))
     A = build_A(dqa, build_oracle(kind, model, x))
     return model, dist, schedule, kind, lay, A
 
@@ -111,7 +108,7 @@ class TestGrover:
         model, dist = model_from_instance(inst)
         lay = RegisterLayout(2, 2, include_ancilla=True)
         dqa = build_dqa(model, 1, dist, AnnealSchedule.linear(3))
-        oracle = build_oracle(OracleKind.exact(bounds_for(model, 1)), model, 1)
+        oracle = build_oracle(OracleKind("exact", cost_bound(model, 1)), model, 1)
         grover = build_grover(build_A(dqa, oracle), lay)
         u = sequence_to_matrix(grover, 5)
         assert np.abs(u.conj().T @ u - np.eye(32)).max() < 1e-9
@@ -137,7 +134,7 @@ class TestGrover:
         inst = generate_instance(2, 9)
         model, dist = model_from_instance(inst)
         dqa = build_dqa(model, 1, dist, AnnealSchedule.linear(4))
-        oracle = build_oracle(OracleKind.sin_approx(bounds_for(model, 1)),
+        oracle = build_oracle(OracleKind("sin", cost_bound(model, 1)),
                               model, 1)
         A = build_A(dqa, oracle)
         sv = StateVector(5)
@@ -157,7 +154,7 @@ class TestQpeReadout:
         model, dist = model_from_instance(inst)
         lay = RegisterLayout(2, 2, include_ancilla=True)
         dqa = build_dqa(model, 1, dist, AnnealSchedule.linear(4))
-        oracle = build_oracle(OracleKind.exact(bounds_for(model, 1)), model, 1)
+        oracle = build_oracle(OracleKind("exact", cost_bound(model, 1)), model, 1)
         A = build_A(dqa, oracle)
         cfg = QaeConfig(m=3)
         fast = qpe_state(A, cfg, lay)
@@ -170,7 +167,7 @@ class TestQpeReadout:
         M = 2 ** m
         a = math.sin(math.pi * k0 / M) ** 2
         res = run_qae(bernoulli_A(a), QaeConfig(m=m, repetitions=50, rng_seed=3),
-                      BERNOULLI_LAYOUT, Bounds(0.0, 1.0))
+                      BERNOULLI_LAYOUT)
         assert res.b.shape == res.a_hat.shape == (50,)
         assert set(res.b.tolist()) <= {k0, (M - k0) % M}
         assert np.all(np.abs(res.a_hat - a) < 1e-12)
@@ -178,14 +175,14 @@ class TestQpeReadout:
 
     def test_zero_amplitude_always_reads_zero(self):
         res = run_qae(bernoulli_A(0.0), QaeConfig(m=5, repetitions=30, rng_seed=1),
-                      BERNOULLI_LAYOUT, Bounds(0.0, 1.0))
+                      BERNOULLI_LAYOUT)
         assert res.b.shape == (30,)
         assert np.all(res.b == 0) and np.all(res.a_hat == 0.0)
 
     def test_estimates_live_on_sin_squared_grid(self):
         m = 4
         res = run_qae(bernoulli_A(0.2713), QaeConfig(m=m, repetitions=200, rng_seed=5),
-                      BERNOULLI_LAYOUT, Bounds(0.0, 1.0))
+                      BERNOULLI_LAYOUT)
         grid = {round(math.sin(math.pi * b / 2 ** m) ** 2, 12) for b in range(2 ** m)}
         assert res.a_hat.shape == (200,)
         assert {round(v, 12) for v in res.a_hat.tolist()} <= grid
@@ -200,35 +197,24 @@ class TestQpeReadout:
     def test_off_grid_pass_rate_exceeds_canonical_bound(self):
         m, a = 5, 0.2137
         res = run_qae(bernoulli_A(a), QaeConfig(m=m, repetitions=5000, rng_seed=11),
-                      BERNOULLI_LAYOUT, Bounds(0.0, 1.0))
+                      BERNOULLI_LAYOUT)
         within = error_bound_check(res.a_hat, a, 2 ** m)
         assert within.shape == (5000,)
         rate = np.mean(within)
         sigma = math.sqrt(0.81 * 0.19 / 5000)
         assert rate >= 8 / math.pi ** 2 - 3 * sigma
 
-    def test_phi_rescale(self):
-        b = Bounds(1.0, 3.0)
-        res = run_qae(bernoulli_A(0.25), QaeConfig(m=2, repetitions=10, rng_seed=0),
-                      BERNOULLI_LAYOUT, b)
-        assert res.phi_hat.shape == (10,)
-        for a_hat, phi_hat in zip(res.a_hat.tolist(), res.phi_hat.tolist()):
-            assert phi_hat == pytest.approx(a_hat * b.width + b.q_l, abs=1e-15)
-
     def test_estimates_on_the_whole_grid(self, monkeypatch):
         # every readout b for m = 1..12, fed through the array readout, is
-        # the scalar sin^2(pi b / M) to 1e-15 and is rescaled exactly
-        bounds = Bounds(1.0, 3.5)
+        # the scalar sin^2(pi b / M) to 1e-15
         for m in range(1, 13):
             M = 2 ** m
             monkeypatch.setattr(qae, "sample_readout",
                                 lambda a, config, n_system_qubits: np.arange(M))
-            res = qae_from_amplitude(0.3, QaeConfig(m=m), 1, bounds)
+            res = qae_from_amplitude(0.3, QaeConfig(m=m), 1)
             assert res.b.tolist() == list(range(M))
-            for b, a_hat, phi_hat in zip(range(M), res.a_hat.tolist(),
-                                         res.phi_hat.tolist()):
+            for b, a_hat in zip(range(M), res.a_hat.tolist()):
                 assert abs(a_hat - math.sin(math.pi * b / M) ** 2) <= 1e-15
-                assert phi_hat == a_hat * bounds.width + bounds.q_l
 
     def test_budget_guard(self):
         lay = RegisterLayout(7, 7, include_ancilla=True)
@@ -237,19 +223,19 @@ class TestQpeReadout:
 
     def test_end_to_end_identity_with_uc_pipeline(self):
         # full build on the worked instance: the QPE target amplitude is
-        # (<H_Q> - q_l)/(q_u - q_l) including residual temperature
+        # <H_Q> / q_u including residual temperature
         inst = generate_instance(2, 17)
         model, dist = model_from_instance(inst)
         x, m = 1, 6
         lay = RegisterLayout(2, 2, include_ancilla=True)
         problem_lay = RegisterLayout(2, 2)
         dqa = build_dqa(model, x, dist, AnnealSchedule.linear(6))
-        b = bounds_for(model, x)
-        oracle = build_oracle(OracleKind.exact(b), model, x)
+        q_u = cost_bound(model, x)
+        oracle = build_oracle(OracleKind("exact", q_u), model, x)
         A = build_A(dqa, oracle)
         sv = run_dqa(dqa, problem_lay)
-        a_true = (expectation_HQ(sv, model) - b.q_l) / b.width
-        res = run_qae(A, QaeConfig(m=m, repetitions=400, rng_seed=2), lay, b)
+        a_true = expectation_HQ(sv, model) / q_u
+        res = run_qae(A, QaeConfig(m=m, repetitions=400, rng_seed=2), lay)
         within = error_bound_check(res.a_hat, a_true, 2 ** m)
         assert within.shape == (400,)
         rate = np.mean(within)
@@ -293,7 +279,7 @@ class TestReadoutLaw:
         model, dist = model_from_instance(generate_instance(n_y, 11))
         lay = RegisterLayout(n_y, n_y, include_ancilla=True)
         for x in range(model.d + 1):
-            kind = OracleKind.exact(bounds_for(model, x))
+            kind = OracleKind("exact", cost_bound(model, x))
             A = build_A(prepare_per_scenario_optimal(model, x, dist),
                         build_oracle(kind, model, x))
             _, a = _qae_point(model, per_scenario_optimal_block(model, x, dist), "exact")
@@ -340,7 +326,7 @@ class TestReadoutLaw:
         simulated = sample_register(qpe_state(A, cfg, lay),
                                     list(range(n_sys, n_sys + m)), cfg.repetitions,
                                     np.random.default_rng(cfg.rng_seed))
-        drawn = run_qae(A, cfg, lay, kind.bounds).b
+        drawn = run_qae(A, cfg, lay).b
         assert drawn.tolist() == simulated.tolist()
 
     def test_budget_guard_without_simulation(self):
@@ -348,7 +334,7 @@ class TestReadoutLaw:
         with pytest.raises(SimulationBudgetError):
             sample_readout(0.3, QaeConfig(m=12), n_sys)
         with pytest.raises(SimulationBudgetError):
-            qae_from_amplitude(0.3, QaeConfig(m=12), n_sys, Bounds(0.0, 1.0))
+            qae_from_amplitude(0.3, QaeConfig(m=12), n_sys)
         assert sample_readout(0.3, QaeConfig(m=9), n_sys).shape == (1,)
 
     def test_budget_boundary_is_24_qubits(self):
