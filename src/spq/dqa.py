@@ -34,7 +34,6 @@ from .model import (
     cost_diagonal,
     expected_value_exact,
     feasible_decisions,
-    scenario_optima,
     _cost_matrix,
 )
 from .statevector import (
@@ -176,8 +175,8 @@ def prepare_distribution(dist: DiscreteDistribution,
         raise ValueError("qubit count does not match the distribution width")
     if dist.is_uniform:
         return OperatorSequence(tuple(hadamard(q) for q in qubits), "dist")
-    if len(dist.entries) == 1:
-        scenario = dist.entries[0][0]
+    if dist.scenarios.size == 1:
+        scenario = int(dist.scenarios[0])
         gates = tuple(pauli_x(qubits[j]) for j in range(dist.n_xi)
                       if (scenario >> j) & 1)
         return OperatorSequence(gates, "dist")
@@ -379,18 +378,19 @@ def _feasible_grid(model: UnitCommitmentModel, x: int,
     """x's feasible rows and q(y, xi) on its ``FeasibleBlock`` grid, after
     ``check_block``; every anneal and psi* starts here, so none skips it."""
     check_block(model, x, dist)
-    ys = feasible_decisions(model.n_y, model.d - x)
-    return ys, _cost_matrix(model, ys, np.arange(2 ** dist.n_xi, dtype=np.int64)).T
+    ys, q = _cost_matrix(model, model.d - x, np.arange(2 ** dist.n_xi, dtype=np.int64))
+    return ys, q.T
 
 
 def per_scenario_optimal_block(model: UnitCommitmentModel, x: int,
                                dist: DiscreteDistribution) -> FeasibleBlock:
     """psi*, the T -> infinity surrogate: real amplitude sqrt(p(xi)) at
-    (y*(xi), xi), with y* from ``scenario_optima`` (ties to the lowest y)."""
+    (y*(xi), xi), y* the first, i.e. lowest, minimizing row of the block's
+    cost grid, the y* of ``scenario_optima``."""
     ys, costs = _feasible_grid(model, x, dist)
-    y_stars, _ = scenario_optima(model, x, dist)
+    rows = np.argmin(costs, axis=0)[dist.scenarios]
     amps = np.zeros(costs.shape)
-    amps[np.searchsorted(ys, y_stars), dist.scenarios] = np.sqrt(dist.probabilities)
+    amps[rows, dist.scenarios] = np.sqrt(dist.probabilities)
     return FeasibleBlock(x, ys, amps, costs)
 
 
@@ -506,13 +506,13 @@ def residual_diagnostics(state: StateVector, model: UnitCommitmentModel, x: int,
 
     probs2 = state.probabilities().reshape(2 ** n_xi, 2 ** n_y)
     diag2 = cost_diagonal(model).reshape(2 ** n_xi, 2 ** n_y)
-    ys = feasible_decisions(n_y, model.d - x)
-    qmat = _cost_matrix(model, ys, dist.scenarios)
+    ys, qmat = _cost_matrix(model, model.d - x, dist.scenarios)
     q_star = qmat.min(axis=1)
 
     overlaps: dict[int, float | None] = {}
     decomposed = 0.0
-    for i, (scenario, p) in enumerate(dist.entries):
+    for i, (scenario, p) in enumerate(zip(dist.scenarios.tolist(),
+                                          dist.probabilities.tolist())):
         row = probs2[scenario]
         decomposed += float(row @ diag2[scenario]) - p * q_star[i]
         mass = row.sum()

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -70,64 +69,66 @@ class UnitCommitmentModel:
         return self.n_y
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
-    """Sample space with pmf: entries are (scenario bitmask, probability)."""
+    """Sample space with pmf: ``probabilities[i]`` is the probability of
+    scenario bitmask ``scenarios[i]``.  Both are stored as read-only arrays;
+    equality and hash go by value."""
 
     n_xi: int
-    entries: tuple[tuple[int, float], ...]
+    scenarios: np.ndarray
+    probabilities: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries",
-                           tuple((int(s), float(p)) for s, p in self.entries))
-        seen = set()
-        total = 0.0
-        for s, p in self.entries:
-            if not 0 <= s < 2 ** self.n_xi:
-                raise ValueError(f"scenario {s} does not fit in {self.n_xi} bits")
-            if s in seen:
-                raise ValueError(f"duplicate scenario {s}")
-            seen.add(s)
-            if p < 0:
-                raise ValueError(f"negative probability for scenario {s}")
-            total += p
+        scenarios = np.array(self.scenarios, dtype=np.int64)
+        probabilities = np.array(self.probabilities, dtype=float)
+        outside = scenarios[(scenarios < 0) | (scenarios >= 2 ** self.n_xi)]
+        if outside.size:
+            raise ValueError(f"scenario {outside[0]} does not fit in {self.n_xi} bits")
+        ordered = np.sort(scenarios)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeated.size:
+            raise ValueError(f"duplicate scenario {repeated[0]}")
+        negative = scenarios[probabilities < 0]
+        if negative.size:
+            raise ValueError(f"negative probability for scenario {negative[0]}")
+        total = float(probabilities.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total}, not 1")
+        for name, array in (("scenarios", scenarios), ("probabilities", probabilities)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    def _key(self) -> tuple[int, bytes, bytes]:
+        return self.n_xi, self.scenarios.tobytes(), self.probabilities.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DiscreteDistribution) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        # rebuild through __init__, so the unpickled arrays are read-only too
+        return type(self), (self.n_xi, self.scenarios, self.probabilities)
 
     @classmethod
     def uniform(cls, n_xi: int) -> "DiscreteDistribution":
         n = 2 ** n_xi
-        return cls(n_xi, tuple((s, 1.0 / n) for s in range(n)))
+        return cls(n_xi, np.arange(n, dtype=np.int64), np.full(n, 1.0 / n))
 
     @classmethod
     def point_mass(cls, n_xi: int, scenario: int) -> "DiscreteDistribution":
-        return cls(n_xi, ((scenario, 1.0),))
+        return cls(n_xi, [scenario], [1.0])
 
     @classmethod
     def from_pmf(cls, n_xi: int, pmf: dict[int, float]) -> "DiscreteDistribution":
-        return cls(n_xi, tuple(sorted(pmf.items())))
-
-    # Both arrays are built from ``entries`` on first access and kept,
-    # read-only; ``__getstate__`` leaves them out of a pickle.
-    @cached_property
-    def scenarios(self) -> np.ndarray:
-        return _read_only(np.array([s for s, _ in self.entries], dtype=np.int64))
-
-    @cached_property
-    def probabilities(self) -> np.ndarray:
-        return _read_only(np.array([p for _, p in self.entries]))
-
-    def __getstate__(self) -> dict:
-        return {"n_xi": self.n_xi, "entries": self.entries}
+        scenarios = sorted(pmf)
+        return cls(n_xi, scenarios, [pmf[s] for s in scenarios])
 
     @property
     def is_uniform(self) -> bool:
-        return (len(self.entries) == 2 ** self.n_xi
+        return (self.scenarios.size == 2 ** self.n_xi
                 and np.allclose(self.probabilities, 1.0 / 2 ** self.n_xi, atol=1e-15))
 
 
@@ -173,40 +174,47 @@ def feasible_decisions(n_y: int, weight: int) -> np.ndarray:
 
 
 def second_stage_cost(model: UnitCommitmentModel, x: int, y: int, xi: int) -> float:
-    """sum_j [c_j y_j xi_j - c_r y_j (xi_j - 1)] for a feasible y."""
+    """sum_j [c_j y_j xi_j - c_r y_j (xi_j - 1)] for a feasible y: the wind
+    terms added in turbine order, then c_r per turbine without wind, the
+    same floats as ``_cost_matrix``."""
     if not 0 <= x <= model.d:
         raise InfeasibleDecisionError(f"x={x} outside [0, d={model.d}]")
     if bin(y).count("1") != model.d - x:
         raise InfeasibleDecisionError(
             f"y={y:0{model.n_y}b} has Hamming weight {bin(y).count('1')}, "
             f"demand requires {model.d - x}")
-    total = 0.0
+    wind = 0.0
     for j in range(model.n_y):
-        yj = (y >> j) & 1
-        xij = (xi >> j) & 1
-        total += yj * (model.c[j] * xij + model.c_r * (1 - xij))
-    return total
+        if (y & xi) >> j & 1:
+            wind += model.c[j]
+    return wind + model.c_r * bin(y & ~xi).count("1")
 
 
-def _cost_matrix(model: UnitCommitmentModel, ys: np.ndarray,
-                 xis: np.ndarray) -> np.ndarray:
-    """q values for every (scenario, y) pair, shape (len(xis), len(ys))."""
-    c = np.array(model.c)
-    ybits = ((ys[:, None] >> np.arange(model.n_y)[None, :]) & 1).astype(float)
-    xbits = ((xis[:, None] >> np.arange(model.n_y)[None, :]) & 1).astype(float)
-    base = ybits @ np.full(model.n_y, model.c_r)          # all-recourse cost
-    cross = xbits @ (ybits * (c - model.c_r)[None, :]).T  # wind replaces recourse
-    return base[None, :] + cross
+def _cost_matrix(model: UnitCommitmentModel, k: int,
+                 xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The y of Hamming weight k, ascending, and q(y, xi) for every
+    scenario in ``xis`` (rows) and every such y (columns).
+
+    The one second-stage cost kernel: q(y, xi) = table[y & xi], where
+    table[w] = wind[w] + c_r (k - |w|) and wind[w] adds c_j over the bits
+    of w in turbine order from 0.0.  Each entry is formed on its own, with
+    no BLAS call, so equal costs are equal floats and a lone row equals its
+    row of a batch bit for bit.
+    """
+    wind, count = np.zeros(1), np.zeros(1, dtype=np.int64)
+    for cj in model.c:
+        wind = np.concatenate((wind, wind + cj))
+        count = np.concatenate((count, count + 1))
+    table = wind + model.c_r * (k - count)
+    ys = feasible_decisions(model.n_y, k)
+    return ys, table[xis[:, None] & ys[None, :]]
 
 
 def brute_force_Q(model: UnitCommitmentModel, x: int, xi: int) -> tuple[int, float]:
-    """Exhaustive second-stage minimum; ties go to the lowest y bitmask."""
-    if x > model.d:
-        raise InfeasibleDecisionError(f"no feasible y for x={x} > d={model.d}")
-    ys = feasible_decisions(model.n_y, model.d - x)
-    q = _cost_matrix(model, ys, np.array([xi], dtype=np.int64))[0]
-    best = int(np.argmin(q))  # argmin returns the first, i.e. lowest, y
-    return int(ys[best]), float(q[best])
+    """``scenario_optima`` for one scenario; ties go to the lowest y bitmask."""
+    point_mass = DiscreteDistribution.point_mass(model.n_xi, xi)
+    y_star, q_star = scenario_optima(model, x, point_mass)
+    return int(y_star[0]), float(q_star[0])
 
 
 def scenario_optima(model: UnitCommitmentModel, x: int,
@@ -214,9 +222,8 @@ def scenario_optima(model: UnitCommitmentModel, x: int,
     """Per-scenario (y*, q*) for every scenario in the distribution."""
     if x > model.d:
         raise InfeasibleDecisionError(f"no feasible y for x={x} > d={model.d}")
-    ys = feasible_decisions(model.n_y, model.d - x)
-    q = _cost_matrix(model, ys, dist.scenarios)
-    best = np.argmin(q, axis=1)
+    ys, q = _cost_matrix(model, model.d - x, dist.scenarios)
+    best = np.argmin(q, axis=1)  # the first, i.e. lowest, y of equal cost
     return ys[best], q[np.arange(q.shape[0]), best]
 
 
@@ -242,30 +249,22 @@ def cost_bound(model: UnitCommitmentModel, x: int) -> float:
     return model.c_r * max(model.d - x, 1)
 
 
-def _uc_cost_table(model: UnitCommitmentModel) -> np.ndarray:
-    """q(y, xi) for every y and scenario, shape (2^n_xi, 2^n_y).
-
-    Turbine j adds c_j when its scenario bit is set and c_r otherwise,
-    times y_j, summed in j order as in ``second_stage_cost``.
-    """
-    bits = np.arange(2 ** model.n_y, dtype=np.int64)
-    table = np.zeros((bits.size, bits.size))
-    for j in range(model.n_y):
-        on = ((bits >> j) & 1).astype(bool)
-        table += np.where(on, model.c[j], model.c_r)[:, None] * on[None, :]
-    return table
-
-
 def cost_diagonal(problem) -> np.ndarray:
     """Diagonal of the cost operator over the full (y, xi) basis.
 
     Entry for basis index i is q(x, y, xi) with y the low n_y bits and xi
     the next n_xi bits, the packing of ``dqa.RegisterLayout``.  Defined for
-    every basis state, including infeasible y.
+    every basis state, including infeasible y: ``_cost_matrix`` fills it
+    one Hamming weight of y at a time.
     """
     if isinstance(problem, GenericDiagonalProblem):
         return problem.cost.T.ravel()
-    return _uc_cost_table(problem).ravel()
+    xis = np.arange(2 ** problem.n_xi, dtype=np.int64)
+    table = np.empty((xis.size, 2 ** problem.n_y))
+    for k in range(problem.n_y + 1):
+        ys, q = _cost_matrix(problem, k, xis)
+        table[:, ys] = q
+    return table.ravel()
 
 
 # -- instance files -------------------------------------------------------
@@ -306,11 +305,12 @@ def model_from_instance(inst: dict) -> tuple[UnitCommitmentModel, DiscreteDistri
         if spec.get("type") == "uniform":
             dist = DiscreteDistribution.uniform(model.n_xi)
         elif spec.get("type") == "explicit":
-            entries = tuple((int(e["scenario"], 2) if isinstance(e["scenario"], str)
-                             else as_integer("scenario", e["scenario"]),
-                             as_float("p", e["p"]))
-                            for e in spec["entries"])
-            dist = DiscreteDistribution(model.n_xi, entries)
+            entries = spec["entries"]
+            dist = DiscreteDistribution(
+                model.n_xi,
+                [int(e["scenario"], 2) if isinstance(e["scenario"], str)
+                 else as_integer("scenario", e["scenario"]) for e in entries],
+                [as_float("p", e["p"]) for e in entries])
         else:
             raise ValueError(f"unknown distribution type {spec.get('type')!r}")
     except KeyError as exc:

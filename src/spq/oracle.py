@@ -78,8 +78,7 @@ def _exact_oracle_gate(model: UnitCommitmentModel, q_u: float,
     return dense(tuple(range(n)) + (ancilla,), u)
 
 
-def build_oracle(kind: OracleKind, model: UnitCommitmentModel,
-                 x: int) -> OperatorSequence:
+def build_oracle(kind: OracleKind, model: UnitCommitmentModel) -> OperatorSequence:
     """Oracle sequence on ``RegisterLayout(n_y, n_xi, include_ancilla=True)``."""
     layout = RegisterLayout(model.n_y, model.n_xi, include_ancilla=True)
     anc = layout.ancilla

@@ -79,7 +79,7 @@ def test_criterion_1_appendix_b_identity(dqa_state_batch):
     for model, dist, x, state in dqa_state_batch:
         q_u = cost_bound(model, x)
         layout = RegisterLayout(model.n_y, dist.n_xi, include_ancilla=True)
-        oracle = build_oracle(OracleKind("exact", q_u), model, x)
+        oracle = build_oracle(OracleKind("exact", q_u), model)
         extended = state.extended(1)
         apply_sequence(extended, oracle)
         p1 = marginal_probability(extended, layout.ancilla, 1)
@@ -189,7 +189,7 @@ def test_criterion_8_simulator_unit_properties():
     model, dist = model_from_instance(inst)
     layout = RegisterLayout(2, 2, include_ancilla=True)
     dqa = build_dqa(model, 1, dist, AnnealSchedule.linear(4))
-    oracle = build_oracle(OracleKind("exact", cost_bound(model, 1)), model, 1)
+    oracle = build_oracle(OracleKind("exact", cost_bound(model, 1)), model)
     grover = build_grover(build_A(dqa, oracle), layout)
     u = sequence_to_matrix(grover, 5)
     grover_dev = np.abs(u.conj().T @ u - np.eye(32)).max()

@@ -387,8 +387,9 @@ def full_register_psi_star(model, x, dist):
     """psi* over the full (y, xi) register: sqrt(p(xi)) at (y*(xi), xi)."""
     y_stars, _ = scenario_optima(model, x, dist)
     amps = np.zeros(2 ** (model.n_y + dist.n_xi))
-    for (scenario, p), y_star in zip(dist.entries, y_stars):
-        amps[(scenario << model.n_y) | int(y_star)] = math.sqrt(p)
+    for scenario, p, y_star in zip(dist.scenarios.tolist(),
+                                   dist.probabilities.tolist(), y_stars.tolist()):
+        amps[(scenario << model.n_y) | y_star] = math.sqrt(p)
     return amps
 
 
@@ -399,7 +400,7 @@ def psi_star_cases(n_y):
     model, uniform = model_from_instance(generate_instance(n_y, 50 + n_y))
     order = np.random.default_rng(n_y).permutation(2 ** n_y)
     probs = (0.0, 1.0) if n_y == 1 else (0.0, 0.5, 0.3, 0.2)
-    explicit = DiscreteDistribution(n_y, tuple(zip(order.tolist(), probs)))
+    explicit = DiscreteDistribution(n_y, order[:len(probs)], probs)
     tied = dataclasses.replace(model, c=(0.1,) * n_y)
     return [(model, uniform), (model, explicit), (tied, uniform), (tied, explicit)]
 
@@ -416,14 +417,15 @@ class TestPerScenarioOptimalBlock:
                 assert full.dtype == np.float64
                 assert np.array_equal(full, full_register_psi_star(model, x, dist))
 
-    @pytest.mark.parametrize("n_y", [1, 3, 5, 7])
+    @pytest.mark.parametrize("n_y", [1, 3, 5, 7, 10])
     def test_ties_go_to_the_lowest_y(self, n_y):
         # the populated row of each scenario is brute_force_Q's y*, which
         # takes the lowest bitmask among equal costs
         for model, dist in psi_star_cases(n_y):
             for x in range(model.d + 1):
                 block = per_scenario_optimal_block(model, x, dist)
-                for scenario, p in dist.entries:
+                for scenario, p in zip(dist.scenarios.tolist(),
+                                       dist.probabilities.tolist()):
                     rows = np.flatnonzero(block.amps[:, scenario])
                     if p == 0.0:
                         assert rows.size == 0
@@ -513,7 +515,7 @@ class TestBlockBudget:
             raise AssertionError("built a feasible grid")
 
         monkeypatch.setattr(dqa, "feasible_decisions", refuse)
-        monkeypatch.setattr(dqa, "scenario_optima", refuse)
+        monkeypatch.setattr(dqa, "_cost_matrix", refuse)
         sched = AnnealSchedule.linear(3)
         for xs in ((8,), (4, 12)):
             with pytest.raises(SimulationBudgetError):
@@ -594,7 +596,7 @@ class TestResidualDiagnostics:
 
     def test_zero_probability_scenario_reports_none(self):
         model = worked_model()
-        dist = DiscreteDistribution(2, ((0b00, 0.5), (0b11, 0.5), (0b01, 0.0)))
+        dist = DiscreteDistribution(2, [0b00, 0b11, 0b01], [0.5, 0.5, 0.0])
         sv = run_dqa_fast(model, 1, dist, AnnealSchedule.linear(5))
         diag = residual_diagnostics(sv, model, 1, dist)
         assert diag.per_scenario_overlap[0b01] is None

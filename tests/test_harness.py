@@ -148,7 +148,7 @@ class TestOuterLoop:
                 x = row["x"]
                 kind = OracleKind(oracle, cost_bound(model, x))
                 A = build_A(build_dqa(model, x, dist, AnnealSchedule.linear(T)),
-                            build_oracle(kind, model, x))
+                            build_oracle(kind, model))
                 cfg = QaeConfig(m=m, rng_seed=derive_seed(0, "gate", rep, x))
                 readout = run_qae(A, cfg, lay)
                 assert readout.b.shape == (1,)

@@ -4,6 +4,7 @@ The n_y=2 worked instance (d=2, c_x=0.4, c=[0.1, 0.2], c_r=1, uniform
 wind) is enumerated by hand here and reused as a regression anchor.
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -107,6 +108,51 @@ class TestBruteForce:
                 assert got_y == best[1]
 
 
+def sort_optima(model, x, xis):
+    """Per-scenario (y*, q*) by a stable sort, independent of the cost
+    kernel: a turbine weighs c_j where the wind blows and c_r where it does
+    not, and y* takes the d - x lightest, the lowest index first among
+    equal weights, which makes y* the lowest bitmask among the optima.
+    q* adds the wind terms of y* in turbine order, then c_r per turbine
+    without wind, as ``second_stage_cost`` does."""
+    bits = (xis[:, None] >> np.arange(model.n_y)) & 1
+    weights = np.where(bits == 1, np.array(model.c), model.c_r)
+    chosen = np.argsort(weights, axis=1, kind="stable")[:, :model.d - x]
+    in_y = np.zeros(bits.shape, dtype=bool)
+    np.put_along_axis(in_y, chosen, True, axis=1)
+    y_star = (in_y * (1 << np.arange(model.n_y))).sum(axis=1)
+    wind = np.zeros(xis.size)
+    for j in range(model.n_y):
+        wind += np.where(in_y[:, j] & (bits[:, j] == 1), model.c[j], 0.0)
+    no_wind = (in_y & (bits == 0)).sum(axis=1)
+    return y_star, wind + model.c_r * no_wind
+
+
+class TestTieRule:
+    """Ties go to the lowest y bitmask at every matrix shape: one scenario
+    or all of them, any n_y."""
+
+    @pytest.mark.parametrize("n_y", range(1, 13))
+    def test_scenario_optima_match_a_stable_sort(self, n_y):
+        for seed in (0, 1):
+            model, dist = model_from_instance(generate_instance(n_y, seed))
+            for costs in (model, dataclasses.replace(model, c=(0.1,) * n_y)):
+                for x in range(costs.d + 1):
+                    y_star, q_star = scenario_optima(costs, x, dist)
+                    want_y, want_q = sort_optima(costs, x, dist.scenarios)
+                    assert np.array_equal(y_star, want_y)
+                    assert np.array_equal(q_star, want_q)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_scenario_equals_its_row_of_all(self, seed):
+        model, dist = model_from_instance(generate_instance(10, seed))
+        for x in range(model.d + 1):
+            y_stars, q_stars = scenario_optima(model, x, dist)
+            for xi, y_star, q_star in zip(dist.scenarios.tolist(), y_stars.tolist(),
+                                          q_stars.tolist()):
+                assert brute_force_Q(model, x, xi) == (y_star, q_star)
+
+
 class TestExpectedValue:
     def test_worked_instance_phi_one(self):
         # scenarios 00,01,10,11 give minima 1.0, 0.1, 0.2, 0.1 -> mean 0.35
@@ -205,20 +251,24 @@ class TestBoundsAndDiagonal:
 class TestDistribution:
     def test_uniform_probabilities(self):
         dist = DiscreteDistribution.uniform(3)
-        assert len(dist.entries) == 8
+        assert np.array_equal(dist.scenarios, np.arange(8))
         assert np.allclose(dist.probabilities, 1 / 8)
 
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
-            DiscreteDistribution(1, ((0, 0.5), (1, 0.6)))
+            DiscreteDistribution(1, [0, 1], [0.5, 0.6])
 
     def test_duplicate_scenarios_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            DiscreteDistribution(1, ((0, 0.5), (0, 0.5)))
+            DiscreteDistribution(1, [0, 0], [0.5, 0.5])
 
     def test_negative_probability_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            DiscreteDistribution(1, ((0, 1.5), (1, -0.5)))
+            DiscreteDistribution(1, [0, 1], [1.5, -0.5])
+
+    def test_scenario_must_fit_the_register(self):
+        with pytest.raises(ValueError, match="does not fit in 1 bits"):
+            DiscreteDistribution(1, [0, 2], [0.5, 0.5])
 
     @pytest.mark.parametrize("name", ["scenarios", "probabilities"])
     def test_arrays_are_built_once(self, name):
@@ -231,22 +281,19 @@ class TestDistribution:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 
-    def test_cached_arrays_leave_equality_and_hash_alone(self):
-        used, fresh = DiscreteDistribution.uniform(3), DiscreteDistribution.uniform(3)
-        _ = used.scenarios, used.probabilities  # fill the caches of one
-        assert used == fresh and hash(used) == hash(fresh)
-        assert used != DiscreteDistribution.point_mass(3, 0)
+    def test_equality_and_hash_are_by_value(self):
+        a, b = DiscreteDistribution.uniform(3), DiscreteDistribution.uniform(3)
+        assert a == b and hash(a) == hash(b)
+        assert a != DiscreteDistribution.point_mass(3, 0)
+        assert a != DiscreteDistribution.uniform(2)
 
     def test_pickle_round_trip(self):
         dist = DiscreteDistribution.from_pmf(2, {0: 0.5, 2: 0.5})
-        before = pickle.dumps(dist)
-        _ = dist.scenarios, dist.probabilities
-        # the cached arrays stay out of the pickle
-        assert pickle.dumps(dist) == before
-        back = pickle.loads(before)
+        back = pickle.loads(pickle.dumps(dist))
         assert back == dist and hash(back) == hash(dist)
         assert np.array_equal(back.scenarios, [0, 2])
         assert np.array_equal(back.probabilities, [0.5, 0.5])
+        assert not back.scenarios.flags.writeable
         assert not back.probabilities.flags.writeable
 
 
@@ -285,7 +332,7 @@ class TestInstanceFiles:
                                              {"scenario": 3, "p": 0.5}]},
                 "seed": 0}
         _, dist = model_from_instance(inst)
-        assert dist.entries == ((0, 0.5), (3, 0.5))
+        assert dist == DiscreteDistribution(2, [0, 3], [0.5, 0.5])
 
     def test_explicit_distribution_binary_strings(self):
         inst = {"n_y": 2, "c_x": 0.4, "c": [0.1, 0.2], "c_r": 1.0, "d": 2,
@@ -294,4 +341,5 @@ class TestInstanceFiles:
                                              {"scenario": "01", "p": 0.75}]},
                 "seed": 0}
         _, dist = model_from_instance(inst)
-        assert set(dist.entries) == {(1, 0.75), (2, 0.25)}   # "10" = wind at turbine 1
+        # "10" = wind at turbine 1
+        assert dist == DiscreteDistribution(2, [2, 1], [0.25, 0.75])

@@ -52,7 +52,7 @@ class TestExactOracle:
     def test_zero_cost_branch_leaves_ancilla_down(self):
         model = worked_model()
         lay = layout_with_ancilla(2)
-        seq = build_oracle(OracleKind("exact", cost_bound(model, 2)), model, 2)
+        seq = build_oracle(OracleKind("exact", cost_bound(model, 2)), model)
         sv = StateVector.basis_state(5, (0b11 << 2) | 0b00)   # y=0, any wind
         apply_sequence(sv, seq)
         assert marginal_probability(sv, lay.ancilla, 1) < 1e-14
@@ -60,7 +60,7 @@ class TestExactOracle:
     def test_max_cost_branch_flips_ancilla(self):
         model = worked_model()
         lay = layout_with_ancilla(2)
-        seq = build_oracle(OracleKind("exact", cost_bound(model, 1)), model, 1)
+        seq = build_oracle(OracleKind("exact", cost_bound(model, 1)), model)
         sv = StateVector.basis_state(5, (0b01 << 2) | 0b10)   # turbine 1 on, no wind there
         apply_sequence(sv, seq)
         assert marginal_probability(sv, lay.ancilla, 1) == pytest.approx(1.0, abs=1e-12)
@@ -69,7 +69,7 @@ class TestExactOracle:
         model = worked_model()
         lay = layout_with_ancilla(2)
         x = 0
-        seq = build_oracle(OracleKind("exact", cost_bound(model, x)), model, x)
+        seq = build_oracle(OracleKind("exact", cost_bound(model, x)), model)
         y, xi = 0b11, 0b01
         sv = StateVector.basis_state(5, (xi << 2) | y)
         apply_sequence(sv, seq)
@@ -80,7 +80,7 @@ class TestExactOracle:
     def test_unitary(self):
         model = worked_model()
         lay = layout_with_ancilla(2)
-        seq = build_oracle(OracleKind("exact", cost_bound(model, 1)), model, 1)
+        seq = build_oracle(OracleKind("exact", cost_bound(model, 1)), model)
         u = sequence_to_matrix(seq, 5)
         assert np.abs(u.conj().T @ u - np.eye(32)).max() < 1e-10
 
@@ -94,7 +94,7 @@ class TestExactOracle:
         q_u = cost_bound(model, x)
         hq = expectation_HQ(sv, model)
         svx = sv.extended(1)
-        apply_sequence(svx, build_oracle(OracleKind("exact", q_u), model, x))
+        apply_sequence(svx, build_oracle(OracleKind("exact", q_u), model))
         p1 = marginal_probability(svx, lay.ancilla, 1)
         assert abs(p1 - hq / q_u) < 1e-9
 
@@ -102,7 +102,7 @@ class TestExactOracle:
         inst = generate_instance(6, 1)
         model, _ = model_from_instance(inst)
         with pytest.raises(ValueError, match="n_y"):
-            build_oracle(OracleKind("exact", cost_bound(model, 1)), model, 1)
+            build_oracle(OracleKind("exact", cost_bound(model, 1)), model)
 
 
 class TestSinOracle:
@@ -112,7 +112,7 @@ class TestSinOracle:
         lay = layout_with_ancilla(2)
         x = 0
         kind = OracleKind("sin", cost_bound(model, x))
-        seq = build_oracle(kind, model, x)
+        seq = build_oracle(kind, model)
         for y in range(4):
             for xi in range(4):
                 sv = StateVector.basis_state(5, (xi << 2) | y)
@@ -133,7 +133,7 @@ class TestSinOracle:
         for kind in (OracleKind("exact", cost_bound(model, 1)),
                      OracleKind("sin", cost_bound(model, 1))):
             svx = sv.extended(1)
-            apply_sequence(svx, build_oracle(kind, model, 1))
+            apply_sequence(svx, build_oracle(kind, model))
             after = register_distribution(svx, list(range(6)))
             assert np.abs(before - after).max() < 1e-12
 
@@ -157,7 +157,7 @@ class TestReadback:
         problem_lay = RegisterLayout(2, 2)
         sv = run_dqa(build_dqa(model, x, dist, AnnealSchedule.linear(300)), problem_lay)
         svx = sv.extended(1)
-        apply_sequence(svx, build_oracle(kind, model, x))
+        apply_sequence(svx, build_oracle(kind, model))
         a = marginal_probability(svx, lay.ancilla, 1)
         q_recovered = sin_oracle_readback(a, kind)
         # wind at turbine 0 only -> optimal decision costs c_0 = 0.1; the

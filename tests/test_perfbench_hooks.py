@@ -67,7 +67,7 @@ def call_prepare_per_scenario_optimal(tmp_path):
 
 
 def call_build_oracle(tmp_path):
-    oracle.build_oracle(oracle.OracleKind("exact", model.cost_bound(WORKED, 1)), WORKED, 1)
+    oracle.build_oracle(oracle.OracleKind("exact", model.cost_bound(WORKED, 1)), WORKED)
     return 1, {"matrix_bytes": 32 * 32 * 16}, None
 
 

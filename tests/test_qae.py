@@ -74,7 +74,7 @@ def uc_pipeline(n_y, x, T, oracle, seed=7):
     schedule = AnnealSchedule.linear(T)
     dqa = build_dqa(model, x, dist, schedule)
     kind = OracleKind(oracle, cost_bound(model, x))
-    A = build_A(dqa, build_oracle(kind, model, x))
+    A = build_A(dqa, build_oracle(kind, model))
     return model, dist, schedule, kind, lay, A
 
 
@@ -108,7 +108,7 @@ class TestGrover:
         model, dist = model_from_instance(inst)
         lay = RegisterLayout(2, 2, include_ancilla=True)
         dqa = build_dqa(model, 1, dist, AnnealSchedule.linear(3))
-        oracle = build_oracle(OracleKind("exact", cost_bound(model, 1)), model, 1)
+        oracle = build_oracle(OracleKind("exact", cost_bound(model, 1)), model)
         grover = build_grover(build_A(dqa, oracle), lay)
         u = sequence_to_matrix(grover, 5)
         assert np.abs(u.conj().T @ u - np.eye(32)).max() < 1e-9
@@ -134,8 +134,7 @@ class TestGrover:
         inst = generate_instance(2, 9)
         model, dist = model_from_instance(inst)
         dqa = build_dqa(model, 1, dist, AnnealSchedule.linear(4))
-        oracle = build_oracle(OracleKind("sin", cost_bound(model, 1)),
-                              model, 1)
+        oracle = build_oracle(OracleKind("sin", cost_bound(model, 1)), model)
         A = build_A(dqa, oracle)
         sv = StateVector(5)
         apply_sequence(sv, A)
@@ -154,7 +153,7 @@ class TestQpeReadout:
         model, dist = model_from_instance(inst)
         lay = RegisterLayout(2, 2, include_ancilla=True)
         dqa = build_dqa(model, 1, dist, AnnealSchedule.linear(4))
-        oracle = build_oracle(OracleKind("exact", cost_bound(model, 1)), model, 1)
+        oracle = build_oracle(OracleKind("exact", cost_bound(model, 1)), model)
         A = build_A(dqa, oracle)
         cfg = QaeConfig(m=3)
         fast = qpe_state(A, cfg, lay)
@@ -231,7 +230,7 @@ class TestQpeReadout:
         problem_lay = RegisterLayout(2, 2)
         dqa = build_dqa(model, x, dist, AnnealSchedule.linear(6))
         q_u = cost_bound(model, x)
-        oracle = build_oracle(OracleKind("exact", q_u), model, x)
+        oracle = build_oracle(OracleKind("exact", q_u), model)
         A = build_A(dqa, oracle)
         sv = run_dqa(dqa, problem_lay)
         a_true = expectation_HQ(sv, model) / q_u
@@ -281,7 +280,7 @@ class TestReadoutLaw:
         for x in range(model.d + 1):
             kind = OracleKind("exact", cost_bound(model, x))
             A = build_A(prepare_per_scenario_optimal(model, x, dist),
-                        build_oracle(kind, model, x))
+                        build_oracle(kind, model))
             _, a = _qae_point(model, per_scenario_optimal_block(model, x, dist), "exact")
             assert abs(a - ancilla_marginal(A, lay)) <= 1e-12
 
