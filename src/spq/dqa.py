@@ -45,13 +45,12 @@ from .statevector import (
     StateVector,
     apply_sequence,
     cphase,
-    dense,
+    diagonal,
     hadamard,
     partial_swap,
     pauli_x,
+    reflection,
 )
-
-_GENERIC_QUBIT_CAP = 8  # dense per-layer cost unitaries; desk scale only
 
 
 @dataclass(frozen=True)
@@ -127,15 +126,16 @@ class DqaDiagnostics:
 
 # -- state preparation ----------------------------------------------------
 
-def _column_prep_gate(column: np.ndarray, qubits: tuple[int, ...]) -> Gate:
-    """Householder reflection sending |0...0> to the given real unit vector."""
-    v = np.asarray(column, dtype=float)
-    w = -v.copy()
+def _column_prep(column: np.ndarray, qubits: tuple[int, ...],
+                 label: str) -> OperatorSequence:
+    """Sequence sending |0...0> to the given real unit vector v: the one
+    Householder reflection with w = |0...0> - v, or no gate when v is
+    |0...0> already."""
+    w = -np.asarray(column, dtype=float)
     w[0] += 1.0
-    nw2 = float(w @ w)
-    if nw2 < 1e-28:
-        return dense(qubits, np.eye(v.size))
-    return dense(qubits, np.eye(v.size) - (2.0 / nw2) * np.outer(w, w))
+    if float(w @ w) < 1e-28:
+        return OperatorSequence((), label)
+    return OperatorSequence((reflection(qubits, w),), label)
 
 
 def dicke_amplitudes(n: int, k: int) -> np.ndarray:
@@ -150,16 +150,13 @@ def dicke_amplitudes(n: int, k: int) -> np.ndarray:
 def prepare_dicke(n: int, k: int, qubits: tuple[int, ...] | None = None) -> OperatorSequence:
     """Sequence mapping |0...0> to the Dicke state of weight k.
 
-    Realized as a dense unitary completion of the target column, so the
-    adjoint and controlled forms needed by amplitude estimation come for
-    free.
+    Realized as one Householder reflection onto the target column (none
+    for k = 0), which is its own adjoint and takes controls like any gate,
+    as amplitude estimation needs.
     """
     if qubits is None:
         qubits = tuple(range(n))
-    if k == 0:
-        return OperatorSequence((), "dicke")
-    return OperatorSequence((_column_prep_gate(dicke_amplitudes(n, k), qubits),),
-                            "dicke")
+    return _column_prep(dicke_amplitudes(n, k), qubits, "dicke")
 
 
 def prepare_distribution(dist: DiscreteDistribution,
@@ -167,7 +164,7 @@ def prepare_distribution(dist: DiscreteDistribution,
     """Sequence loading sum_w sqrt(p(w)) |xi_w> from |0...0>.
 
     The uniform i.i.d. case compiles to Hadamards and a point mass to X
-    gates; anything else becomes a dense column completion.
+    gates; anything else becomes one Householder reflection.
     """
     if qubits is None:
         qubits = tuple(range(dist.n_xi))
@@ -182,17 +179,14 @@ def prepare_distribution(dist: DiscreteDistribution,
         return OperatorSequence(gates, "dist")
     amps = np.zeros(2 ** dist.n_xi)
     amps[dist.scenarios] = np.sqrt(dist.probabilities)
-    return OperatorSequence((_column_prep_gate(amps, qubits),), "dist")
+    return _column_prep(amps, qubits, "dist")
 
 
 def prepare_per_scenario_optimal(model: UnitCommitmentModel, x: int,
                                  dist: DiscreteDistribution) -> OperatorSequence:
-    """Dense Householder preparation of psi* (``per_scenario_optimal_block``)."""
-    n = 2 * model.n_y
-    if n > 12:
-        raise ValueError("dense per-scenario preparation is desk scale (n_y <= 6)")
+    """Householder preparation of psi* (``per_scenario_optimal_block``)."""
     amps = per_scenario_optimal_block(model, x, dist).scatter(model.n_y)
-    return OperatorSequence((_column_prep_gate(amps, tuple(range(n))),), "psi_star")
+    return _column_prep(amps, tuple(range(2 * model.n_y)), "psi_star")
 
 
 # -- circuit assembly -----------------------------------------------------
@@ -238,7 +232,7 @@ def _generic_layer_gates(problem: GenericDiagonalProblem, layout: RegisterLayout
                          diag: np.ndarray, gamma: float, beta: float) -> list[Gate]:
     n = layout.num_problem_qubits
     phases = np.exp(-1j * gamma * diag)             # U(gamma) = e^{-i gamma H}
-    gates = [Gate(KIND_DENSE, tuple(range(n)), matrix=np.diag(phases))]
+    gates = [diagonal(tuple(range(n)), phases)]
     for q in layout.y_register:
         gates.append(_generic_mixer_gate(q, beta))
     return gates
@@ -261,10 +255,6 @@ def build_dqa(problem, x: int | None, dist: DiscreteDistribution,
         return OperatorSequence(tuple(gates), "dqa")
 
     if isinstance(problem, GenericDiagonalProblem):
-        n = layout.num_problem_qubits
-        if n > _GENERIC_QUBIT_CAP:
-            raise ValueError(f"generic problems are capped at {_GENERIC_QUBIT_CAP} "
-                             f"qubits (dense cost layers), got {n}")
         gates = [hadamard(q) for q in layout.y_register]
         gates += list(prepare_distribution(dist, layout.xi_register))
         diag = cost_diagonal(problem)

@@ -1,9 +1,10 @@
 """Payoff oracles: the normalized cost q / q_u written onto the QAE ancilla.
 
-Two constructions: an exact per-basis-state rotation (brute-force dense,
-demonstration scale only) and the small-angle product of doubly controlled
-RY gates, whose per-branch rotation angle is additive in the cost terms and
-scaled by pi / q_u, so that it stays in [0, pi] where sin^2 is invertible.
+Two constructions: an exact per-basis-state rotation (one diagonal
+between Hadamard and S gates on the ancilla) and the small-angle product
+of doubly controlled RY gates, whose per-branch rotation angle is additive
+in the cost terms and scaled by pi / q_u, so that it stays in [0, pi]
+where sin^2 is invertible.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ import numpy as np
 
 from .dqa import RegisterLayout
 from .model import ConfigError, UnitCommitmentModel, cost_bound, cost_diagonal
-from .statevector import Gate, OperatorSequence, ccry, dense, pauli_x
-
-_EXACT_ORACLE_MAX_NY = 5  # dense 2^(2*n_y + 1) matrix; demonstration scale
+from .statevector import (Gate, OperatorSequence, ccry, diagonal, hadamard,
+                          pauli_x, phase)
 
 ORACLES = ("exact", "sin")
 
@@ -58,24 +58,20 @@ def qbar(model: UnitCommitmentModel, x: int, q: float) -> float:
     return min(max(q / q_u, 0.0), 1.0)
 
 
-def _exact_oracle_gate(model: UnitCommitmentModel, q_u: float,
-                       ancilla: int) -> Gate:
-    """Block-diagonal RY(2 arcsin sqrt(qbar)) per (y, xi) basis state."""
-    n = 2 * model.n_y
+def _exact_oracle_gates(model: UnitCommitmentModel, q_u: float,
+                        ancilla: int) -> tuple[Gate, ...]:
+    """RY(t) = S H e^{-itZ/2} H S+ on the ancilla per (y, xi) basis state,
+    t = 2 arcsin sqrt(qbar): the diagonal holds e^{-it/2} = sqrt(1 - qbar)
+    - i sqrt(qbar) on ancilla |0> and its conjugate on |1>."""
     diag = cost_diagonal(model)
     # Infeasible y values can exceed q_u; they carry no amplitude after
     # the constraint-preserving evolution, so their angles are clamped.
     qb = np.clip(diag / q_u, 0.0, 1.0)
-    s = np.sqrt(qb)
-    c = np.sqrt(1.0 - qb)
-    dim = 2 ** n
-    u = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    idx = np.arange(dim)
-    u[idx, idx] = c
-    u[dim + idx, idx] = s
-    u[idx, dim + idx] = -s
-    u[dim + idx, dim + idx] = c
-    return dense(tuple(range(n)) + (ancilla,), u)
+    half = np.sqrt(1.0 - qb) - 1j * np.sqrt(qb)
+    targets = tuple(range(2 * model.n_y)) + (ancilla,)
+    return (phase(ancilla, -math.pi / 2), hadamard(ancilla),
+            diagonal(targets, np.concatenate([half, half.conj()])),
+            hadamard(ancilla), phase(ancilla, math.pi / 2))
 
 
 def build_oracle(kind: OracleKind, model: UnitCommitmentModel) -> OperatorSequence:
@@ -83,11 +79,7 @@ def build_oracle(kind: OracleKind, model: UnitCommitmentModel) -> OperatorSequen
     layout = RegisterLayout(model.n_y, model.n_xi, include_ancilla=True)
     anc = layout.ancilla
     if kind.variant == "exact":
-        if model.n_y > _EXACT_ORACLE_MAX_NY:
-            raise ValueError(f"exact oracle is brute-force dense; "
-                             f"capped at n_y <= {_EXACT_ORACLE_MAX_NY}")
-        return OperatorSequence((_exact_oracle_gate(model, kind.q_u, anc),),
-                                "F_exact")
+        return OperatorSequence(_exact_oracle_gates(model, kind.q_u, anc), "F_exact")
 
     yq, xq = layout.y_register, layout.xi_register
     scale = kind.angle_scale

@@ -4,11 +4,11 @@ experiments' probability-vector and closed-form paths are tested against.
 Qubit index 0 is the least-significant bit of the amplitude index
 (little-endian).  Every gate goes through one kernel: the amplitudes are
 viewed as a (2,)*n tensor with qubit q on axis n-1-q, the control axes are
-narrowed to their polarities, and the gate's 2^k-square matrix is
-multiplied into the k target axes of that slice.  reflect0 only negates
-the all-zeros target slice and builds no matrix.  Marginals sum the
-probability tensor over the unmeasured axes.  The kernel is written to be
-plainly correct, not fast: no experiment applies a gate.
+narrowed to their polarities, and the gate acts on the k target axes of
+that slice: by its 2^k-square matrix, or in O(2^n) from the length-2^k
+vector of a diagonal or reflection gate.  Marginals sum the probability
+tensor over the unmeasured axes.  The kernel is written to be plainly
+correct, not fast: no experiment applies a gate.
 """
 
 from __future__ import annotations
@@ -27,23 +27,22 @@ PROB_SUM_TOL = 1e-9
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# Gate kinds.  "phase" is diag(1, e^{+i*angle}); a ControlledPhase is a
-# phase gate with one control, a doubly controlled RY is an "ry" with two
-# controls.  "reflect0" flips the sign of the all-zeros component of its
-# target register; the ancilla phase flip used by the Grover operator is
-# reflect0 on a single qubit.
+# Gate kinds.  A doubly controlled RY is an "ry" with two controls.
+# "diagonal" holds the diagonal v of its operator and "reflection" a vector
+# w for I - 2ww+/|w|^2, both of length 2^k; a phase gate, a controlled
+# phase and the reflections about |0...0> are diagonal gates.
 KIND_H = "h"
 KIND_X = "x"
 KIND_RY = "ry"
-KIND_PHASE = "phase"
 KIND_PSWAP = "pswap"
 KIND_DENSE = "dense"
-KIND_REFLECT0 = "reflect0"
+KIND_DIAGONAL = "diagonal"
+KIND_REFLECTION = "reflection"
 
-_ANGLE_KINDS = frozenset({KIND_RY, KIND_PHASE, KIND_PSWAP})
-# number of targets of the fixed-width kinds; dense and reflect0 take any
-_ARITY = {KIND_H: 1, KIND_X: 1, KIND_RY: 1, KIND_PHASE: 1, KIND_PSWAP: 2}
-_KINDS = frozenset(_ARITY) | {KIND_DENSE, KIND_REFLECT0}
+_ANGLE_KINDS = frozenset({KIND_RY, KIND_PSWAP})
+# number of targets of the fixed-width kinds; the matrix kinds take any
+_ARITY = {KIND_H: 1, KIND_X: 1, KIND_RY: 1, KIND_PSWAP: 2}
+_KINDS = frozenset(_ARITY) | {KIND_DENSE, KIND_DIAGONAL, KIND_REFLECTION}
 
 
 class SimulationBudgetError(RuntimeError):
@@ -60,8 +59,9 @@ class Gate:
         controls: optional ``(qubit, polarity)`` pairs; the base operation
             is applied only where every control qubit matches its polarity
             (1 = control on |1>, 0 = control on |0>).
-        angle: rotation/phase angle in radians (ry, phase, pswap).
-        matrix: unitary of dimension 2^len(targets) (dense only).
+        angle: rotation angle in radians (ry, pswap).
+        matrix: the 2^k-square unitary of a dense gate on k targets, the
+            unit-modulus diagonal v of a diagonal gate or w of a reflection.
     """
 
     kind: str
@@ -79,8 +79,9 @@ class Gate:
         if len(self.targets) != arity:
             raise ValueError(f"{self.kind} acts on exactly {arity} qubit(s), "
                              f"got targets {self.targets}")
-        if self.matrix is not None and self.kind != KIND_DENSE:
-            raise ValueError(f"only dense gates take a matrix, not {self.kind}")
+        if self.matrix is not None and self.kind in _ARITY:
+            raise ValueError(f"only dense, diagonal and reflection gates take "
+                             f"a matrix, not {self.kind}")
         tset = set(self.targets)
         if len(tset) != len(self.targets):
             raise ValueError(f"duplicate target qubits: {self.targets}")
@@ -96,20 +97,24 @@ class Gate:
                 raise ValueError(f"control polarity must be 0 or 1, got {pol}")
         if self.kind in _ANGLE_KINDS and self.angle is None:
             raise ValueError(f"{self.kind} gate requires an angle")
+        if self.kind in _ARITY:
+            return
+        dim = 2 ** len(self.targets)
+        m = self.matrix
+        shape = (dim, dim) if self.kind == KIND_DENSE else (dim,)
+        if m is None or m.shape != shape:
+            raise ValueError(f"{self.kind} gate on {len(self.targets)} qubits "
+                             f"needs a matrix of shape {shape}")
         if self.kind == KIND_DENSE:
-            dim = 2 ** len(self.targets)
-            m = self.matrix
-            if m is None or m.shape != (dim, dim):
-                raise ValueError(f"dense gate on {len(self.targets)} qubits "
-                                 f"needs a {dim}x{dim} matrix")
-            if m.imag.any():
-                err = np.abs(m.conj().T @ m - np.eye(dim)).max()
-            else:
-                # U+U = U^T U for a real U; a real GEMM costs a quarter
-                r = np.ascontiguousarray(m.real)
-                err = np.abs(r.T @ r - np.eye(dim)).max()
+            err = np.abs(m.conj().T @ m - np.eye(dim)).max()
             if err > 1e-10:
                 raise ValueError(f"dense matrix is not unitary (|U+U - I|max = {err:.3e})")
+        elif self.kind == KIND_DIAGONAL:
+            err = np.abs(np.abs(m) - 1.0).max()
+            if not err <= 1e-10:
+                raise ValueError(f"diagonal entries are off the unit circle by {err:.3e}")
+        elif not np.vdot(m, m).real > 0.0:
+            raise ValueError("reflection vector must be nonzero")
 
     def __eq__(self, other):
         if not isinstance(other, Gate):
@@ -128,10 +133,10 @@ class Gate:
     def adjoint(self) -> "Gate":
         if self.kind in _ANGLE_KINDS:
             return Gate(self.kind, self.targets, self.controls, -self.angle)
-        if self.kind == KIND_DENSE:
-            return Gate(KIND_DENSE, self.targets, self.controls,
+        if self.kind in (KIND_DENSE, KIND_DIAGONAL):  # .T keeps a vector as is
+            return Gate(self.kind, self.targets, self.controls,
                         matrix=np.ascontiguousarray(self.matrix.conj().T))
-        return self  # h, x, reflect0 are self-adjoint
+        return self  # h, x, reflection are self-adjoint
 
     def controlled(self, qubit: int, polarity: int = 1) -> "Gate":
         return Gate(self.kind, self.targets, self.controls + ((qubit, polarity),),
@@ -157,11 +162,11 @@ def ry(q: int, angle: float) -> Gate:
 
 def phase(q: int, angle: float) -> Gate:
     """P(angle) = diag(1, e^{+i angle})."""
-    return Gate(KIND_PHASE, (q,), angle=angle)
+    return diagonal((q,), np.array([1.0, np.exp(1j * angle)]))
 
 
 def cphase(control: int, target: int, angle: float) -> Gate:
-    return Gate(KIND_PHASE, (target,), ((control, 1),), angle)
+    return phase(target, angle).controlled(control)
 
 
 def ccry(control_a: int, control_b: int, target: int, angle: float) -> Gate:
@@ -183,14 +188,26 @@ def dense(targets: tuple[int, ...], matrix: np.ndarray) -> Gate:
                 matrix=np.ascontiguousarray(matrix, dtype=complex))
 
 
+def diagonal(targets: tuple[int, ...], values: np.ndarray) -> Gate:
+    """diag(values): basis state r of the targets is scaled by values[r]."""
+    return Gate(KIND_DIAGONAL, tuple(targets),
+                matrix=np.ascontiguousarray(values, dtype=complex))
+
+
+def reflection(targets: tuple[int, ...], w: np.ndarray) -> Gate:
+    """I - 2ww+/|w|^2: the Householder reflection through w's hyperplane."""
+    return Gate(KIND_REFLECTION, tuple(targets),
+                matrix=np.ascontiguousarray(w, dtype=complex))
+
+
 def reflect_zero(targets: tuple[int, ...]) -> Gate:
     """I - 2|0...0><0...0| on the target register."""
-    return Gate(KIND_REFLECT0, tuple(targets))
+    return diagonal(targets, np.concatenate(([-1.0], np.ones(2 ** len(targets) - 1))))
 
 
 def ancilla_phase_flip(q: int) -> Gate:
     """Sign flip on the ancilla-|0> subspace (single-qubit reflect_zero)."""
-    return Gate(KIND_REFLECT0, (q,))
+    return reflect_zero((q,))
 
 
 def swap_gates(q1: int, q2: int) -> list[Gate]:
@@ -296,8 +313,6 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
     if kind == KIND_RY:
         c, s = math.cos(gate.angle / 2), math.sin(gate.angle / 2)
         return np.array([[c, -s], [s, c]], dtype=complex)
-    if kind == KIND_PHASE:
-        return np.array([[1, 0], [0, np.exp(1j * gate.angle)]], dtype=complex)
     if kind == KIND_PSWAP:
         c, s = math.cos(gate.angle), math.sin(gate.angle)
         return np.array([[1, 0, 0, 0], [0, c, -1j * s, 0],
@@ -309,8 +324,8 @@ def apply(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate in place; returns the same StateVector.
 
     The amplitudes are viewed as a (2,)*n tensor with qubit q on axis
-    n-1-q.  Each control axis is narrowed to its polarity, then the gate's
-    matrix is multiplied into the target axes of that slice."""
+    n-1-q.  Each control axis is narrowed to its polarity, then the gate
+    acts on the target axes of that slice."""
     n = state.num_qubits
     for q in gate.qubits():
         if not 0 <= q < n:
@@ -319,15 +334,17 @@ def apply(state: StateVector, gate: Gate) -> StateVector:
     index = [slice(None)] * n
     for q, pol in gate.controls:
         index[n - 1 - q] = slice(pol, pol + 1)
-    if gate.kind == KIND_REFLECT0:
-        for t in gate.targets:
-            index[n - 1 - t] = slice(0, 1)
-        psi[tuple(index)] *= -1.0
-        return state
     # target axes to the front, the matrix's leading bit (targets[k-1]) first
     axes = [n - 1 - t for t in reversed(gate.targets)]
     view = np.moveaxis(psi[tuple(index)], axes, range(len(axes)))
-    out = _gate_matrix(gate) @ view.reshape(2 ** len(axes), -1)
+    flat = view.reshape(2 ** len(axes), -1)
+    v = gate.matrix
+    if gate.kind == KIND_DIAGONAL:
+        out = v[:, None] * flat
+    elif gate.kind == KIND_REFLECTION:
+        out = flat - np.outer(v * (2.0 / np.vdot(v, v).real), v.conj() @ flat)
+    else:
+        out = _gate_matrix(gate) @ flat
     view[...] = out.reshape(view.shape)
     return state
 

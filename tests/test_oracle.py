@@ -98,12 +98,6 @@ class TestExactOracle:
         p1 = marginal_probability(svx, lay.ancilla, 1)
         assert abs(p1 - hq / q_u) < 1e-9
 
-    def test_desk_scale_cap(self):
-        inst = generate_instance(6, 1)
-        model, _ = model_from_instance(inst)
-        with pytest.raises(ValueError, match="n_y"):
-            build_oracle(OracleKind("exact", cost_bound(model, 1)), model)
-
 
 class TestSinOracle:
     def test_total_rotation_angle_is_additive(self):

@@ -63,12 +63,16 @@ def call_build_dqa(tmp_path):
 
 def call_prepare_per_scenario_optimal(tmp_path):
     dqa.prepare_per_scenario_optimal(WORKED, 1, DIST)
-    return 1, {"matrix_bytes": 16 * 16 * 16}, None
+    # one reflection vector over the 4 (y, xi) qubits: 2^4 entries of 16
+    # bytes each
+    return 1, {"matrix_bytes": 16 * 16}, None
 
 
 def call_build_oracle(tmp_path):
     oracle.build_oracle(oracle.OracleKind("exact", model.cost_bound(WORKED, 1)), WORKED)
-    return 1, {"matrix_bytes": 32 * 32 * 16}, None
+    # a diagonal over the 5 (y, xi, ancilla) qubits, 2^5 entries, and the
+    # two 2-entry phases S and S+ on the ancilla, 16 bytes per entry
+    return 1, {"matrix_bytes": (32 + 2 * 2) * 16}, None
 
 
 def call_qpe_state(tmp_path):

@@ -15,6 +15,7 @@ from spq.dqa import (
     build_dqa,
     expectation_HQ,
     per_scenario_optimal_block,
+    prepare_distribution,
     prepare_per_scenario_optimal,
     run_dqa,
     run_dqa_fast,
@@ -22,6 +23,8 @@ from spq.dqa import (
 from spq import qae
 from spq.harness import _qae_point
 from spq.model import (
+    DiscreteDistribution,
+    GenericDiagonalProblem,
     cost_bound,
     cost_diagonal,
     generate_instance,
@@ -46,6 +49,9 @@ from spq.qae import (
     sample_readout,
 )
 from spq.statevector import (
+    KIND_DENSE,
+    KIND_DIAGONAL,
+    KIND_REFLECTION,
     OperatorSequence,
     SimulationBudgetError,
     StateVector,
@@ -140,6 +146,33 @@ class TestGrover:
         apply_sequence(sv, A)
         apply_sequence(sv, A, "adjoint")
         assert abs(sv.amplitudes[0] - 1.0) < 1e-9
+
+    def test_reference_circuits_hold_no_dense_matrix_above_4x4(self):
+        # preparations, the exact oracle and the generic cost layer are
+        # diagonals or reflections, so no circuit grows with 4^n
+        n_y, x = 8, 1
+        model, _ = model_from_instance(generate_instance(n_y, 5))
+        rng = np.random.default_rng(0)
+        weights = rng.uniform(0.5, 1.5, size=20)
+        dist = DiscreteDistribution.from_pmf(n_y, dict(zip(
+            rng.choice(2 ** n_y, size=20, replace=False).tolist(),
+            (weights / weights.sum()).tolist())))
+        lay = RegisterLayout(n_y, n_y, include_ancilla=True)
+        dqa = build_dqa(model, x, dist, AnnealSchedule.linear(2))
+        oracles = [build_oracle(OracleKind(v, cost_bound(model, x)), model)
+                   for v in ("exact", "sin")]
+        psi_star = prepare_per_scenario_optimal(model, x, dist)
+        generic = GenericDiagonalProblem(5, 5, rng.uniform(0.0, 1.0, (32, 32)))
+        As = [build_A(prep, o) for prep in (dqa, psi_star) for o in oracles]
+        seqs = [dqa, *oracles, psi_star, prepare_distribution(dist),
+                build_dqa(generic, None, DiscreteDistribution.uniform(5),
+                          AnnealSchedule.linear(2)),
+                *As, *(build_grover(A, lay) for A in As)]
+        kinds = {g.kind for seq in seqs for g in seq}
+        assert {KIND_DIAGONAL, KIND_REFLECTION, KIND_DENSE} <= kinds
+        for seq in seqs:
+            for g in seq:
+                assert g.kind != KIND_DENSE or g.matrix.shape[0] <= 4
 
     def test_register_mismatch_rejected(self):
         bad = OperatorSequence((ry(3, 0.2),))
@@ -263,7 +296,8 @@ class TestReadoutLaw:
         assert np.abs(law - sim).max() <= 1e-12
 
     @pytest.mark.parametrize("oracle", ["exact", "sin"])
-    @pytest.mark.parametrize("n_y, x, T", [(2, 1, 3), (3, 0, 5), (4, 2, 4), (5, 1, 3)])
+    @pytest.mark.parametrize("n_y, x, T", [(2, 1, 3), (3, 0, 5), (4, 2, 4), (5, 1, 3),
+                                           (7, 2, 4)])
     def test_fast_evolver_amplitude_matches_gate_level_marginal(self, n_y, x, T,
                                                                  oracle):
         model, dist, schedule, kind, lay, A = uc_pipeline(n_y, x, T, oracle)
@@ -271,7 +305,7 @@ class TestReadoutLaw:
         a = target_amplitude(kind, probs, cost_diagonal(model))
         assert abs(a - ancilla_marginal(A, lay)) <= 1e-12
 
-    @pytest.mark.parametrize("n_y", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n_y", [2, 3, 4, 5, 6, 7, 8])
     def test_converged_amplitude_matches_gate_level_marginal(self, n_y):
         # fig4's a, taken as fig4 takes it from the psi* block, against
         # A = exact oracle after the Householder preparation of psi*

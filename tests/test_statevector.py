@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from spq.statevector import (
     KIND_DENSE,
+    KIND_DIAGONAL,
     KIND_H,
-    KIND_PHASE,
     KIND_PSWAP,
-    KIND_REFLECT0,
+    KIND_REFLECTION,
     KIND_RY,
     KIND_X,
     Gate,
@@ -27,12 +27,14 @@ from spq.statevector import (
     cphase,
     cx,
     dense,
+    diagonal,
     hadamard,
     marginal_probability,
     partial_swap,
     pauli_x,
     phase,
     reflect_zero,
+    reflection,
     register_distribution,
     ry,
     sample_register,
@@ -153,8 +155,7 @@ class TestGateSemantics:
             dense((0,), np.array([[1, 0], [0, 2]], dtype=complex))
 
     def test_unitarity_checked_on_real_and_complex_matrices(self):
-        # a real matrix is checked with U^T U, a complex one with U+U; both
-        # at the same 1e-10 tolerance
+        # real and complex matrices are both checked with U+U at 1e-10
         q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((8, 8)))
         dense((0, 1, 2), q)
         dense((0, 1, 2), q * np.exp(0.7j))
@@ -175,7 +176,7 @@ class TestGateSemantics:
 
     def test_overlapping_targets_and_controls_rejected(self):
         with pytest.raises(ValueError):
-            Gate("phase", (1,), ((1, 1),), 0.3)
+            Gate(KIND_RY, (1,), ((1, 1),), 0.3)
 
     def test_one_qubit_kind_on_two_targets_rejected(self):
         with pytest.raises(ValueError, match="exactly 1"):
@@ -187,11 +188,28 @@ class TestGateSemantics:
 
     def test_empty_targets_rejected(self):
         with pytest.raises(ValueError, match="at least one target"):
-            Gate(KIND_REFLECT0, ())
+            Gate(KIND_DIAGONAL, ())
 
     def test_matrix_on_non_dense_kind_rejected(self):
         with pytest.raises(ValueError, match="only dense"):
             Gate(KIND_X, (0,), matrix=np.array([[0, 1], [1, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("make", [diagonal, reflection])
+    def test_vector_of_wrong_length_rejected(self, make):
+        for values in (np.ones(2), np.ones(8), np.ones((4, 4))):
+            with pytest.raises(ValueError, match="shape"):
+                make((0, 1), values)
+
+    def test_diagonal_entry_off_unit_circle_rejected(self):
+        diagonal((0,), np.exp(1j * np.array([0.3, -1.1])))
+        for bad in ([1.0, 1.0 + 1e-9], [1.0, 0.0], [1.0, np.nan]):
+            with pytest.raises(ValueError, match="unit circle"):
+                diagonal((0,), np.array(bad))
+
+    def test_zero_reflection_vector_rejected(self):
+        reflection((0, 1), np.array([0, 0, 1e-100, 0]))
+        with pytest.raises(ValueError, match="nonzero"):
+            reflection((0, 1), np.zeros(4))
 
     def test_qubit_budget(self):
         with pytest.raises(SimulationBudgetError):
@@ -394,7 +412,15 @@ def local_matrix(kind, k, angle, matrix):
     if kind == KIND_DENSE:
         return matrix
     u = np.zeros((2 ** k, 2 ** k), dtype=complex)
-    if kind == KIND_H:
+    if kind == KIND_DIAGONAL:
+        for r in range(2 ** k):
+            u[r, r] = matrix[r]
+    elif kind == KIND_REFLECTION:
+        norm2 = sum(abs(w) ** 2 for w in matrix)
+        for r in range(2 ** k):
+            for c in range(2 ** k):
+                u[r, c] = (r == c) - 2 * matrix[r] * matrix[c].conjugate() / norm2
+    elif kind == KIND_H:
         u[0, 0] = u[0, 1] = u[1, 0] = 1 / math.sqrt(2)
         u[1, 1] = -1 / math.sqrt(2)
     elif kind == KIND_X:
@@ -403,16 +429,10 @@ def local_matrix(kind, k, angle, matrix):
         u[0, 0] = u[1, 1] = math.cos(angle / 2)
         u[1, 0] = math.sin(angle / 2)
         u[0, 1] = -math.sin(angle / 2)
-    elif kind == KIND_PHASE:
-        u[0, 0] = 1.0
-        u[1, 1] = complex(math.cos(angle), math.sin(angle))
     elif kind == KIND_PSWAP:
         u[0b00, 0b00] = u[0b11, 0b11] = 1.0
         u[0b01, 0b01] = u[0b10, 0b10] = math.cos(angle)
         u[0b01, 0b10] = u[0b10, 0b01] = -1j * math.sin(angle)
-    else:  # reflect0
-        for r in range(2 ** k):
-            u[r, r] = -1.0 if r == 0 else 1.0
     return u
 
 
@@ -438,14 +458,14 @@ def full_matrix(n, targets, controls, u):
 @st.composite
 def gates_on_register(draw):
     n = draw(st.integers(1, 6))
-    kinds = [KIND_H, KIND_X, KIND_RY, KIND_PHASE, KIND_DENSE, KIND_REFLECT0]
+    kinds = [KIND_H, KIND_X, KIND_RY, KIND_DENSE, KIND_DIAGONAL, KIND_REFLECTION]
     if n >= 2:
         kinds.append(KIND_PSWAP)
     kind = draw(st.sampled_from(kinds))
     order = draw(st.permutations(range(n)))
     if kind == KIND_PSWAP:
         k = 2
-    elif kind in (KIND_DENSE, KIND_REFLECT0):
+    elif kind in (KIND_DENSE, KIND_DIAGONAL, KIND_REFLECTION):
         k = draw(st.integers(1, n))
     else:
         k = 1
@@ -453,13 +473,17 @@ def gates_on_register(draw):
     n_controls = draw(st.integers(0, n - k))
     controls = tuple((q, draw(st.integers(0, 1))) for q in order[k:k + n_controls])
     angle = draw(st.floats(-2 * math.pi, 2 * math.pi)) \
-        if kind in (KIND_RY, KIND_PHASE, KIND_PSWAP) else None
+        if kind in (KIND_RY, KIND_PSWAP) else None
     matrix = None
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = 2 ** k
     if kind == KIND_DENSE:
-        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-        dim = 2 ** k
         matrix, _ = np.linalg.qr(rng.standard_normal((dim, dim))
                                  + 1j * rng.standard_normal((dim, dim)))
+    elif kind == KIND_DIAGONAL:
+        matrix = np.exp(1j * rng.uniform(-math.pi, math.pi, dim))
+    elif kind == KIND_REFLECTION:
+        matrix = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     gate = Gate(kind, targets, controls, angle, matrix)
     return n, gate, draw(st.integers(0, 2 ** 32 - 1))
 
@@ -478,10 +502,13 @@ class TestAgainstFullMatrix:
     def test_apply_matches_full_matrix(self, case):
         n, gate, seed = case
         sv = random_state(n, seed=seed)
+        before = sv.amplitudes.copy()
         u = local_matrix(gate.kind, len(gate.targets), gate.angle, gate.matrix)
-        expected = full_matrix(n, gate.targets, gate.controls, u) @ sv.amplitudes
+        expected = full_matrix(n, gate.targets, gate.controls, u) @ before
         apply(sv, gate)
         assert np.abs(sv.amplitudes - expected).max() <= 1e-12
+        apply(sv, gate.adjoint())
+        assert np.abs(sv.amplitudes - before).max() <= 1e-12
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
