@@ -20,7 +20,10 @@ the low qubits, xi above it, then the QAE ancilla.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,26 +298,125 @@ def _mixer_pairs(n_y: int, weight: int, j: int, k: int) -> tuple[np.ndarray, np.
     return hit
 
 
-def _mixer_unitary(n_y: int, weight: int, beta: float) -> np.ndarray:
+def _mixer_scratch(n_y: int, weight: int) -> np.ndarray:
+    """Work rows for ``_mixer_unitary``: four buffers of the C(n_y-2, w-1)
+    rows that every pair rotation of the weight-w block touches."""
+    rows = math.comb(n_y - 2, weight - 1) if 0 < weight < n_y else 0
+    return np.empty((4, rows, len(feasible_decisions(n_y, weight))), dtype=complex)
+
+
+def _mixer_unitary(n_y: int, weight: int, beta: float,
+                   out: np.ndarray | None = None,
+                   scratch: np.ndarray | None = None) -> np.ndarray:
     """One mixer layer as a C(n_y, weight)-square unitary on the feasible rows.
 
     The partial swaps preserve Hamming weight, so the layer acts within the
     weight block.  Applying the same pair rotations, in the j < k order of
     ``_uc_layer_gates``, to the identity gives their product in gate order.
+    Given ``out`` and ``_mixer_scratch`` rows, the layer is built in ``out``
+    without allocating; the floats are the same either way.
     """
-    u = np.eye(len(feasible_decisions(n_y, weight)), dtype=complex)
+    if out is None:
+        n = len(feasible_decisions(n_y, weight))
+        out = np.empty((n, n), dtype=complex)
+    if scratch is None:
+        scratch = _mixer_scratch(n_y, weight)
+    out.fill(0.0)
+    np.fill_diagonal(out, 1.0)
     angle = mixer_pair_angle(beta, n_y)
     c, s = math.cos(angle), math.sin(angle)
+    a, b, p, q = scratch
     for j in range(n_y - 1):
         for k in range(j + 1, n_y):
             a_rows, b_rows = _mixer_pairs(n_y, weight, j, k)
             if a_rows.size == 0:
                 continue
-            a = u[a_rows]
-            b = u[b_rows]
-            u[a_rows] = c * a - 1j * s * b
-            u[b_rows] = -1j * s * a + c * b
-    return u
+            np.take(out, a_rows, axis=0, out=a, mode="clip")
+            np.take(out, b_rows, axis=0, out=b, mode="clip")
+            # c a - i s b and -i s a + c b, the products of the 2x2 rotation
+            np.subtract(np.multiply(c, a, out=p),
+                        np.multiply(1j * s, b, out=q), out=p)
+            out[a_rows] = p
+            np.add(np.multiply(-1j * s, a, out=p),
+                   np.multiply(c, b, out=q), out=p)
+            out[b_rows] = p
+    return out
+
+
+def _mixer_layers(n_y: int, weight: int, betas: np.ndarray,
+                  perm: np.ndarray | None, slots: int):
+    """An iterator of (U, U[perm][:, perm] or None) for each beta in turn.
+
+    Each pair is built into one of ``slots`` buffer pairs, reused in
+    rotation, so an item is overwritten ``slots`` items later.  The buffers
+    and work rows are allocated here, by the caller's thread, before any
+    item is built.
+    """
+    n = len(feasible_decisions(n_y, weight))
+    scratch = _mixer_scratch(n_y, weight)
+    buffers = [(np.empty((n, n), dtype=complex),
+                None if perm is None else np.empty((n, n), dtype=complex))
+               for _ in range(slots)]
+    # u[np.ix_(perm, perm)] as one gather from the flattened u
+    flat = None if perm is None else (perm[:, None] * n + perm).ravel()
+
+    def build():
+        for i, beta in enumerate(betas):
+            u, u_perm = buffers[i % slots]
+            _mixer_unitary(n_y, weight, beta, u, scratch)
+            if flat is not None:
+                np.take(u.reshape(-1), flat, out=u_perm.reshape(-1), mode="clip")
+            yield u, u_perm
+
+    return build()
+
+
+# Blocks of at least this many amplitudes, C(n_y, d - x) * 2^n_xi, build
+# their mixer unitaries on a helper thread (``anneal_feasible_blocks``).
+_AHEAD_MIN_AMPS = 2 ** 15
+
+
+class _BuiltAhead:
+    """The items of ``layers``, built on a helper thread one item ahead of
+    the caller: item i + 1 is built while the caller uses item i, and item
+    i + 2 only once the caller asks for item i + 1.  ``layers`` must
+    therefore rotate at least two buffers.  A build's exception is raised
+    from ``next``; leaving the ``with`` block stops and joins the thread."""
+
+    def __init__(self, layers):
+        self._layers = layers
+        self._ready = queue.SimpleQueue()
+        self._done = threading.Semaphore(0)    # items the caller is done with
+        self._stop = False
+        self._thread = threading.Thread(target=self._work, name="spq-mixer",
+                                        daemon=True)
+
+    def _work(self):
+        try:
+            for item in self._layers:
+                self._ready.put(item)
+                self._done.acquire()
+                if self._stop:
+                    return
+        except BaseException as exc:    # raised by the caller's next()
+            self._ready.put(exc)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._stop = True
+        self._done.release()
+        self._thread.join()
+        self._layers.close()
+
+    def __next__(self):
+        self._done.release()
+        item = self._ready.get()
+        if isinstance(item, BaseException):
+            raise item
+        return item
 
 
 @dataclass
@@ -369,7 +471,7 @@ def _feasible_grid(model: UnitCommitmentModel, x: int,
     ``check_block``; every anneal and psi* starts here, so none skips it."""
     check_block(model, x, dist)
     ys, q = _cost_matrix(model, model.d - x, np.arange(2 ** dist.n_xi, dtype=np.int64))
-    return ys, q.T
+    return ys, np.ascontiguousarray(q.T)
 
 
 def per_scenario_optimal_block(model: UnitCommitmentModel, x: int,
@@ -421,6 +523,21 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
     keep separate GEMMs, so each one's sums run in the order of a lone
     anneal.  Where the mixer angle is exactly 0 (the last layer of the
     linear ramp) the unitary is the identity and is skipped.
+
+    The unitaries do not depend on the state.  For a block of at least
+    ``_AHEAD_MIN_AMPS`` = 2^15 amplitudes, a helper thread started for this
+    call builds layer t + 1's unitary, and a pair's permuted copy, while
+    the calling thread runs layer t's phase products and GEMMs; numpy
+    releases the GIL in both, so on two cores the build (10-13.5 ms at
+    C(10, 5)) hides behind the GEMM (12-14 ms).  The thread is joined
+    before this returns or raises, and a build's exception is raised here.
+    Every unitary is built by the same code into a reused buffer, and the
+    GEMMs run on the calling thread in the same order, so the blocks are
+    the same bits whichever thread built them.  Below the threshold the
+    hand-over of the GIL each layer costs more than it hides: at n_y =
+    6-10, T = n_y^2 and 1 BLAS thread, the helper took 1.2-2.9 times the
+    inline time at 2^8.6-2^14.2 amplitudes and 0.6-0.94 times from 2^15.4
+    up.  Smaller blocks, fig5's among them, build inline.
     """
     if len(xs) not in (1, 2):
         raise ValueError(f"anneal one or two first-stage decisions, got {len(xs)}")
@@ -434,7 +551,8 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
     xi_amps[dist.scenarios] = np.sqrt(dist.probabilities)
     # q(y, xi) for populated rows; the fused cost+penalty layer is the
     # diagonal phase e^{+i a(t) q} (P(theta) has the +i convention)
-    rows, costs = zip(*(_feasible_grid(model, x, dist) for x in xs))
+    grids = [_feasible_grid(model, x, dist) for x in xs]
+    rows = [ys for ys, _ in grids]
     ms = [np.ascontiguousarray(np.broadcast_to(
               xi_amps / math.sqrt(len(ys)), (len(ys), 2 ** n_xi)).astype(complex))
           for ys in rows]
@@ -445,20 +563,31 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
         # partner is the complement of row perm[i] of the first block
         perm = (np.searchsorted(rows[0], (2 ** n_y - 1) ^ rows[1])
                 if len(xs) == 2 else None)
-        bases = [np.exp(1j * (1 / T) * q) for q in costs]
+        bases = [np.exp(1j * (1 / T) * q) for _, q in grids]
+        # the cost grids are dropped for the anneal and built again once
+        # the phases are gone, the same floats: this more than offsets the
+        # helper's second set of mixer buffers in peak memory
+        del grids
         phases = [np.ones_like(base) for base in bases]
-        for beta in schedule.mixer_angles():
-            for i, base in enumerate(bases):
-                phases[i] *= base
-                ms[i] *= phases[i]
-            if beta == 0.0:
-                continue
-            u = _mixer_unitary(n_y, weights[0], beta)
-            ms[0] = u @ ms[0]
-            if perm is not None:
-                ms[1] = u[np.ix_(perm, perm)] @ ms[1]
+        betas = schedule.mixer_angles()
+        ahead = len(rows[0]) * 2 ** n_xi >= _AHEAD_MIN_AMPS
+        layers = _mixer_layers(n_y, weights[0], betas[betas != 0.0],
+                               perm, 2 if ahead else 1)
+        with _BuiltAhead(layers) if ahead else contextlib.closing(layers) as mixers:
+            for beta in betas:
+                for i, base in enumerate(bases):
+                    phases[i] *= base
+                    ms[i] *= phases[i]
+                if beta == 0.0:
+                    continue
+                u, u_perm = next(mixers)
+                ms[0] = u @ ms[0]
+                if perm is not None:
+                    ms[1] = u_perm @ ms[1]
+        del bases, phases
+        grids = [_feasible_grid(model, x, dist) for x in xs]
 
-    return [FeasibleBlock(x, ys, m, q) for x, ys, m, q in zip(xs, rows, ms, costs)]
+    return [FeasibleBlock(x, ys, m, q) for x, (ys, q), m in zip(xs, grids, ms)]
 
 
 def run_dqa_fast(model: UnitCommitmentModel, x: int, dist: DiscreteDistribution,

@@ -202,6 +202,13 @@ def _qae_points(model, dist, T, oracle) -> tuple[tuple[float, float], ...]:
     return tuple(points[x] for x in range(model.d + 1))
 
 
+@lru_cache(maxsize=1)
+def _phi_table(model, dist) -> tuple[float, ...]:
+    """phi(x) for every x in 0..d; the one cached entry lets both T rules
+    of a fig3 instance and fig5's repetitions share one table."""
+    return tuple(expected_value_exact(model, x, dist) for x in range(model.d + 1))
+
+
 def _system_qubits(model, dist) -> int:
     """Qubits of the circuit a readout stands for: y, xi and the ancilla."""
     return model.n_y + dist.n_xi + 1
@@ -280,8 +287,7 @@ def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
     else:
         points = _qae_points(model, dist, T, oracle)
     result = OuterLoopResult()
-    for x in range(model.d + 1):
-        phi = expected_value_exact(model, x, dist)
+    for x, phi in enumerate(_phi_table(model, dist)):
         o_exact = model.c_x * x + phi
         row = {"x": x, "T": T, "phi_exact": phi, "o_exact": o_exact,
                "a_hat": None, "b": None, "within_bound": None, "m": m}

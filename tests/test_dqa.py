@@ -3,12 +3,18 @@ diagnostics, and the fast feasible-subspace evolver."""
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spq
 from spq import dqa
 from spq.dqa import (
     AnnealSchedule,
@@ -300,6 +306,159 @@ class TestMixerUnitary:
         for weight in range(n_y + 1):
             u = _mixer_unitary(n_y, weight, 0.0)
             assert np.array_equal(u, np.eye(len(u)))
+
+    @pytest.mark.parametrize("n_y, weight", [(2, 1), (5, 2), (6, 3), (8, 5)])
+    def test_built_in_used_buffers_equals_a_fresh_build(self, n_y, weight):
+        # the anneal rebuilds each layer in the buffers of an earlier one
+        n = len(feasible_decisions(n_y, weight))
+        scratch = dqa._mixer_scratch(n_y, weight)
+        out = np.full((n, n), np.nan + 1j)
+        scratch[...] = np.nan
+        for beta in (0.9, 0.3, 0.0):
+            got = _mixer_unitary(n_y, weight, beta, out, scratch)
+            assert got is out
+            assert np.array_equal(out, _mixer_unitary(n_y, weight, beta))
+
+
+class TestHelperThread:
+    """Large blocks take each layer's mixer unitary from a helper thread,
+    built one layer ahead; the blocks are the inline loop's bit for bit and
+    no thread outlives the anneal."""
+
+    @staticmethod
+    def anneal_on(monkeypatch, ahead, model, xs, dist, schedule):
+        """The blocks, with the helper forced on or off through the size
+        constant (None: the size rule), and the threads that built the
+        unitaries."""
+        build_threads = set()
+        build = dqa._mixer_unitary
+
+        def recorded(*args, **kwargs):
+            build_threads.add(threading.current_thread())
+            return build(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dqa, "_mixer_unitary", recorded)
+            if ahead is not None:
+                patch.setattr(dqa, "_AHEAD_MIN_AMPS", 0 if ahead else math.inf)
+            blocks = anneal_feasible_blocks(model, xs, dist, schedule)
+        return blocks, build_threads
+
+    @pytest.mark.parametrize("n_y", [8, 10])
+    @pytest.mark.parametrize("rule", ["linear", "quadratic"])
+    def test_helper_and_inline_blocks_are_identical(self, monkeypatch, n_y, rule):
+        model, dist = model_from_instance(generate_instance(n_y, 7))
+        schedule = AnnealSchedule.linear(n_y if rule == "linear" else n_y * n_y)
+        for xs in ((2, n_y - 2), (n_y // 2,)):    # a lockstep pair, weight n_y/2
+            assert xs in lockstep_groups(model)
+            inline, inline_threads = self.anneal_on(monkeypatch, False, model, xs,
+                                                    dist, schedule)
+            ahead, ahead_threads = self.anneal_on(monkeypatch, True, model, xs,
+                                                  dist, schedule)
+            assert inline_threads == {threading.main_thread()}
+            assert len(ahead_threads) == 1
+            assert threading.main_thread() not in ahead_threads
+            for a, b in zip(inline, ahead, strict=True):
+                assert a.x == b.x
+                assert np.array_equal(a.amps, b.amps)
+                assert np.array_equal(a.costs, b.costs)
+
+    def test_concurrent_anneals_under_fast_switching(self, monkeypatch):
+        # three callers, each with its own helper, on a shortened switch
+        # interval: every block still equals its inline anneal
+        model, dist = model_from_instance(generate_instance(6, 4))
+        schedule = AnnealSchedule.linear(20)
+        groups = [(1, 5), (2, 4), (3,)]
+        expected = {xs: self.anneal_on(monkeypatch, False, model, xs, dist,
+                                       schedule)[0] for xs in groups}
+        got = {}
+        monkeypatch.setattr(dqa, "_AHEAD_MIN_AMPS", 0)
+        callers = [threading.Thread(target=lambda xs=xs: got.__setitem__(
+                       xs, anneal_feasible_blocks(model, xs, dist, schedule)))
+                   for xs in groups]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for xs in groups:
+            for a, b in zip(expected[xs], got[xs], strict=True):
+                assert np.array_equal(a.amps, b.amps)
+
+    def test_size_rule(self, monkeypatch):
+        # fig5's blocks (n_y <= 6) stay on the calling thread; n_y = 10's
+        # weight 5, C(10, 5) * 2^10 amplitudes, takes the helper
+        model, dist = model_from_instance(generate_instance(6, 1))
+        for xs in lockstep_groups(model):
+            _, threads = self.anneal_on(monkeypatch, None, model, xs, dist,
+                                        AnnealSchedule.linear(36))
+            assert threads <= {threading.main_thread()}
+        model, dist = model_from_instance(generate_instance(10, 1))
+        _, threads = self.anneal_on(monkeypatch, None, model, (5,), dist,
+                                    AnnealSchedule.linear(3))
+        assert len(threads) == 1 and threading.main_thread() not in threads
+
+    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        model, dist = model_from_instance(generate_instance(6, 2))
+        build = dqa._mixer_unitary
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(threading.current_thread())
+            if len(calls) == 3:
+                raise FloatingPointError("build 3 failed")
+            return build(*args, **kwargs)
+
+        start = threading.active_count()
+        monkeypatch.setattr(dqa, "_mixer_unitary", failing)
+        monkeypatch.setattr(dqa, "_AHEAD_MIN_AMPS", 0)
+        with pytest.raises(FloatingPointError, match="build 3 failed"):
+            anneal_feasible_blocks(model, (1, 5), dist, AnnealSchedule.linear(8))
+        assert len(calls) == 3 and threading.main_thread() not in calls
+        assert threading.active_count() == start
+
+    @pytest.mark.parametrize("ahead", [False, True])
+    def test_no_thread_outlives_an_anneal(self, monkeypatch, ahead):
+        model, dist = model_from_instance(generate_instance(6, 3))
+        schedule = AnnealSchedule.linear(12)
+        start = threading.active_count()
+        self.anneal_on(monkeypatch, ahead, model, (3,), dist, schedule)
+        assert threading.active_count() == start
+
+        # the calling thread fails in layer 5's GEMM, with the helper alive
+        class FailingUnitary:
+            def __matmul__(self, other):
+                raise ZeroDivisionError("layer 5")
+
+        layers = dqa._mixer_layers
+
+        def failing_layers(*args):
+            for i, (u, u_perm) in enumerate(layers(*args)):
+                yield (FailingUnitary() if i == 4 else u), u_perm
+
+        monkeypatch.setattr(dqa, "_mixer_layers", failing_layers)
+        monkeypatch.setattr(dqa, "_AHEAD_MIN_AMPS", 0 if ahead else math.inf)
+        with pytest.raises(ZeroDivisionError, match="layer 5"):
+            anneal_feasible_blocks(model, (3,), dist, schedule)
+        assert threading.active_count() == start
+
+    def test_importing_spq_starts_no_thread(self):
+        # worker start-up is timed (perfbench setup_s), so the helper
+        # thread and any executor start with an anneal, never at import
+        code = ("import sys, threading\n"
+                "import spq, spq.harness\n"
+                "assert threading.active_count() == 1, threading.enumerate()\n"
+                "assert 'concurrent.futures' not in sys.modules\n")
+        src = str(Path(spq.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", code], timeout=120,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
 
 
 def scattered(block, n_y, n_xi):
