@@ -20,11 +20,9 @@ the low qubits, xi above it, then the QAE ancilla.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import queue
-import threading
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -34,6 +32,7 @@ from .model import (
     GenericDiagonalProblem,
     InfeasibleDecisionError,
     UnitCommitmentModel,
+    as_integer,
     cost_diagonal,
     expected_value_exact,
     feasible_decisions,
@@ -68,8 +67,9 @@ class AnnealSchedule:
     T: int
 
     def __post_init__(self):
-        if self.T < 0 or int(self.T) != self.T:
-            raise ValueError("annealing layer count T must be a nonnegative integer")
+        object.__setattr__(self, "T", as_integer("T", self.T))
+        if self.T < 0:
+            raise ConfigError(f"annealing layer count T must be nonnegative, got {self.T}")
 
     @classmethod
     def linear(cls, T: int) -> "AnnealSchedule":
@@ -278,24 +278,17 @@ def run_dqa(seq: OperatorSequence, layout: RegisterLayout) -> StateVector:
 
 # -- fast restricted evolution ---------------------------------------------
 
-_PAIR_CACHE: dict[tuple[int, int, int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
+@cache
 def _mixer_pairs(n_y: int, weight: int, j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    key = (n_y, weight, j, k)
-    hit = _PAIR_CACHE.get(key)
-    if hit is None:
-        ys = feasible_decisions(n_y, weight)
-        pos = {int(y): i for i, y in enumerate(ys)}
-        a_rows, b_rows = [], []
-        for i, y in enumerate(ys):
-            y = int(y)
-            if (y >> j) & 1 and not (y >> k) & 1:
-                a_rows.append(i)
-                b_rows.append(pos[y ^ (1 << j) ^ (1 << k)])
-        hit = (np.array(a_rows, dtype=np.int64), np.array(b_rows, dtype=np.int64))
-        _PAIR_CACHE[key] = hit
-    return hit
+    ys = feasible_decisions(n_y, weight)
+    pos = {int(y): i for i, y in enumerate(ys)}
+    a_rows, b_rows = [], []
+    for i, y in enumerate(ys):
+        y = int(y)
+        if (y >> j) & 1 and not (y >> k) & 1:
+            a_rows.append(i)
+            b_rows.append(pos[y ^ (1 << j) ^ (1 << k)])
+    return np.array(a_rows, dtype=np.int64), np.array(b_rows, dtype=np.int64)
 
 
 def _mixer_scratch(n_y: int, weight: int) -> np.ndarray:
@@ -343,14 +336,13 @@ def _mixer_unitary(n_y: int, weight: int, beta: float,
     return out
 
 
-def _mixer_layers(n_y: int, weight: int, betas: np.ndarray,
-                  perm: np.ndarray | None, slots: int):
-    """An iterator of (U, U[perm][:, perm] or None) for each beta in turn.
-
-    Each pair is built into one of ``slots`` buffer pairs, reused in
-    rotation, so an item is overwritten ``slots`` items later.  The buffers
-    and work rows are allocated here, by the caller's thread, before any
-    item is built.
+def _mixer_builder(n_y: int, weight: int, perm: np.ndarray | None, slots: int):
+    """``build(i, beta, before=None)``, which builds (U, U[perm][:, perm] or
+    None) at beta into the (i mod ``slots``)-th of ``slots`` reused buffer
+    pairs and returns it, so a pair is overwritten ``slots`` builds later.
+    Given ``before``, the previous build's future, it first raises that
+    build's exception, if any.  The buffers and work rows are allocated
+    here, by the caller's thread, before any build.
     """
     n = len(feasible_decisions(n_y, weight))
     scratch = _mixer_scratch(n_y, weight)
@@ -360,63 +352,21 @@ def _mixer_layers(n_y: int, weight: int, betas: np.ndarray,
     # u[np.ix_(perm, perm)] as one gather from the flattened u
     flat = None if perm is None else (perm[:, None] * n + perm).ravel()
 
-    def build():
-        for i, beta in enumerate(betas):
-            u, u_perm = buffers[i % slots]
-            _mixer_unitary(n_y, weight, beta, u, scratch)
-            if flat is not None:
-                np.take(u.reshape(-1), flat, out=u_perm.reshape(-1), mode="clip")
-            yield u, u_perm
+    def build(i, beta, before=None):
+        if before is not None:
+            before.result()
+        u, u_perm = buffers[i % slots]
+        _mixer_unitary(n_y, weight, beta, u, scratch)
+        if flat is not None:
+            np.take(u.reshape(-1), flat, out=u_perm.reshape(-1), mode="clip")
+        return u, u_perm
 
-    return build()
+    return build
 
 
 # Blocks of at least this many amplitudes, C(n_y, d - x) * 2^n_xi, build
 # their mixer unitaries on a helper thread (``anneal_feasible_blocks``).
 _AHEAD_MIN_AMPS = 2 ** 15
-
-
-class _BuiltAhead:
-    """The items of ``layers``, built on a helper thread one item ahead of
-    the caller: item i + 1 is built while the caller uses item i, and item
-    i + 2 only once the caller asks for item i + 1.  ``layers`` must
-    therefore rotate at least two buffers.  A build's exception is raised
-    from ``next``; leaving the ``with`` block stops and joins the thread."""
-
-    def __init__(self, layers):
-        self._layers = layers
-        self._ready = queue.SimpleQueue()
-        self._done = threading.Semaphore(0)    # items the caller is done with
-        self._stop = False
-        self._thread = threading.Thread(target=self._work, name="spq-mixer",
-                                        daemon=True)
-
-    def _work(self):
-        try:
-            for item in self._layers:
-                self._ready.put(item)
-                self._done.acquire()
-                if self._stop:
-                    return
-        except BaseException as exc:    # raised by the caller's next()
-            self._ready.put(exc)
-
-    def __enter__(self):
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info):
-        self._stop = True
-        self._done.release()
-        self._thread.join()
-        self._layers.close()
-
-    def __next__(self):
-        self._done.release()
-        item = self._ready.get()
-        if isinstance(item, BaseException):
-            raise item
-        return item
 
 
 @dataclass
@@ -525,19 +475,21 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
     linear ramp) the unitary is the identity and is skipped.
 
     The unitaries do not depend on the state.  For a block of at least
-    ``_AHEAD_MIN_AMPS`` = 2^15 amplitudes, a helper thread started for this
-    call builds layer t + 1's unitary, and a pair's permuted copy, while
-    the calling thread runs layer t's phase products and GEMMs; numpy
-    releases the GIL in both, so on two cores the build (10-13.5 ms at
-    C(10, 5)) hides behind the GEMM (12-14 ms).  The thread is joined
-    before this returns or raises, and a build's exception is raised here.
-    Every unitary is built by the same code into a reused buffer, and the
-    GEMMs run on the calling thread in the same order, so the blocks are
-    the same bits whichever thread built them.  Below the threshold the
-    hand-over of the GIL each layer costs more than it hides: at n_y =
-    6-10, T = n_y^2 and 1 BLAS thread, the helper took 1.2-2.9 times the
-    inline time at 2^8.6-2^14.2 amplitudes and 0.6-0.94 times from 2^15.4
-    up.  Smaller blocks, fig5's among them, build inline.
+    ``_AHEAD_MIN_AMPS`` = 2^15 amplitudes, a one-worker thread pool
+    (``concurrent.futures.ThreadPoolExecutor``) builds layer t + 1's
+    unitary, and a pair's permuted copy, while the calling thread runs
+    layer t's phase products and GEMMs; numpy releases the GIL in both, so
+    on two cores the build (10-13.5 ms at C(10, 5)) hides behind the GEMM
+    (12-14 ms).  Build i + 1 is submitted as the caller waits on build i,
+    into the buffer pair GEMM i - 1 has released, and raises build i's
+    exception first, so nothing is built after a failed build.  The pool
+    is joined before this returns or raises.  The same code builds every
+    unitary, and the GEMMs run on the calling thread in the same order,
+    so the blocks are the same bits whichever thread built them.  Below
+    the threshold the hand-over of the GIL each layer costs more than it
+    hides: at n_y = 6-10, T = n_y^2 and 1 BLAS thread, the helper took
+    1.2-2.9 times the inline time at 2^8.6-2^14.2 amplitudes and 0.6-0.94
+    times from 2^15.4 up.  Smaller blocks, fig5's among them, build inline.
     """
     if len(xs) not in (1, 2):
         raise ValueError(f"anneal one or two first-stage decisions, got {len(xs)}")
@@ -566,24 +518,44 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
         bases = [np.exp(1j * (1 / T) * q) for _, q in grids]
         # the cost grids are dropped for the anneal and built again once
         # the phases are gone, the same floats: this more than offsets the
-        # helper's second set of mixer buffers in peak memory
+        # second buffer pair of the built-ahead unitaries in peak memory
         del grids
         phases = [np.ones_like(base) for base in bases]
         betas = schedule.mixer_angles()
+        mixed = betas[betas != 0.0]
         ahead = len(rows[0]) * 2 ** n_xi >= _AHEAD_MIN_AMPS
-        layers = _mixer_layers(n_y, weights[0], betas[betas != 0.0],
-                               perm, 2 if ahead else 1)
-        with _BuiltAhead(layers) if ahead else contextlib.closing(layers) as mixers:
+        build = _mixer_builder(n_y, weights[0], perm, 2 if ahead else 1)
+
+        def anneal(mixer):          # mixer(i): the i-th nonzero beta's pair
+            i = 0
             for beta in betas:
-                for i, base in enumerate(bases):
-                    phases[i] *= base
-                    ms[i] *= phases[i]
+                for j, base in enumerate(bases):
+                    phases[j] *= base
+                    ms[j] *= phases[j]
                 if beta == 0.0:
                     continue
-                u, u_perm = next(mixers)
+                u, u_perm = mixer(i)
+                i += 1
                 ms[0] = u @ ms[0]
                 if perm is not None:
                     ms[1] = u_perm @ ms[1]
+
+        if not ahead:
+            anneal(lambda i: build(i, mixed[i]))
+        else:
+            # imported here so that importing spq loads no executor
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(1, "spq-mixer") as pool:
+                futures = [pool.submit(build, 0, mixed[0])] if mixed.size else []
+
+                def built_ahead(i):
+                    if i + 1 < mixed.size:
+                        futures.append(pool.submit(build, i + 1, mixed[i + 1],
+                                                   futures[i]))
+                    return futures[i].result()
+
+                anneal(built_ahead)
         del bases, phases
         grids = [_feasible_grid(model, x, dist) for x in xs]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -128,8 +129,9 @@ class DiscreteDistribution:
 
     @property
     def is_uniform(self) -> bool:
+        # exactly 1/2^n_xi each, which a float holds: near-uniform is not
         return (self.scenarios.size == 2 ** self.n_xi
-                and np.allclose(self.probabilities, 1.0 / 2 ** self.n_xi, atol=1e-15))
+                and bool(np.all(self.probabilities == 1.0 / 2 ** self.n_xi)))
 
 
 @dataclass(frozen=True)
@@ -158,19 +160,12 @@ class GenericDiagonalProblem:
 
 # -- feasibility and costs ------------------------------------------------
 
-_FEASIBLE_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@cache
 def feasible_decisions(n_y: int, weight: int) -> np.ndarray:
     """All y bitmasks of the given Hamming weight, ascending."""
-    key = (n_y, weight)
-    hit = _FEASIBLE_CACHE.get(key)
-    if hit is None:
-        hit = np.array(sorted(sum(1 << j for j in comb)
-                              for comb in combinations(range(n_y), weight)),
-                       dtype=np.int64)
-        _FEASIBLE_CACHE[key] = hit
-    return hit
+    return np.array(sorted(sum(1 << j for j in comb)
+                           for comb in combinations(range(n_y), weight)),
+                    dtype=np.int64)
 
 
 def second_stage_cost(model: UnitCommitmentModel, x: int, y: int, xi: int) -> float:

@@ -93,6 +93,16 @@ class TestSchedule:
         with pytest.raises(ValueError):
             AnnealSchedule.linear(-1)
 
+    @pytest.mark.parametrize("T", [2.0, True, "3"])
+    def test_non_integer_layers_rejected(self, T):
+        # a config error (CLI exit 2), not a TypeError from mixer_angles
+        with pytest.raises(ConfigError, match="T: expected an integer"):
+            AnnealSchedule.linear(T)
+
+    def test_numpy_integer_layers_become_int(self):
+        schedule = AnnealSchedule.linear(np.int64(4))
+        assert type(schedule.T) is int and len(schedule.mixer_angles()) == 4
+
 
 class TestLayout:
     def test_standard_packing(self):
@@ -156,6 +166,14 @@ class TestDistributionPreparation:
         sv = apply_sequence(StateVector(2), prepare_distribution(dist))
         probs = np.abs(sv.amplitudes) ** 2
         assert np.allclose(probs, [0.5, 0.25, 0.25, 0.0], atol=1e-12)
+
+    def test_near_uniform_is_not_compiled_to_hadamards(self):
+        # within np.allclose's default rtol of uniform, yet not uniform
+        dist = DiscreteDistribution.from_pmf(1, {0: 0.500004, 1: 0.499996})
+        assert not dist.is_uniform
+        sv = apply_sequence(StateVector(1), prepare_distribution(dist))
+        assert np.allclose(register_distribution(sv, [0]), [0.500004, 0.499996],
+                           rtol=0, atol=1e-12)
 
     def test_offset_register(self):
         dist = DiscreteDistribution.uniform(2)
@@ -435,17 +453,39 @@ class TestHelperThread:
             def __matmul__(self, other):
                 raise ZeroDivisionError("layer 5")
 
-        layers = dqa._mixer_layers
+        builder = dqa._mixer_builder
 
-        def failing_layers(*args):
-            for i, (u, u_perm) in enumerate(layers(*args)):
-                yield (FailingUnitary() if i == 4 else u), u_perm
+        def failing_builder(*args):
+            build = builder(*args)
 
-        monkeypatch.setattr(dqa, "_mixer_layers", failing_layers)
+            def failing(i, *rest):
+                u, u_perm = build(i, *rest)
+                return (FailingUnitary() if i == 4 else u), u_perm
+
+            return failing
+
+        monkeypatch.setattr(dqa, "_mixer_builder", failing_builder)
         monkeypatch.setattr(dqa, "_AHEAD_MIN_AMPS", 0 if ahead else math.inf)
         with pytest.raises(ZeroDivisionError, match="layer 5"):
             anneal_feasible_blocks(model, (3,), dist, schedule)
         assert threading.active_count() == start
+
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_shortest_ramps(self, monkeypatch, T):
+        # T = 1 has only beta = 0, so nothing is built or submitted; T = 2
+        # builds one unitary, with no next build to submit
+        model, dist = model_from_instance(generate_instance(6, 5))
+        schedule = AnnealSchedule.linear(T)
+        start = threading.active_count()
+        for xs in ((1, 5), (3,)):               # a lockstep pair, a lone x
+            assert xs in lockstep_groups(model)
+            inline, _ = self.anneal_on(monkeypatch, False, model, xs, dist, schedule)
+            ahead, threads = self.anneal_on(monkeypatch, True, model, xs, dist,
+                                            schedule)
+            assert threading.active_count() == start
+            assert len(threads) == T - 1 and threading.main_thread() not in threads
+            for a, b in zip(inline, ahead, strict=True):
+                assert np.array_equal(a.amps, b.amps)
 
     def test_importing_spq_starts_no_thread(self):
         # worker start-up is timed (perfbench setup_s), so the helper

@@ -451,6 +451,16 @@ class TestCheckBeforeWork:
         with pytest.raises(SimulationBudgetError, match="56229888 amplitudes"):
             check_run(model, dist, (7,), 196)
 
+    @pytest.mark.parametrize("T", [2.0, True, "3"])
+    def test_non_integer_layer_count_rejected_before_annealing(self, monkeypatch, T):
+        self.refuse_work(monkeypatch)
+        model, dist = model_from_instance(generate_instance(4, 1))
+        with pytest.raises(ConfigError, match="T: expected an integer"):
+            check_run(model, dist, range(model.d + 1), T)
+        for mode in ("expectation", "qae"):
+            with pytest.raises(ConfigError, match="T: expected an integer"):
+                outer_loop(model, dist, T, mode=mode, m=5)
+
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
                              ids=lambda path: path.name)
     def test_shipped_config_passes_its_check_step(self, tmp_path, monkeypatch, path):
