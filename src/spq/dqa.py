@@ -40,13 +40,13 @@ from .model import (
 )
 from .statevector import (
     Gate,
-    KIND_DENSE,
     MAX_QUBITS,
     OperatorSequence,
     SimulationBudgetError,
     StateVector,
     apply_sequence,
     cphase,
+    dense,
     diagonal,
     hadamard,
     partial_swap,
@@ -227,8 +227,7 @@ def _uc_layer_gates(model: UnitCommitmentModel, layout: RegisterLayout,
 def _generic_mixer_gate(qubit: int, beta: float) -> Gate:
     # exp(+i beta X): the uniform initial state is the mixer ground state
     c, s = math.cos(beta), math.sin(beta)
-    return Gate(KIND_DENSE, (qubit,),
-                matrix=np.array([[c, 1j * s], [1j * s, c]]))
+    return dense((qubit,), np.array([[c, 1j * s], [1j * s, c]]))
 
 
 def _generic_layer_gates(problem: GenericDiagonalProblem, layout: RegisterLayout,

@@ -78,6 +78,7 @@ class ExperimentSpec:
         for f in fields(self):
             if f.type == "int":
                 setattr(self, f.name, as_integer(f.name, getattr(self, f.name)))
+        check_seed("master_seed", self.master_seed)
         self.n_y_values = tuple(as_integer("n_y_values", v) for v in self.n_y_values)
         self.m_values = tuple(as_integer("m_values", v) for v in self.m_values)
         self.configs = tuple(tuple(as_integer("configs", v) for v in (n_y, m, T))
@@ -106,9 +107,19 @@ class ExperimentSpec:
             raise ConfigError(str(exc)) from exc
 
 
+def check_seed(name: str, seed) -> int:
+    """``seed`` as an int in [0, 2^32): ``derive_seed`` reads a master seed
+    as one 32-bit word, so a seed outside that range would alias one inside
+    it.  Anything else is a ``ConfigError``."""
+    seed = as_integer(name, seed)
+    if not 0 <= seed < 2 ** 32:
+        raise ConfigError(f"{name}: {seed} outside [0, 2^32)")
+    return seed
+
+
 def derive_seed(master_seed: int, *parts) -> int:
     """Stable per-run seed from the master seed and run coordinates."""
-    ints = [int(master_seed) & 0xFFFFFFFF]
+    ints = [check_seed("seed", master_seed)]
     for p in parts:
         if isinstance(p, str):
             ints.append(zlib.crc32(p.encode()))

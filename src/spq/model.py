@@ -9,12 +9,15 @@ throughout; scenario bit 1 means the wind blows at that turbine.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
 import numpy as np
+
+from .statevector import MAX_QUBITS, SimulationBudgetError
 
 
 class ConfigError(ValueError):
@@ -34,10 +37,13 @@ def as_integer(name: str, value) -> int:
 
 
 def as_float(name: str, value) -> float:
-    """``value`` as a float; a bool or a string, even a numeric one, is a
-    config error rather than a number read from it."""
+    """``value`` as a finite float; a bool or a string, even a numeric one,
+    is a config error rather than a number read from it, and so are NaN
+    and the infinities."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -90,11 +96,12 @@ class DiscreteDistribution:
         repeated = ordered[1:][ordered[1:] == ordered[:-1]]
         if repeated.size:
             raise ValueError(f"duplicate scenario {repeated[0]}")
-        negative = scenarios[probabilities < 0]
+        # written so that a NaN fails each check
+        negative = scenarios[~(probabilities >= 0)]
         if negative.size:
-            raise ValueError(f"negative probability for scenario {negative[0]}")
+            raise ValueError(f"negative or NaN probability for scenario {negative[0]}")
         total = float(probabilities.sum())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {total}, not 1")
         for name, array in (("scenarios", scenarios), ("probabilities", probabilities)):
             array.flags.writeable = False
@@ -115,6 +122,11 @@ class DiscreteDistribution:
 
     @classmethod
     def uniform(cls, n_xi: int) -> "DiscreteDistribution":
+        # refused before its 2^n_xi entries are allocated
+        if n_xi > MAX_QUBITS:
+            raise SimulationBudgetError(
+                f"a uniform law over {n_xi} scenario qubits exceeds the "
+                f"simulator cap of {MAX_QUBITS}")
         n = 2 ** n_xi
         return cls(n_xi, np.arange(n, dtype=np.int64), np.full(n, 1.0 / n))
 

@@ -5,8 +5,9 @@ Qubit index 0 is the least-significant bit of the amplitude index
 (little-endian).  Every gate goes through one kernel: the amplitudes are
 viewed as a (2,)*n tensor with qubit q on axis n-1-q, the control axes are
 narrowed to their polarities, and the gate acts on the k target axes of
-that slice: by its 2^k-square matrix, or in O(2^n) from the length-2^k
-vector of a diagonal or reflection gate.  Marginals sum the probability
+that slice: by the 2^k-square matrix of a dense gate (H, X, RY and the
+partial swap are dense gates), or in O(2^n) from the length-2^k vector of
+a diagonal or reflection gate.  Marginals sum the probability
 tensor over the unmeasured axes.  The kernel is written to be plainly
 correct, not fast: no experiment applies a gate.
 """
@@ -27,22 +28,17 @@ PROB_SUM_TOL = 1e-9
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# Gate kinds.  A doubly controlled RY is an "ry" with two controls.
-# "diagonal" holds the diagonal v of its operator and "reflection" a vector
-# w for I - 2ww+/|w|^2, both of length 2^k; a phase gate, a controlled
-# phase and the reflections about |0...0> are diagonal gates.
-KIND_H = "h"
-KIND_X = "x"
-KIND_RY = "ry"
-KIND_PSWAP = "pswap"
+# Gate kinds, one per operator structure.  "dense" holds the 2^k-square
+# unitary of its k targets; "diagonal" holds the diagonal v of its operator
+# and "reflection" a vector w for I - 2ww+/|w|^2, both of length 2^k.  H, X,
+# RY and the partial swap are dense gates, a doubly controlled RY is a dense
+# RY with two controls, and a phase gate, a controlled phase and the
+# reflections about |0...0> are diagonal gates.
 KIND_DENSE = "dense"
 KIND_DIAGONAL = "diagonal"
 KIND_REFLECTION = "reflection"
 
-_ANGLE_KINDS = frozenset({KIND_RY, KIND_PSWAP})
-# number of targets of the fixed-width kinds; the matrix kinds take any
-_ARITY = {KIND_H: 1, KIND_X: 1, KIND_RY: 1, KIND_PSWAP: 2}
-_KINDS = frozenset(_ARITY) | {KIND_DENSE, KIND_DIAGONAL, KIND_REFLECTION}
+_KINDS = frozenset({KIND_DENSE, KIND_DIAGONAL, KIND_REFLECTION})
 
 
 class SimulationBudgetError(RuntimeError):
@@ -56,32 +52,24 @@ class Gate:
     Args:
         kind: one of the KIND_* constants.
         targets: qubit indices the base operation acts on.
-        controls: optional ``(qubit, polarity)`` pairs; the base operation
-            is applied only where every control qubit matches its polarity
-            (1 = control on |1>, 0 = control on |0>).
-        angle: rotation angle in radians (ry, pswap).
+        controls: ``(qubit, polarity)`` pairs, possibly none; the base
+            operation is applied only where every control qubit matches its
+            polarity (1 = control on |1>, 0 = control on |0>).
         matrix: the 2^k-square unitary of a dense gate on k targets, the
-            unit-modulus diagonal v of a diagonal gate or w of a reflection.
+            unit-modulus diagonal v of a diagonal gate or w of a reflection;
+            bit i of a row or column index is the value of targets[i].
     """
 
     kind: str
     targets: tuple[int, ...]
-    controls: tuple[tuple[int, int], ...] = ()
-    angle: float | None = None
-    matrix: np.ndarray | None = None
+    controls: tuple[tuple[int, int], ...]
+    matrix: np.ndarray
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if not self.targets:
             raise ValueError(f"{self.kind} gate needs at least one target")
-        arity = _ARITY.get(self.kind, len(self.targets))
-        if len(self.targets) != arity:
-            raise ValueError(f"{self.kind} acts on exactly {arity} qubit(s), "
-                             f"got targets {self.targets}")
-        if self.matrix is not None and self.kind in _ARITY:
-            raise ValueError(f"only dense, diagonal and reflection gates take "
-                             f"a matrix, not {self.kind}")
         tset = set(self.targets)
         if len(tset) != len(self.targets):
             raise ValueError(f"duplicate target qubits: {self.targets}")
@@ -95,10 +83,6 @@ class Gate:
         for _, pol in self.controls:
             if pol not in (0, 1):
                 raise ValueError(f"control polarity must be 0 or 1, got {pol}")
-        if self.kind in _ANGLE_KINDS and self.angle is None:
-            raise ValueError(f"{self.kind} gate requires an angle")
-        if self.kind in _ARITY:
-            return
         dim = 2 ** len(self.targets)
         m = self.matrix
         shape = (dim, dim) if self.kind == KIND_DENSE else (dim,)
@@ -119,28 +103,23 @@ class Gate:
     def __eq__(self, other):
         if not isinstance(other, Gate):
             return NotImplemented
-        if (self.kind, self.targets, self.controls, self.angle) != (
-                other.kind, other.targets, other.controls, other.angle):
-            return False
-        if self.matrix is None or other.matrix is None:
-            return self.matrix is other.matrix
-        return np.array_equal(self.matrix, other.matrix)
+        return ((self.kind, self.targets, self.controls)
+                == (other.kind, other.targets, other.controls)
+                and np.array_equal(self.matrix, other.matrix))
 
     def __hash__(self):
-        content = None if self.matrix is None else self.matrix.tobytes()
-        return hash((self.kind, self.targets, self.controls, self.angle, content))
+        return hash((self.kind, self.targets, self.controls, self.matrix.tobytes()))
 
     def adjoint(self) -> "Gate":
-        if self.kind in _ANGLE_KINDS:
-            return Gate(self.kind, self.targets, self.controls, -self.angle)
-        if self.kind in (KIND_DENSE, KIND_DIAGONAL):  # .T keeps a vector as is
-            return Gate(self.kind, self.targets, self.controls,
-                        matrix=np.ascontiguousarray(self.matrix.conj().T))
-        return self  # h, x, reflection are self-adjoint
+        if self.kind == KIND_REFLECTION:
+            return self
+        # .T keeps a diagonal's vector as is
+        return Gate(self.kind, self.targets, self.controls,
+                    np.ascontiguousarray(self.matrix.conj().T))
 
     def controlled(self, qubit: int, polarity: int = 1) -> "Gate":
         return Gate(self.kind, self.targets, self.controls + ((qubit, polarity),),
-                    self.angle, self.matrix)
+                    self.matrix)
 
     def qubits(self) -> set[int]:
         return set(self.targets) | {q for q, _ in self.controls}
@@ -149,15 +128,16 @@ class Gate:
 # -- gate constructors --------------------------------------------------
 
 def hadamard(q: int) -> Gate:
-    return Gate(KIND_H, (q,))
+    return dense((q,), np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2)
 
 
 def pauli_x(q: int) -> Gate:
-    return Gate(KIND_X, (q,))
+    return dense((q,), np.array([[0, 1], [1, 0]], dtype=complex))
 
 
 def ry(q: int, angle: float) -> Gate:
-    return Gate(KIND_RY, (q,), angle=angle)
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    return dense((q,), np.array([[c, -s], [s, c]], dtype=complex))
 
 
 def phase(q: int, angle: float) -> Gate:
@@ -170,34 +150,36 @@ def cphase(control: int, target: int, angle: float) -> Gate:
 
 
 def ccry(control_a: int, control_b: int, target: int, angle: float) -> Gate:
-    return Gate(KIND_RY, (target,), ((control_a, 1), (control_b, 1)), angle)
+    return ry(target, angle).controlled(control_a).controlled(control_b)
 
 
 def cx(control: int, target: int) -> Gate:
-    return Gate(KIND_X, (target,), ((control, 1),))
+    return pauli_x(target).controlled(control)
 
 
 def partial_swap(q1: int, q2: int, angle: float) -> Gate:
     """exp(-i(angle/2)(XX+YY)): identity on |00>,|11>, the block
     [[cos a, -i sin a], [-i sin a, cos a]] on span{|01>,|10>}."""
-    return Gate(KIND_PSWAP, (q1, q2), angle=angle)
+    c, s = math.cos(angle), math.sin(angle)
+    return dense((q1, q2), np.array([[1, 0, 0, 0], [0, c, -1j * s, 0],
+                                     [0, -1j * s, c, 0], [0, 0, 0, 1]], dtype=complex))
 
 
 def dense(targets: tuple[int, ...], matrix: np.ndarray) -> Gate:
-    return Gate(KIND_DENSE, tuple(targets),
-                matrix=np.ascontiguousarray(matrix, dtype=complex))
+    return Gate(KIND_DENSE, tuple(targets), (),
+                np.ascontiguousarray(matrix, dtype=complex))
 
 
 def diagonal(targets: tuple[int, ...], values: np.ndarray) -> Gate:
     """diag(values): basis state r of the targets is scaled by values[r]."""
-    return Gate(KIND_DIAGONAL, tuple(targets),
-                matrix=np.ascontiguousarray(values, dtype=complex))
+    return Gate(KIND_DIAGONAL, tuple(targets), (),
+                np.ascontiguousarray(values, dtype=complex))
 
 
 def reflection(targets: tuple[int, ...], w: np.ndarray) -> Gate:
     """I - 2ww+/|w|^2: the Householder reflection through w's hyperplane."""
-    return Gate(KIND_REFLECTION, tuple(targets),
-                matrix=np.ascontiguousarray(w, dtype=complex))
+    return Gate(KIND_REFLECTION, tuple(targets), (),
+                np.ascontiguousarray(w, dtype=complex))
 
 
 def reflect_zero(targets: tuple[int, ...]) -> Gate:
@@ -302,24 +284,6 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 
 # -- application kernel --------------------------------------------------
 
-def _gate_matrix(gate: Gate) -> np.ndarray:
-    """The 2^k-square matrix of a gate on its k targets; bit i of a row or
-    column index is the value of targets[i]."""
-    kind = gate.kind
-    if kind == KIND_H:
-        return np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2
-    if kind == KIND_X:
-        return np.array([[0, 1], [1, 0]], dtype=complex)
-    if kind == KIND_RY:
-        c, s = math.cos(gate.angle / 2), math.sin(gate.angle / 2)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if kind == KIND_PSWAP:
-        c, s = math.cos(gate.angle), math.sin(gate.angle)
-        return np.array([[1, 0, 0, 0], [0, c, -1j * s, 0],
-                         [0, -1j * s, c, 0], [0, 0, 0, 1]], dtype=complex)
-    return gate.matrix
-
-
 def apply(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate in place; returns the same StateVector.
 
@@ -344,7 +308,7 @@ def apply(state: StateVector, gate: Gate) -> StateVector:
     elif gate.kind == KIND_REFLECTION:
         out = flat - np.outer(v * (2.0 / np.vdot(v, v).real), v.conj() @ flat)
     else:
-        out = _gate_matrix(gate) @ flat
+        out = v @ flat
     view[...] = out.reshape(view.shape)
     return state
 

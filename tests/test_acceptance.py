@@ -17,12 +17,14 @@ from spq.dqa import (
     RegisterLayout,
     build_dqa,
     expectation_HQ,
+    per_scenario_optimal_block,
     residual_diagnostics,
     run_dqa,
     run_dqa_fast,
 )
 from spq.harness import (
     ExperimentSpec,
+    derive_seed,
     experiment_fig3,
     experiment_fig4,
     experiment_fig5,
@@ -37,8 +39,14 @@ from spq.model import (
     model_from_instance,
     objective_exact,
 )
-from spq.oracle import OracleKind, build_oracle
-from spq.qae import build_A, build_grover, build_inverse_qft, build_qft
+from spq.oracle import OracleKind, build_oracle, target_amplitude
+from spq.qae import (
+    build_A,
+    build_grover,
+    build_inverse_qft,
+    build_qft,
+    readout_distribution,
+)
 from spq.statevector import (
     StateVector,
     apply_sequence,
@@ -155,6 +163,47 @@ def test_criterion_6_qae_beats_monte_carlo(fig4_results):
                if e["method"] == "qae" and e["m"] == m}
         assert got <= grid, f"off-grid estimate at m={m}"
     print("\nACCEPTANCE 6 PASS: " + "; ".join(lines) + "; support exactly on grid")
+
+
+def test_fig4_batches_follow_their_exact_laws(fig4_results):
+    # Each (m, method) batch is n i.i.d. draws from a closed-form law: the
+    # QAE readout law of a (Brassard et al., Thm 11) pushed through
+    # sin^2(pi b / M), and Binomial(2^(m+1), a) / 2^(m+1) for Monte Carlo.
+    # By the DKW inequality with Massart's constant, the empirical CDF of
+    # a correct batch leaves the band of half-width
+    # sqrt(ln(2 / delta) / (2 n)) with probability at most delta.
+    spec = ExperimentSpec.from_json(CONFIG_DIR / "fig4.json")
+    model, dist = model_from_instance(
+        generate_instance(spec.n_y, derive_seed(spec.master_seed, "fig4")))
+    block = per_scenario_optimal_block(model, spec.x, dist)
+    a = target_amplitude(OracleKind("exact", cost_bound(model, spec.x)),
+                         block.probabilities().ravel(), block.costs.ravel())
+    delta = 1e-6
+    batches = {}
+    for e in fig4_results["estimates"]:
+        batches.setdefault((e["m"], e["method"]), []).append(e["a_hat"])
+    lines = []
+    for m in spec.m_values:
+        M, shots = 2 ** m, 2 ** (m + 1)
+        laws = {"qae": (np.sin(np.pi * np.arange(M) / M) ** 2,
+                        readout_distribution(a, m)),
+                "mc": (np.arange(shots + 1) / shots,
+                       np.array([math.comb(shots, k) * a ** k * (1 - a) ** (shots - k)
+                                 for k in range(shots + 1)]))}
+        for method, (values, weights) in laws.items():
+            assert abs(weights.sum() - 1.0) <= 1e-12
+            support, inverse = np.unique(values, return_inverse=True)
+            cdf = np.cumsum(np.bincount(inverse, weights=weights))
+            sample = np.array(batches[(m, method)])
+            idx = np.searchsorted(support, sample)
+            assert np.array_equal(support[np.minimum(idx, support.size - 1)], sample)
+            ecdf = np.cumsum(np.bincount(idx, minlength=support.size)) / sample.size
+            gap = np.abs(ecdf - cdf).max()
+            eps = math.sqrt(math.log(2 / delta) / (2 * sample.size))
+            assert gap <= eps, f"{method} m={m}: CDF distance {gap:.4f} > {eps:.4f}"
+            lines.append(f"{method} m={m}: {gap:.4f}")
+    print(f"\nEXACT LAWS PASS: sup |F_n - F| <= {eps:.4f} (delta = {delta:g}); "
+          + "; ".join(lines))
 
 
 def test_criterion_7_full_pipeline(tmp_path):

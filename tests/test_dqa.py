@@ -57,6 +57,7 @@ from spq.statevector import (
     StateVector,
     apply_sequence,
     fidelity,
+    hadamard,
     partial_swap,
     register_distribution,
     sample_register,
@@ -152,7 +153,7 @@ class TestDistributionPreparation:
     def test_uniform_compiles_to_hadamards(self):
         dist = DiscreteDistribution.uniform(3)
         seq = prepare_distribution(dist)
-        assert all(g.kind == "h" for g in seq)
+        assert list(seq) == [hadamard(q) for q in range(3)]
         sv = apply_sequence(StateVector(3), seq)
         assert np.allclose(sv.amplitudes, 1 / math.sqrt(8))
 

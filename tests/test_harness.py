@@ -387,6 +387,8 @@ class TestCheckBeforeWork:
         ({"kind": "fig5", "amplify": 0}, 2),
         ({"kind": "fig3", "n_instances": 0}, 2),
         ({"kind": "fig5", "n_repetitions": 0}, 2),
+        ({"kind": "fig4", "master_seed": -1}, 2),
+        ({"kind": "fig5", "master_seed": 2 ** 32}, 2),
     ]
 
     # (command-line kind, config): a kind no experiment has, no config
@@ -556,6 +558,15 @@ class TestSpecParsing:
         assert derive_seed(3, "fig3", 4, 0) == derive_seed(3, "fig3", 4, 0)
         assert derive_seed(3, "fig3", 4, 0) != derive_seed(3, "fig3", 4, 1)
         assert derive_seed(3, "a") != derive_seed(4, "a")
+
+    def test_seeds_outside_32_bits_rejected(self):
+        assert derive_seed(2 ** 32 - 1, "a") != derive_seed(0, "a")
+        ExperimentSpec(kind="fig4", master_seed=2 ** 32 - 1)
+        for seed in (-1, 2 ** 32, -2 ** 32):
+            with pytest.raises(ConfigError, match="outside"):
+                derive_seed(seed, "a")
+            with pytest.raises(ConfigError, match="master_seed"):
+                ExperimentSpec(kind="fig4", master_seed=seed)
 
 
 class TestExperimentOutputs:
@@ -858,6 +869,10 @@ class TestCli:
         ({**WORKED_INSTANCE, "c": ["0.1", 0.2]}, "c: expected a number"),
         ({**WORKED_INSTANCE, "distribution": {"type": "explicit", "entries": [
             {"scenario": 0, "p": "1"}]}}, "p: expected a number"),
+        ({**WORKED_INSTANCE, "distribution": {"type": "explicit", "entries": [
+            {"scenario": 0, "p": float("nan")}, {"scenario": 3, "p": 1.0}]}},
+         "p: expected a finite number"),
+        ({**WORKED_INSTANCE, "c_r": float("inf")}, "c_r: expected a finite number"),
     ]
 
     @pytest.mark.parametrize("command", ["exact", "run"])
@@ -871,6 +886,32 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and error in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 32)])
+    def test_seed_outside_32_bits_exits_2(self, tmp_path, capsys, seed):
+        # -1 would alias 2^32 - 1 and 2^32 would alias 0
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(WORKED_INSTANCE))
+        out = tmp_path / "run.json"
+        assert main(["run", "--instance", str(inst_path), "--x", "1", "--T", "4",
+                     "--m", "5", "--seed", seed, "--out", str(out)]) == 2
+        assert "outside [0, 2^32)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["exact", "run", "make-instance"])
+    def test_scenario_register_over_the_cap_exits_3(self, tmp_path, capsys, command):
+        # a uniform law over 48 scenario bits is refused, not allocated
+        inst_path = tmp_path / "inst.json"
+        if command == "make-instance":
+            argv = ["make-instance", "--n-y", "48", "--seed", "1", "--out", str(inst_path)]
+        else:
+            save_instance(generate_instance(48, 1), str(inst_path))
+            argv = [command, "--instance", str(inst_path)]
+            if command == "run":
+                argv += ["--x", "1", "--T", "4", "--m", "5"]
+        assert main(argv) == 3
+        assert "48 scenario qubits" in capsys.readouterr().err
+        assert inst_path.exists() == (command != "make-instance")
 
     def test_kind_mismatch_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from spq.model import (
+    ConfigError,
     DiscreteDistribution,
     GenericDiagonalProblem,
     InfeasibleDecisionError,
@@ -28,6 +29,7 @@ from spq.model import (
     scenario_optima,
     second_stage_cost,
 )
+from spq.statevector import SimulationBudgetError
 
 
 def worked_model():
@@ -266,9 +268,30 @@ class TestDistribution:
         with pytest.raises(ValueError, match="negative"):
             DiscreteDistribution(1, [0, 1], [1.5, -0.5])
 
+    def test_nan_probability_rejected(self):
+        nan = float("nan")
+        for probabilities in ([nan, 1.0], [0.5, nan], [nan, nan]):
+            with pytest.raises(ValueError, match="NaN"):
+                DiscreteDistribution(1, [0, 1], probabilities)
+        with pytest.raises(ValueError, match="sum"):
+            DiscreteDistribution(1, [0], [float("inf")])
+
+    def test_uniform_law_over_the_cap_refused_before_allocating(self):
+        with pytest.raises(SimulationBudgetError, match="48 scenario qubits"):
+            DiscreteDistribution.uniform(48)
+        with pytest.raises(SimulationBudgetError, match="48 scenario qubits"):
+            model_from_instance(generate_instance(48, 1))
+
     def test_scenario_must_fit_the_register(self):
         with pytest.raises(ValueError, match="does not fit in 1 bits"):
             DiscreteDistribution(1, [0, 2], [0.5, 0.5])
+
+    @pytest.mark.parametrize("field, value", [("c_r", float("inf")), ("c_x", float("nan")),
+                                              ("c", [0.1, float("-inf")])])
+    def test_non_finite_instance_value_rejected(self, field, value):
+        inst = {"n_y": 2, "c_x": 0.4, "c": [0.1, 0.2], "c_r": 1.0, "d": 2, field: value}
+        with pytest.raises(ConfigError, match=f"{field}: expected a finite number"):
+            model_from_instance(inst)
 
     @pytest.mark.parametrize("name", ["scenarios", "probabilities"])
     def test_arrays_are_built_once(self, name):

@@ -28,7 +28,7 @@ T = 3
 
 def call_apply(tmp_path):
     state = statevector.StateVector(2)
-    for gate in (statevector.dense((0, 1), np.eye(4)), statevector.hadamard(0),
+    for gate in (statevector.dense((0, 1), np.eye(4)), statevector.phase(0, 0.3),
                  statevector.cx(0, 1)):
         statevector.apply(state, gate)
     # the dense gate reads and writes 4 amplitudes and reads a 4x4 matrix,
@@ -70,9 +70,10 @@ def call_prepare_per_scenario_optimal(tmp_path):
 
 def call_build_oracle(tmp_path):
     oracle.build_oracle(oracle.OracleKind("exact", model.cost_bound(WORKED, 1)), WORKED)
-    # a diagonal over the 5 (y, xi, ancilla) qubits, 2^5 entries, and the
-    # two 2-entry phases S and S+ on the ancilla, 16 bytes per entry
-    return 1, {"matrix_bytes": (32 + 2 * 2) * 16}, None
+    # a diagonal over the 5 (y, xi, ancilla) qubits, 2^5 entries, the two
+    # 2-entry phases S and S+ and the two 2x2 Hadamards on the ancilla, 16
+    # bytes per entry
+    return 1, {"matrix_bytes": (32 + 2 * 2 + 2 * 4) * 16}, None
 
 
 def call_qpe_state(tmp_path):

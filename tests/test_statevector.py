@@ -10,11 +10,7 @@ from hypothesis import strategies as st
 from spq.statevector import (
     KIND_DENSE,
     KIND_DIAGONAL,
-    KIND_H,
-    KIND_PSWAP,
     KIND_REFLECTION,
-    KIND_RY,
-    KIND_X,
     Gate,
     OperatorSequence,
     SimulationBudgetError,
@@ -159,7 +155,7 @@ class TestGateSemantics:
         q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((8, 8)))
         dense((0, 1, 2), q)
         dense((0, 1, 2), q * np.exp(0.7j))
-        Gate(KIND_DENSE, (0, 1, 2), matrix=q)
+        Gate(KIND_DENSE, (0, 1, 2), (), q)
         scaled = q.copy()
         scaled[:, 5] *= 1 + 1e-9
         # the real part is orthogonal, so only the imaginary part breaks it
@@ -168,31 +164,36 @@ class TestGateSemantics:
             with pytest.raises(ValueError, match="unitary"):
                 dense((0, 1, 2), bad)
         with pytest.raises(ValueError, match="unitary"):
-            Gate(KIND_DENSE, (0, 1, 2), matrix=scaled)
+            Gate(KIND_DENSE, (0, 1, 2), (), scaled)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             apply(StateVector(2), hadamard(5))
 
     def test_overlapping_targets_and_controls_rejected(self):
-        with pytest.raises(ValueError):
-            Gate(KIND_RY, (1,), ((1, 1),), 0.3)
+        with pytest.raises(ValueError, match="overlap"):
+            ry(1, 0.3).controlled(1)
 
-    def test_one_qubit_kind_on_two_targets_rejected(self):
-        with pytest.raises(ValueError, match="exactly 1"):
-            Gate(KIND_H, (0, 1))
+    def test_dense_matrix_of_wrong_shape_rejected(self):
+        for targets, matrix in (((0, 1), np.eye(2)), ((0,), np.eye(4)),
+                                ((0,), np.ones(2)), ((0, 1), np.eye(4)[:, :2])):
+            with pytest.raises(ValueError, match="shape"):
+                dense(targets, matrix)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown gate kind"):
-            Gate("cz", (0,))
+            Gate("cz", (0,), (), np.eye(2))
 
     def test_empty_targets_rejected(self):
         with pytest.raises(ValueError, match="at least one target"):
-            Gate(KIND_DIAGONAL, ())
+            Gate(KIND_DIAGONAL, (), (), np.ones(1))
 
-    def test_matrix_on_non_dense_kind_rejected(self):
-        with pytest.raises(ValueError, match="only dense"):
-            Gate(KIND_X, (0,), matrix=np.array([[0, 1], [1, 0]], dtype=complex))
+    def test_gate_without_matrix_rejected(self):
+        for kind in (KIND_DENSE, KIND_DIAGONAL, KIND_REFLECTION):
+            with pytest.raises(TypeError, match="matrix"):
+                Gate(kind, (0,), ())
+            with pytest.raises(ValueError, match="needs a matrix"):
+                Gate(kind, (0,), (), None)
 
     @pytest.mark.parametrize("make", [diagonal, reflection])
     def test_vector_of_wrong_length_rejected(self, make):
@@ -225,6 +226,31 @@ class TestGateSemantics:
         assert a == same and hash(a) == hash(same)
         assert a != dense((1, 0), np.eye(4))
         assert hadamard(0) == hadamard(0) and hadamard(0) != a
+
+    @pytest.mark.parametrize("angle", [0.0, 0.3, -1.2, math.pi / 2, 2.5, -2 * math.pi])
+    def test_named_gates_hold_their_matrices(self, angle):
+        # each matrix written out entry by entry; bit i of a row or column
+        # index is the value of targets[i]
+        h = np.zeros((2, 2), dtype=complex)
+        h[0, 0] = h[0, 1] = h[1, 0] = 1 / math.sqrt(2)
+        h[1, 1] = -1 / math.sqrt(2)
+        x = np.zeros((2, 2), dtype=complex)
+        x[0, 1] = x[1, 0] = 1.0
+        r = np.zeros((2, 2), dtype=complex)
+        r[0, 0] = r[1, 1] = math.cos(angle / 2)
+        r[1, 0] = math.sin(angle / 2)
+        r[0, 1] = -math.sin(angle / 2)
+        p = np.zeros((4, 4), dtype=complex)
+        p[0b00, 0b00] = p[0b11, 0b11] = 1.0
+        p[0b01, 0b01] = p[0b10, 0b10] = math.cos(angle)
+        p[0b01, 0b10] = p[0b10, 0b01] = -1j * math.sin(angle)
+        for gate, targets, u in ((hadamard(3), (3,), h), (pauli_x(3), (3,), x),
+                                 (ry(3, angle), (3,), r),
+                                 (partial_swap(3, 1, angle), (3, 1), p)):
+            assert (gate.kind, gate.targets, gate.controls) == (KIND_DENSE, targets, ())
+            assert np.abs(gate.matrix - u).max() <= 1e-15
+        assert ccry(0, 1, 3, angle) == Gate(KIND_DENSE, (3,), ((0, 1), (1, 1)), r)
+        assert cx(0, 3) == Gate(KIND_DENSE, (3,), ((0, 1),), x)
 
 
 class TestSequences:
@@ -406,7 +432,7 @@ class TestStateVector:
 
 # -- whole-register reference ---------------------------------------------
 
-def local_matrix(kind, k, angle, matrix):
+def local_matrix(kind, k, matrix):
     """The gate's 2^k-square matrix, bit i of a row/column <-> targets[i],
     written out entry by entry."""
     if kind == KIND_DENSE:
@@ -420,19 +446,6 @@ def local_matrix(kind, k, angle, matrix):
         for r in range(2 ** k):
             for c in range(2 ** k):
                 u[r, c] = (r == c) - 2 * matrix[r] * matrix[c].conjugate() / norm2
-    elif kind == KIND_H:
-        u[0, 0] = u[0, 1] = u[1, 0] = 1 / math.sqrt(2)
-        u[1, 1] = -1 / math.sqrt(2)
-    elif kind == KIND_X:
-        u[0, 1] = u[1, 0] = 1.0
-    elif kind == KIND_RY:
-        u[0, 0] = u[1, 1] = math.cos(angle / 2)
-        u[1, 0] = math.sin(angle / 2)
-        u[0, 1] = -math.sin(angle / 2)
-    elif kind == KIND_PSWAP:
-        u[0b00, 0b00] = u[0b11, 0b11] = 1.0
-        u[0b01, 0b01] = u[0b10, 0b10] = math.cos(angle)
-        u[0b01, 0b10] = u[0b10, 0b01] = -1j * math.sin(angle)
     return u
 
 
@@ -458,23 +471,12 @@ def full_matrix(n, targets, controls, u):
 @st.composite
 def gates_on_register(draw):
     n = draw(st.integers(1, 6))
-    kinds = [KIND_H, KIND_X, KIND_RY, KIND_DENSE, KIND_DIAGONAL, KIND_REFLECTION]
-    if n >= 2:
-        kinds.append(KIND_PSWAP)
-    kind = draw(st.sampled_from(kinds))
+    kind = draw(st.sampled_from([KIND_DENSE, KIND_DIAGONAL, KIND_REFLECTION]))
     order = draw(st.permutations(range(n)))
-    if kind == KIND_PSWAP:
-        k = 2
-    elif kind in (KIND_DENSE, KIND_DIAGONAL, KIND_REFLECTION):
-        k = draw(st.integers(1, n))
-    else:
-        k = 1
+    k = draw(st.integers(1, n))
     targets = tuple(order[:k])
     n_controls = draw(st.integers(0, n - k))
     controls = tuple((q, draw(st.integers(0, 1))) for q in order[k:k + n_controls])
-    angle = draw(st.floats(-2 * math.pi, 2 * math.pi)) \
-        if kind in (KIND_RY, KIND_PSWAP) else None
-    matrix = None
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     dim = 2 ** k
     if kind == KIND_DENSE:
@@ -482,9 +484,9 @@ def gates_on_register(draw):
                                  + 1j * rng.standard_normal((dim, dim)))
     elif kind == KIND_DIAGONAL:
         matrix = np.exp(1j * rng.uniform(-math.pi, math.pi, dim))
-    elif kind == KIND_REFLECTION:
+    else:
         matrix = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    gate = Gate(kind, targets, controls, angle, matrix)
+    gate = Gate(kind, targets, controls, matrix)
     return n, gate, draw(st.integers(0, 2 ** 32 - 1))
 
 
@@ -503,7 +505,7 @@ class TestAgainstFullMatrix:
         n, gate, seed = case
         sv = random_state(n, seed=seed)
         before = sv.amplitudes.copy()
-        u = local_matrix(gate.kind, len(gate.targets), gate.angle, gate.matrix)
+        u = local_matrix(gate.kind, len(gate.targets), gate.matrix)
         expected = full_matrix(n, gate.targets, gate.controls, u) @ before
         apply(sv, gate)
         assert np.abs(sv.amplitudes - expected).max() <= 1e-12
