@@ -21,6 +21,9 @@ the low qubits, xi above it, then the QAE ancilla.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
 
@@ -42,6 +45,7 @@ from .statevector import (
     Gate,
     MAX_QUBITS,
     OperatorSequence,
+    PROB_SUM_TOL,
     SimulationBudgetError,
     StateVector,
     apply_sequence,
@@ -336,12 +340,11 @@ def _mixer_unitary(n_y: int, weight: int, beta: float,
 
 
 def _mixer_builder(n_y: int, weight: int, perm: np.ndarray | None, slots: int):
-    """``build(i, beta, before=None)``, which builds (U, U[perm][:, perm] or
-    None) at beta into the (i mod ``slots``)-th of ``slots`` reused buffer
-    pairs and returns it, so a pair is overwritten ``slots`` builds later.
-    Given ``before``, the previous build's future, it first raises that
-    build's exception, if any.  The buffers and work rows are allocated
-    here, by the caller's thread, before any build.
+    """``build(i, beta)``, which builds (U, U[perm][:, perm] or None) at beta
+    into the (i mod ``slots``)-th of ``slots`` reused buffer pairs and
+    returns it, so a pair is overwritten ``slots`` builds later.  The
+    buffers and work rows are allocated here, by the caller's thread,
+    before any build, whichever thread then builds.
     """
     n = len(feasible_decisions(n_y, weight))
     scratch = _mixer_scratch(n_y, weight)
@@ -351,9 +354,7 @@ def _mixer_builder(n_y: int, weight: int, perm: np.ndarray | None, slots: int):
     # u[np.ix_(perm, perm)] as one gather from the flattened u
     flat = None if perm is None else (perm[:, None] * n + perm).ravel()
 
-    def build(i, beta, before=None):
-        if before is not None:
-            before.result()
+    def build(i, beta):
         u, u_perm = buffers[i % slots]
         _mixer_unitary(n_y, weight, beta, u, scratch)
         if flat is not None:
@@ -363,9 +364,51 @@ def _mixer_builder(n_y: int, weight: int, perm: np.ndarray | None, slots: int):
     return build
 
 
-# Blocks of at least this many amplitudes, C(n_y, d - x) * 2^n_xi, build
-# their mixer unitaries on a helper thread (``anneal_feasible_blocks``).
+def _layer_panel(phase: np.ndarray, base: np.ndarray, panel: np.ndarray,
+                 u: np.ndarray | None, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One (block, panel) task of an anneal layer: the running phase times
+    its base and the panel times the phase, in place, then, where the layer
+    mixes, ``u @ panel`` into the thread's spare panel ``out``.  Returns
+    the panel's new array and the thread's spare one, swapped by the GEMM."""
+    phase *= base
+    panel *= phase
+    if u is None:
+        return panel, out
+    np.matmul(u, panel, out=out)
+    return out, panel
+
+
+def _panels(a: np.ndarray, n: int) -> np.ndarray:
+    """A (rows, cols) block as n panel-major column panels, (n, rows,
+    cols / n); a view for n = 1, one contiguous copy otherwise."""
+    rows, cols = a.shape
+    return np.ascontiguousarray(a.reshape(rows, n, cols // n).swapaxes(0, 1))
+
+
+# The variables OpenBLAS takes its thread count from, the first one set to
+# a positive count winning (``harness`` sets them for its workers).
+_OPENBLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _env_blas_threads() -> int | None:
+    """The BLAS thread count the environment asks OpenBLAS for, None for
+    its default of one thread per core."""
+    for name in _OPENBLAS_THREAD_VARS:
+        value = os.environ.get(name, "").strip()
+        if value.isdecimal() and int(value) > 0:
+            return int(value)
+    return None
+
+
+# Blocks of at least _AHEAD_MIN_AMPS amplitudes, C(n_y, d - x) * 2^n_xi,
+# build their mixer unitaries on a helper thread.  Where BLAS runs one
+# thread, as read here at import, the helper also claims its share of each
+# layer's column panels of at most _PANEL_AMPS amplitudes
+# (``anneal_feasible_blocks``); fig3's pool workers turn that off
+# (``harness._pool_worker_init``).
 _AHEAD_MIN_AMPS = 2 ** 15
+_PANEL_AMPS = 2 ** 15
+_SHARE_PANELS = _env_blas_threads() == 1
 
 
 @dataclass
@@ -474,21 +517,42 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
     linear ramp) the unitary is the identity and is skipped.
 
     The unitaries do not depend on the state.  For a block of at least
-    ``_AHEAD_MIN_AMPS`` = 2^15 amplitudes, a one-worker thread pool
-    (``concurrent.futures.ThreadPoolExecutor``) builds layer t + 1's
-    unitary, and a pair's permuted copy, while the calling thread runs
-    layer t's phase products and GEMMs; numpy releases the GIL in both, so
-    on two cores the build (10-13.5 ms at C(10, 5)) hides behind the GEMM
-    (12-14 ms).  Build i + 1 is submitted as the caller waits on build i,
-    into the buffer pair GEMM i - 1 has released, and raises build i's
-    exception first, so nothing is built after a failed build.  The pool
-    is joined before this returns or raises.  The same code builds every
-    unitary, and the GEMMs run on the calling thread in the same order,
-    so the blocks are the same bits whichever thread built them.  Below
-    the threshold the hand-over of the GIL each layer costs more than it
-    hides: at n_y = 6-10, T = n_y^2 and 1 BLAS thread, the helper took
-    1.2-2.9 times the inline time at 2^8.6-2^14.2 amplitudes and 0.6-0.94
-    times from 2^15.4 up.  Smaller blocks, fig5's among them, build inline.
+    ``_AHEAD_MIN_AMPS`` = 2^15 amplitudes a one-worker thread pool
+    (``concurrent.futures.ThreadPoolExecutor``) helps every layer: its job
+    for layer t first builds layer t + 1's unitary, and a pair's permuted
+    copy, into the buffer pair layer t - 1 has released.  Where BLAS runs
+    one thread (``_SHARE_PANELS``, read from the environment at import, and
+    off in fig3's pool workers, which fill the cores already), the job then
+    claims layer t's tasks alongside the calling thread.  A task is
+    one column panel of one block: its phase product, then its GEMM
+    (``_layer_panel``).  Both threads take tasks from one shared iterator;
+    each GEMM writes into its thread's spare panel, which then takes the
+    multiplied panel's place, so nothing is copied back or allocated.  The
+    panels are the widest power-of-two column ranges of at most
+    ``_PANEL_AMPS`` = 2^15 amplitudes: 128 columns at C(10, 5) = 252 rows,
+    512 at C(10, 2) = 45.  Each block's state is a list of panel arrays, and
+    its phase and phase base are panel-major arrays (``_panels``).  Without
+    sharing a block is one panel, the whole-block GEMM.  The caller waits on layer t's job before it starts
+    layer t + 1, so two buffer pairs suffice, and a failed build or panel
+    raises from that wait; the pool is joined before this returns or
+    raises.  A column of U @ M is the same bits whichever panel holds it,
+    since each column's sums run in the same order, so the blocks are the
+    same bits at any panel width and whichever thread ran a panel.
+
+    At n_y = 10, T = 100 and one BLAS thread, a shared anneal took 0.13,
+    0.43, 1.18 and 1.09 s for the weights (2, 8), (3, 7), (4, 6) and 5,
+    against 0.15, 0.64, 1.74 and 1.26 s with the helper only building
+    (medians of five).  At more BLAS threads the threads' GEMMs would
+    oversubscribe the cores, so the helper only builds.  Below 2^15
+    amplitudes the hand-over of the GIL each layer costs more than it
+    hides: at n_y = 6-10, T = n_y^2 and 1 BLAS thread, building ahead took
+    1.2-2.9 times the inline time at 2^8.6-2^14.2 amplitudes.  Smaller
+    blocks, fig5's among them, build inline on the calling thread.
+
+    The scenario register is only control, so each scenario column keeps
+    its probability: after the anneal, sum_y |amp|^2 must equal p(xi)
+    within ``PROB_SUM_TOL`` in every column, or this raises ValueError;
+    nothing is renormalised.
     """
     if len(xs) not in (1, 2):
         raise ValueError(f"anneal one or two first-stage decisions, got {len(xs)}")
@@ -504,60 +568,85 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
     # diagonal phase e^{+i a(t) q} (P(theta) has the +i convention)
     grids = [_feasible_grid(model, x, dist) for x in xs]
     rows = [ys for ys, _ in grids]
-    ms = [np.ascontiguousarray(np.broadcast_to(
-              xi_amps / math.sqrt(len(ys)), (len(ys), 2 ** n_xi)).astype(complex))
-          for ys in rows]
-
     T = schedule.T
+    cols = 2 ** n_xi
+    ahead = T > 0 and len(rows[0]) * cols >= _AHEAD_MIN_AMPS
+    share = ahead and _SHARE_PANELS
+    # the widest power-of-two column panels of at most _PANEL_AMPS
+    # amplitudes where the helper shares, else the whole block as one panel
+    width = cols
+    if share:
+        width = min(cols, 1 << max((_PANEL_AMPS // len(rows[0])).bit_length() - 1, 0))
+    n_panels = cols // width
+    ms = []                         # each block's column panels, in order
+    for ys in rows:
+        column = xi_amps / math.sqrt(len(ys))
+        ms.append([np.ascontiguousarray(np.broadcast_to(
+                       column[p * width:(p + 1) * width], (len(ys), width)), dtype=complex)
+                   for p in range(n_panels)])
+
     if T > 0:
         # the partner's rows in the first block's order: row i of the
         # partner is the complement of row perm[i] of the first block
         perm = (np.searchsorted(rows[0], (2 ** n_y - 1) ^ rows[1])
                 if len(xs) == 2 else None)
-        bases = [np.exp(1j * (1 / T) * q) for _, q in grids]
+        bases = [np.exp(1j * (1 / T) * _panels(q, n_panels)) for _, q in grids]
         # the cost grids are dropped for the anneal and built again once
         # the phases are gone, the same floats: this more than offsets the
         # second buffer pair of the built-ahead unitaries in peak memory
         del grids
         phases = [np.ones_like(base) for base in bases]
+        spares = [np.empty_like(ms[0][0]) for _ in range(1 + share)]  # per thread
         betas = schedule.mixer_angles()
-        mixed = betas[betas != 0.0]
-        ahead = len(rows[0]) * 2 ** n_xi >= _AHEAD_MIN_AMPS
+        builds = np.cumsum(betas != 0.0) - 1    # layer t's build index
         build = _mixer_builder(n_y, weights[0], perm, 2 if ahead else 1)
 
-        def anneal(mixer):          # mixer(i): the i-th nonzero beta's pair
-            i = 0
-            for beta in betas:
-                for j, base in enumerate(bases):
-                    phases[j] *= base
-                    ms[j] *= phases[j]
-                if beta == 0.0:
-                    continue
-                u, u_perm = mixer(i)
-                i += 1
-                ms[0] = u @ ms[0]
-                if perm is not None:
-                    ms[1] = u_perm @ ms[1]
+        def mixers(t):      # layer t's unitaries, None where it does not mix
+            return (build(builds[t], betas[t])
+                    if t < T and betas[t] != 0.0 else None)
 
-        if not ahead:
-            anneal(lambda i: build(i, mixed[i]))
-        else:
+        tasks = [(j, p) for j in range(len(xs)) for p in range(n_panels)]
+        claim = threading.Lock()
+
+        def run(todo, pair, k):     # thread k claims (block, panel) tasks until none is left
+            while True:
+                with claim:
+                    task = next(todo, None)
+                if task is None:
+                    return
+                j, p = task
+                ms[j][p], spares[k] = _layer_panel(phases[j][p], bases[j][p], ms[j][p],
+                                                   None if pair is None else pair[j],
+                                                   spares[k])
+
+        def helper(t, todo, pair):  # build layer t + 1's unitaries, then share t
+            built = mixers(t + 1)
+            if share:
+                run(todo, pair, 1)
+            return built
+
+        if ahead:
             # imported here so that importing spq loads no executor
             from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(1, "spq-mixer") as pool:
-                futures = [pool.submit(build, 0, mixed[0])] if mixed.size else []
-
-                def built_ahead(i):
-                    if i + 1 < mixed.size:
-                        futures.append(pool.submit(build, i + 1, mixed[i + 1],
-                                                   futures[i]))
-                    return futures[i].result()
-
-                anneal(built_ahead)
-        del bases, phases
+        with ThreadPoolExecutor(1, "spq-mixer") if ahead else nullcontext() as pool:
+            pair = pool.submit(mixers, 0).result() if ahead else mixers(0)
+            for t in range(T):
+                todo = iter(tasks)
+                job = pool.submit(helper, t, todo, pair) if ahead else None
+                run(todo, pair, 0)
+                pair = job.result() if ahead else mixers(t + 1)
+        del bases, phases, spares
         grids = [_feasible_grid(model, x, dist) for x in xs]
 
+    ms = [m[0] if len(m) == 1 else np.concatenate(m, axis=1) for m in ms]
+    # the scenario register is only control, so each column keeps p(xi)
+    p_xi = np.zeros(cols)
+    p_xi[dist.scenarios] = dist.probabilities
+    for x, m in zip(xs, ms):
+        worst = float(np.abs((m.real ** 2 + m.imag ** 2).sum(axis=0) - p_xi).max())
+        if not worst <= PROB_SUM_TOL:
+            raise ValueError(f"x={x}: a scenario column's probability is off "
+                             f"p(xi) by {worst!r}, more than {PROB_SUM_TOL}")
     return [FeasibleBlock(x, ys, m, q) for x, (ys, q), m in zip(xs, grids, ms)]
 
 

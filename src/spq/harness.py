@@ -24,6 +24,7 @@ from statistics import median_low
 import numpy as np
 
 from .dqa import (
+    _OPENBLAS_THREAD_VARS,
     AnnealSchedule,
     anneal_feasible_blocks,
     check_block,
@@ -326,8 +327,17 @@ def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
 # the cores busy, so a BLAS thread per core in each one oversubscribes them:
 # on 2 cores, a 2-worker fig3 of two n_y=10 instances took 24-25 s with
 # forked workers at the default thread count and 12 s with these.
-_WORKER_BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-                    "MKL_NUM_THREADS": "1"}
+_WORKER_BLAS_ENV = {**dict.fromkeys(_OPENBLAS_THREAD_VARS, "1"), "MKL_NUM_THREADS": "1"}
+
+
+def _pool_worker_init() -> None:
+    """Keep each worker's GEMMs on its anneal's calling thread.  The
+    workers already keep the cores busy, so the mixer helper's share of
+    the GEMMs (``dqa._SHARE_PANELS``, on at one BLAS thread) would wait for
+    a core while the caller waits for it."""
+    from . import dqa
+
+    dqa._SHARE_PANELS = False
 
 
 def _pool_map(fn, tasks: list, workers: int) -> list:
@@ -344,7 +354,8 @@ def _pool_map(fn, tasks: list, workers: int) -> list:
     saved = {k: os.environ.get(k) for k in _WORKER_BLAS_ENV}
     os.environ.update(_WORKER_BLAS_ENV)
     try:
-        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+        with ProcessPoolExecutor(workers, mp_context=get_context("spawn"),
+                                 initializer=_pool_worker_init) as pool:
             return list(pool.map(fn, tasks))
     finally:
         for k, v in saved.items():

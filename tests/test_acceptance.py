@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spq import harness
 from spq.dqa import (
     AnnealSchedule,
     RegisterLayout,
@@ -39,12 +40,13 @@ from spq.model import (
     model_from_instance,
     objective_exact,
 )
-from spq.oracle import OracleKind, build_oracle, target_amplitude
+from spq.oracle import OracleKind, build_oracle, sin_oracle_readback, target_amplitude
 from spq.qae import (
     build_A,
     build_grover,
     build_inverse_qft,
     build_qft,
+    error_bound_check,
     readout_distribution,
 )
 from spq.statevector import (
@@ -165,6 +167,28 @@ def test_criterion_6_qae_beats_monte_carlo(fig4_results):
     print("\nACCEPTANCE 6 PASS: " + "; ".join(lines) + "; support exactly on grid")
 
 
+def fig4_spec_and_amplitude():
+    """The shipped fig4 spec and its ancilla probability a on psi*."""
+    spec = ExperimentSpec.from_json(CONFIG_DIR / "fig4.json")
+    model, dist = model_from_instance(
+        generate_instance(spec.n_y, derive_seed(spec.master_seed, "fig4")))
+    block = per_scenario_optimal_block(model, spec.x, dist)
+    return spec, target_amplitude(OracleKind("exact", cost_bound(model, spec.x)),
+                                  block.probabilities().ravel(), block.costs.ravel())
+
+
+def exact_batch_laws(a, m):
+    """The closed-form laws of fig4's (m, method) batches for an ancilla
+    probability a: (support, probabilities) of one QAE estimate (Brassard
+    et al., Thm 11, through sin^2(pi b / M)) and of one Monte Carlo
+    estimate, Binomial(2^(m+1), a) / 2^(m+1)."""
+    M, shots = 2 ** m, 2 ** (m + 1)
+    return {"qae": (np.sin(np.pi * np.arange(M) / M) ** 2, readout_distribution(a, m)),
+            "mc": (np.arange(shots + 1) / shots,
+                   np.array([math.comb(shots, k) * a ** k * (1 - a) ** (shots - k)
+                             for k in range(shots + 1)]))}
+
+
 def test_fig4_batches_follow_their_exact_laws(fig4_results):
     # Each (m, method) batch is n i.i.d. draws from a closed-form law: the
     # QAE readout law of a (Brassard et al., Thm 11) pushed through
@@ -172,25 +196,14 @@ def test_fig4_batches_follow_their_exact_laws(fig4_results):
     # By the DKW inequality with Massart's constant, the empirical CDF of
     # a correct batch leaves the band of half-width
     # sqrt(ln(2 / delta) / (2 n)) with probability at most delta.
-    spec = ExperimentSpec.from_json(CONFIG_DIR / "fig4.json")
-    model, dist = model_from_instance(
-        generate_instance(spec.n_y, derive_seed(spec.master_seed, "fig4")))
-    block = per_scenario_optimal_block(model, spec.x, dist)
-    a = target_amplitude(OracleKind("exact", cost_bound(model, spec.x)),
-                         block.probabilities().ravel(), block.costs.ravel())
+    spec, a = fig4_spec_and_amplitude()
     delta = 1e-6
     batches = {}
     for e in fig4_results["estimates"]:
         batches.setdefault((e["m"], e["method"]), []).append(e["a_hat"])
     lines = []
     for m in spec.m_values:
-        M, shots = 2 ** m, 2 ** (m + 1)
-        laws = {"qae": (np.sin(np.pi * np.arange(M) / M) ** 2,
-                        readout_distribution(a, m)),
-                "mc": (np.arange(shots + 1) / shots,
-                       np.array([math.comb(shots, k) * a ** k * (1 - a) ** (shots - k)
-                                 for k in range(shots + 1)]))}
-        for method, (values, weights) in laws.items():
+        for method, (values, weights) in exact_batch_laws(a, m).items():
             assert abs(weights.sum() - 1.0) <= 1e-12
             support, inverse = np.unique(values, return_inverse=True)
             cdf = np.cumsum(np.bincount(inverse, weights=weights))
@@ -204,6 +217,91 @@ def test_fig4_batches_follow_their_exact_laws(fig4_results):
             lines.append(f"{method} m={m}: {gap:.4f}")
     print(f"\nEXACT LAWS PASS: sup |F_n - F| <= {eps:.4f} (delta = {delta:g}); "
           + "; ".join(lines))
+
+
+def test_fig4_summaries_lie_within_hoeffding_bounds(fig4_results):
+    # Each batch's within_bound_rate is a mean of n i.i.d. indicators, and
+    # its rmse^2 a mean of n i.i.d. squared errors in [0, R^2], R the
+    # largest error on the law's support.  By Hoeffding's inequality each
+    # mean is within (range) * sqrt(ln(2 / delta) / (2 n)) of its exact
+    # value except with probability delta; the 16 checks together fail a
+    # correct run with probability at most 16 delta.
+    spec, a = fig4_spec_and_amplitude()
+    a_true = fig4_results["a_true"]
+    delta = 1e-6
+    summary = {(s["m"], s["method"]): s for s in fig4_results["summary"]}
+    eps = math.sqrt(math.log(2 / delta) / (2 * spec.n_estimates))
+    moments, lines = {}, []
+    for m in spec.m_values:
+        for method, (values, weights) in exact_batch_laws(a, m).items():
+            row = summary[(m, method)]
+            rate = float(weights @ error_bound_check(values, a_true, 2 ** m))
+            assert abs(row["within_bound_rate"] - rate) <= eps, (m, method)
+            sq = (values - a_true) ** 2
+            mse, span = float(weights @ sq), float(sq.max())
+            assert abs(row["rmse"] ** 2 - mse) <= span * eps, (m, method)
+            moments[(m, method)] = mse, float(weights @ sq ** 2) - mse ** 2
+            lines.append(f"{method} m={m}: rmse {row['rmse']:.5f} "
+                         f"(exact {math.sqrt(mse):.5f}), rate "
+                         f"{row['within_bound_rate']:.4f} (exact {rate:.4f})")
+    # criterion 6 compares two sample MSEs of n draws each; their
+    # difference is near normal at n = 10,000, with the exact moments
+    p_fail = {}
+    for m in (6, 7, 8):
+        (mq, vq), (mc, vc) = moments[(m, "qae")], moments[(m, "mc")]
+        sd = math.sqrt((vq + vc) / spec.n_estimates)
+        p_fail[m] = 0.5 * math.erfc((mc - mq) / (sd * math.sqrt(2)))
+    p_pass = math.prod(1 - p for p in p_fail.values())
+    print(f"\nHOEFFDING PASS (delta = {delta:g}, eps = {eps:.4f}): " + "; ".join(lines)
+          + f"\nCRITERION 6 pass probability at master seed {spec.master_seed} "
+          f"(normal approximation): {p_pass:.6f}; P[QAE rmse >= MC rmse] "
+          + ", ".join(f"{p:.1e} at m={m}" for m, p in p_fail.items()))
+
+
+def test_criterion_7_exact_pass_probability(tmp_path):
+    # fig5 draws one readout per x (amplify = 1) from the closed-form law
+    # of its annealed a(x), so P[x_est = x*] is an exact sum over x*'s
+    # readouts: every other x must land above x*'s objective, or at it
+    # when x > x*, since the argmin takes the first minimum.  Each config's
+    # found count is Binomial(n_repetitions, P[x_est = x*]); the shipped
+    # counts must not lie in a tail of probability below delta.
+    spec = ExperimentSpec.from_json(CONFIG_DIR / "fig5.json")
+    assert spec.amplify == 1 and spec.oracle == "sin"
+    counts = {}
+    for s in experiment_fig5(spec, tmp_path)["summary"]:
+        counts[s["config"]] = counts.get(s["config"], 0) + s["found_minimum"]
+    delta, n, p_all, lines = 1e-6, spec.n_repetitions, 1.0, []
+    for ci, (n_y, m, T) in enumerate(spec.configs):
+        model, dist = model_from_instance(
+            generate_instance(n_y, derive_seed(spec.master_seed, "fig5", ci)))
+        M = 2 ** m
+        a_hats = (np.sin(np.pi * np.arange(M) / M) ** 2).tolist()
+        laws = []
+        for x, (_, a) in enumerate(harness._qae_points(model, dist, T, "sin")):
+            kind = OracleKind("sin", cost_bound(model, x))
+            o_est = np.array([model.c_x * x + sin_oracle_readback(v, kind)
+                              for v in a_hats])
+            laws.append((o_est, readout_distribution(a, m)))
+        x_star = int(np.argmin([model.c_x * x + expected_value_exact(model, x, dist)
+                                for x in range(model.d + 1)]))
+        o_star, p_star = laws[x_star]
+        p_found = 0.0
+        for o, p in zip(o_star, p_star):
+            beaten = 1.0
+            for x, (o_x, p_x) in enumerate(laws):
+                if x != x_star:
+                    beaten *= float(p_x[(o_x > o) if x < x_star else (o_x >= o)].sum())
+            p_found += p * beaten
+        pmf = [math.comb(n, k) * p_found ** k * (1 - p_found) ** (n - k)
+               for k in range(n + 1)]
+        k = counts[ci]
+        assert sum(pmf[:k + 1]) >= delta and sum(pmf[k:]) >= delta, (ci, k, p_found)
+        p_all *= sum(pmf[8:])
+        lines.append(f"config {ci}: P[found] {p_found:.3f}, "
+                     f"P[>= 8/{n}] {sum(pmf[8:]):.3f}, found {k}/{n}")
+    print("\nCRITERION 7 exact pass probability of the found-minimum part at "
+          f"master seed {spec.master_seed}: {p_all:.3f} (" + "; ".join(lines)
+          + "); the pearson >= 0.9 part is not included")
 
 
 def test_criterion_7_full_pipeline(tmp_path):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spq
-from spq import dqa
+from spq import dqa, harness
 from spq.dqa import (
     AnnealSchedule,
     RegisterLayout,
@@ -59,6 +59,7 @@ from spq.statevector import (
     fidelity,
     hadamard,
     partial_swap,
+    phase,
     register_distribution,
     sample_register,
     sequence_to_matrix,
@@ -339,48 +340,90 @@ class TestMixerUnitary:
             assert np.array_equal(out, _mixer_unitary(n_y, weight, beta))
 
 
+def share_panels_flag(_):
+    """``dqa._SHARE_PANELS`` in the process that runs this."""
+    return dqa._SHARE_PANELS
+
+
 class TestHelperThread:
     """Large blocks take each layer's mixer unitary from a helper thread,
-    built one layer ahead; the blocks are the inline loop's bit for bit and
-    no thread outlives the anneal."""
+    built one layer ahead, and where BLAS runs one thread the helper also
+    claims column panels of each layer; the blocks are the inline loop's
+    bit for bit and no thread outlives the anneal."""
 
     @staticmethod
-    def anneal_on(monkeypatch, ahead, model, xs, dist, schedule):
+    def anneal_on(monkeypatch, ahead, model, xs, dist, schedule, share=False,
+                  panels=None, panel_amps=None, both=False):
         """The blocks, with the helper forced on or off through the size
         constant (None: the size rule), and the threads that built the
-        unitaries."""
+        unitaries.  ``share`` forces the panel sharing on or off, and
+        ``panels``, if given, collects a (thread, columns) pair for each
+        panel task run; ``panel_amps`` overrides the panel size.  With
+        ``both``, the calling thread's first task waits for the helper's
+        first, so both threads run panels however they are scheduled."""
         build_threads = set()
-        build = dqa._mixer_unitary
+        build, panel = dqa._mixer_unitary, dqa._layer_panel
+        helper_ran = threading.Event()
 
         def recorded(*args, **kwargs):
             build_threads.add(threading.current_thread())
             return build(*args, **kwargs)
 
+        def recorded_panel(phase, base, m, u, out):
+            thread = threading.current_thread()
+            if thread is not threading.main_thread():
+                helper_ran.set()
+            elif both:
+                helper_ran.wait(timeout=60)
+            if panels is not None:
+                panels.append((thread, m.shape[1]))
+            return panel(phase, base, m, u, out)
+
         with monkeypatch.context() as patch:
             patch.setattr(dqa, "_mixer_unitary", recorded)
+            patch.setattr(dqa, "_layer_panel", recorded_panel)
+            patch.setattr(dqa, "_SHARE_PANELS", share)
             if ahead is not None:
                 patch.setattr(dqa, "_AHEAD_MIN_AMPS", 0 if ahead else math.inf)
+            if panel_amps is not None:
+                patch.setattr(dqa, "_PANEL_AMPS", panel_amps)
             blocks = anneal_feasible_blocks(model, xs, dist, schedule)
         return blocks, build_threads
 
     @pytest.mark.parametrize("n_y", [8, 10])
     @pytest.mark.parametrize("rule", ["linear", "quadratic"])
     def test_helper_and_inline_blocks_are_identical(self, monkeypatch, n_y, rule):
+        # inline, built ahead with the caller running every panel, and built
+        # ahead with both threads claiming panels; at n_y = 8 the panels are
+        # narrowed, so that each block is split as at n_y = 10
         model, dist = model_from_instance(generate_instance(n_y, 7))
         schedule = AnnealSchedule.linear(n_y if rule == "linear" else n_y * n_y)
+        panel_amps = 2 ** 11 if n_y == 8 else None
         for xs in ((2, n_y - 2), (n_y // 2,)):    # a lockstep pair, weight n_y/2
             assert xs in lockstep_groups(model)
             inline, inline_threads = self.anneal_on(monkeypatch, False, model, xs,
                                                     dist, schedule)
             ahead, ahead_threads = self.anneal_on(monkeypatch, True, model, xs,
                                                   dist, schedule)
+            panels = []
+            shared, shared_threads = self.anneal_on(
+                monkeypatch, True, model, xs, dist, schedule, share=True,
+                panels=panels, panel_amps=panel_amps, both=True)
             assert inline_threads == {threading.main_thread()}
             assert len(ahead_threads) == 1
             assert threading.main_thread() not in ahead_threads
-            for a, b in zip(inline, ahead, strict=True):
-                assert a.x == b.x
+            assert len(shared_threads) == 1
+            assert threading.main_thread() not in shared_threads
+            # both threads ran panel tasks, more than one panel per block
+            assert {thread for thread, _ in panels} == (
+                shared_threads | {threading.main_thread()})
+            assert max(columns for _, columns in panels) < 2 ** n_y
+            for a, b, c in zip(inline, ahead, shared, strict=True):
+                assert a.x == b.x == c.x
                 assert np.array_equal(a.amps, b.amps)
+                assert np.array_equal(a.amps, c.amps)
                 assert np.array_equal(a.costs, b.costs)
+                assert np.array_equal(a.costs, c.costs)
 
     def test_concurrent_anneals_under_fast_switching(self, monkeypatch):
         # three callers, each with its own helper, on a shortened switch
@@ -410,17 +453,72 @@ class TestHelperThread:
                 assert np.array_equal(a.amps, b.amps)
 
     def test_size_rule(self, monkeypatch):
-        # fig5's blocks (n_y <= 6) stay on the calling thread; n_y = 10's
-        # weight 5, C(10, 5) * 2^10 amplitudes, takes the helper
+        # fig5's blocks (n_y <= 6) stay on the calling thread as one panel,
+        # one BLAS thread or not
         model, dist = model_from_instance(generate_instance(6, 1))
         for xs in lockstep_groups(model):
+            panels = []
             _, threads = self.anneal_on(monkeypatch, None, model, xs, dist,
-                                        AnnealSchedule.linear(36))
+                                        AnnealSchedule.linear(36), share=True,
+                                        panels=panels)
             assert threads <= {threading.main_thread()}
+            assert {columns for _, columns in panels} == {2 ** 6}
+            assert {thread for thread, _ in panels} == {threading.main_thread()}
+        # at n_y = 10, blocks of at least 2^15 amplitudes take the helper; at
+        # one BLAS thread they split into the widest power-of-two panels of
+        # at most 2^15 amplitudes: 128 columns at C(10, 5) = 252 rows and 512
+        # at C(10, 2) = 45; C(10, 1) * 2^10 amplitudes stay inline
         model, dist = model_from_instance(generate_instance(10, 1))
-        _, threads = self.anneal_on(monkeypatch, None, model, (5,), dist,
-                                    AnnealSchedule.linear(3))
-        assert len(threads) == 1 and threading.main_thread() not in threads
+        for xs, columns in (((5,), 128), ((2, 8), 512), ((1, 9), 1024)):
+            for share in (False, True):
+                panels = []
+                _, threads = self.anneal_on(monkeypatch, None, model, xs, dist,
+                                            AnnealSchedule.linear(3), share=share,
+                                            panels=panels)
+                if columns == 1024:
+                    assert threads == {threading.main_thread()}
+                else:
+                    assert len(threads) == 1 and threading.main_thread() not in threads
+                assert {c for _, c in panels} == {columns if share else 1024}
+
+    def test_panel_failure_on_the_helper_reaches_the_caller(self, monkeypatch):
+        model, dist = model_from_instance(generate_instance(6, 2))
+        panel = dqa._layer_panel
+        helper_failed = threading.Event()
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                helper_failed.set()
+                raise FloatingPointError("panel GEMM failed")
+            helper_failed.wait(timeout=60)      # leave the helper a panel
+            return panel(*args)
+
+        start = threading.active_count()
+        monkeypatch.setattr(dqa, "_layer_panel", failing)
+        monkeypatch.setattr(dqa, "_AHEAD_MIN_AMPS", 0)
+        monkeypatch.setattr(dqa, "_SHARE_PANELS", True)
+        with pytest.raises(FloatingPointError, match="panel GEMM failed"):
+            anneal_feasible_blocks(model, (1, 5), dist, AnnealSchedule.linear(8))
+        assert helper_failed.is_set()
+        assert threading.active_count() == start
+
+    @pytest.mark.parametrize("env,shared", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({}, False),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ])
+    def test_sharing_follows_the_blas_thread_variables(self, env, shared):
+        # read once at import, first OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS
+        src = str(Path(spq.__file__).resolve().parent.parent)
+        base = {k: v for k, v in os.environ.items()
+                if k not in dqa._OPENBLAS_THREAD_VARS}
+        proc = subprocess.run(
+            [sys.executable, "-c", "from spq import dqa; print(dqa._SHARE_PANELS)"],
+            timeout=120, capture_output=True, text=True,
+            env=dict(base, PYTHONPATH=src, **env))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str(shared)
 
     def test_helper_exception_reaches_the_caller(self, monkeypatch):
         model, dist = model_from_instance(generate_instance(6, 2))
@@ -451,8 +549,10 @@ class TestHelperThread:
 
         # the calling thread fails in layer 5's GEMM, with the helper alive
         class FailingUnitary:
-            def __matmul__(self, other):
+            def __matmul__(self, *args, **kwargs):
                 raise ZeroDivisionError("layer 5")
+
+            __array_ufunc__ = __matmul__    # np.matmul(u, panel, out=...)
 
         builder = dqa._mixer_builder
 
@@ -488,6 +588,11 @@ class TestHelperThread:
             for a, b in zip(inline, ahead, strict=True):
                 assert np.array_equal(a.amps, b.amps)
 
+    def test_pool_workers_leave_the_gemms_to_the_caller(self):
+        # fig3's workers run one BLAS thread each but already fill the cores
+        assert harness._WORKER_BLAS_ENV["OPENBLAS_NUM_THREADS"] == "1"
+        assert harness._pool_map(share_panels_flag, [0], 1) == [False]
+
     def test_importing_spq_starts_no_thread(self):
         # worker start-up is timed (perfbench setup_s), so the helper
         # thread and any executor start with an anneal, never at import
@@ -500,6 +605,76 @@ class TestHelperThread:
                               capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
+
+
+def column_reference(model, x, xi, schedule):
+    """Scenario column xi of x's anneal over sqrt(p(xi)), from the literal
+    circuit on the y register alone.  The scenario register is only
+    control, so with xi's bits as classical values turbine j's cost and
+    penalty gates fuse into one phase(j, gamma * w_j), w_j = c_j where xi
+    has wind at j and c_r where it has none; the mixer is the partial swaps
+    in ``_uc_layer_gates`` order.  All 2^n_y amplitudes are returned."""
+    n_y = model.n_y
+    state = apply_sequence(StateVector(n_y), prepare_dicke(n_y, model.d - x))
+    for t in range(1, schedule.T + 1):
+        gamma = schedule.cost_angle(t)
+        angle = mixer_pair_angle(schedule.mixer_angle(t), n_y)
+        gates = [phase(j, gamma * (model.c[j] if (xi >> j) & 1 else model.c_r))
+                 for j in range(n_y)]
+        gates += [partial_swap(j, k, angle)
+                  for j in range(n_y - 1) for k in range(j + 1, n_y)]
+        apply_sequence(state, OperatorSequence(tuple(gates), "layer"))
+    return state.amplitudes
+
+
+class TestColumnReference:
+    """The production anneal at the shipped sizes, pinned column by column
+    to the literal circuit on the y register."""
+
+    @pytest.mark.parametrize("n_y,T,explicit", [(2, 4, False), (3, 6, True),
+                                                (4, 5, False), (4, 9, True)])
+    def test_reference_equals_the_full_circuit(self, n_y, T, explicit):
+        model, dist = model_from_instance(generate_instance(n_y, 30 + n_y))
+        if explicit:
+            probs = np.random.default_rng(T).dirichlet(np.ones(2 ** n_y - 1))
+            dist = DiscreteDistribution(n_y, np.arange(1, 2 ** n_y), probs)
+        schedule = AnnealSchedule.linear(T)
+        p_xi = np.zeros(2 ** n_y)
+        p_xi[dist.scenarios] = dist.probabilities
+        for x in range(model.d + 1):
+            full = run_dqa(build_dqa(model, x, dist, schedule),
+                           RegisterLayout(n_y, n_y)).amplitudes
+            for xi, column in enumerate(full.reshape(2 ** n_y, 2 ** n_y)):
+                ref = column_reference(model, x, xi, schedule)
+                assert np.abs(column - math.sqrt(p_xi[xi]) * ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_y", [8, 10])
+    def test_blocks_at_the_shipped_sizes(self, monkeypatch, n_y):
+        # T = n_y^2, every lockstep group, with the helper sharing panels
+        # (at n_y = 8 the helper is forced on, no block there reaching its
+        # size); two scenario columns per group, drawn from a fixed seed,
+        # the first pinned in the group's first block, the second in its last
+        model, dist = model_from_instance(generate_instance(n_y, 0))
+        schedule = AnnealSchedule.linear(n_y * n_y)
+        monkeypatch.setattr(dqa, "_SHARE_PANELS", True)
+        if n_y == 8:
+            monkeypatch.setattr(dqa, "_AHEAD_MIN_AMPS", 0)
+        p_xi = np.zeros(2 ** n_y)
+        p_xi[dist.scenarios] = dist.probabilities
+        rng = np.random.default_rng(1000 + n_y)
+        groups = lockstep_groups(model)
+        assert (n_y // 2,) in groups               # the lone C(n_y, n_y/2)-row block
+        worst = 0.0
+        for xs in groups:
+            blocks = anneal_feasible_blocks(model, xs, dist, schedule)
+            xis = rng.choice(2 ** n_y, 2, replace=False).tolist()
+            for xi, block in zip(xis, (blocks[0], blocks[-1])):
+                ref = column_reference(model, block.x, xi, schedule)
+                expected = math.sqrt(p_xi[xi]) * ref[block.ys]
+                deviation = np.abs(block.amps[:, xi] - expected).max()
+                assert deviation <= 1e-12, (block.x, xi)
+                worst = max(worst, deviation)
+        print(f"\nn_y = {n_y}: worst column deviation {worst:.2e}")
 
 
 def scattered(block, n_y, n_xi):
