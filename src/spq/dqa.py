@@ -21,7 +21,9 @@ the low qubits, xi above it, then the QAE ancilla.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
+import re
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -385,30 +387,37 @@ def _panels(a: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(a.reshape(rows, n, cols // n).swapaxes(0, 1))
 
 
-# The variables OpenBLAS takes its thread count from, the first one set to
-# a positive count winning (``harness`` sets them for its workers).
-_OPENBLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# The variables OpenBLAS takes its thread count from, in its order, the
+# first one set to a positive count winning (``harness`` sets them for its
+# workers).
+_OPENBLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _env_blas_threads() -> int | None:
     """The BLAS thread count the environment asks OpenBLAS for, None for
-    its default of one thread per core."""
+    its default of one thread per core.  OpenBLAS reads each value with
+    C's ``atoi``: its leading integer, so "1.5", "1abc" and "+1" mean 1."""
     for name in _OPENBLAS_THREAD_VARS:
-        value = os.environ.get(name, "").strip()
-        if value.isdecimal() and int(value) > 0:
-            return int(value)
+        lead = re.match(r"[ \t\n\v\f\r]*([+-]?[0-9]+)", os.environ.get(name, ""))
+        if lead and int(lead[1]) > 0:
+            return int(lead[1])
     return None
 
 
-# Blocks of at least _AHEAD_MIN_AMPS amplitudes, C(n_y, d - x) * 2^n_xi,
-# build their mixer unitaries on a helper thread.  Where BLAS runs one
-# thread, as read here at import, the helper also claims its share of each
-# layer's column panels of at most _PANEL_AMPS amplitudes
-# (``anneal_feasible_blocks``); fig3's pool workers turn that off
-# (``harness._pool_worker_init``).
+# Blocks of at least _AHEAD_MIN_AMPS amplitudes, C(n_y, d - x) * 2^n_xi, may
+# share column panels of at most _PANEL_AMPS amplitudes with a helper thread
+# (``anneal_feasible_blocks``).
 _AHEAD_MIN_AMPS = 2 ** 15
 _PANEL_AMPS = 2 ** 15
-_SHARE_PANELS = _env_blas_threads() == 1
+_ONE_BLAS_THREAD = _env_blas_threads() == 1
+
+
+def _helper_may_share() -> bool:
+    """Whether BLAS runs one thread in a process that is no
+    ``multiprocessing`` child (fig3's pool workers fill the cores already).
+    Asked on each anneal: a spawned worker imports this module before its
+    parent process is set."""
+    return _ONE_BLAS_THREAD and multiprocessing.parent_process() is None
 
 
 @dataclass
@@ -516,38 +525,34 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
     anneal.  Where the mixer angle is exactly 0 (the last layer of the
     linear ramp) the unitary is the identity and is skipped.
 
-    The unitaries do not depend on the state.  For a block of at least
-    ``_AHEAD_MIN_AMPS`` = 2^15 amplitudes a one-worker thread pool
-    (``concurrent.futures.ThreadPoolExecutor``) helps every layer: its job
+    The unitaries do not depend on the state.  Inline, the calling thread
+    runs each layer's phase products and GEMMs, one per block, then builds
+    the next layer's unitary.  Where T > 0, the block has at least
+    ``_AHEAD_MIN_AMPS`` = 2^15 amplitudes and ``_helper_may_share``, a
+    one-worker thread pool (``concurrent.futures``) helps instead: its job
     for layer t first builds layer t + 1's unitary, and a pair's permuted
-    copy, into the buffer pair layer t - 1 has released.  Where BLAS runs
-    one thread (``_SHARE_PANELS``, read from the environment at import, and
-    off in fig3's pool workers, which fill the cores already), the job then
-    claims layer t's tasks alongside the calling thread.  A task is
-    one column panel of one block: its phase product, then its GEMM
-    (``_layer_panel``).  Both threads take tasks from one shared iterator;
-    each GEMM writes into its thread's spare panel, which then takes the
-    multiplied panel's place, so nothing is copied back or allocated.  The
-    panels are the widest power-of-two column ranges of at most
-    ``_PANEL_AMPS`` = 2^15 amplitudes: 128 columns at C(10, 5) = 252 rows,
-    512 at C(10, 2) = 45.  Each block's state is a list of panel arrays, and
-    its phase and phase base are panel-major arrays (``_panels``).  Without
-    sharing a block is one panel, the whole-block GEMM.  The caller waits on layer t's job before it starts
-    layer t + 1, so two buffer pairs suffice, and a failed build or panel
-    raises from that wait; the pool is joined before this returns or
-    raises.  A column of U @ M is the same bits whichever panel holds it,
-    since each column's sums run in the same order, so the blocks are the
-    same bits at any panel width and whichever thread ran a panel.
+    copy, into the buffer pair layer t - 1 has released, then claims layer
+    t's tasks alongside the calling thread.  A task is one column panel of
+    one block: its phase product, then its GEMM (``_layer_panel``).  Both
+    threads take tasks from one shared iterator; each GEMM writes into its
+    thread's spare panel, which then takes the multiplied panel's place, so
+    nothing is copied back or allocated.  The panels are the widest
+    power-of-two column ranges of at most ``_PANEL_AMPS`` = 2^15
+    amplitudes: 128 columns at C(10, 5) = 252 rows, 512 at C(10, 2) = 45.
+    Each block's state is a list of panel arrays, and its phase and phase
+    base are panel-major arrays (``_panels``); inline, a block is one
+    panel.  The caller waits on layer t's job before it starts layer t + 1,
+    so two buffer pairs suffice, and a failed build or panel raises from
+    that wait; the pool is joined before this returns or raises.  A column
+    of U @ M is the same bits whichever panel holds it and whichever thread
+    ran it, since each column's sums run in the same order, so both modes
+    give the same bits.
 
-    At n_y = 10, T = 100 and one BLAS thread, a shared anneal took 0.13,
-    0.43, 1.18 and 1.09 s for the weights (2, 8), (3, 7), (4, 6) and 5,
-    against 0.15, 0.64, 1.74 and 1.26 s with the helper only building
-    (medians of five).  At more BLAS threads the threads' GEMMs would
-    oversubscribe the cores, so the helper only builds.  Below 2^15
+    Where BLAS runs more threads, or fig3's pool workers fill the cores,
+    the two threads' GEMMs would oversubscribe the cores.  Below 2^15
     amplitudes the hand-over of the GIL each layer costs more than it
     hides: at n_y = 6-10, T = n_y^2 and 1 BLAS thread, building ahead took
-    1.2-2.9 times the inline time at 2^8.6-2^14.2 amplitudes.  Smaller
-    blocks, fig5's among them, build inline on the calling thread.
+    1.2-2.9 times the inline time at 2^8.6-2^14.2 amplitudes.
 
     The scenario register is only control, so each scenario column keeps
     its probability: after the anneal, sum_y |amp|^2 must equal p(xi)
@@ -570,12 +575,11 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
     rows = [ys for ys, _ in grids]
     T = schedule.T
     cols = 2 ** n_xi
-    ahead = T > 0 and len(rows[0]) * cols >= _AHEAD_MIN_AMPS
-    share = ahead and _SHARE_PANELS
+    helper = T > 0 and len(rows[0]) * cols >= _AHEAD_MIN_AMPS and _helper_may_share()
     # the widest power-of-two column panels of at most _PANEL_AMPS
-    # amplitudes where the helper shares, else the whole block as one panel
+    # amplitudes with the helper, else the whole block as one panel
     width = cols
-    if share:
+    if helper:
         width = min(cols, 1 << max((_PANEL_AMPS // len(rows[0])).bit_length() - 1, 0))
     n_panels = cols // width
     ms = []                         # each block's column panels, in order
@@ -596,10 +600,10 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
         # second buffer pair of the built-ahead unitaries in peak memory
         del grids
         phases = [np.ones_like(base) for base in bases]
-        spares = [np.empty_like(ms[0][0]) for _ in range(1 + share)]  # per thread
+        spares = [np.empty_like(ms[0][0]) for _ in range(1 + helper)]  # per thread
         betas = schedule.mixer_angles()
         builds = np.cumsum(betas != 0.0) - 1    # layer t's build index
-        build = _mixer_builder(n_y, weights[0], perm, 2 if ahead else 1)
+        build = _mixer_builder(n_y, weights[0], perm, 2 if helper else 1)
 
         def mixers(t):      # layer t's unitaries, None where it does not mix
             return (build(builds[t], betas[t])
@@ -619,22 +623,21 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
                                                    None if pair is None else pair[j],
                                                    spares[k])
 
-        def helper(t, todo, pair):  # build layer t + 1's unitaries, then share t
+        def share(t, todo, pair):   # build layer t + 1's unitaries, then share t
             built = mixers(t + 1)
-            if share:
-                run(todo, pair, 1)
+            run(todo, pair, 1)
             return built
 
-        if ahead:
+        if helper:
             # imported here so that importing spq loads no executor
             from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(1, "spq-mixer") if ahead else nullcontext() as pool:
-            pair = pool.submit(mixers, 0).result() if ahead else mixers(0)
+        with ThreadPoolExecutor(1, "spq-mixer") if helper else nullcontext() as pool:
+            pair = pool.submit(mixers, 0).result() if helper else mixers(0)
             for t in range(T):
                 todo = iter(tasks)
-                job = pool.submit(helper, t, todo, pair) if ahead else None
+                job = pool.submit(share, t, todo, pair) if helper else None
                 run(todo, pair, 0)
-                pair = job.result() if ahead else mixers(t + 1)
+                pair = job.result() if helper else mixers(t + 1)
         del bases, phases, spares
         grids = [_feasible_grid(model, x, dist) for x in xs]
 

@@ -330,16 +330,6 @@ def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
 _WORKER_BLAS_ENV = {**dict.fromkeys(_OPENBLAS_THREAD_VARS, "1"), "MKL_NUM_THREADS": "1"}
 
 
-def _pool_worker_init() -> None:
-    """Keep each worker's GEMMs on its anneal's calling thread.  The
-    workers already keep the cores busy, so the mixer helper's share of
-    the GEMMs (``dqa._SHARE_PANELS``, on at one BLAS thread) would wait for
-    a core while the caller waits for it."""
-    from . import dqa
-
-    dqa._SHARE_PANELS = False
-
-
 def _pool_map(fn, tasks: list, workers: int) -> list:
     """``fn`` over ``tasks`` on freshly spawned workers with one BLAS thread
     each; the parent's environment is restored afterwards.
@@ -354,8 +344,7 @@ def _pool_map(fn, tasks: list, workers: int) -> list:
     saved = {k: os.environ.get(k) for k in _WORKER_BLAS_ENV}
     os.environ.update(_WORKER_BLAS_ENV)
     try:
-        with ProcessPoolExecutor(workers, mp_context=get_context("spawn"),
-                                 initializer=_pool_worker_init) as pool:
+        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
             return list(pool.map(fn, tasks))
     finally:
         for k, v in saved.items():

@@ -340,25 +340,26 @@ class TestMixerUnitary:
             assert np.array_equal(out, _mixer_unitary(n_y, weight, beta))
 
 
-def share_panels_flag(_):
-    """``dqa._SHARE_PANELS`` in the process that runs this."""
-    return dqa._SHARE_PANELS
+def helper_may_share(_):
+    """``dqa._helper_may_share()`` in the process that runs this."""
+    return dqa._helper_may_share()
 
 
 class TestHelperThread:
-    """Large blocks take each layer's mixer unitary from a helper thread,
-    built one layer ahead, and where BLAS runs one thread the helper also
-    claims column panels of each layer; the blocks are the inline loop's
-    bit for bit and no thread outlives the anneal."""
+    """Where BLAS runs one thread, large blocks take each layer's mixer
+    unitary from a helper thread, built one layer ahead, and the helper
+    then claims column panels of the layer alongside the caller; the
+    blocks are the inline loop's bit for bit and no thread outlives the
+    anneal."""
 
     @staticmethod
-    def anneal_on(monkeypatch, ahead, model, xs, dist, schedule, share=False,
+    def anneal_on(monkeypatch, helper, model, xs, dist, schedule,
                   panels=None, panel_amps=None, both=False):
-        """The blocks, with the helper forced on or off through the size
-        constant (None: the size rule), and the threads that built the
-        unitaries.  ``share`` forces the panel sharing on or off, and
-        ``panels``, if given, collects a (thread, columns) pair for each
-        panel task run; ``panel_amps`` overrides the panel size.  With
+        """The blocks, and the threads that built the unitaries.  ``helper``
+        True forces the helper on at any block size, False forces it off
+        (BLAS not at one thread), and None leaves the size rule at one BLAS
+        thread.  ``panels``, if given, collects a (thread, columns) pair for
+        each panel task run; ``panel_amps`` overrides the panel size.  With
         ``both``, the calling thread's first task waits for the helper's
         first, so both threads run panels however they are scheduled."""
         build_threads = set()
@@ -382,9 +383,9 @@ class TestHelperThread:
         with monkeypatch.context() as patch:
             patch.setattr(dqa, "_mixer_unitary", recorded)
             patch.setattr(dqa, "_layer_panel", recorded_panel)
-            patch.setattr(dqa, "_SHARE_PANELS", share)
-            if ahead is not None:
-                patch.setattr(dqa, "_AHEAD_MIN_AMPS", 0 if ahead else math.inf)
+            patch.setattr(dqa, "_ONE_BLAS_THREAD", helper is not False)
+            if helper:
+                patch.setattr(dqa, "_AHEAD_MIN_AMPS", 0)
             if panel_amps is not None:
                 patch.setattr(dqa, "_PANEL_AMPS", panel_amps)
             blocks = anneal_feasible_blocks(model, xs, dist, schedule)
@@ -393,37 +394,33 @@ class TestHelperThread:
     @pytest.mark.parametrize("n_y", [8, 10])
     @pytest.mark.parametrize("rule", ["linear", "quadratic"])
     def test_helper_and_inline_blocks_are_identical(self, monkeypatch, n_y, rule):
-        # inline, built ahead with the caller running every panel, and built
-        # ahead with both threads claiming panels; at n_y = 8 the panels are
-        # narrowed, so that each block is split as at n_y = 10
+        # inline, and with the helper building ahead and both threads
+        # claiming panels; at n_y = 8 the panels are narrowed, so that each
+        # block is split as at n_y = 10
         model, dist = model_from_instance(generate_instance(n_y, 7))
         schedule = AnnealSchedule.linear(n_y if rule == "linear" else n_y * n_y)
         panel_amps = 2 ** 11 if n_y == 8 else None
         for xs in ((2, n_y - 2), (n_y // 2,)):    # a lockstep pair, weight n_y/2
             assert xs in lockstep_groups(model)
+            inline_panels, panels = [], []
             inline, inline_threads = self.anneal_on(monkeypatch, False, model, xs,
-                                                    dist, schedule)
-            ahead, ahead_threads = self.anneal_on(monkeypatch, True, model, xs,
-                                                  dist, schedule)
-            panels = []
+                                                    dist, schedule,
+                                                    panels=inline_panels)
             shared, shared_threads = self.anneal_on(
-                monkeypatch, True, model, xs, dist, schedule, share=True,
+                monkeypatch, True, model, xs, dist, schedule,
                 panels=panels, panel_amps=panel_amps, both=True)
             assert inline_threads == {threading.main_thread()}
-            assert len(ahead_threads) == 1
-            assert threading.main_thread() not in ahead_threads
+            assert {columns for _, columns in inline_panels} == {2 ** n_y}
             assert len(shared_threads) == 1
             assert threading.main_thread() not in shared_threads
             # both threads ran panel tasks, more than one panel per block
             assert {thread for thread, _ in panels} == (
                 shared_threads | {threading.main_thread()})
             assert max(columns for _, columns in panels) < 2 ** n_y
-            for a, b, c in zip(inline, ahead, shared, strict=True):
-                assert a.x == b.x == c.x
+            for a, b in zip(inline, shared, strict=True):
+                assert a.x == b.x
                 assert np.array_equal(a.amps, b.amps)
-                assert np.array_equal(a.amps, c.amps)
                 assert np.array_equal(a.costs, b.costs)
-                assert np.array_equal(a.costs, c.costs)
 
     def test_concurrent_anneals_under_fast_switching(self, monkeypatch):
         # three callers, each with its own helper, on a shortened switch
@@ -435,6 +432,7 @@ class TestHelperThread:
                                        schedule)[0] for xs in groups}
         got = {}
         monkeypatch.setattr(dqa, "_AHEAD_MIN_AMPS", 0)
+        monkeypatch.setattr(dqa, "_ONE_BLAS_THREAD", True)
         callers = [threading.Thread(target=lambda xs=xs: got.__setitem__(
                        xs, anneal_feasible_blocks(model, xs, dist, schedule)))
                    for xs in groups]
@@ -454,32 +452,32 @@ class TestHelperThread:
 
     def test_size_rule(self, monkeypatch):
         # fig5's blocks (n_y <= 6) stay on the calling thread as one panel,
-        # one BLAS thread or not
+        # at one BLAS thread too
         model, dist = model_from_instance(generate_instance(6, 1))
         for xs in lockstep_groups(model):
             panels = []
             _, threads = self.anneal_on(monkeypatch, None, model, xs, dist,
-                                        AnnealSchedule.linear(36), share=True,
-                                        panels=panels)
+                                        AnnealSchedule.linear(36), panels=panels)
             assert threads <= {threading.main_thread()}
             assert {columns for _, columns in panels} == {2 ** 6}
             assert {thread for thread, _ in panels} == {threading.main_thread()}
-        # at n_y = 10, blocks of at least 2^15 amplitudes take the helper; at
-        # one BLAS thread they split into the widest power-of-two panels of
-        # at most 2^15 amplitudes: 128 columns at C(10, 5) = 252 rows and 512
-        # at C(10, 2) = 45; C(10, 1) * 2^10 amplitudes stay inline
+        # at n_y = 10 and one BLAS thread, blocks of at least 2^15 amplitudes
+        # take the helper and split into the widest power-of-two panels of at
+        # most 2^15 amplitudes: 128 columns at C(10, 5) = 252 rows and 512 at
+        # C(10, 2) = 45; C(10, 1) * 2^10 amplitudes stay inline, and so does
+        # every block where BLAS runs more threads
         model, dist = model_from_instance(generate_instance(10, 1))
         for xs, columns in (((5,), 128), ((2, 8), 512), ((1, 9), 1024)):
-            for share in (False, True):
+            for helper in (False, None):
                 panels = []
-                _, threads = self.anneal_on(monkeypatch, None, model, xs, dist,
-                                            AnnealSchedule.linear(3), share=share,
-                                            panels=panels)
-                if columns == 1024:
+                _, threads = self.anneal_on(monkeypatch, helper, model, xs, dist,
+                                            AnnealSchedule.linear(3), panels=panels)
+                if helper is False or columns == 1024:
                     assert threads == {threading.main_thread()}
+                    assert {c for _, c in panels} == {1024}
                 else:
                     assert len(threads) == 1 and threading.main_thread() not in threads
-                assert {c for _, c in panels} == {columns if share else 1024}
+                    assert {c for _, c in panels} == {columns}
 
     def test_panel_failure_on_the_helper_reaches_the_caller(self, monkeypatch):
         model, dist = model_from_instance(generate_instance(6, 2))
@@ -496,7 +494,7 @@ class TestHelperThread:
         start = threading.active_count()
         monkeypatch.setattr(dqa, "_layer_panel", failing)
         monkeypatch.setattr(dqa, "_AHEAD_MIN_AMPS", 0)
-        monkeypatch.setattr(dqa, "_SHARE_PANELS", True)
+        monkeypatch.setattr(dqa, "_ONE_BLAS_THREAD", True)
         with pytest.raises(FloatingPointError, match="panel GEMM failed"):
             anneal_feasible_blocks(model, (1, 5), dist, AnnealSchedule.linear(8))
         assert helper_failed.is_set()
@@ -507,14 +505,25 @@ class TestHelperThread:
         ({}, False),
         ({"OMP_NUM_THREADS": "1"}, True),
         ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        ({"GOTO_NUM_THREADS": "1"}, True),
+        ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "1.5"}, True),
+        ({"OPENBLAS_NUM_THREADS": "1abc"}, True),
+        ({"OPENBLAS_NUM_THREADS": "+1"}, True),
+        ({"OPENBLAS_NUM_THREADS": " 1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "-1", "OMP_NUM_THREADS": "2"}, False),
     ])
     def test_sharing_follows_the_blas_thread_variables(self, env, shared):
-        # read once at import, first OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS
+        # read at import in OpenBLAS's order, OPENBLAS_NUM_THREADS, then
+        # GOTO_NUM_THREADS, then OMP_NUM_THREADS, each value as C's atoi
+        # reads it; a value of 0 or none counts as unset
         src = str(Path(spq.__file__).resolve().parent.parent)
         base = {k: v for k, v in os.environ.items()
                 if k not in dqa._OPENBLAS_THREAD_VARS}
         proc = subprocess.run(
-            [sys.executable, "-c", "from spq import dqa; print(dqa._SHARE_PANELS)"],
+            [sys.executable, "-c", "from spq import dqa; print(dqa._helper_may_share())"],
             timeout=120, capture_output=True, text=True,
             env=dict(base, PYTHONPATH=src, **env))
         assert proc.returncode == 0, proc.stderr
@@ -534,17 +543,18 @@ class TestHelperThread:
         start = threading.active_count()
         monkeypatch.setattr(dqa, "_mixer_unitary", failing)
         monkeypatch.setattr(dqa, "_AHEAD_MIN_AMPS", 0)
+        monkeypatch.setattr(dqa, "_ONE_BLAS_THREAD", True)
         with pytest.raises(FloatingPointError, match="build 3 failed"):
             anneal_feasible_blocks(model, (1, 5), dist, AnnealSchedule.linear(8))
         assert len(calls) == 3 and threading.main_thread() not in calls
         assert threading.active_count() == start
 
-    @pytest.mark.parametrize("ahead", [False, True])
-    def test_no_thread_outlives_an_anneal(self, monkeypatch, ahead):
+    @pytest.mark.parametrize("helper", [False, True])
+    def test_no_thread_outlives_an_anneal(self, monkeypatch, helper):
         model, dist = model_from_instance(generate_instance(6, 3))
         schedule = AnnealSchedule.linear(12)
         start = threading.active_count()
-        self.anneal_on(monkeypatch, ahead, model, (3,), dist, schedule)
+        self.anneal_on(monkeypatch, helper, model, (3,), dist, schedule)
         assert threading.active_count() == start
 
         # the calling thread fails in layer 5's GEMM, with the helper alive
@@ -566,7 +576,8 @@ class TestHelperThread:
             return failing
 
         monkeypatch.setattr(dqa, "_mixer_builder", failing_builder)
-        monkeypatch.setattr(dqa, "_AHEAD_MIN_AMPS", 0 if ahead else math.inf)
+        monkeypatch.setattr(dqa, "_AHEAD_MIN_AMPS", 0)
+        monkeypatch.setattr(dqa, "_ONE_BLAS_THREAD", helper)
         with pytest.raises(ZeroDivisionError, match="layer 5"):
             anneal_feasible_blocks(model, (3,), dist, schedule)
         assert threading.active_count() == start
@@ -581,17 +592,39 @@ class TestHelperThread:
         for xs in ((1, 5), (3,)):               # a lockstep pair, a lone x
             assert xs in lockstep_groups(model)
             inline, _ = self.anneal_on(monkeypatch, False, model, xs, dist, schedule)
-            ahead, threads = self.anneal_on(monkeypatch, True, model, xs, dist,
-                                            schedule)
+            shared, threads = self.anneal_on(monkeypatch, True, model, xs, dist,
+                                             schedule)
             assert threading.active_count() == start
             assert len(threads) == T - 1 and threading.main_thread() not in threads
-            for a, b in zip(inline, ahead, strict=True):
+            for a, b in zip(inline, shared, strict=True):
                 assert np.array_equal(a.amps, b.amps)
 
     def test_pool_workers_leave_the_gemms_to_the_caller(self):
-        # fig3's workers run one BLAS thread each but already fill the cores
+        # fig3's workers run one BLAS thread each but already fill the cores;
+        # the worker itself knows it is one, with no initializer telling it
         assert harness._WORKER_BLAS_ENV["OPENBLAS_NUM_THREADS"] == "1"
-        assert harness._pool_map(share_panels_flag, [0], 1) == [False]
+        assert harness._pool_map(helper_may_share, [0], 1) == [False]
+
+    @pytest.mark.parametrize("one_thread", [False, True])
+    def test_the_helper_only_runs_where_it_shares(self, one_thread):
+        # with the BLAS thread variables unset, an n_y = 10 anneal runs
+        # inline and loads no executor; at one BLAS thread it takes the helper
+        code = ("import sys\n"
+                "from spq import dqa\n"
+                "from spq.model import generate_instance, model_from_instance\n"
+                "model, dist = model_from_instance(generate_instance(10, 0))\n"
+                "dqa.anneal_feasible_blocks(model, (5,), dist, dqa.AnnealSchedule.linear(2))\n"
+                "print('concurrent.futures' in sys.modules)\n")
+        src = str(Path(spq.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items()
+               if k not in dqa._OPENBLAS_THREAD_VARS}
+        if one_thread:
+            env["OPENBLAS_NUM_THREADS"] = "1"
+        proc = subprocess.run([sys.executable, "-c", code], timeout=120,
+                              capture_output=True, text=True,
+                              env=dict(env, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str(one_thread)
 
     def test_importing_spq_starts_no_thread(self):
         # worker start-up is timed (perfbench setup_s), so the helper
@@ -648,33 +681,57 @@ class TestColumnReference:
                 ref = column_reference(model, x, xi, schedule)
                 assert np.abs(column - math.sqrt(p_xi[xi]) * ref).max() <= 1e-12
 
-    @pytest.mark.parametrize("n_y", [8, 10])
-    def test_blocks_at_the_shipped_sizes(self, monkeypatch, n_y):
-        # T = n_y^2, every lockstep group, with the helper sharing panels
-        # (at n_y = 8 the helper is forced on, no block there reaching its
-        # size); two scenario columns per group, drawn from a fixed seed,
-        # the first pinned in the group's first block, the second in its last
-        model, dist = model_from_instance(generate_instance(n_y, 0))
-        schedule = AnnealSchedule.linear(n_y * n_y)
-        monkeypatch.setattr(dqa, "_SHARE_PANELS", True)
+    @staticmethod
+    def pin_columns(monkeypatch, model, dist, pick):
+        """Pin columns of every lockstep group's blocks at both T rules, with
+        the helper sharing panels (forced on at n_y = 8, where no block
+        reaches its size): pick(p_xi) gives two scenario columns per group,
+        the first pinned in the group's first block, the second in its last.
+        Returns the worst deviation."""
+        n_y = model.n_y
+        monkeypatch.setattr(dqa, "_ONE_BLAS_THREAD", True)
         if n_y == 8:
             monkeypatch.setattr(dqa, "_AHEAD_MIN_AMPS", 0)
         p_xi = np.zeros(2 ** n_y)
         p_xi[dist.scenarios] = dist.probabilities
-        rng = np.random.default_rng(1000 + n_y)
         groups = lockstep_groups(model)
         assert (n_y // 2,) in groups               # the lone C(n_y, n_y/2)-row block
         worst = 0.0
-        for xs in groups:
-            blocks = anneal_feasible_blocks(model, xs, dist, schedule)
-            xis = rng.choice(2 ** n_y, 2, replace=False).tolist()
-            for xi, block in zip(xis, (blocks[0], blocks[-1])):
-                ref = column_reference(model, block.x, xi, schedule)
-                expected = math.sqrt(p_xi[xi]) * ref[block.ys]
-                deviation = np.abs(block.amps[:, xi] - expected).max()
-                assert deviation <= 1e-12, (block.x, xi)
-                worst = max(worst, deviation)
+        for schedule in (AnnealSchedule.linear(n_y), AnnealSchedule.linear(n_y * n_y)):
+            for xs in groups:
+                blocks = anneal_feasible_blocks(model, xs, dist, schedule)
+                for xi, block in zip(pick(p_xi), (blocks[0], blocks[-1])):
+                    ref = column_reference(model, block.x, xi, schedule)
+                    expected = math.sqrt(p_xi[xi]) * ref[block.ys]
+                    deviation = np.abs(block.amps[:, xi] - expected).max()
+                    assert deviation <= 1e-12, (schedule.T, block.x, xi)
+                    worst = max(worst, deviation)
+        return worst
+
+    @pytest.mark.parametrize("n_y", [8, 10])
+    def test_blocks_at_the_shipped_sizes(self, monkeypatch, n_y):
+        # T = n_y and n_y^2 on a generated instance; two scenario columns
+        # per group, drawn from a fixed seed
+        model, dist = model_from_instance(generate_instance(n_y, 0))
+        rng = np.random.default_rng(1000 + n_y)
+        worst = self.pin_columns(monkeypatch, model, dist,
+                                 lambda _: rng.choice(2 ** n_y, 2, replace=False).tolist())
         print(f"\nn_y = {n_y}: worst column deviation {worst:.2e}")
+
+    def test_blocks_under_a_sparse_law(self, monkeypatch):
+        # an explicit non-uniform law at n_y = 8 on 160 of the 256 scenarios,
+        # ten of them listed at probability 0; per group one column drawn from
+        # the support and one from the zero-probability scenarios, whose
+        # columns must stay empty
+        model, _ = model_from_instance(generate_instance(8, 0))
+        rng = np.random.default_rng(1008)
+        scenarios = rng.choice(256, 160, replace=False)
+        probs = np.concatenate([rng.dirichlet(np.ones(150)), np.zeros(10)])
+        dist = DiscreteDistribution(8, scenarios, probs)
+        worst = self.pin_columns(monkeypatch, model, dist, lambda p_xi: [
+            int(rng.choice(np.flatnonzero(p_xi > 0))),
+            int(rng.choice(np.flatnonzero(p_xi == 0)))])
+        print(f"\nn_y = 8, sparse law: worst column deviation {worst:.2e}")
 
 
 def scattered(block, n_y, n_xi):
