@@ -341,27 +341,19 @@ def _mixer_unitary(n_y: int, weight: int, beta: float,
     return out
 
 
-def _mixer_builder(n_y: int, weight: int, perm: np.ndarray | None, slots: int):
-    """``build(i, beta)``, which builds (U, U[perm][:, perm] or None) at beta
-    into the (i mod ``slots``)-th of ``slots`` reused buffer pairs and
-    returns it, so a pair is overwritten ``slots`` builds later.  The
-    buffers and work rows are allocated here, by the caller's thread,
-    before any build, whichever thread then builds.
+def _mixer_builder(n_y: int, weight: int, slots: int):
+    """``build(t, beta)``, which builds U at beta into the (t mod
+    ``slots``)-th of ``slots`` reused buffers and returns it, so a buffer
+    is overwritten ``slots`` builds later.  The buffers and work rows are
+    allocated here, by the caller's thread, before any build, whichever
+    thread then builds.
     """
     n = len(feasible_decisions(n_y, weight))
     scratch = _mixer_scratch(n_y, weight)
-    buffers = [(np.empty((n, n), dtype=complex),
-                None if perm is None else np.empty((n, n), dtype=complex))
-               for _ in range(slots)]
-    # u[np.ix_(perm, perm)] as one gather from the flattened u
-    flat = None if perm is None else (perm[:, None] * n + perm).ravel()
+    buffers = [np.empty((n, n), dtype=complex) for _ in range(slots)]
 
-    def build(i, beta):
-        u, u_perm = buffers[i % slots]
-        _mixer_unitary(n_y, weight, beta, u, scratch)
-        if flat is not None:
-            np.take(u.reshape(-1), flat, out=u_perm.reshape(-1), mode="clip")
-        return u, u_perm
+    def build(t, beta):
+        return _mixer_unitary(n_y, weight, beta, buffers[t % slots], scratch)
 
     return build
 
@@ -382,7 +374,7 @@ def _layer_panel(phase: np.ndarray, base: np.ndarray, panel: np.ndarray,
 
 def _panels(a: np.ndarray, n: int) -> np.ndarray:
     """A (rows, cols) block as n panel-major column panels, (n, rows,
-    cols / n); a view for n = 1, one contiguous copy otherwise."""
+    cols / n), contiguous: a view of a contiguous block for n = 1."""
     rows, cols = a.shape
     return np.ascontiguousarray(a.reshape(rows, n, cols // n).swapaxes(0, 1))
 
@@ -390,7 +382,8 @@ def _panels(a: np.ndarray, n: int) -> np.ndarray:
 # The variables OpenBLAS takes its thread count from, in its order, the
 # first one set to a positive count winning (``harness`` sets them for its
 # workers).
-_OPENBLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_OPENBLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OPENBLAS_DEFAULT_NUM_THREADS",
+                         "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _env_blas_threads() -> int | None:
@@ -404,10 +397,9 @@ def _env_blas_threads() -> int | None:
     return None
 
 
-# Blocks of at least _AHEAD_MIN_AMPS amplitudes, C(n_y, d - x) * 2^n_xi, may
-# share column panels of at most _PANEL_AMPS amplitudes with a helper thread
+# Blocks of more than _PANEL_AMPS amplitudes, C(n_y, d - x) * 2^n_xi, may
+# share column panels of at most that many with a helper thread
 # (``anneal_feasible_blocks``).
-_AHEAD_MIN_AMPS = 2 ** 15
 _PANEL_AMPS = 2 ** 15
 _ONE_BLAS_THREAD = _env_blas_threads() == 1
 
@@ -518,21 +510,25 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
     linear ramp a(t) = t/T the layer-t phase e^{i q t/T} is base^t with
     base = e^{i q/T}, so each layer multiplies the running phase by the
     base instead of taking a complex exp.  The XY
-    mixer commutes with complementing every bit, so the unitary at weight
-    n_y - w is the weight-w one with rows and columns permuted by bit
-    complement, bit for bit; a pair builds it once per layer.  The blocks
+    mixer commutes with complementing every bit, which reverses the order
+    of the feasible rows, so the unitary at weight n_y - w is the weight-w
+    one with rows and columns reversed, bit for bit.  Only weights up to
+    n_y/2 build one: a block of weight w above n_y/2, lone or paired,
+    anneals with its rows (and cost grid) reversed under U(n_y - w), and
+    its rows are reversed back at the end; a pair builds its unitary once
+    per layer.  The blocks
     keep separate GEMMs, so each one's sums run in the order of a lone
     anneal.  Where the mixer angle is exactly 0 (the last layer of the
     linear ramp) the unitary is the identity and is skipped.
 
     The unitaries do not depend on the state.  Inline, the calling thread
     runs each layer's phase products and GEMMs, one per block, then builds
-    the next layer's unitary.  Where T > 0, the block has at least
-    ``_AHEAD_MIN_AMPS`` = 2^15 amplitudes and ``_helper_may_share``, a
+    the next layer's unitary.  Where T > 0, the block splits into more
+    than one column panel (below) and ``_helper_may_share``, a
     one-worker thread pool (``concurrent.futures``) helps instead: its job
-    for layer t first builds layer t + 1's unitary, and a pair's permuted
-    copy, into the buffer pair layer t - 1 has released, then claims layer
-    t's tasks alongside the calling thread.  A task is one column panel of
+    for layer t first builds layer t + 1's unitary into the buffer layer
+    t - 1 has released, then claims layer t's tasks alongside the calling
+    thread.  A task is one column panel of
     one block: its phase product, then its GEMM (``_layer_panel``).  Both
     threads take tasks from one shared iterator; each GEMM writes into its
     thread's spare panel, which then takes the multiplied panel's place, so
@@ -542,22 +538,23 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
     Each block's state is a list of panel arrays, and its phase and phase
     base are panel-major arrays (``_panels``); inline, a block is one
     panel.  The caller waits on layer t's job before it starts layer t + 1,
-    so two buffer pairs suffice, and a failed build or panel raises from
+    so two buffers suffice, and a failed build or panel raises from
     that wait; the pool is joined before this returns or raises.  A column
     of U @ M is the same bits whichever panel holds it and whichever thread
     ran it, since each column's sums run in the same order, so both modes
     give the same bits.
 
     Where BLAS runs more threads, or fig3's pool workers fill the cores,
-    the two threads' GEMMs would oversubscribe the cores.  Below 2^15
-    amplitudes the hand-over of the GIL each layer costs more than it
-    hides: at n_y = 6-10, T = n_y^2 and 1 BLAS thread, building ahead took
-    1.2-2.9 times the inline time at 2^8.6-2^14.2 amplitudes.
+    the two threads' GEMMs would oversubscribe the cores.  Up to 2^15
+    amplitudes, one panel, the hand-over of the GIL each layer costs more
+    than it hides: at n_y = 6-10, T = n_y^2 and 1 BLAS thread, building
+    ahead took 1.2-2.9 times the inline time at 2^8.6-2^14.2 amplitudes.
 
     The scenario register is only control, so each scenario column keeps
     its probability: after the anneal, sum_y |amp|^2 must equal p(xi)
     within ``PROB_SUM_TOL`` in every column, or this raises ValueError;
-    nothing is renormalised.
+    nothing is renormalised.  The blocks are returned C-contiguous, their
+    rows in ascending y.
     """
     if len(xs) not in (1, 2):
         raise ValueError(f"anneal one or two first-stage decisions, got {len(xs)}")
@@ -566,53 +563,49 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
     if len(xs) == 2 and (weights[0] + weights[1] != n_y or xs[0] == xs[1]):
         raise ValueError(f"weights {weights} of x={xs} are not complementary "
                          f"on {n_y} qubits")
+    # each block's row order in the anneal, -1 reversed above weight n_y/2
+    steps = [-1 if 2 * w > n_y else 1 for w in weights]
 
     xi_amps = np.zeros(2 ** n_xi)
     xi_amps[dist.scenarios] = np.sqrt(dist.probabilities)
     # q(y, xi) for populated rows; the fused cost+penalty layer is the
     # diagonal phase e^{+i a(t) q} (P(theta) has the +i convention)
     grids = [_feasible_grid(model, x, dist) for x in xs]
-    rows = [ys for ys, _ in grids]
+    rows = len(grids[0][0])
     T = schedule.T
     cols = 2 ** n_xi
-    helper = T > 0 and len(rows[0]) * cols >= _AHEAD_MIN_AMPS and _helper_may_share()
     # the widest power-of-two column panels of at most _PANEL_AMPS
     # amplitudes with the helper, else the whole block as one panel
-    width = cols
-    if helper:
-        width = min(cols, 1 << max((_PANEL_AMPS // len(rows[0])).bit_length() - 1, 0))
+    width = min(cols, 1 << max((_PANEL_AMPS // rows).bit_length() - 1, 0))
+    helper = T > 0 and width < cols and _helper_may_share()
+    if not helper:
+        width = cols
     n_panels = cols // width
-    ms = []                         # each block's column panels, in order
-    for ys in rows:
-        column = xi_amps / math.sqrt(len(ys))
-        ms.append([np.ascontiguousarray(np.broadcast_to(
-                       column[p * width:(p + 1) * width], (len(ys), width)), dtype=complex)
-                   for p in range(n_panels)])
+    column = xi_amps / math.sqrt(rows)
+    ms = [[np.ascontiguousarray(np.broadcast_to(column[p * width:(p + 1) * width],
+                                                (rows, width)), dtype=complex)
+           for p in range(n_panels)]
+          for _ in xs]              # each block's column panels, in order
 
     if T > 0:
-        # the partner's rows in the first block's order: row i of the
-        # partner is the complement of row perm[i] of the first block
-        perm = (np.searchsorted(rows[0], (2 ** n_y - 1) ^ rows[1])
-                if len(xs) == 2 else None)
-        bases = [np.exp(1j * (1 / T) * _panels(q, n_panels)) for _, q in grids]
+        bases = [np.exp(1j * (1 / T) * _panels(q[::step], n_panels))
+                 for (_, q), step in zip(grids, steps)]
         # the cost grids are dropped for the anneal and built again once
         # the phases are gone, the same floats: this more than offsets the
-        # second buffer pair of the built-ahead unitaries in peak memory
+        # second buffer of the built-ahead unitaries in peak memory
         del grids
         phases = [np.ones_like(base) for base in bases]
         spares = [np.empty_like(ms[0][0]) for _ in range(1 + helper)]  # per thread
         betas = schedule.mixer_angles()
-        builds = np.cumsum(betas != 0.0) - 1    # layer t's build index
-        build = _mixer_builder(n_y, weights[0], perm, 2 if helper else 1)
+        build = _mixer_builder(n_y, min(weights[0], n_y - weights[0]), 2 if helper else 1)
 
-        def mixers(t):      # layer t's unitaries, None where it does not mix
-            return (build(builds[t], betas[t])
-                    if t < T and betas[t] != 0.0 else None)
+        def mixer(t):       # layer t's unitary, None where it does not mix
+            return build(t, betas[t]) if t < T and betas[t] != 0.0 else None
 
         tasks = [(j, p) for j in range(len(xs)) for p in range(n_panels)]
         claim = threading.Lock()
 
-        def run(todo, pair, k):     # thread k claims (block, panel) tasks until none is left
+        def run(todo, u, k):        # thread k claims (block, panel) tasks until none is left
             while True:
                 with claim:
                     task = next(todo, None)
@@ -620,28 +613,28 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
                     return
                 j, p = task
                 ms[j][p], spares[k] = _layer_panel(phases[j][p], bases[j][p], ms[j][p],
-                                                   None if pair is None else pair[j],
-                                                   spares[k])
+                                                   u, spares[k])
 
-        def share(t, todo, pair):   # build layer t + 1's unitaries, then share t
-            built = mixers(t + 1)
-            run(todo, pair, 1)
+        def share(t, todo, u):      # build layer t + 1's unitary, then share t
+            built = mixer(t + 1)
+            run(todo, u, 1)
             return built
 
         if helper:
             # imported here so that importing spq loads no executor
             from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(1, "spq-mixer") if helper else nullcontext() as pool:
-            pair = pool.submit(mixers, 0).result() if helper else mixers(0)
+            u = pool.submit(mixer, 0).result() if helper else mixer(0)
             for t in range(T):
                 todo = iter(tasks)
-                job = pool.submit(share, t, todo, pair) if helper else None
-                run(todo, pair, 0)
-                pair = job.result() if helper else mixers(t + 1)
+                job = pool.submit(share, t, todo, u) if helper else None
+                run(todo, u, 0)
+                u = job.result() if helper else mixer(t + 1)
         del bases, phases, spares
         grids = [_feasible_grid(model, x, dist) for x in xs]
 
-    ms = [m[0] if len(m) == 1 else np.concatenate(m, axis=1) for m in ms]
+    ms = [m[0] if len(m) == 1 and step == 1 else np.concatenate([p[::step] for p in m], axis=1)
+          for m, step in zip(ms, steps)]     # each block one array, rows in ascending y
     # the scenario register is only control, so each column keeps p(xi)
     p_xi = np.zeros(cols)
     p_xi[dist.scenarios] = dist.probabilities

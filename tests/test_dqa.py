@@ -311,11 +311,13 @@ class TestMixerUnitary:
         st.just(n), st.integers(0, n),
         st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False))))
     def test_complement_weight_is_permuted_unitary_bit_for_bit(self, case):
-        # the lockstep anneal uses the permuted unitary for the partner
-        # weight instead of building it
+        # a block of weight above n_y/2 anneals in complement order under
+        # the complement weight's unitary instead of building its own; that
+        # order is the feasible rows reversed
         n_y, weight, beta = case
         perm = np.searchsorted(feasible_decisions(n_y, weight),
                                (2 ** n_y - 1) ^ feasible_decisions(n_y, n_y - weight))
+        assert np.array_equal(perm, np.arange(len(perm))[::-1])
         u = _mixer_unitary(n_y, weight, beta)
         assert np.array_equal(u[np.ix_(perm, perm)],
                               _mixer_unitary(n_y, n_y - weight, beta))
@@ -340,6 +342,11 @@ class TestMixerUnitary:
             assert np.array_equal(out, _mixer_unitary(n_y, weight, beta))
 
 
+# panels of at most 2^8 amplitudes split every block of more than one row
+# at n_y = 6, so a test can force the helper on at that size
+FORCED_PANEL_AMPS = 2 ** 8
+
+
 def helper_may_share(_):
     """``dqa._helper_may_share()`` in the process that runs this."""
     return dqa._helper_may_share()
@@ -356,10 +363,11 @@ class TestHelperThread:
     def anneal_on(monkeypatch, helper, model, xs, dist, schedule,
                   panels=None, panel_amps=None, both=False):
         """The blocks, and the threads that built the unitaries.  ``helper``
-        True forces the helper on at any block size, False forces it off
-        (BLAS not at one thread), and None leaves the size rule at one BLAS
-        thread.  ``panels``, if given, collects a (thread, columns) pair for
-        each panel task run; ``panel_amps`` overrides the panel size.  With
+        True forces the helper on (its panels narrowed to ``panel_amps``,
+        default ``FORCED_PANEL_AMPS``), False forces it off (BLAS not at one
+        thread), and None leaves the size rule at one BLAS thread.
+        ``panels``, if given, collects a (thread, columns) pair for each
+        panel task run; ``panel_amps`` overrides the panel size.  With
         ``both``, the calling thread's first task waits for the helper's
         first, so both threads run panels however they are scheduled."""
         build_threads = set()
@@ -384,8 +392,8 @@ class TestHelperThread:
             patch.setattr(dqa, "_mixer_unitary", recorded)
             patch.setattr(dqa, "_layer_panel", recorded_panel)
             patch.setattr(dqa, "_ONE_BLAS_THREAD", helper is not False)
-            if helper:
-                patch.setattr(dqa, "_AHEAD_MIN_AMPS", 0)
+            if helper and panel_amps is None:
+                panel_amps = FORCED_PANEL_AMPS
             if panel_amps is not None:
                 patch.setattr(dqa, "_PANEL_AMPS", panel_amps)
             blocks = anneal_feasible_blocks(model, xs, dist, schedule)
@@ -396,10 +404,10 @@ class TestHelperThread:
     def test_helper_and_inline_blocks_are_identical(self, monkeypatch, n_y, rule):
         # inline, and with the helper building ahead and both threads
         # claiming panels; at n_y = 8 the panels are narrowed, so that each
-        # block is split as at n_y = 10
+        # block is split as at n_y = 10, where they keep their size
         model, dist = model_from_instance(generate_instance(n_y, 7))
         schedule = AnnealSchedule.linear(n_y if rule == "linear" else n_y * n_y)
-        panel_amps = 2 ** 11 if n_y == 8 else None
+        panel_amps = 2 ** 11 if n_y == 8 else dqa._PANEL_AMPS
         for xs in ((2, n_y - 2), (n_y // 2,)):    # a lockstep pair, weight n_y/2
             assert xs in lockstep_groups(model)
             inline_panels, panels = [], []
@@ -431,7 +439,7 @@ class TestHelperThread:
         expected = {xs: self.anneal_on(monkeypatch, False, model, xs, dist,
                                        schedule)[0] for xs in groups}
         got = {}
-        monkeypatch.setattr(dqa, "_AHEAD_MIN_AMPS", 0)
+        monkeypatch.setattr(dqa, "_PANEL_AMPS", FORCED_PANEL_AMPS)
         monkeypatch.setattr(dqa, "_ONE_BLAS_THREAD", True)
         callers = [threading.Thread(target=lambda xs=xs: got.__setitem__(
                        xs, anneal_feasible_blocks(model, xs, dist, schedule)))
@@ -493,7 +501,7 @@ class TestHelperThread:
 
         start = threading.active_count()
         monkeypatch.setattr(dqa, "_layer_panel", failing)
-        monkeypatch.setattr(dqa, "_AHEAD_MIN_AMPS", 0)
+        monkeypatch.setattr(dqa, "_PANEL_AMPS", FORCED_PANEL_AMPS)
         monkeypatch.setattr(dqa, "_ONE_BLAS_THREAD", True)
         with pytest.raises(FloatingPointError, match="panel GEMM failed"):
             anneal_feasible_blocks(model, (1, 5), dist, AnnealSchedule.linear(8))
@@ -514,11 +522,26 @@ class TestHelperThread:
         ({"OPENBLAS_NUM_THREADS": " 1"}, True),
         ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, True),
         ({"OPENBLAS_NUM_THREADS": "-1", "OMP_NUM_THREADS": "2"}, False),
+        ({"OPENBLAS_DEFAULT_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_DEFAULT_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}, False),
+        ({"OPENBLAS_DEFAULT_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_DEFAULT_NUM_THREADS": "1", "GOTO_NUM_THREADS": "2"}, True),
+        ({"OPENBLAS_DEFAULT_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1"}, False),
+        ({"OPENBLAS_DEFAULT_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, True),
+        ({"OPENBLAS_DEFAULT_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        ({"OPENBLAS_DEFAULT_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_DEFAULT_NUM_THREADS": "-1", "OMP_NUM_THREADS": "2"}, False),
+        ({"OPENBLAS_DEFAULT_NUM_THREADS": "1abc", "OMP_NUM_THREADS": "2"}, True),
+        ({"OPENBLAS_NUM_THREADS": "abc", "OPENBLAS_DEFAULT_NUM_THREADS": "2",
+          "OMP_NUM_THREADS": "1"}, False),
     ])
     def test_sharing_follows_the_blas_thread_variables(self, env, shared):
         # read at import in OpenBLAS's order, OPENBLAS_NUM_THREADS, then
-        # GOTO_NUM_THREADS, then OMP_NUM_THREADS, each value as C's atoi
-        # reads it; a value of 0 or none counts as unset
+        # OPENBLAS_DEFAULT_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS,
+        # each value as C's atoi reads it; a value of 0 or none counts as
+        # unset.  OpenBLAS 0.3.31 ran each OPENBLAS_DEFAULT_NUM_THREADS case
+        # at the thread count expected here: a 1500^2 GEMM's CPU-to-wall
+        # ratio read 1.0 where one thread is expected, 2.0 on 2 cores where not
         src = str(Path(spq.__file__).resolve().parent.parent)
         base = {k: v for k, v in os.environ.items()
                 if k not in dqa._OPENBLAS_THREAD_VARS}
@@ -542,7 +565,7 @@ class TestHelperThread:
 
         start = threading.active_count()
         monkeypatch.setattr(dqa, "_mixer_unitary", failing)
-        monkeypatch.setattr(dqa, "_AHEAD_MIN_AMPS", 0)
+        monkeypatch.setattr(dqa, "_PANEL_AMPS", FORCED_PANEL_AMPS)
         monkeypatch.setattr(dqa, "_ONE_BLAS_THREAD", True)
         with pytest.raises(FloatingPointError, match="build 3 failed"):
             anneal_feasible_blocks(model, (1, 5), dist, AnnealSchedule.linear(8))
@@ -569,14 +592,14 @@ class TestHelperThread:
         def failing_builder(*args):
             build = builder(*args)
 
-            def failing(i, *rest):
-                u, u_perm = build(i, *rest)
-                return (FailingUnitary() if i == 4 else u), u_perm
+            def failing(t, *rest):
+                u = build(t, *rest)
+                return FailingUnitary() if t == 4 else u
 
             return failing
 
         monkeypatch.setattr(dqa, "_mixer_builder", failing_builder)
-        monkeypatch.setattr(dqa, "_AHEAD_MIN_AMPS", 0)
+        monkeypatch.setattr(dqa, "_PANEL_AMPS", FORCED_PANEL_AMPS)
         monkeypatch.setattr(dqa, "_ONE_BLAS_THREAD", helper)
         with pytest.raises(ZeroDivisionError, match="layer 5"):
             anneal_feasible_blocks(model, (3,), dist, schedule)
@@ -685,13 +708,15 @@ class TestColumnReference:
     def pin_columns(monkeypatch, model, dist, pick):
         """Pin columns of every lockstep group's blocks at both T rules, with
         the helper sharing panels (forced on at n_y = 8, where no block
-        reaches its size): pick(p_xi) gives two scenario columns per group,
+        splits at the shipped panel size, by panels of at most 2^7
+        amplitudes, so that every block splits): pick(p_xi) gives two
+        scenario columns per group,
         the first pinned in the group's first block, the second in its last.
         Returns the worst deviation."""
         n_y = model.n_y
         monkeypatch.setattr(dqa, "_ONE_BLAS_THREAD", True)
         if n_y == 8:
-            monkeypatch.setattr(dqa, "_AHEAD_MIN_AMPS", 0)
+            monkeypatch.setattr(dqa, "_PANEL_AMPS", 2 ** 7)
         p_xi = np.zeros(2 ** n_y)
         p_xi[dist.scenarios] = dist.probabilities
         groups = lockstep_groups(model)
@@ -765,6 +790,40 @@ class TestLockstepAnneal:
         assert sum(len(xs) == 2 for xs in groups) == (n_y + 1) // 2
         self.assert_blocks_match_lone_runs(model, dist, AnnealSchedule.linear(n_y),
                                            groups)
+
+    def test_blocks_equal_the_lone_anneal_with_the_helper(self, monkeypatch):
+        # n_y = 10 with the helper forced on, as at one BLAS thread, so both
+        # threads share the GEMMs' column panels: the pair (2, 8), whose x = 2
+        # block anneals in complement order, and the lone x = 5
+        monkeypatch.setattr(dqa, "_ONE_BLAS_THREAD", True)
+        assert dqa._helper_may_share()
+        model, dist = model_from_instance(generate_instance(10, 30))
+        self.assert_blocks_match_lone_runs(model, dist, AnnealSchedule.linear(10),
+                                           [(2, 8), (5,)])
+
+    @pytest.mark.parametrize("n_y", [6, 8, 10])
+    def test_only_weights_up_to_half_build_a_unitary(self, monkeypatch, n_y):
+        # a block of weight above n_y/2 anneals under its complement
+        # weight's unitary, paired and alone, inline and with the helper
+        # sharing panels; every returned block is C-contiguous
+        model, dist = model_from_instance(generate_instance(n_y, 40 + n_y))
+        schedule = AnnealSchedule.linear(3)
+        build, weights = dqa._mixer_unitary, []
+
+        def recorded(n, weight, *args, **kwargs):
+            weights.append(weight)
+            return build(n, weight, *args, **kwargs)
+
+        monkeypatch.setattr(dqa, "_mixer_unitary", recorded)
+        for helper in (False, True):
+            monkeypatch.setattr(dqa, "_ONE_BLAS_THREAD", helper)
+            if helper:
+                monkeypatch.setattr(dqa, "_PANEL_AMPS", 2 ** 7)
+            for xs in lockstep_groups(model) + [(1,)]:
+                for block in anneal_feasible_blocks(model, xs, dist, schedule):
+                    assert block.amps.flags.c_contiguous, (helper, block.x)
+            run_dqa_fast(model, 1, dist, schedule)    # weight n_y - 1, alone
+        assert set(weights) == set(range(n_y // 2 + 1))
 
     def test_unpaired_weights_below_full_demand(self):
         # d = 4 < n_y = 6: weights 4..0 for x = 0..4; 4 and 2 pair, 3 is its

@@ -610,7 +610,8 @@ class TestExperimentOutputs:
         spec = ExperimentSpec(kind="fig3", n_y_values=(3,), n_instances=2,
                               master_seed=1)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-        for name in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        for name in ("OPENBLAS_DEFAULT_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.delenv(name, raising=False)
         experiment_fig3(spec, tmp_path / "a", workers=1)
         experiment_fig3(spec, tmp_path / "b", workers=2)
@@ -618,11 +619,13 @@ class TestExperimentOutputs:
         meta_b = json.loads((tmp_path / "b" / "meta.json").read_text())
         assert meta_a["workers"] == 1
         assert meta_a["worker_blas_env"] == {"OPENBLAS_NUM_THREADS": "3",
+                                             "OPENBLAS_DEFAULT_NUM_THREADS": None,
                                              "GOTO_NUM_THREADS": None,
                                              "OMP_NUM_THREADS": None,
                                              "MKL_NUM_THREADS": None}
         assert meta_b["workers"] == 2
         assert meta_b["worker_blas_env"] == {"OPENBLAS_NUM_THREADS": "1",
+                                             "OPENBLAS_DEFAULT_NUM_THREADS": "1",
                                              "GOTO_NUM_THREADS": "1",
                                              "OMP_NUM_THREADS": "1",
                                              "MKL_NUM_THREADS": "1"}
