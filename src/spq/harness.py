@@ -425,32 +425,38 @@ def experiment_fig3(spec: ExperimentSpec, out_dir, workers: int | None = None) -
 _FIG4_BIN_WIDTH = 0.02237  # histogram bin width used for figure parity
 
 
-def _estimate_lines(m: int, method: str, a_hats: np.ndarray,
-                    phis: np.ndarray) -> np.ndarray:
-    """The ``fig4_estimates.csv`` lines of one batch, in row order, with the
-    bytes ``write_csv`` writes for them.
+_FIG4_ESTIMATE = np.dtype([("m", np.int64), ("method", "U3"),
+                           ("a_hat", np.float64), ("phi_hat", np.float64)])
 
-    The estimates lie on a readout grid, sin^2(pi b / 2^m) for QAE and
-    k / 2^(m+1) for Monte Carlo, so a batch holds at most 2^(m+1) + 1
-    distinct values: each is formatted once, by bit pattern, and its line
-    repeated.
+
+def _estimate_lines(rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The ``fig4_estimates.csv`` lines of one batch of ``_FIG4_ESTIMATE``
+    rows, in row order, with the bytes ``write_csv`` writes for them.
+
+    ``keys`` holds each row's integer readout, b for QAE and k for Monte
+    Carlo; rows with the same key hold the same floats.  A batch has at
+    most 2^(m+1) + 1 keys, so each line is formatted once, from the first
+    row with its key, and repeated.
     """
-    _, first, inverse = np.unique(a_hats.view(np.int64), return_index=True,
-                                  return_inverse=True)
-    lines = np.array([f"{m},{method},{a:.12g},{phi:.12g}\r\n"
-                      for a, phi in zip(a_hats[first].tolist(),
-                                        phis[first].tolist())], dtype=object)
-    return lines[inverse]
+    first = np.full(keys.max() + 1, keys.size)
+    np.minimum.at(first, keys, np.arange(keys.size))
+    seen = np.flatnonzero(first < keys.size)
+    lines = np.empty(first.size, dtype=object)
+    lines[seen] = [f"{m},{method},{a:.12g},{phi:.12g}\r\n"
+                   for m, method, a, phi in rows[first[seen]].tolist()]
+    return lines[keys]
 
 
 def experiment_fig4(spec: ExperimentSpec, out_dir) -> dict:
     """QAE versus Monte Carlo at equal sample budget on a perfectly
     converged state (brute-force construction, zero residual temperature).
 
-    Returns ``estimates``, one ``{"m", "method", "a_hat", "phi_hat"}`` dict
-    per row of ``fig4_estimates.csv`` in the same order, ``summary`` (the
-    rows of ``fig4_summary.csv``) and ``a_true``.  The estimate table is
-    written one (m, method) batch at a time, as soon as the batch is drawn.
+    Returns ``estimates``, one ``_FIG4_ESTIMATE`` structured array
+    (fields ``m``, ``method``, ``a_hat``, ``phi_hat``) whose records are
+    the rows of ``fig4_estimates.csv`` in the same order, ``summary`` (the
+    rows of ``fig4_summary.csv``) and ``a_true``.  The array is allocated
+    up front and filled one (m, method) batch at a time; each batch is
+    written to the estimate table as soon as it is drawn.
     """
     started = time.time()
     model, dist = model_from_instance(
@@ -469,25 +475,31 @@ def experiment_fig4(spec: ExperimentSpec, out_dir) -> dict:
     _, a = _qae_point(model, per_scenario_optimal_block(model, x, dist), "exact")
     n_system = _system_qubits(model, dist)
 
-    estimates, summary, hist_rows = [], [], []
+    n = spec.n_estimates
+    estimates = np.empty(2 * len(spec.m_values) * n, dtype=_FIG4_ESTIMATE)
+    batches = iter(np.split(estimates, 2 * len(spec.m_values)))
+    summary, hist_rows = [], []
     edges = np.arange(0.0, q_u + 2 * _FIG4_BIN_WIDTH, _FIG4_BIN_WIDTH)
     with open(out_dir / "fig4_estimates.csv", "w", newline="") as est_fh:
         est_fh.write("m,method,a_hat,phi_hat\r\n")  # the header csv.writer writes
         for m, config in zip(spec.m_values, configs):
             config = replace(config,
                              rng_seed=derive_seed(spec.master_seed, "fig4", m, "qae"))
-            a_qae = qae_from_amplitude(a, config, n_system).a_hat
+            qae = qae_from_amplitude(a, config, n_system)
             shots = 2 ** (m + 1)
             a_mc = mc_from_amplitude(a, shots,
                                      np.random.default_rng(
                                          derive_seed(spec.master_seed, "fig4", m, "mc")),
-                                     spec.n_estimates)
-            for method, arr, n_shots in (("qae", a_qae, config.a_applications),
-                                         ("mc", a_mc, shots)):
+                                     n)
+            # k = a_mc * shots is exact: a_mc is k divided by a power of two
+            for method, keys, arr, n_shots in (
+                    ("qae", qae.b, qae.a_hat, config.a_applications),
+                    ("mc", (a_mc * shots).astype(np.int64), a_mc, shots)):
                 phis = arr * q_u
-                est_fh.writelines(_estimate_lines(m, method, arr, phis))
-                estimates += [{"m": m, "method": method, "a_hat": v, "phi_hat": p}
-                              for v, p in zip(arr.tolist(), phis.tolist())]
+                rows = next(batches)
+                rows["m"], rows["method"] = m, method
+                rows["a_hat"], rows["phi_hat"] = arr, phis
+                est_fh.writelines(_estimate_lines(rows, keys))
                 counts, _ = np.histogram(phis, bins=edges)
                 for lo, cnt in zip(edges[:-1], counts):
                     if cnt:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .dqa import RegisterLayout
 from .model import ConfigError, UnitCommitmentModel, cost_bound, cost_diagonal
-from .statevector import (Gate, OperatorSequence, ccry, diagonal, hadamard,
-                          pauli_x, phase)
+from .statevector import (Gate, OperatorSequence, ccry, check_distribution,
+                          diagonal, hadamard, pauli_x, phase)
 
 ORACLES = ("exact", "sin")
 
@@ -102,7 +102,10 @@ def target_amplitude(kind: OracleKind, probabilities: np.ndarray,
     Every basis state rotates the ancilla on its own: the exact oracle to
     Pr[1] = q / q_u clipped to [0, 1], the sin oracle to
     sin^2(angle_scale * q / 2), as its RY angles add up to angle_scale * q.
+    ``probabilities`` must pass ``check_distribution`` (no negative entry,
+    a sum within PROB_SUM_TOL of 1), or this raises ValueError.
     """
+    probabilities = check_distribution(probabilities)
     if kind.variant == "exact":
         per_state = np.clip(costs / kind.q_u, 0.0, 1.0)
     else:

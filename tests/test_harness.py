@@ -2,10 +2,12 @@
 of result files, and the CLI surface."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from statistics import median_low
 
@@ -674,9 +676,18 @@ class TestExperimentOutputs:
                 (tmp_path / "b" / name).read_bytes()
 
     @pytest.mark.parametrize("n_y", [3, 5])
-    def test_fig4_estimate_table_is_write_csv_of_the_estimates(self, tmp_path, n_y):
+    def test_fig4_estimate_table_is_write_csv_of_the_estimates(self, tmp_path, n_y,
+                                                               monkeypatch):
         # the batched writer against write_csv on the returned rows; at m=1
         # the QAE readouts are exactly 0.0 and 1.0 and the Monte Carlo ones k/4
+        draws = {}
+        inner = harness.qae_from_amplitude
+
+        def recorded(a, config, n_system):
+            draws[config.m] = est = inner(a, config, n_system)
+            return est
+
+        monkeypatch.setattr(harness, "qae_from_amplitude", recorded)
         spec = ExperimentSpec(kind="fig4", n_y=n_y, m_values=(1, 2, 5, 8),
                               n_estimates=400, master_seed=45)
         out = experiment_fig4(spec, tmp_path / "fig4")
@@ -684,7 +695,12 @@ class TestExperimentOutputs:
         harness.write_csv(tmp_path / "ref.csv", fields, out["estimates"])
         assert (tmp_path / "fig4" / "fig4_estimates.csv").read_bytes() == \
             (tmp_path / "ref.csv").read_bytes()
-        assert all(type(e) is dict and list(e) == fields for e in out["estimates"])
+        assert out["estimates"].dtype.names == tuple(fields)
+        # the lines are keyed by readout, and b and M - b, which read the
+        # same amplitude, both occur in the batches compared above
+        for m in (5, 8):
+            b = set(draws[m].b.tolist())
+            assert any(2 ** m - k in b for k in b if 2 * k != 2 ** m)
         assert [(e["m"], e["method"]) for e in out["estimates"]] == [
             (m, method) for m in spec.m_values for method in ("qae", "mc")
             for _ in range(spec.n_estimates)]
@@ -693,6 +709,33 @@ class TestExperimentOutputs:
                  for method in ("qae", "mc")}
         assert at_m1["qae"] == {0.0, 1.0}
         assert at_m1["mc"] <= {0.0, 0.25, 0.5, 0.75, 1.0} and len(at_m1["mc"]) > 1
+
+    def test_shipped_fig4_csv_bytes(self, tmp_path):
+        # the shipped fig4 CSVs are pinned byte for byte; a change to any
+        # of them must come with new digests and a reason in CHANGES.md
+        experiment_fig4(ExperimentSpec.from_json(CONFIG_DIR / "fig4.json"), tmp_path)
+        pinned = {
+            "fig4_estimates.csv":
+                "fbd7812d3f731afc388b2b08719a1cc57e7be808b04f4a107a8340ec190f8149",
+            "fig4_histogram.csv":
+                "4957d85a83d281338921cde47ba0ebd52f1c3e33754173536106928d255a0eed",
+            "fig4_summary.csv":
+                "48b38d385f4f245a3b027d1afd11e913d62083a771175d0f3f4ab66b8e959e84",
+        }
+        for name, digest in pinned.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    def test_shipped_fig4_traced_peak_below_8_mib(self, tmp_path):
+        # the 80,000 estimates fill one structured array of 2.9 MB, and the
+        # whole run traces about 3.4 MiB; one dict per row traced 18.8 MiB
+        spec = ExperimentSpec.from_json(CONFIG_DIR / "fig4.json")
+        tracemalloc.start()
+        try:
+            experiment_fig4(spec, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
 
     def test_fig5_schema_and_cross_checks(self, tmp_path):
         spec = ExperimentSpec(kind="fig5", configs=((3, 4, 6),),

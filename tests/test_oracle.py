@@ -15,7 +15,8 @@ from spq.model import (
     model_from_instance,
     second_stage_cost,
 )
-from spq.oracle import OracleKind, build_oracle, qbar, sin_oracle_readback
+from spq.oracle import (OracleKind, build_oracle, qbar, sin_oracle_readback,
+                        target_amplitude)
 from spq.statevector import (
     StateVector,
     apply_sequence,
@@ -134,6 +135,36 @@ class TestSinOracle:
     def test_default_scale_avoids_aliasing(self):
         kind = OracleKind("sin", 3.0)
         assert kind.angle_scale * kind.q_u == pytest.approx(math.pi)
+
+
+class TestTargetAmplitude:
+    """target_amplitude checks the probabilities it receives and raises
+    instead of renormalising them."""
+
+    COSTS = np.array([0.0, 0.5, 1.0, 2.0])
+    PROBS = np.array([0.1, 0.2, 0.3, 0.4])
+
+    @pytest.mark.parametrize("variant", ["exact", "sin"])
+    def test_distribution_is_used_as_given(self, variant):
+        kind = OracleKind(variant, 2.0)
+        if variant == "exact":
+            per_state = self.COSTS / 2.0
+        else:
+            per_state = np.sin(kind.angle_scale * self.COSTS / 2) ** 2
+        assert target_amplitude(kind, self.PROBS, self.COSTS) == \
+            pytest.approx(float(self.PROBS @ per_state), abs=1e-15)
+
+    @pytest.mark.parametrize("variant", ["exact", "sin"])
+    @pytest.mark.parametrize("scale", [0.5, 1.0 + 1e-6, 1.0 - 1e-6])
+    def test_scaled_probabilities_rejected(self, variant, scale):
+        with pytest.raises(ValueError, match="sum to"):
+            target_amplitude(OracleKind(variant, 2.0), scale * self.PROBS, self.COSTS)
+
+    @pytest.mark.parametrize("variant", ["exact", "sin"])
+    def test_negative_probability_rejected(self, variant):
+        probs = np.array([-0.1, 0.4, 0.3, 0.4])   # sums to 1
+        with pytest.raises(ValueError, match="negative"):
+            target_amplitude(OracleKind(variant, 2.0), probs, self.COSTS)
 
 
 class TestReadback:
