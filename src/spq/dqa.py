@@ -285,75 +285,99 @@ def run_dqa(seq: OperatorSequence, layout: RegisterLayout) -> StateVector:
 
 @cache
 def _mixer_pairs(n_y: int, weight: int, j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The feasible rows a with bit j set and bit k clear, and the rows b
+    their (j, k) swap reaches, both ascending in a."""
     ys = feasible_decisions(n_y, weight)
-    pos = {int(y): i for i, y in enumerate(ys)}
-    a_rows, b_rows = [], []
-    for i, y in enumerate(ys):
-        y = int(y)
-        if (y >> j) & 1 and not (y >> k) & 1:
-            a_rows.append(i)
-            b_rows.append(pos[y ^ (1 << j) ^ (1 << k)])
-    return np.array(a_rows, dtype=np.int64), np.array(b_rows, dtype=np.int64)
+    a = np.flatnonzero((ys >> j) & 1 & ~(ys >> k))
+    return a, np.searchsorted(ys, ys[a] ^ (1 << j) ^ (1 << k))
 
 
-def _mixer_scratch(n_y: int, weight: int) -> np.ndarray:
-    """Work rows for ``_mixer_unitary``: four buffers of the C(n_y-2, w-1)
-    rows that every pair rotation of the weight-w block touches."""
+def _mixer_scratch(n_y: int, weight: int, layers: int) -> np.ndarray:
+    """Work rows for ``_mixer_unitaries``: four buffers of ``layers`` times
+    the C(n_y-2, w-1) rows that every pair rotation of the weight-w block
+    touches."""
     rows = math.comb(n_y - 2, weight - 1) if 0 < weight < n_y else 0
-    return np.empty((4, rows, len(feasible_decisions(n_y, weight))), dtype=complex)
+    return np.empty((4, layers, rows, len(feasible_decisions(n_y, weight))),
+                    dtype=complex)
 
 
-def _mixer_unitary(n_y: int, weight: int, beta: float,
-                   out: np.ndarray | None = None,
-                   scratch: np.ndarray | None = None) -> np.ndarray:
-    """One mixer layer as a C(n_y, weight)-square unitary on the feasible rows.
+def _mixer_unitaries(n_y: int, weight: int, betas: np.ndarray | list[float],
+                     out: np.ndarray | None = None,
+                     scratch: np.ndarray | None = None) -> np.ndarray:
+    """Mixer layers as a stack of C(n_y, weight)-square unitaries on the
+    feasible rows, ``out[i]`` the layer at ``betas[i]``.
 
-    The partial swaps preserve Hamming weight, so the layer acts within the
+    The partial swaps preserve Hamming weight, so a layer acts within the
     weight block.  Applying the same pair rotations, in the j < k order of
-    ``_uc_layer_gates``, to the identity gives their product in gate order.
-    Given ``out`` and ``_mixer_scratch`` rows, the layer is built in ``out``
-    without allocating; the floats are the same either way.
+    ``_uc_layer_gates``, to the identity gives their product in gate order;
+    each rotation is applied once to every layer of the stack, with its
+    cos and sin as (layers, 1, 1) arrays.  Given ``out`` and
+    ``_mixer_scratch`` rows for as many layers, the stack is built in
+    ``out``, allocating only the rotation entries and the diagonal index;
+    the floats are the same either way, and the same whichever stack a
+    layer is built in.
     """
+    n = len(feasible_decisions(n_y, weight))
     if out is None:
-        n = len(feasible_decisions(n_y, weight))
-        out = np.empty((n, n), dtype=complex)
+        out = np.empty((len(betas), n, n), dtype=complex)
     if scratch is None:
-        scratch = _mixer_scratch(n_y, weight)
+        scratch = _mixer_scratch(n_y, weight, len(out))
     out.fill(0.0)
-    np.fill_diagonal(out, 1.0)
-    angle = mixer_pair_angle(beta, n_y)
-    c, s = math.cos(angle), math.sin(angle)
+    diag = np.arange(n)
+    out[:, diag, diag] = 1.0
+    angles = [mixer_pair_angle(beta, n_y) for beta in betas]
+    # c is held as the complex (cos, 0) each product would cast a float c
+    # to, so that no product casts it
+    c = np.array([math.cos(angle) for angle in angles], dtype=complex).reshape(-1, 1, 1)
+    s = np.array([math.sin(angle) for angle in angles]).reshape(-1, 1, 1)
+    i_s, minus_i_s = 1j * s, -1j * s
     a, b, p, q = scratch
     for j in range(n_y - 1):
         for k in range(j + 1, n_y):
             a_rows, b_rows = _mixer_pairs(n_y, weight, j, k)
             if a_rows.size == 0:
                 continue
-            np.take(out, a_rows, axis=0, out=a, mode="clip")
-            np.take(out, b_rows, axis=0, out=b, mode="clip")
+            np.take(out, a_rows, axis=1, out=a, mode="clip")
+            np.take(out, b_rows, axis=1, out=b, mode="clip")
             # c a - i s b and -i s a + c b, the products of the 2x2 rotation
             np.subtract(np.multiply(c, a, out=p),
-                        np.multiply(1j * s, b, out=q), out=p)
-            out[a_rows] = p
-            np.add(np.multiply(-1j * s, a, out=p),
+                        np.multiply(i_s, b, out=q), out=p)
+            out[:, a_rows] = p
+            np.add(np.multiply(minus_i_s, a, out=p),
                    np.multiply(c, b, out=q), out=p)
-            out[b_rows] = p
+            out[:, b_rows] = p
     return out
 
 
-def _mixer_builder(n_y: int, weight: int, slots: int):
-    """``build(t, beta)``, which builds U at beta into the (t mod
-    ``slots``)-th of ``slots`` reused buffers and returns it, so a buffer
-    is overwritten ``slots`` builds later.  The buffers and work rows are
-    allocated here, by the caller's thread, before any build, whichever
-    thread then builds.
+def _mixer_unitary(n_y: int, weight: int, beta: float) -> np.ndarray:
+    """One mixer layer's unitary, the one-layer stack of ``_mixer_unitaries``."""
+    return _mixer_unitaries(n_y, weight, [beta])[0]
+
+
+def _mixer_builder(n_y: int, weight: int, betas: np.ndarray, slots: int):
+    """``build(t)``, layer t's unitary at ``betas[t]``, for t = 0, 1, ...
+    in turn.  The layers come in chunks of L, the most whose stack holds at
+    most ``_PANEL_AMPS`` amplitudes and at least one.  Where layer t starts
+    chunk k, ``build`` builds the chunk's stack (``_mixer_unitaries``) into
+    the (k mod ``slots``)-th of ``slots`` reused buffers, so a buffer is
+    overwritten ``slots`` chunks later; layer t reads row t mod L.  The
+    buffers and work rows are allocated here, by the caller's thread,
+    before any build, whichever thread then builds.
     """
     n = len(feasible_decisions(n_y, weight))
-    scratch = _mixer_scratch(n_y, weight)
-    buffers = [np.empty((n, n), dtype=complex) for _ in range(slots)]
+    layers = max(1, min(len(betas), _PANEL_AMPS // (n * n)))
+    scratch = _mixer_scratch(n_y, weight, layers)
+    buffers = [np.empty((layers, n, n), dtype=complex) for _ in range(slots)]
+    stacks = [None] * slots
 
-    def build(t, beta):
-        return _mixer_unitary(n_y, weight, beta, buffers[t % slots], scratch)
+    def build(t):
+        k, i = divmod(t, layers)
+        if i == 0:
+            chunk = betas[t:t + layers]
+            stacks[k % slots] = _mixer_unitaries(n_y, weight, chunk,
+                                                 buffers[k % slots][:len(chunk)],
+                                                 scratch[:, :len(chunk)])
+        return stacks[k % slots][i]
 
     return build
 
@@ -506,7 +530,7 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
     scenario columns.  The mixer never leaks out of the weight block and
     the cost and penalty layers are diagonal, so each layer is one
     elementwise phase product per block followed by one GEMM per block
-    with the layer's fused mixer unitary (``_mixer_unitary``).  On the
+    with the layer's fused mixer unitary.  On the
     linear ramp a(t) = t/T the layer-t phase e^{i q t/T} is base^t with
     base = e^{i q/T}, so each layer multiplies the running phase by the
     base instead of taking a complex exp.  The XY
@@ -516,18 +540,23 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
     n_y/2 build one: a block of weight w above n_y/2, lone or paired,
     anneals with its rows (and cost grid) reversed under U(n_y - w), and
     its rows are reversed back at the end; a pair builds its unitary once
-    per layer.  The blocks
+    per layer.  The unitaries are built a chunk of L layers per call, as
+    one stack (``_mixer_unitaries``), L the most layers whose stack holds
+    at most ``_PANEL_AMPS`` amplitudes and at least one: every layer of the
+    shipped fig5 anneals, 16 at C(10, 2) = 45, one from C = 182 up.  The
+    blocks
     keep separate GEMMs, so each one's sums run in the order of a lone
     anneal.  Where the mixer angle is exactly 0 (the last layer of the
     linear ramp) the unitary is the identity and is skipped.
 
     The unitaries do not depend on the state.  Inline, the calling thread
-    runs each layer's phase products and GEMMs, one per block, then builds
-    the next layer's unitary.  Where T > 0, the block splits into more
-    than one column panel (below) and ``_helper_may_share``, a
-    one-worker thread pool (``concurrent.futures``) helps instead: its job
-    for layer t first builds layer t + 1's unitary into the buffer layer
-    t - 1 has released, then claims layer t's tasks alongside the calling
+    runs each layer's phase products and GEMMs, one per block, then, where
+    layer t + 1 starts a chunk, builds the next chunk's stack.  Where T >
+    0, the block splits into more than one column panel (below) and
+    ``_helper_may_share``, a one-worker thread pool (``concurrent.futures``)
+    helps instead: its job for layer t first builds the next chunk's stack,
+    where layer t + 1 starts one, into the buffer that the chunk before
+    layer t's chunk has released, then claims layer t's tasks alongside the calling
     thread.  A task is one column panel of
     one block: its phase product, then its GEMM (``_layer_panel``).  Both
     threads take tasks from one shared iterator; each GEMM writes into its
@@ -538,7 +567,7 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
     Each block's state is a list of panel arrays, and its phase and phase
     base are panel-major arrays (``_panels``); inline, a block is one
     panel.  The caller waits on layer t's job before it starts layer t + 1,
-    so two buffers suffice, and a failed build or panel raises from
+    so two stack buffers suffice, and a failed build or panel raises from
     that wait; the pool is joined before this returns or raises.  A column
     of U @ M is the same bits whichever panel holds it and whichever thread
     ran it, since each column's sums run in the same order, so both modes
@@ -596,11 +625,13 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
         del grids
         phases = [np.ones_like(base) for base in bases]
         spares = [np.empty_like(ms[0][0]) for _ in range(1 + helper)]  # per thread
-        betas = schedule.mixer_angles()
-        build = _mixer_builder(n_y, min(weights[0], n_y - weights[0]), 2 if helper else 1)
+        # beta is 0 only at the ramp's end, t = T: the layers before it mix
+        betas = schedule.mixer_angles()[:T - 1]
+        build = _mixer_builder(n_y, min(weights[0], n_y - weights[0]), betas,
+                               2 if helper else 1)
 
         def mixer(t):       # layer t's unitary, None where it does not mix
-            return build(t, betas[t]) if t < T and betas[t] != 0.0 else None
+            return build(t) if t < len(betas) else None
 
         tasks = [(j, p) for j in range(len(xs)) for p in range(n_panels)]
         claim = threading.Lock()

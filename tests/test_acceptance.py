@@ -159,11 +159,12 @@ def test_criterion_6_qae_beats_monte_carlo(fig4_results):
         q, c = summary[(m, "qae")], summary[(m, "mc")]
         assert q < c, f"QAE RMSE {q} not below MC {c} at m={m}"
         lines.append(f"m={m}: qae={q:.5f} < mc={c:.5f}")
+    est = fig4_results["estimates"]
     for m in (5, 6, 7, 8):
         grid = {round(math.sin(math.pi * b / 2 ** m) ** 2, 12)
                 for b in range(2 ** m)}
-        got = {round(e["a_hat"], 12) for e in fig4_results["estimates"]
-               if e["method"] == "qae" and e["m"] == m}
+        qae = est["a_hat"][(est["m"] == m) & (est["method"] == "qae")]
+        got = set(np.round(np.unique(qae), 12).tolist())
         assert got <= grid, f"off-grid estimate at m={m}"
     print("\nACCEPTANCE 6 PASS: " + "; ".join(lines) + "; support exactly on grid")
 
@@ -204,16 +205,14 @@ def test_fig4_batches_follow_their_exact_laws(fig4_results):
     # sqrt(ln(2 / delta) / (2 n)) with probability at most delta.
     spec, a = fig4_spec_and_amplitude()
     delta = 1e-6
-    batches = {}
-    for e in fig4_results["estimates"]:
-        batches.setdefault((e["m"], e["method"]), []).append(e["a_hat"])
+    est = fig4_results["estimates"]
     lines = []
     for m in spec.m_values:
         for method, (values, weights) in exact_batch_laws(a, m).items():
             assert abs(weights.sum() - 1.0) <= 1e-12
             support, inverse = np.unique(values, return_inverse=True)
             cdf = np.cumsum(np.bincount(inverse, weights=weights))
-            sample = np.array(batches[(m, method)])
+            sample = est["a_hat"][(est["m"] == m) & (est["method"] == method)]
             idx = np.searchsorted(support, sample)
             assert np.array_equal(support[np.minimum(idx, support.size - 1)], sample)
             ecdf = np.cumsum(np.bincount(idx, minlength=support.size)) / sample.size

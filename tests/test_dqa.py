@@ -331,15 +331,36 @@ class TestMixerUnitary:
 
     @pytest.mark.parametrize("n_y, weight", [(2, 1), (5, 2), (6, 3), (8, 5)])
     def test_built_in_used_buffers_equals_a_fresh_build(self, n_y, weight):
-        # the anneal rebuilds each layer in the buffers of an earlier one
+        # the anneal builds each chunk of layers as one stack, in the
+        # buffers of an earlier chunk: chunks of 5 layers of a 12-layer
+        # ramp cross two chunk boundaries, the last chunk short and ending
+        # at beta = 0; every layer equals its one-layer build bit for bit
         n = len(feasible_decisions(n_y, weight))
-        scratch = dqa._mixer_scratch(n_y, weight)
-        out = np.full((n, n), np.nan + 1j)
+        scratch = dqa._mixer_scratch(n_y, weight, 5)
+        out = np.full((5, n, n), np.nan + 1j)
         scratch[...] = np.nan
-        for beta in (0.9, 0.3, 0.0):
-            got = _mixer_unitary(n_y, weight, beta, out, scratch)
-            assert got is out
-            assert np.array_equal(out, _mixer_unitary(n_y, weight, beta))
+        betas = AnnealSchedule.linear(12).mixer_angles()
+        for first in range(0, 12, 5):
+            chunk = betas[first:first + 5]
+            got = dqa._mixer_unitaries(n_y, weight, chunk, out[:len(chunk)],
+                                       scratch[:, :len(chunk)])
+            assert got.base is out
+            for u, beta in zip(got, chunk, strict=True):
+                assert np.array_equal(u, _mixer_unitary(n_y, weight, beta))
+        assert np.array_equal(out[2:], np.stack(
+            [_mixer_unitary(n_y, weight, beta) for beta in betas[7:10]]))
+
+    @pytest.mark.parametrize("n_y", range(1, 9))
+    def test_pairs_are_the_brute_force_enumeration(self, n_y):
+        for weight in range(n_y + 1):
+            ys = feasible_decisions(n_y, weight).tolist()
+            for j in range(n_y - 1):
+                for k in range(j + 1, n_y):
+                    a_rows, b_rows = dqa._mixer_pairs(n_y, weight, j, k)
+                    a = [i for i, y in enumerate(ys) if (y >> j) & 1 and not (y >> k) & 1]
+                    b = [ys.index(ys[i] ^ (1 << j) ^ (1 << k)) for i in a]
+                    assert a_rows.dtype == b_rows.dtype == np.int64
+                    assert a_rows.tolist() == a and b_rows.tolist() == b
 
 
 # panels of at most 2^8 amplitudes split every block of more than one row
@@ -371,7 +392,7 @@ class TestHelperThread:
         ``both``, the calling thread's first task waits for the helper's
         first, so both threads run panels however they are scheduled."""
         build_threads = set()
-        build, panel = dqa._mixer_unitary, dqa._layer_panel
+        build, panel = dqa._mixer_unitaries, dqa._layer_panel
         helper_ran = threading.Event()
 
         def recorded(*args, **kwargs):
@@ -389,7 +410,7 @@ class TestHelperThread:
             return panel(phase, base, m, u, out)
 
         with monkeypatch.context() as patch:
-            patch.setattr(dqa, "_mixer_unitary", recorded)
+            patch.setattr(dqa, "_mixer_unitaries", recorded)
             patch.setattr(dqa, "_layer_panel", recorded_panel)
             patch.setattr(dqa, "_ONE_BLAS_THREAD", helper is not False)
             if helper and panel_amps is None:
@@ -429,6 +450,33 @@ class TestHelperThread:
                 assert a.x == b.x
                 assert np.array_equal(a.amps, b.amps)
                 assert np.array_equal(a.costs, b.costs)
+
+    def test_chunked_helper_anneal_equals_inline(self, monkeypatch):
+        # n_y = 10, x = (2, 8) at T = 100: the 99 mixing layers of
+        # U(10, 2), C(10, 2) = 45, build in chunks of 16 layers, the most
+        # whose stack holds at most _PANEL_AMPS amplitudes: 6 full chunks
+        # and one of 3, all on the helper, whose blocks equal the inline ones
+        model, dist = model_from_instance(generate_instance(10, 7))
+        schedule = AnnealSchedule.linear(100)
+        build = dqa._mixer_unitaries
+        chunks = []
+
+        def recorded(n_y, weight, betas, *args):
+            chunks.append((threading.current_thread(), weight, len(betas)))
+            return build(n_y, weight, betas, *args)
+
+        monkeypatch.setattr(dqa, "_mixer_unitaries", recorded)
+        inline, _ = self.anneal_on(monkeypatch, False, model, (2, 8), dist, schedule)
+        assert chunks == [(threading.main_thread(), 2, n)
+                          for n in [16] * 6 + [3]]
+        chunks.clear()
+        shared, threads = self.anneal_on(monkeypatch, True, model, (2, 8), dist,
+                                         schedule, panel_amps=dqa._PANEL_AMPS)
+        assert len(threads) == 1 and threading.main_thread() not in threads
+        assert [(weight, n) for _, weight, n in chunks] == [(2, 16)] * 6 + [(2, 3)]
+        for a, b in zip(inline, shared, strict=True):
+            assert a.x == b.x
+            assert np.array_equal(a.amps, b.amps)
 
     def test_concurrent_anneals_under_fast_switching(self, monkeypatch):
         # three callers, each with its own helper, on a shortened switch
@@ -553,8 +601,9 @@ class TestHelperThread:
         assert proc.stdout.strip() == str(shared)
 
     def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        # the 21 mixing layers of T = 22 build in 3 chunks of 7 at C(6, 1) = 6
         model, dist = model_from_instance(generate_instance(6, 2))
-        build = dqa._mixer_unitary
+        build = dqa._mixer_unitaries
         calls = []
 
         def failing(*args, **kwargs):
@@ -564,11 +613,11 @@ class TestHelperThread:
             return build(*args, **kwargs)
 
         start = threading.active_count()
-        monkeypatch.setattr(dqa, "_mixer_unitary", failing)
+        monkeypatch.setattr(dqa, "_mixer_unitaries", failing)
         monkeypatch.setattr(dqa, "_PANEL_AMPS", FORCED_PANEL_AMPS)
         monkeypatch.setattr(dqa, "_ONE_BLAS_THREAD", True)
         with pytest.raises(FloatingPointError, match="build 3 failed"):
-            anneal_feasible_blocks(model, (1, 5), dist, AnnealSchedule.linear(8))
+            anneal_feasible_blocks(model, (1, 5), dist, AnnealSchedule.linear(22))
         assert len(calls) == 3 and threading.main_thread() not in calls
         assert threading.active_count() == start
 
@@ -587,18 +636,16 @@ class TestHelperThread:
 
             __array_ufunc__ = __matmul__    # np.matmul(u, panel, out=...)
 
-        builder = dqa._mixer_builder
+        build, layers = dqa._mixer_unitaries, []
 
-        def failing_builder(*args):
-            build = builder(*args)
+        def failing(n_y, weight, betas, *args):
+            stack = build(n_y, weight, betas, *args)
+            first = len(layers)         # the chunk's first layer index
+            layers.extend(betas)
+            return [FailingUnitary() if first + i == 4 else u
+                    for i, u in enumerate(stack)]
 
-            def failing(t, *rest):
-                u = build(t, *rest)
-                return FailingUnitary() if t == 4 else u
-
-            return failing
-
-        monkeypatch.setattr(dqa, "_mixer_builder", failing_builder)
+        monkeypatch.setattr(dqa, "_mixer_unitaries", failing)
         monkeypatch.setattr(dqa, "_PANEL_AMPS", FORCED_PANEL_AMPS)
         monkeypatch.setattr(dqa, "_ONE_BLAS_THREAD", helper)
         with pytest.raises(ZeroDivisionError, match="layer 5"):
@@ -808,13 +855,13 @@ class TestLockstepAnneal:
         # sharing panels; every returned block is C-contiguous
         model, dist = model_from_instance(generate_instance(n_y, 40 + n_y))
         schedule = AnnealSchedule.linear(3)
-        build, weights = dqa._mixer_unitary, []
+        build, weights = dqa._mixer_unitaries, []
 
         def recorded(n, weight, *args, **kwargs):
             weights.append(weight)
             return build(n, weight, *args, **kwargs)
 
-        monkeypatch.setattr(dqa, "_mixer_unitary", recorded)
+        monkeypatch.setattr(dqa, "_mixer_unitaries", recorded)
         for helper in (False, True):
             monkeypatch.setattr(dqa, "_ONE_BLAS_THREAD", helper)
             if helper:

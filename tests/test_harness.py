@@ -725,6 +725,19 @@ class TestExperimentOutputs:
         for name, digest in pinned.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
+    def test_shipped_fig5_csv_bytes(self, tmp_path):
+        # the shipped fig5 CSVs depend on the anneal's bits, through <H_Q>
+        # and a; pinned like fig4's, at one BLAS thread and the default
+        experiment_fig5(ExperimentSpec.from_json(CONFIG_DIR / "fig5.json"), tmp_path)
+        pinned = {
+            "fig5_summary.csv":
+                "cb7fa59ac814afb9a130c24b98090a4c5955a924affffc78bc8e040700517a62",
+            "fig5_surface.csv":
+                "fbc1287ba915fffbc2e2c18345a8969a75e1e86dbb7a4a4945099e33dc533380",
+        }
+        for name, digest in pinned.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
     def test_shipped_fig4_traced_peak_below_8_mib(self, tmp_path):
         # the 80,000 estimates fill one structured array of 2.9 MB, and the
         # whole run traces about 3.4 MiB; one dict per row traced 18.8 MiB
