@@ -20,12 +20,11 @@ the low qubits, xi above it, then the QAE ancilla.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import multiprocessing
-import os
-import re
 import threading
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cache
 
@@ -403,37 +402,58 @@ def _panels(a: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(a.reshape(rows, n, cols // n).swapaxes(0, 1))
 
 
-# The variables OpenBLAS takes its thread count from, in its order, the
-# first one set to a positive count winning (``harness`` sets them for its
-# workers).
-_OPENBLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OPENBLAS_DEFAULT_NUM_THREADS",
-                         "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# Blocks of more than _PANEL_AMPS amplitudes may share column panels of at
+# most that many with a helper thread (``anneal_feasible_blocks``).
+_PANEL_AMPS = 2 ** 15
 
 
-def _env_blas_threads() -> int | None:
-    """The BLAS thread count the environment asks OpenBLAS for, None for
-    its default of one thread per core.  OpenBLAS reads each value with
-    C's ``atoi``: its leading integer, so "1.5", "1abc" and "+1" mean 1."""
-    for name in _OPENBLAS_THREAD_VARS:
-        lead = re.match(r"[ \t\n\v\f\r]*([+-]?[0-9]+)", os.environ.get(name, ""))
-        if lead and int(lead[1]) > 0:
-            return int(lead[1])
+def _blas_thread_calls():
+    """The (get, set) thread-count calls of the OpenBLAS that numpy's core
+    extension links, found through its handle, or None where there are none."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            if hasattr(lib, f"{name}_get_num_threads{suffix}"):
+                get = getattr(lib, f"{name}_get_num_threads{suffix}")
+                set_threads = getattr(lib, f"{name}_set_num_threads{suffix}")
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+                return get, set_threads
     return None
 
 
-# Blocks of more than _PANEL_AMPS amplitudes, C(n_y, d - x) * 2^n_xi, may
-# share column panels of at most that many with a helper thread
-# (``anneal_feasible_blocks``).
-_PANEL_AMPS = 2 ** 15
-_ONE_BLAS_THREAD = _env_blas_threads() == 1
+_BLAS_THREADS = _blas_thread_calls()
+# process-wide, as the thread count is: a lock, anneals running, the count they replaced
+_blas_lock, _blas_anneals, _blas_saved = threading.Lock(), 0, 0
+
+
+@contextmanager
+def _one_blas_thread():
+    """BLAS at one thread while any anneal runs (``_BLAS_THREADS``): the
+    first anneal in saves the count and sets one, the last one out restores it."""
+    global _blas_anneals, _blas_saved
+    get, set_threads = _BLAS_THREADS
+    with _blas_lock:
+        if _blas_anneals == 0:
+            _blas_saved = get()
+            set_threads(1)
+        _blas_anneals += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_anneals -= 1
+            if _blas_anneals == 0:
+                set_threads(_blas_saved)
 
 
 def _helper_may_share() -> bool:
-    """Whether BLAS runs one thread in a process that is no
-    ``multiprocessing`` child (fig3's pool workers fill the cores already).
-    Asked on each anneal: a spawned worker imports this module before its
-    parent process is set."""
-    return _ONE_BLAS_THREAD and multiprocessing.parent_process() is None
+    """Whether anneals set one BLAS thread, outside ``multiprocessing`` children
+    (fig3's workers fill the cores); asked per anneal, as workers import this early."""
+    return _BLAS_THREADS is not None and multiprocessing.parent_process() is None
 
 
 @dataclass
@@ -530,24 +550,23 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
     scenario columns.  The mixer never leaks out of the weight block and
     the cost and penalty layers are diagonal, so each layer is one
     elementwise phase product per block followed by one GEMM per block
-    with the layer's fused mixer unitary.  On the
-    linear ramp a(t) = t/T the layer-t phase e^{i q t/T} is base^t with
-    base = e^{i q/T}, so each layer multiplies the running phase by the
-    base instead of taking a complex exp.  The XY
-    mixer commutes with complementing every bit, which reverses the order
-    of the feasible rows, so the unitary at weight n_y - w is the weight-w
-    one with rows and columns reversed, bit for bit.  Only weights up to
-    n_y/2 build one: a block of weight w above n_y/2, lone or paired,
-    anneals with its rows (and cost grid) reversed under U(n_y - w), and
-    its rows are reversed back at the end; a pair builds its unitary once
-    per layer.  The unitaries are built a chunk of L layers per call, as
-    one stack (``_mixer_unitaries``), L the most layers whose stack holds
-    at most ``_PANEL_AMPS`` amplitudes and at least one: every layer of the
-    shipped fig5 anneals, 16 at C(10, 2) = 45, one from C = 182 up.  The
-    blocks
-    keep separate GEMMs, so each one's sums run in the order of a lone
-    anneal.  Where the mixer angle is exactly 0 (the last layer of the
-    linear ramp) the unitary is the identity and is skipped.
+    with the layer's fused mixer unitary.  On the linear ramp a(t) = t/T
+    the layer-t phase e^{i q t/T} is base^t with base = e^{i q/T}, so each
+    layer multiplies the running phase by the base instead of taking a
+    complex exp.  The XY mixer commutes with complementing every bit, which
+    reverses the order of the feasible rows, so the unitary at weight
+    n_y - w is the weight-w one with rows and columns reversed, bit for
+    bit.  Only weights up to n_y/2 build one: a block of weight w above
+    n_y/2, lone or paired, anneals with its rows (and cost grid) reversed
+    under U(n_y - w), and its rows are reversed back at the end; a pair
+    builds its unitary once per layer.  The unitaries are built a chunk of
+    L layers per call, as one stack (``_mixer_unitaries``), L the most
+    layers whose stack holds at most ``_PANEL_AMPS`` amplitudes and at
+    least one: every layer of the shipped fig5 anneals, 16 at C(10, 2) =
+    45, one from C = 182 up.  The blocks keep separate GEMMs, so each one's
+    sums run in the order of a lone anneal.  Where the mixer angle is
+    exactly 0 (the last layer of the linear ramp) the unitary is the
+    identity and is skipped.
 
     The unitaries do not depend on the state.  Inline, the calling thread
     runs each layer's phase products and GEMMs, one per block, then, where
@@ -556,28 +575,28 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
     ``_helper_may_share``, a one-worker thread pool (``concurrent.futures``)
     helps instead: its job for layer t first builds the next chunk's stack,
     where layer t + 1 starts one, into the buffer that the chunk before
-    layer t's chunk has released, then claims layer t's tasks alongside the calling
-    thread.  A task is one column panel of
-    one block: its phase product, then its GEMM (``_layer_panel``).  Both
-    threads take tasks from one shared iterator; each GEMM writes into its
-    thread's spare panel, which then takes the multiplied panel's place, so
-    nothing is copied back or allocated.  The panels are the widest
-    power-of-two column ranges of at most ``_PANEL_AMPS`` = 2^15
-    amplitudes: 128 columns at C(10, 5) = 252 rows, 512 at C(10, 2) = 45.
-    Each block's state is a list of panel arrays, and its phase and phase
-    base are panel-major arrays (``_panels``); inline, a block is one
-    panel.  The caller waits on layer t's job before it starts layer t + 1,
-    so two stack buffers suffice, and a failed build or panel raises from
-    that wait; the pool is joined before this returns or raises.  A column
-    of U @ M is the same bits whichever panel holds it and whichever thread
-    ran it, since each column's sums run in the same order, so both modes
-    give the same bits.
+    layer t's chunk has released, then claims layer t's tasks alongside the
+    calling thread.  A task is one column panel of one block: its phase
+    product, then its GEMM (``_layer_panel``).  Both threads take tasks
+    from one shared iterator; each GEMM writes into its thread's spare
+    panel, which then takes the multiplied panel's place, so nothing is
+    copied back or allocated.  The panels are the widest power-of-two
+    column ranges of at most ``_PANEL_AMPS`` = 2^15 amplitudes: 128 columns
+    at C(10, 5) = 252 rows, 512 at C(10, 2) = 45.  Each block's state is a
+    list of panel arrays, and its phase and phase base are panel-major
+    arrays (``_panels``); inline, a block is one panel.  The caller waits
+    on layer t's job before it starts layer t + 1, so two stack buffers
+    suffice, and a failed build or panel raises from that wait; the pool
+    is joined before this returns or raises.  A column of U @ M is the
+    same bits whichever panel holds it and whichever thread ran it, since
+    each column's sums run in the same order, so both modes give the same
+    bits.
 
-    Where BLAS runs more threads, or fig3's pool workers fill the cores,
-    the two threads' GEMMs would oversubscribe the cores.  Up to 2^15
-    amplitudes, one panel, the hand-over of the GIL each layer costs more
-    than it hides: at n_y = 6-10, T = n_y^2 and 1 BLAS thread, building
-    ahead took 1.2-2.9 times the inline time at 2^8.6-2^14.2 amplitudes.
+    The layers run at one BLAS thread (``_one_blas_thread``), so their bits
+    do not follow the caller's count and the two threads fit the cores;
+    without OpenBLAS's thread-count calls they run inline at the caller's
+    count.  fig3's pool workers fill the cores already, and up to 2^15
+    amplitudes, one panel, the hand-over of the GIL costs more than it hides.
 
     The scenario register is only control, so each scenario column keeps
     its probability: after the anneal, sum_y |amp|^2 must equal p(xi)
@@ -603,12 +622,11 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
     rows = len(grids[0][0])
     T = schedule.T
     cols = 2 ** n_xi
-    # the widest power-of-two column panels of at most _PANEL_AMPS
-    # amplitudes with the helper, else the whole block as one panel
-    width = min(cols, 1 << max((_PANEL_AMPS // rows).bit_length() - 1, 0))
+    # with the helper, the widest power-of-two column panels of at most
+    # _PANEL_AMPS amplitudes, else the whole block as one panel
+    width = 1 << max((_PANEL_AMPS // rows).bit_length() - 1, 0)
     helper = T > 0 and width < cols and _helper_may_share()
-    if not helper:
-        width = cols
+    width = width if helper else cols
     n_panels = cols // width
     column = xi_amps / math.sqrt(rows)
     ms = [[np.ascontiguousarray(np.broadcast_to(column[p * width:(p + 1) * width],
@@ -654,7 +672,8 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
         if helper:
             # imported here so that importing spq loads no executor
             from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(1, "spq-mixer") if helper else nullcontext() as pool:
+        with _one_blas_thread() if _BLAS_THREADS else nullcontext(), \
+                ThreadPoolExecutor(1, "spq-mixer") if helper else nullcontext() as pool:
             u = pool.submit(mixer, 0).result() if helper else mixer(0)
             for t in range(T):
                 todo = iter(tasks)

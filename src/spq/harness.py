@@ -24,7 +24,6 @@ from statistics import median_low
 import numpy as np
 
 from .dqa import (
-    _OPENBLAS_THREAD_VARS,
     AnnealSchedule,
     anneal_feasible_blocks,
     check_block,
@@ -82,8 +81,10 @@ class ExperimentSpec:
         check_seed("master_seed", self.master_seed)
         self.n_y_values = tuple(as_integer("n_y_values", v) for v in self.n_y_values)
         self.m_values = tuple(as_integer("m_values", v) for v in self.m_values)
-        self.configs = tuple(tuple(as_integer("configs", v) for v in (n_y, m, T))
-                             for n_y, m, T in self.configs)
+        for entry in self.configs:
+            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+                raise ConfigError(f"configs entry {entry!r}: expected [n_y, m, T]")
+        self.configs = tuple(tuple(as_integer("configs", v) for v in e) for e in self.configs)
         if self.kind not in ("fig3", "fig4", "fig5"):
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         check_oracle(self.oracle)
@@ -323,35 +324,16 @@ def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
 
 # -- fig3: annealing-time sweep ----------------------------------------------
 
-# BLAS reads these when a worker imports numpy.  The workers already keep
-# the cores busy, so a BLAS thread per core in each one oversubscribes them:
-# on 2 cores, a 2-worker fig3 of two n_y=10 instances took 24-25 s with
-# forked workers at the default thread count and 12 s with these.
-_WORKER_BLAS_ENV = {**dict.fromkeys(_OPENBLAS_THREAD_VARS, "1"), "MKL_NUM_THREADS": "1"}
-
-
 def _pool_map(fn, tasks: list, workers: int) -> list:
-    """``fn`` over ``tasks`` on freshly spawned workers with one BLAS thread
-    each; the parent's environment is restored afterwards.
-
-    A worker that dies, for instance because the calling script re-runs
-    the pool at import, raises ``BrokenProcessPool`` here instead of being
-    replaced forever as in ``multiprocessing.Pool``.
-    """
+    """``fn`` over ``tasks`` on freshly spawned workers.  A worker that
+    dies, for instance because the calling script re-runs the pool at
+    import, raises ``BrokenProcessPool`` here instead of being replaced
+    forever as in ``multiprocessing.Pool``."""
     # imported here so that runs without a pool do not pay for it at start-up
     from concurrent.futures import ProcessPoolExecutor
 
-    saved = {k: os.environ.get(k) for k in _WORKER_BLAS_ENV}
-    os.environ.update(_WORKER_BLAS_ENV)
-    try:
-        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
-            return list(pool.map(fn, tasks))
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+    with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def _fig3_task(payload: tuple) -> list[dict]:
@@ -377,8 +359,7 @@ def experiment_fig3(spec: ExperimentSpec, out_dir, workers: int | None = None) -
 
     With ``workers > 1`` the instances run on spawned worker processes, so
     a script that calls this must guard its entry point with
-    ``if __name__ == "__main__":``.  ``meta.json`` records the worker count
-    and the BLAS thread variables the instances ran with (None: unset).
+    ``if __name__ == "__main__":``.  ``meta.json`` records the worker count.
     """
     if workers is not None and workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
@@ -392,12 +373,8 @@ def experiment_fig3(spec: ExperimentSpec, out_dir, workers: int | None = None) -
     out_dir.mkdir(parents=True, exist_ok=True)
     if workers is None:
         workers = min(os.cpu_count() or 1, len(tasks))
-    if workers > 1:
-        blas_env = dict(_WORKER_BLAS_ENV)
-        chunks = _pool_map(_fig3_task, tasks, workers)
-    else:
-        blas_env = {k: os.environ.get(k) for k in _WORKER_BLAS_ENV}
-        chunks = [_fig3_task(t) for t in tasks]
+    chunks = (_pool_map(_fig3_task, tasks, workers) if workers > 1
+              else [_fig3_task(t) for t in tasks])
     rows = [row for chunk in chunks for row in chunk]
 
     summary = []
@@ -416,7 +393,7 @@ def experiment_fig3(spec: ExperimentSpec, out_dir, workers: int | None = None) -
                "rel_error_sum", "minima_rel_error", "x_star", "x_est"], rows)
     write_csv(out_dir / "fig3_summary.csv",
               ["n_y", "t_rule", "metric", "min", "median", "max"], summary)
-    _write_meta(out_dir, spec, started, workers=workers, worker_blas_env=blas_env)
+    _write_meta(out_dir, spec, started, workers=workers)
     return {"rows": rows, "summary": summary}
 
 

@@ -9,8 +9,8 @@ throughout; scenario bit 1 means the wind blows at that turbine.
 from __future__ import annotations
 
 import json
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -38,11 +38,11 @@ def as_integer(name: str, value) -> int:
 
 def as_float(name: str, value) -> float:
     """``value`` as a finite float; a bool or a string, even a numeric one,
-    is a config error rather than a number read from it, and so are NaN
-    and the infinities."""
+    is a config error rather than a number read from it, and so are NaN,
+    the infinities and integers beyond the float range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{name}: expected a finite number, got {value!r}")
     return float(value)
 
@@ -68,8 +68,8 @@ class UnitCommitmentModel:
                 raise ValueError(f"turbine cost {cj} must satisfy 0 < c_j < c_x={self.c_x}")
         if not self.c_x < self.c_r:
             raise ValueError(f"recourse cost c_r={self.c_r} must exceed c_x={self.c_x}")
-        if self.d < 0 or int(self.d) != self.d:
-            raise ValueError("demand d must be a nonnegative integer")
+        if not 0 <= self.d <= self.n_y or int(self.d) != self.d:
+            raise ValueError(f"demand d={self.d} must be an integer in [0, n_y={self.n_y}]")
 
     @property
     def n_xi(self) -> int:
@@ -87,7 +87,10 @@ class DiscreteDistribution:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        scenarios = np.array(self.scenarios, dtype=np.int64)
+        try:
+            scenarios = np.array(self.scenarios, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"a scenario does not fit in {self.n_xi} bits") from None
         probabilities = np.array(self.probabilities, dtype=float)
         outside = scenarios[(scenarios < 0) | (scenarios >= 2 ** self.n_xi)]
         if outside.size:

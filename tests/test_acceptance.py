@@ -6,6 +6,7 @@ configurations; they take a few minutes combined at the sizes involved
 (the annealing sweep reaches 2^20 amplitudes).
 """
 
+import hashlib
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -80,6 +81,14 @@ def dqa_state_batch():
 
 
 @pytest.fixture(scope="module")
+def fig3_run(tmp_path_factory):
+    """The shipped fig3 on two workers: its results and output directory."""
+    out_dir = tmp_path_factory.mktemp("fig3")
+    spec = ExperimentSpec.from_json(CONFIG_DIR / "fig3.json")
+    return spec, experiment_fig3(spec, out_dir, workers=2), out_dir
+
+
+@pytest.fixture(scope="module")
 def fig4_results(tmp_path_factory):
     spec = ExperimentSpec.from_json(CONFIG_DIR / "fig4.json")
     return experiment_fig4(spec, tmp_path_factory.mktemp("fig4"))
@@ -129,9 +138,8 @@ def test_criterion_3_zz_example():
     print(f"\nACCEPTANCE 3 PASS: ZZ coupled-register fidelity {f:.6f} >= 0.99 at T=20")
 
 
-def test_criterion_4_annealing_time_trend(tmp_path):
-    spec = ExperimentSpec.from_json(CONFIG_DIR / "fig3.json")
-    out = experiment_fig3(spec, tmp_path, workers=2)
+def test_criterion_4_annealing_time_trend(fig3_run):
+    spec, out, _ = fig3_run
     med = {(s["n_y"], s["t_rule"], s["metric"]): s["median"] for s in out["summary"]}
     lines = []
     for n_y in spec.n_y_values:
@@ -142,6 +150,19 @@ def test_criterion_4_annealing_time_trend(tmp_path):
         assert min_quad <= 0.05, f"minima error {min_quad} > 0.05 at n_y={n_y}"
         lines.append(f"n_y={n_y}: lin={lin:.3f} quad={quad:.3f} minima={min_quad:.4f}")
     print("\nACCEPTANCE 4 PASS: " + "; ".join(lines))
+
+
+def test_shipped_fig3_csv_bytes(fig3_run):
+    # the run that criterion 4 checks, pinned byte for byte; a change to
+    # either CSV must come with new digests and a reason in CHANGES.md
+    pinned = {
+        "fig3_runs.csv":
+            "c512c4aa8aaa98b577a13ce81ad0d78abcca9a6ef8a1a5c90ea743ac4a59762a",
+        "fig3_summary.csv":
+            "754779240e6daa999f21d050f4315fcdb1ceea847fe551662ca3c3fdaafb1f32",
+    }
+    for name, digest in pinned.items():
+        assert hashlib.sha256((fig3_run[2] / name).read_bytes()).hexdigest() == digest
 
 
 def test_criterion_5_qae_error_bound(fig4_results):

@@ -2,6 +2,7 @@
 diagnostics, and the fast feasible-subspace evolver."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -368,14 +369,55 @@ class TestMixerUnitary:
 FORCED_PANEL_AMPS = 2 ** 8
 
 
+# the variables OpenBLAS reads its thread count from at start-up
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OPENBLAS_DEFAULT_NUM_THREADS",
+                    "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def helper_may_share(_):
     """``dqa._helper_may_share()`` in the process that runs this."""
     return dqa._helper_may_share()
 
 
+def force_helper(patch, on):
+    """Force the helper on or off through its one seam,
+    ``dqa._helper_may_share``; the block size still decides whether a
+    block splits into panels."""
+    patch.setattr(dqa, "_helper_may_share", lambda: on)
+
+
+def run_spq(code, env):
+    """stdout words of ``code`` run by a fresh interpreter on this spq,
+    under ``os.environ`` with the BLAS thread variables replaced by ``env``."""
+    src = str(Path(spq.__file__).resolve().parent.parent)
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    proc = subprocess.run([sys.executable, "-c", code], timeout=120,
+                          capture_output=True, text=True,
+                          env=dict(base, PYTHONPATH=src, **env))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+# an n_y = 10 anneal that prints the BLAS thread count before and after it,
+# whether it loaded an executor, and the sha256 of its blocks' bytes
+ANNEAL_N10 = """import hashlib, sys
+from spq import dqa
+from spq.model import generate_instance, model_from_instance
+model, dist = model_from_instance(generate_instance(10, 0))
+get = dqa._BLAS_THREADS[0]
+before = get()
+blocks = dqa.anneal_feasible_blocks(model, {xs}, dist, dqa.AnnealSchedule.linear({T}))
+print(before, get(), 'concurrent.futures' in sys.modules,
+      hashlib.sha256(b''.join(b.amps.tobytes() for b in blocks)).hexdigest())
+"""
+
+needs_blas_threads = pytest.mark.skipif(
+    dqa._BLAS_THREADS is None, reason="numpy's BLAS has no OpenBLAS thread-count calls")
+
+
 class TestHelperThread:
-    """Where BLAS runs one thread, large blocks take each layer's mixer
-    unitary from a helper thread, built one layer ahead, and the helper
+    """Large blocks take each layer's mixer unitary from a helper thread,
+    built one layer ahead, and the helper
     then claims column panels of the layer alongside the caller; the
     blocks are the inline loop's bit for bit and no thread outlives the
     anneal."""
@@ -385,8 +427,8 @@ class TestHelperThread:
                   panels=None, panel_amps=None, both=False):
         """The blocks, and the threads that built the unitaries.  ``helper``
         True forces the helper on (its panels narrowed to ``panel_amps``,
-        default ``FORCED_PANEL_AMPS``), False forces it off (BLAS not at one
-        thread), and None leaves the size rule at one BLAS thread.
+        default ``FORCED_PANEL_AMPS``), False forces it off, and None leaves
+        the block size rule alone to decide.
         ``panels``, if given, collects a (thread, columns) pair for each
         panel task run; ``panel_amps`` overrides the panel size.  With
         ``both``, the calling thread's first task waits for the helper's
@@ -412,7 +454,7 @@ class TestHelperThread:
         with monkeypatch.context() as patch:
             patch.setattr(dqa, "_mixer_unitaries", recorded)
             patch.setattr(dqa, "_layer_panel", recorded_panel)
-            patch.setattr(dqa, "_ONE_BLAS_THREAD", helper is not False)
+            force_helper(patch, helper is not False)
             if helper and panel_amps is None:
                 panel_amps = FORCED_PANEL_AMPS
             if panel_amps is not None:
@@ -480,7 +522,10 @@ class TestHelperThread:
 
     def test_concurrent_anneals_under_fast_switching(self, monkeypatch):
         # three callers, each with its own helper, on a shortened switch
-        # interval: every block still equals its inline anneal
+        # interval: every block still equals its inline anneal, and the
+        # BLAS thread count is the callers' again once all are done
+        count = dqa._BLAS_THREADS[0] if dqa._BLAS_THREADS else lambda: None
+        before = count()
         model, dist = model_from_instance(generate_instance(6, 4))
         schedule = AnnealSchedule.linear(20)
         groups = [(1, 5), (2, 4), (3,)]
@@ -488,7 +533,7 @@ class TestHelperThread:
                                        schedule)[0] for xs in groups}
         got = {}
         monkeypatch.setattr(dqa, "_PANEL_AMPS", FORCED_PANEL_AMPS)
-        monkeypatch.setattr(dqa, "_ONE_BLAS_THREAD", True)
+        force_helper(monkeypatch, True)
         callers = [threading.Thread(target=lambda xs=xs: got.__setitem__(
                        xs, anneal_feasible_blocks(model, xs, dist, schedule)))
                    for xs in groups]
@@ -502,13 +547,32 @@ class TestHelperThread:
         finally:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
+        assert count() == before
         for xs in groups:
             for a, b in zip(expected[xs], got[xs], strict=True):
                 assert np.array_equal(a.amps, b.amps)
 
+    @needs_blas_threads
+    def test_overlapping_anneals_restore_the_count_last(self):
+        # the first anneal in sets one thread; the count comes back when the
+        # last one leaves, whichever entered first
+        get, set_threads = dqa._BLAS_THREADS
+        before = get()
+        set_threads(2)
+        try:
+            first, second = dqa._one_blas_thread(), dqa._one_blas_thread()
+            first.__enter__()
+            second.__enter__()
+            assert get() == 1
+            first.__exit__(None, None, None)
+            assert get() == 1
+            second.__exit__(None, None, None)
+            assert get() == 2
+        finally:
+            set_threads(before)
+
     def test_size_rule(self, monkeypatch):
-        # fig5's blocks (n_y <= 6) stay on the calling thread as one panel,
-        # at one BLAS thread too
+        # fig5's blocks (n_y <= 6) stay on the calling thread as one panel
         model, dist = model_from_instance(generate_instance(6, 1))
         for xs in lockstep_groups(model):
             panels = []
@@ -517,11 +581,11 @@ class TestHelperThread:
             assert threads <= {threading.main_thread()}
             assert {columns for _, columns in panels} == {2 ** 6}
             assert {thread for thread, _ in panels} == {threading.main_thread()}
-        # at n_y = 10 and one BLAS thread, blocks of at least 2^15 amplitudes
-        # take the helper and split into the widest power-of-two panels of at
-        # most 2^15 amplitudes: 128 columns at C(10, 5) = 252 rows and 512 at
+        # at n_y = 10, blocks of at least 2^15 amplitudes take the helper and
+        # split into the widest power-of-two panels of at most 2^15
+        # amplitudes: 128 columns at C(10, 5) = 252 rows and 512 at
         # C(10, 2) = 45; C(10, 1) * 2^10 amplitudes stay inline, and so does
-        # every block where BLAS runs more threads
+        # every block where the helper may not share
         model, dist = model_from_instance(generate_instance(10, 1))
         for xs, columns in (((5,), 128), ((2, 8), 512), ((1, 9), 1024)):
             for helper in (False, None):
@@ -550,7 +614,7 @@ class TestHelperThread:
         start = threading.active_count()
         monkeypatch.setattr(dqa, "_layer_panel", failing)
         monkeypatch.setattr(dqa, "_PANEL_AMPS", FORCED_PANEL_AMPS)
-        monkeypatch.setattr(dqa, "_ONE_BLAS_THREAD", True)
+        force_helper(monkeypatch, True)
         with pytest.raises(FloatingPointError, match="panel GEMM failed"):
             anneal_feasible_blocks(model, (1, 5), dist, AnnealSchedule.linear(8))
         assert helper_failed.is_set()
@@ -583,22 +647,21 @@ class TestHelperThread:
         ({"OPENBLAS_NUM_THREADS": "abc", "OPENBLAS_DEFAULT_NUM_THREADS": "2",
           "OMP_NUM_THREADS": "1"}, False),
     ])
+    @needs_blas_threads
     def test_sharing_follows_the_blas_thread_variables(self, env, shared):
-        # read at import in OpenBLAS's order, OPENBLAS_NUM_THREADS, then
-        # OPENBLAS_DEFAULT_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS,
-        # each value as C's atoi reads it; a value of 0 or none counts as
-        # unset.  OpenBLAS 0.3.31 ran each OPENBLAS_DEFAULT_NUM_THREADS case
-        # at the thread count expected here: a 1500^2 GEMM's CPU-to-wall
-        # ratio read 1.0 where one thread is expected, 2.0 on 2 cores where not
-        src = str(Path(spq.__file__).resolve().parent.parent)
-        base = {k: v for k, v in os.environ.items()
-                if k not in dqa._OPENBLAS_THREAD_VARS}
-        proc = subprocess.run(
-            [sys.executable, "-c", "from spq import dqa; print(dqa._helper_may_share())"],
-            timeout=120, capture_output=True, text=True,
-            env=dict(base, PYTHONPATH=src, **env))
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == str(shared)
+        # these settings once decided, read the way OpenBLAS reads them,
+        # whether the helper shared; now it shares under every one of them.
+        # ``shared`` marks those that give OpenBLAS one thread: the anneal
+        # runs at one thread whatever they say, hands the caller back the
+        # count OpenBLAS read, and yields the bits of the in-process anneal
+        model, dist = model_from_instance(generate_instance(10, 0))
+        blocks = anneal_feasible_blocks(model, (5,), dist, AnnealSchedule.linear(2))
+        expected = hashlib.sha256(blocks[0].amps.tobytes()).hexdigest()
+        before, after, executor, digest = run_spq(ANNEAL_N10.format(xs=(5,), T=2), env)
+        assert before == after
+        assert before == "1" or not shared
+        assert executor == "True"
+        assert digest == expected
 
     def test_helper_exception_reaches_the_caller(self, monkeypatch):
         # the 21 mixing layers of T = 22 build in 3 chunks of 7 at C(6, 1) = 6
@@ -615,7 +678,7 @@ class TestHelperThread:
         start = threading.active_count()
         monkeypatch.setattr(dqa, "_mixer_unitaries", failing)
         monkeypatch.setattr(dqa, "_PANEL_AMPS", FORCED_PANEL_AMPS)
-        monkeypatch.setattr(dqa, "_ONE_BLAS_THREAD", True)
+        force_helper(monkeypatch, True)
         with pytest.raises(FloatingPointError, match="build 3 failed"):
             anneal_feasible_blocks(model, (1, 5), dist, AnnealSchedule.linear(22))
         assert len(calls) == 3 and threading.main_thread() not in calls
@@ -647,7 +710,7 @@ class TestHelperThread:
 
         monkeypatch.setattr(dqa, "_mixer_unitaries", failing)
         monkeypatch.setattr(dqa, "_PANEL_AMPS", FORCED_PANEL_AMPS)
-        monkeypatch.setattr(dqa, "_ONE_BLAS_THREAD", helper)
+        force_helper(monkeypatch, helper)
         with pytest.raises(ZeroDivisionError, match="layer 5"):
             anneal_feasible_blocks(model, (3,), dist, schedule)
         assert threading.active_count() == start
@@ -670,31 +733,59 @@ class TestHelperThread:
                 assert np.array_equal(a.amps, b.amps)
 
     def test_pool_workers_leave_the_gemms_to_the_caller(self):
-        # fig3's workers run one BLAS thread each but already fill the cores;
-        # the worker itself knows it is one, with no initializer telling it
-        assert harness._WORKER_BLAS_ENV["OPENBLAS_NUM_THREADS"] == "1"
+        # fig3's workers already fill the cores; the worker itself knows it
+        # is one, with no initializer telling it
         assert harness._pool_map(helper_may_share, [0], 1) == [False]
 
+    @needs_blas_threads
     @pytest.mark.parametrize("one_thread", [False, True])
     def test_the_helper_only_runs_where_it_shares(self, one_thread):
-        # with the BLAS thread variables unset, an n_y = 10 anneal runs
-        # inline and loads no executor; at one BLAS thread it takes the helper
-        code = ("import sys\n"
-                "from spq import dqa\n"
-                "from spq.model import generate_instance, model_from_instance\n"
-                "model, dist = model_from_instance(generate_instance(10, 0))\n"
-                "dqa.anneal_feasible_blocks(model, (5,), dist, dqa.AnnealSchedule.linear(2))\n"
-                "print('concurrent.futures' in sys.modules)\n")
-        src = str(Path(spq.__file__).resolve().parent.parent)
-        env = {k: v for k, v in os.environ.items()
-               if k not in dqa._OPENBLAS_THREAD_VARS}
-        if one_thread:
-            env["OPENBLAS_NUM_THREADS"] = "1"
-        proc = subprocess.run([sys.executable, "-c", code], timeout=120,
-                              capture_output=True, text=True,
-                              env=dict(env, PYTHONPATH=src))
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == str(one_thread)
+        # with the BLAS thread variables unset or at one thread alike, an
+        # n_y = 10 block of one panel, C(10, 1) * 2^10 amplitudes, anneals
+        # inline and loads no executor; the weight-5 block takes the helper
+        env = {"OPENBLAS_NUM_THREADS": "1"} if one_thread else {}
+        for xs, executor in (((9,), "False"), ((5,), "True")):
+            assert run_spq(ANNEAL_N10.format(xs=xs, T=2), env)[2] == executor
+
+    @needs_blas_threads
+    def test_blocks_do_not_follow_the_blas_thread_count(self):
+        # a lockstep group anneals to the same bytes at one and two BLAS
+        # threads and at OpenBLAS's default, one thread per core, and gives
+        # the caller its count back; before the anneal set its own count,
+        # the default gave other bytes
+        runs = [run_spq(ANNEAL_N10.format(xs=(4, 6), T=2), env)
+                for env in ({"OPENBLAS_NUM_THREADS": "1"},
+                            {"OPENBLAS_NUM_THREADS": "2"}, {})]
+        assert [(before, after) for before, after, _, _ in runs] == [
+            ("1", "1"), ("2", "2"), (runs[2][0], runs[2][0])]
+        assert len({digest for _, _, _, digest in runs}) == 1
+
+    @needs_blas_threads
+    def test_missing_thread_calls_leave_the_count_alone(self, monkeypatch):
+        # where the lookup finds no OpenBLAS thread-count calls, an n_y = 10
+        # block that would split anneals inline, at the caller's count
+        get, set_threads = dqa._BLAS_THREADS
+        with monkeypatch.context() as patch:
+            patch.setattr(dqa.ctypes, "CDLL", lambda path: object())
+            monkeypatch.setattr(dqa, "_BLAS_THREADS", dqa._blas_thread_calls())
+        assert dqa._BLAS_THREADS is None
+        model, dist = model_from_instance(generate_instance(10, 0))
+        counts, panel = set(), dqa._layer_panel
+
+        def recorded(*args):
+            counts.add((threading.current_thread(), get()))
+            return panel(*args)
+
+        monkeypatch.setattr(dqa, "_layer_panel", recorded)
+        start, before = threading.active_count(), get()
+        set_threads(2)
+        try:
+            anneal_feasible_blocks(model, (5,), dist, AnnealSchedule.linear(3))
+            assert get() == 2
+        finally:
+            set_threads(before)
+        assert threading.active_count() == start
+        assert counts == {(threading.main_thread(), 2)}
 
     def test_importing_spq_starts_no_thread(self):
         # worker start-up is timed (perfbench setup_s), so the helper
@@ -761,7 +852,7 @@ class TestColumnReference:
         the first pinned in the group's first block, the second in its last.
         Returns the worst deviation."""
         n_y = model.n_y
-        monkeypatch.setattr(dqa, "_ONE_BLAS_THREAD", True)
+        force_helper(monkeypatch, True)
         if n_y == 8:
             monkeypatch.setattr(dqa, "_PANEL_AMPS", 2 ** 7)
         p_xi = np.zeros(2 ** n_y)
@@ -839,11 +930,10 @@ class TestLockstepAnneal:
                                            groups)
 
     def test_blocks_equal_the_lone_anneal_with_the_helper(self, monkeypatch):
-        # n_y = 10 with the helper forced on, as at one BLAS thread, so both
-        # threads share the GEMMs' column panels: the pair (2, 8), whose x = 2
-        # block anneals in complement order, and the lone x = 5
-        monkeypatch.setattr(dqa, "_ONE_BLAS_THREAD", True)
-        assert dqa._helper_may_share()
+        # n_y = 10 with the helper forced on, so both threads share the
+        # GEMMs' column panels: the pair (2, 8), whose x = 2 block anneals in
+        # complement order, and the lone x = 5
+        force_helper(monkeypatch, True)
         model, dist = model_from_instance(generate_instance(10, 30))
         self.assert_blocks_match_lone_runs(model, dist, AnnealSchedule.linear(10),
                                            [(2, 8), (5,)])
@@ -863,7 +953,7 @@ class TestLockstepAnneal:
 
         monkeypatch.setattr(dqa, "_mixer_unitaries", recorded)
         for helper in (False, True):
-            monkeypatch.setattr(dqa, "_ONE_BLAS_THREAD", helper)
+            force_helper(monkeypatch, helper)
             if helper:
                 monkeypatch.setattr(dqa, "_PANEL_AMPS", 2 ** 7)
             for xs in lockstep_groups(model) + [(1,)]:
@@ -885,7 +975,7 @@ class TestLockstepAnneal:
 
     def test_groups_pair_exactly_the_complementary_weights(self):
         for n_y in range(1, 8):
-            for d in range(0, n_y + 3):
+            for d in range(0, n_y + 1):
                 model = UnitCommitmentModel(n_y=n_y, c_x=0.4, c=(0.1,) * n_y,
                                             c_r=1.0, d=d)
                 groups = lockstep_groups(model)

@@ -4,15 +4,19 @@ of result files, and the CLI surface."""
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 from statistics import median_low
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spq
 from spq.cli import main
@@ -594,8 +598,9 @@ class TestExperimentOutputs:
 
     def test_fig3_deterministic_across_worker_counts_with_blas(self, tmp_path,
                                                                monkeypatch):
-        # n_y = 8 makes each mixer layer a 70 x 70 by 70 x 256 GEMM, which
-        # BLAS runs threaded in this process and single-threaded in workers
+        # n_y = 8 makes each mixer layer a 70 x 70 by 70 x 256 GEMM; with
+        # two BLAS threads asked for, every anneal still runs at one, in this
+        # process and in the workers alike
         spec = ExperimentSpec(kind="fig3", n_y_values=(8,), n_instances=1,
                               master_seed=4)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
@@ -608,29 +613,17 @@ class TestExperimentOutputs:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
-    def test_fig3_meta_records_workers_and_blas_env(self, tmp_path, monkeypatch):
+    def test_fig3_meta_records_workers(self, tmp_path):
         spec = ExperimentSpec(kind="fig3", n_y_values=(3,), n_instances=2,
                               master_seed=1)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-        for name in ("OPENBLAS_DEFAULT_NUM_THREADS", "GOTO_NUM_THREADS",
-                     "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.delenv(name, raising=False)
         experiment_fig3(spec, tmp_path / "a", workers=1)
         experiment_fig3(spec, tmp_path / "b", workers=2)
         meta_a = json.loads((tmp_path / "a" / "meta.json").read_text())
         meta_b = json.loads((tmp_path / "b" / "meta.json").read_text())
         assert meta_a["workers"] == 1
-        assert meta_a["worker_blas_env"] == {"OPENBLAS_NUM_THREADS": "3",
-                                             "OPENBLAS_DEFAULT_NUM_THREADS": None,
-                                             "GOTO_NUM_THREADS": None,
-                                             "OMP_NUM_THREADS": None,
-                                             "MKL_NUM_THREADS": None}
         assert meta_b["workers"] == 2
-        assert meta_b["worker_blas_env"] == {"OPENBLAS_NUM_THREADS": "1",
-                                             "OPENBLAS_DEFAULT_NUM_THREADS": "1",
-                                             "GOTO_NUM_THREADS": "1",
-                                             "OMP_NUM_THREADS": "1",
-                                             "MKL_NUM_THREADS": "1"}
+        # the anneal sets its own BLAS thread count, so no environment is kept
+        assert set(meta_a) == set(meta_b) == {"spec", "wall_time_s", "workers"}
         # the sidecar only: the result CSVs stay identical
         for name in ("fig3_runs.csv", "fig3_summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
@@ -854,6 +847,17 @@ class TestCli:
         assert "expected an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry", [[4, 6], [4, 6, 10, 1], [], 5, "4,6,10",
+                                       {"n_y": 4, "m": 6, "T": 10}])
+    def test_fig5_config_entry_not_three_values_exits_2(self, tmp_path, capsys, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "fig5", "configs": [[4, 6, 10], entry]}))
+        out = tmp_path / "out"
+        assert main(["experiment", "fig5", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert f"configs entry {entry!r}: expected [n_y, m, T]" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["5", "null", "[]"])
     def test_non_object_config_exits_2(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
@@ -948,6 +952,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and error in err
 
+    @pytest.mark.parametrize("command", ["exact", "run"])
+    def test_demand_above_the_turbine_count_exits_2(self, tmp_path, capsys, command):
+        # d = 5 on 3 turbines: no x below 2 has a feasible y, and the
+        # instance is refused as a whole
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps({**generate_instance(3, 1), "d": 5}))
+        argv = [command, "--instance", str(inst_path)]
+        if command == "run":
+            argv += ["--x", "1", "--T", "3", "--m", "4"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: demand d=5 must be an integer in [0, n_y=3]\n"
+
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 32)])
     def test_seed_outside_32_bits_exits_2(self, tmp_path, capsys, seed):
         # -1 would alias 2^32 - 1 and 2^32 would alias 0
@@ -987,3 +1003,67 @@ class TestCli:
         rc = main(["run", "--instance", inst_path, "--x", "1", "--T", "2",
                    "--oracle", "sin", "--m", "12", "--seed", "0"])
         assert rc == 3
+
+
+# values an instance field is swapped for: other JSON types, boundary
+# integers, and NaN, the infinities and floats at the ends of their range
+ODD_VALUES = st.sampled_from([
+    None, True, False, "", "1", "uniform", [], [1, 1], {}, {"p": 1},
+    0, 1, -1, 2, 2 ** 31 - 1, 2 ** 31, 2 ** 63 - 1, 2 ** 63, -2 ** 63 - 1, 2 ** 64,
+    2 ** 1100, -2 ** 1100,
+    math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -0.0, 0.5, 1.5,
+])
+
+SWAPS = ["n_y", "c_x", "c", "c_r", "d", "distribution", "seed", "c entry",
+         "type", "entries", "scenario", "p", "no c", "duplicate c",
+         "no entries", "duplicate entry", "bit-string scenario"]
+
+
+@st.composite
+def malformed_instances(draw):
+    """A valid instance of at most 4 turbines, uniform or explicit law,
+    with one field swapped (``SWAPS``), or none."""
+    n_y = draw(st.integers(1, 4))
+    c = draw(st.lists(st.floats(0.01, 0.39), min_size=n_y, max_size=n_y))
+    scenarios = draw(st.lists(st.integers(0, 2 ** n_y - 1), min_size=1, unique=True))
+    entries = [{"scenario": s, "p": 1 / len(scenarios)} for s in scenarios]
+    inst = {"n_y": n_y, "c_x": 0.4, "c": c, "c_r": draw(st.floats(0.5, 2.0)),
+            "d": draw(st.integers(0, n_y)), "seed": 0,
+            "distribution": draw(st.sampled_from([
+                {"type": "uniform"}, {"type": "explicit", "entries": entries}]))}
+    swap, odd = draw(st.sampled_from(SWAPS + [None])), draw(ODD_VALUES)
+    law = inst["distribution"]
+    if swap in ("type", "entries", "scenario", "p", "no entries",
+                "duplicate entry", "bit-string scenario"):
+        law.update(type="explicit", entries=entries)
+    if swap in ("n_y", "c_x", "c", "c_r", "d", "distribution", "seed"):
+        inst[swap] = odd
+    elif swap == "c entry":
+        c[draw(st.integers(0, n_y - 1))] = odd
+    elif swap in ("type", "entries"):
+        law[swap] = odd
+    elif swap in ("scenario", "p"):
+        entries[draw(st.integers(0, len(entries) - 1))][swap] = odd
+    elif swap in ("no c", "no entries"):
+        (c if swap == "no c" else entries).clear()
+    elif swap in ("duplicate c", "duplicate entry"):
+        (c if swap == "duplicate c" else entries).append(
+            (c if swap == "duplicate c" else entries)[0])
+    elif swap == "bit-string scenario":
+        entries[0]["scenario"] = draw(st.sampled_from(
+            ["", "2", "b1", " 1", "0b11", "1" * 63, "1" * 64, "1" * 70]))
+    return inst
+
+
+class TestMalformedInstances:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(inst=malformed_instances(), x=st.integers(-1, 5))
+    def test_every_command_exits_by_design(self, inst, x):
+        # spq exact and spq run return 0, 2 or 3 and never raise
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "inst.json")
+            with open(path, "w") as fh:
+                json.dump(inst, fh)
+            assert main(["exact", "--instance", path]) in (0, 2, 3)
+            assert main(["run", "--instance", path, "--x", str(x),
+                         "--T", "2", "--m", "3"]) in (0, 2, 3)
