@@ -14,13 +14,14 @@ from .harness import (
     ConfigError,
     ExperimentSpec,
     check_run,
+    checked_model,
     exact_table,
     experiment_fig3,
     experiment_fig4,
     experiment_fig5,
     single_run,
 )
-from .model import generate_instance, load_instance, model_from_instance, save_instance
+from .model import generate_instance, load_instance, save_instance
 from .oracle import ORACLES
 from .statevector import SimulationBudgetError
 
@@ -108,7 +109,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_make_instance(args) -> int:
     inst = generate_instance(args.n_y, args.seed)
-    model, dist = model_from_instance(inst)
+    model, dist = checked_model(inst)
     # an instance the other commands reject is not written
     check_run(model, dist, range(model.d + 1))
     save_instance(inst, args.out)

@@ -291,12 +291,25 @@ def _mixer_pairs(n_y: int, weight: int, j: int, k: int) -> tuple[np.ndarray, np.
     return a, np.searchsorted(ys, ys[a] ^ (1 << j) ^ (1 << k))
 
 
-def _mixer_scratch(n_y: int, weight: int, layers: int) -> np.ndarray:
-    """Work rows for ``_mixer_unitaries``: four buffers of ``layers`` times
-    the C(n_y-2, w-1) rows that every pair rotation of the weight-w block
-    touches."""
+def _mixer_shapes(n_y: int, weight: int, layers: int):
+    """The C(n_y, w)-square layer size, the (layers, rows, cols) shape of
+    each of ``_mixer_unitaries``' four work-row buffers and the (layers, C,
+    cols) shape of its half stack, or None.  Every pair rotation of the
+    weight-w block touches C(n_y-2, w-1) rows; the rotations build the
+    left cols = C/2 columns where w = n_y / 2, all C otherwise."""
+    n = len(feasible_decisions(n_y, weight))
     rows = math.comb(n_y - 2, weight - 1) if 0 < weight < n_y else 0
-    return np.empty((4, layers, rows, len(feasible_decisions(n_y, weight))),
+    if 2 * weight == n_y > 0:
+        return n, (layers, rows, n // 2), (layers, n, n // 2)
+    return n, (layers, rows, n), None
+
+
+def _mixer_scratch(n_y: int, weight: int, layers: int) -> np.ndarray:
+    """Work space for ``_mixer_unitaries`` on up to ``layers`` layers, one
+    flat buffer: the four work-row buffers, then the half stack, if any
+    (``_mixer_shapes``)."""
+    _, rows, half = _mixer_shapes(n_y, weight, layers)
+    return np.empty(4 * math.prod(rows) + (math.prod(half) if half else 0),
                     dtype=complex)
 
 
@@ -310,41 +323,51 @@ def _mixer_unitaries(n_y: int, weight: int, betas: np.ndarray | list[float],
     weight block.  Applying the same pair rotations, in the j < k order of
     ``_uc_layer_gates``, to the identity gives their product in gate order;
     each rotation is applied once to every layer of the stack, with its
-    cos and sin as (layers, 1, 1) arrays.  Given ``out`` and
-    ``_mixer_scratch`` rows for as many layers, the stack is built in
-    ``out``, allocating only the rotation entries and the diagonal index;
-    the floats are the same either way, and the same whichever stack a
-    layer is built in.
+    cos and sin as (layers, 1, 1) arrays.  The rotations mix rows, each
+    column on its own.  At w = n_y / 2 the complement, which reverses the
+    feasible rows, maps the block to itself and U is centrosymmetric bit
+    for bit, so the rotations build only the left half of the columns, in
+    a contiguous (layers, C, C/2) stack, and the right half is that stack
+    with rows and columns reversed.  Given ``out`` and a ``_mixer_scratch``
+    for at least as many layers, the stack is built in ``out``, allocating
+    only the rotation entries and the diagonal index; the floats are the
+    same either way, and the same whichever stack a layer is built in.
     """
-    n = len(feasible_decisions(n_y, weight))
+    n, rows, half = _mixer_shapes(n_y, weight, len(betas))
     if out is None:
         out = np.empty((len(betas), n, n), dtype=complex)
     if scratch is None:
-        scratch = _mixer_scratch(n_y, weight, len(out))
-    out.fill(0.0)
-    diag = np.arange(n)
-    out[:, diag, diag] = 1.0
+        scratch = _mixer_scratch(n_y, weight, len(betas))
+    size = math.prod(rows)
+    a, b, p, q = scratch[:4 * size].reshape(4, *rows)
+    work = (out if half is None
+            else scratch[4 * size:4 * size + math.prod(half)].reshape(half))
+    work.fill(0.0)
+    diag = np.arange(rows[2])
+    work[:, diag, diag] = 1.0
     angles = [mixer_pair_angle(beta, n_y) for beta in betas]
     # c is held as the complex (cos, 0) each product would cast a float c
     # to, so that no product casts it
     c = np.array([math.cos(angle) for angle in angles], dtype=complex).reshape(-1, 1, 1)
     s = np.array([math.sin(angle) for angle in angles]).reshape(-1, 1, 1)
     i_s, minus_i_s = 1j * s, -1j * s
-    a, b, p, q = scratch
     for j in range(n_y - 1):
         for k in range(j + 1, n_y):
             a_rows, b_rows = _mixer_pairs(n_y, weight, j, k)
             if a_rows.size == 0:
                 continue
-            np.take(out, a_rows, axis=1, out=a, mode="clip")
-            np.take(out, b_rows, axis=1, out=b, mode="clip")
+            np.take(work, a_rows, axis=1, out=a, mode="clip")
+            np.take(work, b_rows, axis=1, out=b, mode="clip")
             # c a - i s b and -i s a + c b, the products of the 2x2 rotation
             np.subtract(np.multiply(c, a, out=p),
                         np.multiply(i_s, b, out=q), out=p)
-            out[:, a_rows] = p
+            work[:, a_rows] = p
             np.add(np.multiply(minus_i_s, a, out=p),
                    np.multiply(c, b, out=q), out=p)
-            out[:, b_rows] = p
+            work[:, b_rows] = p
+    if half is not None:
+        out[:, :, :n // 2] = work
+        out[:, :, n // 2:] = work[:, ::-1, ::-1]
     return out
 
 
@@ -360,7 +383,7 @@ def _mixer_builder(n_y: int, weight: int, betas: np.ndarray, slots: int):
     chunk k, ``build`` builds the chunk's stack (``_mixer_unitaries``) into
     the (k mod ``slots``)-th of ``slots`` reused buffers, so a buffer is
     overwritten ``slots`` chunks later; layer t reads row t mod L.  The
-    buffers and work rows are allocated here, by the caller's thread,
+    buffers and the work space are allocated here, by the caller's thread,
     before any build, whichever thread then builds.
     """
     n = len(feasible_decisions(n_y, weight))
@@ -375,7 +398,7 @@ def _mixer_builder(n_y: int, weight: int, betas: np.ndarray, slots: int):
             chunk = betas[t:t + layers]
             stacks[k % slots] = _mixer_unitaries(n_y, weight, chunk,
                                                  buffers[k % slots][:len(chunk)],
-                                                 scratch[:, :len(chunk)])
+                                                 scratch)
         return stacks[k % slots][i]
 
     return build
@@ -487,15 +510,26 @@ class FeasibleBlock:
 
 def check_block(model: UnitCommitmentModel, x: int,
                 dist: DiscreteDistribution) -> None:
-    """Raise unless dist has the model's n_xi scenario bits, x lies in
-    [0, d] and its feasible block of C(n_y, d - x) * 2^n_xi amplitudes fits
-    the simulator: at most 2^MAX_QUBITS, the largest statevector it allows."""
+    """Raise unless dist has the model's n_xi scenario bits and x's
+    feasible block fits the simulator (``check_block_size``)."""
     if dist.n_xi != model.n_xi:
         raise ConfigError(f"distribution has {dist.n_xi} scenario bits, "
                           f"the model has {model.n_xi} turbines")
+    check_block_size(model, x)
+
+
+def check_block_size(model: UnitCommitmentModel, x: int) -> None:
+    """Raise unless the model's n_xi scenario qubits fit the simulator, x
+    lies in [0, d] and its feasible block of C(n_y, d - x) * 2^n_xi
+    amplitudes does too: at most 2^MAX_QUBITS, the largest statevector it
+    allows.  The rule reads n_y, d and n_xi alone, so it can run before the
+    scenario law is built."""
+    if model.n_xi > MAX_QUBITS:
+        raise SimulationBudgetError(
+            f"{model.n_xi} scenario qubits exceed the simulator cap of {MAX_QUBITS}")
     if not 0 <= x <= model.d:
         raise InfeasibleDecisionError(f"x={x} outside [0, {model.d}]")
-    size = math.comb(model.n_y, model.d - x) * 2 ** dist.n_xi
+    size = math.comb(model.n_y, model.d - x) * 2 ** model.n_xi
     if size > 2 ** MAX_QUBITS:
         raise SimulationBudgetError(
             f"x={x} needs a feasible block of {size} amplitudes, over the "

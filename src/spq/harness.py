@@ -11,6 +11,7 @@ sidecar, which is excluded from that guarantee.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import time
@@ -27,6 +28,7 @@ from .dqa import (
     AnnealSchedule,
     anneal_feasible_blocks,
     check_block,
+    check_block_size,
     lockstep_groups,
     per_scenario_optimal_block,
     run_dqa_fast,  # not called here; perfbench/selftest.py checks that it is traced
@@ -39,6 +41,8 @@ from .model import (
     cost_bound,
     expected_value_exact,
     generate_instance,
+    instance_law,
+    instance_model,
     model_from_instance,
 )
 from .oracle import OracleKind, check_oracle, sin_oracle_readback, target_amplitude
@@ -141,13 +145,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, fieldnames, rows: list[dict]) -> None:
-    """Header plus one line per row, each value formatted by ``_fmt``."""
+def write_csv(path, fieldnames, rows) -> None:
+    """Header plus one line per row (a dict or a structured-array record),
+    each value formatted by ``_fmt``; ``csv.writer`` writes the whole text
+    into a ``StringIO``, which goes to the file in one ``write``."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(fieldnames)
+    writer.writerows([_fmt(row[k]) for k in fieldnames] for row in rows)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_fmt(row[k]) for k in fieldnames])
+        fh.write(buf.getvalue())
 
 
 def _write_meta(out_dir: Path, spec: ExperimentSpec, started: float,
@@ -247,6 +254,18 @@ def check_run(model, dist, xs, T: int | None = None, m: int | None = None,
     config = QaeConfig(m=m, repetitions=repetitions)
     check_budget(_system_qubits(model, dist), m)
     return config
+
+
+def checked_model(inst: dict, xs=None) -> tuple[UnitCommitmentModel,
+                                                DiscreteDistribution]:
+    """``model_from_instance``, with every x in ``xs`` (in 0..d for None)
+    passed through ``check_block_size`` between the model and its law: the
+    block rule reads n_y, d and n_xi, so an instance it refuses is refused
+    before its scenario law, 2^n_xi entries for a uniform one, is built."""
+    model = instance_model(inst)
+    for x in range(model.d + 1) if xs is None else xs:
+        check_block_size(model, x)
+    return model, instance_law(inst, model)
 
 
 def _qae_estimate_for_x(model, dist, x, exp_hq, a, config, oracle):
@@ -367,7 +386,7 @@ def experiment_fig3(spec: ExperimentSpec, out_dir, workers: int | None = None) -
     tasks = [(n_y, i, derive_seed(spec.master_seed, "fig3", n_y, i))
              for n_y in spec.n_y_values for i in range(spec.n_instances)]
     for n_y, _, instance_seed in tasks:
-        model, dist = model_from_instance(generate_instance(n_y, instance_seed))
+        model, dist = checked_model(generate_instance(n_y, instance_seed))
         check_run(model, dist, range(model.d + 1))  # T = n_y and n_y^2 always valid
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -400,28 +419,36 @@ def experiment_fig3(spec: ExperimentSpec, out_dir, workers: int | None = None) -
 # -- fig4: estimator density ---------------------------------------------------
 
 _FIG4_BIN_WIDTH = 0.02237  # histogram bin width used for figure parity
+# lines per write of fig4_estimates.csv: about 45 KB of text, so neither the
+# joined block nor its encoded bytes is large enough for malloc to map on
+# its own; a whole 10,000-line batch per write left about 1 MiB more
+# resident after fig4
+_FIG4_WRITE_LINES = 1024
 
 
 _FIG4_ESTIMATE = np.dtype([("m", np.int64), ("method", "U3"),
                            ("a_hat", np.float64), ("phi_hat", np.float64)])
 
 
-def _estimate_lines(rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
+def _estimate_lines(rows: np.ndarray, keys: np.ndarray) -> tuple[list[str], np.ndarray,
+                                                                  np.ndarray]:
     """The ``fig4_estimates.csv`` lines of one batch of ``_FIG4_ESTIMATE``
-    rows, in row order, with the bytes ``write_csv`` writes for them.
+    rows, in row order, with the bytes ``write_csv`` writes for them; with
+    them, one row index per distinct readout and that readout's row count.
 
     ``keys`` holds each row's integer readout, b for QAE and k for Monte
     Carlo; rows with the same key hold the same floats.  A batch has at
-    most 2^(m+1) + 1 keys, so each line is formatted once, from the first
-    row with its key, and repeated.
+    most 2^(m+1) + 1 keys, so each line is formatted once, from one row
+    with its key, and the list holds that one string at each of its rows.
     """
-    first = np.full(keys.max() + 1, keys.size)
-    np.minimum.at(first, keys, np.arange(keys.size))
-    seen = np.flatnonzero(first < keys.size)
-    lines = np.empty(first.size, dtype=object)
+    counts = np.bincount(keys)
+    seen = np.flatnonzero(counts)
+    row_of = np.empty(counts.size, dtype=np.intp)
+    row_of[keys] = np.arange(keys.size)  # any row of a key holds its floats
+    lines = np.empty(counts.size, dtype=object)
     lines[seen] = [f"{m},{method},{a:.12g},{phi:.12g}\r\n"
-                   for m, method, a, phi in rows[first[seen]].tolist()]
-    return lines[keys]
+                   for m, method, a, phi in rows[row_of[seen]].tolist()]
+    return lines[keys].tolist(), row_of[seen], counts[seen]
 
 
 def experiment_fig4(spec: ExperimentSpec, out_dir) -> dict:
@@ -432,13 +459,18 @@ def experiment_fig4(spec: ExperimentSpec, out_dir) -> dict:
     (fields ``m``, ``method``, ``a_hat``, ``phi_hat``) whose records are
     the rows of ``fig4_estimates.csv`` in the same order, ``summary`` (the
     rows of ``fig4_summary.csv``) and ``a_true``.  The array is allocated
-    up front and filled one (m, method) batch at a time; each batch is
-    written to the estimate table as soon as it is drawn.
+    up front and filled one (m, method) batch at a time.  A batch costs per
+    distinct readout, not per row (``_estimate_lines``): its lines go to
+    the estimate table as soon as it is drawn, joined and written
+    ``_FIG4_WRITE_LINES`` at a time, and its
+    histogram bins the distinct ``phi_hat`` values weighted by their
+    integer counts, so every mass is the float an unweighted histogram of
+    the rows gives.  The RMSE and bound rate still read every row.
     """
     started = time.time()
-    model, dist = model_from_instance(
-        generate_instance(spec.n_y, derive_seed(spec.master_seed, "fig4")))
     x = spec.x
+    model, dist = checked_model(
+        generate_instance(spec.n_y, derive_seed(spec.master_seed, "fig4")), (x,))
     configs = [check_run(model, dist, (x,), m=m, repetitions=spec.n_estimates)
                for m in spec.m_values]
     out_dir = Path(out_dir)
@@ -476,8 +508,11 @@ def experiment_fig4(spec: ExperimentSpec, out_dir) -> dict:
                 rows = next(batches)
                 rows["m"], rows["method"] = m, method
                 rows["a_hat"], rows["phi_hat"] = arr, phis
-                est_fh.writelines(_estimate_lines(rows, keys))
-                counts, _ = np.histogram(phis, bins=edges)
+                lines, distinct, weights = _estimate_lines(rows, keys)
+                for i in range(0, len(lines), _FIG4_WRITE_LINES):
+                    est_fh.write("".join(lines[i:i + _FIG4_WRITE_LINES]))
+                # integer weights keep the counts, and so each mass, exact
+                counts, _ = np.histogram(phis[distinct], bins=edges, weights=weights)
                 for lo, cnt in zip(edges[:-1], counts):
                     if cnt:
                         hist_rows.append({"m": m, "method": method,
@@ -509,7 +544,7 @@ def experiment_fig5(spec: ExperimentSpec, out_dir) -> dict:
     started = time.time()
     models = []
     for ci, (n_y, m, T) in enumerate(spec.configs):
-        model, dist = model_from_instance(
+        model, dist = checked_model(
             generate_instance(n_y, derive_seed(spec.master_seed, "fig5", ci)))
         check_run(model, dist, range(model.d + 1), T, m, spec.amplify)
         models.append((model, dist))
@@ -547,11 +582,13 @@ def single_run(inst: dict, x: int, T: int, oracle: str, m: int, seed: int,
                amplify: int = 1) -> dict:
     """One full-pipeline run; returns the run record.
 
-    Passes ``check_run``, then anneals x alone on its feasible block and
-    takes <H_Q> and the QAE target a from it as qae-mode ``outer_loop``
-    does (``_qae_point``).
+    Checks the oracle name, loads the instance with ``checked_model`` for
+    x and passes ``check_run``, then anneals x alone on its feasible block
+    and takes <H_Q> and the QAE target a from it as qae-mode
+    ``outer_loop`` does (``_qae_point``).
     """
-    model, dist = model_from_instance(inst)
+    check_oracle(oracle)  # refused before a bad x, as in check_run
+    model, dist = checked_model(inst, (x,))
     started = time.time()
     config = replace(check_run(model, dist, (x,), T, m, amplify, oracle),
                      rng_seed=derive_seed(seed, "run", x))
@@ -572,8 +609,9 @@ def single_run(inst: dict, x: int, T: int, oracle: str, m: int, seed: int,
 
 def exact_table(inst: dict) -> list[dict]:
     """Classical oracles only: phi(x) and o(x) over the whole domain, after
-    ``check_run``: x's cost matrix holds as many entries as its feasible block."""
-    model, dist = model_from_instance(inst)
+    ``checked_model`` and ``check_run``: x's cost matrix holds as many
+    entries as its feasible block."""
+    model, dist = checked_model(inst)
     check_run(model, dist, range(model.d + 1))
     rows = []
     for x in range(model.d + 1):

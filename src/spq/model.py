@@ -68,6 +68,10 @@ class UnitCommitmentModel:
                 raise ValueError(f"turbine cost {cj} must satisfy 0 < c_j < c_x={self.c_x}")
         if not self.c_x < self.c_r:
             raise ValueError(f"recourse cost c_r={self.c_r} must exceed c_x={self.c_x}")
+        # every cost, and every objective, lies below 2 n_y c_r
+        if not 2 * self.n_y * self.c_r <= sys.float_info.max:
+            raise ValueError(f"recourse cost c_r={self.c_r} is too large: 2 n_y c_r, "
+                             f"the bound on every cost, exceeds the float range")
         if not 0 <= self.d <= self.n_y or int(self.d) != self.d:
             raise ValueError(f"demand d={self.d} must be an integer in [0, n_y={self.n_y}]")
 
@@ -303,33 +307,54 @@ def generate_instance(n_y: int, seed: int) -> dict:
     }
 
 
-def model_from_instance(inst: dict) -> tuple[UnitCommitmentModel, DiscreteDistribution]:
-    """The model and scenario law of an instance file's contents; a
-    malformed instance raises ``ConfigError`` (a bad value ``ValueError``)."""
+def _instance_error(exc: Exception) -> ConfigError:
+    """A missing field of an instance (``KeyError``), or one of the wrong
+    shape, as a ``ConfigError``."""
+    if isinstance(exc, KeyError):
+        return ConfigError(f"instance: missing field {exc}")
+    return ConfigError(f"malformed instance: {exc}")
+
+
+def instance_model(inst: dict) -> UnitCommitmentModel:
+    """The model of an instance file's contents, without its scenario law;
+    a malformed instance raises ``ConfigError`` (a bad value ``ValueError``)."""
     if not isinstance(inst, dict):
         raise ConfigError("instance is not a JSON object")
     try:
-        model = UnitCommitmentModel(
+        return UnitCommitmentModel(
             n_y=as_integer("n_y", inst["n_y"]), c_x=as_float("c_x", inst["c_x"]),
             c=tuple(as_float("c", v) for v in inst["c"]),
             c_r=as_float("c_r", inst["c_r"]), d=as_integer("d", inst["d"]))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise _instance_error(exc) from exc
+
+
+def instance_law(inst: dict, model: UnitCommitmentModel) -> DiscreteDistribution:
+    """The scenario law of an instance file's contents, on the n_xi bits of
+    its model (``instance_model``); a malformed law raises ``ConfigError``
+    (a bad value ``ValueError``)."""
+    try:
         spec = inst.get("distribution", {"type": "uniform"})
         if spec.get("type") == "uniform":
-            dist = DiscreteDistribution.uniform(model.n_xi)
-        elif spec.get("type") == "explicit":
+            return DiscreteDistribution.uniform(model.n_xi)
+        if spec.get("type") == "explicit":
             entries = spec["entries"]
-            dist = DiscreteDistribution(
+            return DiscreteDistribution(
                 model.n_xi,
                 [int(e["scenario"], 2) if isinstance(e["scenario"], str)
                  else as_integer("scenario", e["scenario"]) for e in entries],
                 [as_float("p", e["p"]) for e in entries])
-        else:
-            raise ValueError(f"unknown distribution type {spec.get('type')!r}")
-    except KeyError as exc:
-        raise ConfigError(f"instance: missing field {exc}") from exc
-    except (TypeError, AttributeError) as exc:
-        raise ConfigError(f"malformed instance: {exc}") from exc
-    return model, dist
+        raise ValueError(f"unknown distribution type {spec.get('type')!r}")
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise _instance_error(exc) from exc
+
+
+def model_from_instance(inst: dict) -> tuple[UnitCommitmentModel, DiscreteDistribution]:
+    """The model (``instance_model``) and scenario law (``instance_law``) of
+    an instance file's contents; a malformed instance raises ``ConfigError``
+    (a bad value ``ValueError``)."""
+    model = instance_model(inst)
+    return model, instance_law(inst, model)
 
 
 def load_instance(path) -> dict:

@@ -323,6 +323,33 @@ class TestMixerUnitary:
         assert np.array_equal(u[np.ix_(perm, perm)],
                               _mixer_unitary(n_y, n_y - weight, beta))
 
+    @pytest.mark.parametrize("n_y", [2, 4, 6, 8, 10])
+    def test_half_build_equals_a_rotation_by_rotation_build(self, n_y):
+        # at w = n_y / 2 the rotations build only the left half of U's
+        # columns and the right half is taken from it by centrosymmetry; the
+        # complement test above is circular there, so every layer of the
+        # stack is pinned against each rotation applied in turn to all
+        # columns of the identity, the products formed as the build forms
+        # them
+        weight = n_y // 2
+        ys = feasible_decisions(n_y, weight)
+        for T in sorted({3, n_y, n_y * n_y, 100}):
+            betas = AnnealSchedule.linear(T).mixer_angles()
+            stack = dqa._mixer_unitaries(n_y, weight, betas)
+            for u, beta in zip(stack, betas, strict=True):
+                angle = mixer_pair_angle(beta, n_y)
+                c = np.complex128(math.cos(angle))
+                s = np.float64(math.sin(angle))
+                ref = np.eye(len(ys), dtype=complex)
+                for j in range(n_y - 1):
+                    for k in range(j + 1, n_y):
+                        a = np.flatnonzero((ys >> j) & 1 & ~(ys >> k))
+                        b = np.searchsorted(ys, ys[a] ^ (1 << j) ^ (1 << k))
+                        ref_a, ref_b = ref[a], ref[b]
+                        ref[a] = c * ref_a - 1j * s * ref_b
+                        ref[b] = -1j * s * ref_a + c * ref_b
+                assert u.tobytes() == ref.tobytes(), (n_y, T, beta)
+
     @pytest.mark.parametrize("n_y", [2, 5, 8])
     def test_zero_angle_is_exactly_the_identity(self, n_y):
         # so skipping the beta = 0 layer changes no amplitude
@@ -335,7 +362,8 @@ class TestMixerUnitary:
         # the anneal builds each chunk of layers as one stack, in the
         # buffers of an earlier chunk: chunks of 5 layers of a 12-layer
         # ramp cross two chunk boundaries, the last chunk short and ending
-        # at beta = 0; every layer equals its one-layer build bit for bit
+        # at beta = 0; every layer equals its one-layer build bit for bit.
+        # The work space, sized for 5 layers, serves the short chunk too
         n = len(feasible_decisions(n_y, weight))
         scratch = dqa._mixer_scratch(n_y, weight, 5)
         out = np.full((5, n, n), np.nan + 1j)
@@ -343,8 +371,7 @@ class TestMixerUnitary:
         betas = AnnealSchedule.linear(12).mixer_angles()
         for first in range(0, 12, 5):
             chunk = betas[first:first + 5]
-            got = dqa._mixer_unitaries(n_y, weight, chunk, out[:len(chunk)],
-                                       scratch[:, :len(chunk)])
+            got = dqa._mixer_unitaries(n_y, weight, chunk, out[:len(chunk)], scratch)
             assert got.base is out
             for u, beta in zip(got, chunk, strict=True):
                 assert np.array_equal(u, _mixer_unitary(n_y, weight, beta))

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from statistics import median_low
 
@@ -352,7 +353,7 @@ class TestReadoutChecksBeforeAnneal:
         for mode in ("expectation", "qae", "exact"):
             with pytest.raises(ConfigError, match=f"{n_xi} scenario bits"):
                 outer_loop(model, dist, T=8, mode=mode, m=5)
-        monkeypatch.setattr(harness, "model_from_instance", lambda _: (model, dist))
+        monkeypatch.setattr(harness, "instance_law", lambda inst, model: dist)
         with pytest.raises(ConfigError, match=f"{n_xi} scenario bits"):
             single_run(inst, x=2, T=8, oracle="sin", m=5, seed=0)
 
@@ -525,6 +526,19 @@ class TestWriteCsv:
                  "text": ("a,b", 'say "x"', "line\nbreak", "plain")[i % 4]}
                 for i, v in enumerate(rng.standard_normal(9000))]
         fields = ["i", "f", "np", "flag", "maybe", "text"]
+        harness.write_csv(tmp_path / "new.csv", fields, rows)
+        _write_csv_value_by_value(tmp_path / "ref.csv", fields, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("fields, rows", [
+        (["a"], [{"a": None}, {"a": 1.5}]),          # a lone empty value is quoted
+        (["a", "b"], [{"a": 1, "b": None}, {"a": 2.0, "b": True}]),
+        (["a", "b"], [{"a": "x\ry", "b": 1}]),       # a carriage return alone
+        (["a", "b"], [{"a": "x\ny", "b": 1}]),       # a line feed alone
+        (["a,b", "c"], [{"a,b": 1, "c": 2}]),         # a header that needs quoting
+        (["a", "b"], []),
+    ])
+    def test_small_tables_match_value_by_value_writer(self, tmp_path, fields, rows):
         harness.write_csv(tmp_path / "new.csv", fields, rows)
         _write_csv_value_by_value(tmp_path / "ref.csv", fields, rows)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -702,6 +716,48 @@ class TestExperimentOutputs:
                  for method in ("qae", "mc")}
         assert at_m1["qae"] == {0.0, 1.0}
         assert at_m1["mc"] <= {0.0, 0.25, 0.5, 0.75, 1.0} and len(at_m1["mc"]) > 1
+
+    @pytest.mark.parametrize("n_y", [3, 5])
+    def test_fig4_histogram_is_np_histogram_of_every_row(self, tmp_path, n_y):
+        # each batch is binned from its distinct phi_hat values, weighted by
+        # their counts; the table equals np.histogram over all of its rows,
+        # at m = 1 and 2, where a batch holds a handful of distinct values,
+        # and at m = 5 and 8
+        spec = ExperimentSpec(kind="fig4", n_y=n_y, m_values=(1, 2, 5, 8),
+                              n_estimates=400, master_seed=45)
+        out = experiment_fig4(spec, tmp_path)
+        q_u = cost_bound(model_from_instance(generate_instance(
+            n_y, derive_seed(45, "fig4")))[0], spec.x)
+        edges = np.arange(0.0, q_u + 2 * 0.02237, 0.02237)
+        want = []
+        for m in spec.m_values:
+            for method in ("qae", "mc"):
+                rows = out["estimates"][(out["estimates"]["m"] == m)
+                                        & (out["estimates"]["method"] == method)]
+                counts, _ = np.histogram(rows["phi_hat"], bins=edges)
+                want += [[str(m), method, f"{lo:.12g}", "0.02237",
+                          f"{cnt / len(rows):.12g}"]
+                         for lo, cnt in zip(edges[:-1].tolist(), counts.tolist()) if cnt]
+        with open(tmp_path / "fig4_histogram.csv", newline="") as fh:
+            header, *got = list(csv.reader(fh))
+        assert header == ["m", "method", "bin_left", "bin_width", "mass"]
+        assert got == want
+
+    def test_fig4_csv_bytes_at_five_turbines(self, tmp_path):
+        # the shipped config at n_y = 5, whose QAE and Monte Carlo batches
+        # read other amplitudes and bins than the shipped n_y = 3
+        spec = ExperimentSpec.from_json(CONFIG_DIR / "fig4.json")
+        experiment_fig4(replace(spec, n_y=5), tmp_path)
+        pinned = {
+            "fig4_estimates.csv":
+                "400a47a6293a55199c1a83f48338417a9fc3554815428547962443d7ff6ea975",
+            "fig4_histogram.csv":
+                "918e5f7b720261071025d9e836fc9874a385d4dc294fdab0f54add77be67be86",
+            "fig4_summary.csv":
+                "c78800e44b4f1e2c8c8cdc54416997c0035b458a1c16062f3be60136293bb528",
+        }
+        for name, digest in pinned.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
     def test_shipped_fig4_csv_bytes(self, tmp_path):
         # the shipped fig4 CSVs are pinned byte for byte; a change to any
@@ -912,6 +968,45 @@ class TestCli:
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("error: ")
         assert inst_path.exists() == (command == "exact")
+
+    def test_oversized_instance_refused_before_its_law(self, tmp_path):
+        # at n_y = 22 the uniform law holds 2^22 scenarios, and building it
+        # peaked at 202 MiB; the block rule needs only n_y, d and n_xi and
+        # refuses x = 1 first, in a child process that stays small.  The
+        # peak is the child's VmHWM: its ru_maxrss can carry the RSS of the
+        # process that started it across exec
+        inst_path = tmp_path / "inst.json"
+        save_instance(generate_instance(22, 0), str(inst_path))
+        script = ("import re, sys\n"
+                  "from spq.cli import main\n"
+                  f"rc = main(['exact', '--instance', {str(inst_path)!r}])\n"
+                  "with open('/proc/self/status') as fh:\n"
+                  "    print(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read())[1])\n"
+                  "sys.exit(rc)\n")
+        src = str(Path(spq.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", script], timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stderr == ("error: x=1 needs a feasible block of 92274688 "
+                               "amplitudes, over the simulator cap of 2^24\n")
+        peak_mib = int(proc.stdout.split()[-1]) / 1024
+        assert peak_mib < 64, f"peak RSS {peak_mib:.1f} MiB"
+
+    @pytest.mark.parametrize("command", ["exact", "run"])
+    def test_overflowing_recourse_cost_exits_2(self, tmp_path, capsys, command):
+        # c_r = 1e308 is finite, but 2 n_y c_r, the bound on every cost, is
+        # not: refused at load instead of printing phi = inf or annealing on
+        # NaN phases
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps({**generate_instance(3, 1), "c_r": 1e308}))
+        argv = [command, "--instance", str(inst_path)]
+        if command == "run":
+            argv += ["--x", "1", "--T", "2", "--m", "3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: recourse cost c_r=1e+308")
+        assert captured.out == ""
 
     def test_make_instance_at_the_cap(self, tmp_path, capsys):
         # n_y = 13's largest block, C(13, 6) * 2^13 entries, fits

@@ -5,7 +5,9 @@ wind) is enumerated by hand here and reused as a regression anchor.
 """
 
 import dataclasses
+import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -292,6 +294,18 @@ class TestDistribution:
         inst = {"n_y": 2, "c_x": 0.4, "c": [0.1, 0.2], "c_r": 1.0, "d": 2, field: value}
         with pytest.raises(ConfigError, match=f"{field}: expected a finite number"):
             model_from_instance(inst)
+
+    def test_recourse_cost_bounded_by_the_float_range(self):
+        # every cost lies below 2 n_y c_r; with that bound finite at n_y = 3,
+        # every cost and phi(x) are finite
+        model = UnitCommitmentModel(3, 0.4, (0.1, 0.2, 0.3), sys.float_info.max / 8, 3)
+        dist = DiscreteDistribution.uniform(3)
+        assert np.isfinite(cost_diagonal(model)).all()
+        assert all(math.isfinite(expected_value_exact(model, x, dist))
+                   for x in range(4))
+        for c_r in (sys.float_info.max / 5, 1e308, math.inf):
+            with pytest.raises(ValueError, match="c_r="):
+                UnitCommitmentModel(3, 0.4, (0.1, 0.2, 0.3), c_r, 3)
 
     @pytest.mark.parametrize("name", ["scenarios", "probabilities"])
     def test_arrays_are_built_once(self, name):
