@@ -43,7 +43,6 @@ from .model import (
     generate_instance,
     instance_law,
     instance_model,
-    model_from_instance,
 )
 from .oracle import OracleKind, check_oracle, sin_oracle_readback, target_amplitude
 from .qae import (
@@ -53,6 +52,7 @@ from .qae import (
     mc_from_amplitude,
     qae_from_amplitude,
 )
+from .statevector import PROB_SUM_TOL
 
 
 _FIG5_DEFAULT_CONFIGS = ((4, 6, 10), (5, 6, 15), (6, 5, 20))
@@ -234,38 +234,42 @@ def _system_qubits(model, dist) -> int:
     return model.n_y + dist.n_xi + 1
 
 
-def check_run(model, dist, xs, T: int | None = None, m: int | None = None,
-              repetitions: int = 1, oracle: str = "exact") -> QaeConfig | None:
-    """The one check a run passes before any output directory or anneal.
-
-    Checks the oracle name, every x in ``xs`` and the size of its feasible
-    block (``check_block``, which also matches dist to the model), the
-    layer count T unless None and, when the estimate width m is given, m,
-    the readout count and the qubit budget of the circuit the readout
-    stands for.  Returns that readout plan, or None.
-    """
-    check_oracle(oracle)
-    for x in xs:
-        check_block(model, x, dist)
-    if T is not None:
-        AnnealSchedule.linear(T)
-    if m is None:
-        return None
+def _readout_config(model, dist, m: int, repetitions: int) -> QaeConfig:
+    """The readout plan of estimate width m and ``repetitions`` readouts,
+    after the qubit budget of the circuit it stands for."""
     config = QaeConfig(m=m, repetitions=repetitions)
     check_budget(_system_qubits(model, dist), m)
     return config
 
 
-def checked_model(inst: dict, xs=None) -> tuple[UnitCommitmentModel,
-                                                DiscreteDistribution]:
-    """``model_from_instance``, with every x in ``xs`` (in 0..d for None)
-    passed through ``check_block_size`` between the model and its law: the
-    block rule reads n_y, d and n_xi, so an instance it refuses is refused
-    before its scenario law, 2^n_xi entries for a uniform one, is built."""
+def check_run(inst: dict, xs=None, T: int | None = None, m: int | None = None,
+              repetitions: int = 1, oracle: str = "exact"
+              ) -> tuple[UnitCommitmentModel, DiscreteDistribution, QaeConfig | None]:
+    """The one check of an instance before any output, anneal or exact
+    table, in order: the oracle name, the model, ``check_block_size`` for
+    every x in ``xs`` (0..d for None), the law, T unless None, and the
+    readout plan of m and ``repetitions`` unless m is None.  The block rule
+    reads n_y, d and n_xi alone, so it refuses before the law, 2^n_xi
+    entries for a uniform one, is built.  Returns (model, law, plan)."""
+    check_oracle(oracle)
     model = instance_model(inst)
     for x in range(model.d + 1) if xs is None else xs:
         check_block_size(model, x)
-    return model, instance_law(inst, model)
+    dist = instance_law(inst, model)
+    if T is not None:
+        AnnealSchedule.linear(T)
+    config = None if m is None else _readout_config(model, dist, m, repetitions)
+    return model, dist, config
+
+
+def _check_variational(model, x: int, exp_hq: float, phi: float) -> None:
+    """Raise unless <H_Q> - phi(x) >= -PROB_SUM_TOL 2^n_xi q_u: the most
+    that column masses within ``PROB_SUM_TOL`` of p(xi), as every anneal
+    keeps them, and costs in [0, q_u] let <H_Q> fall below phi(x)."""
+    tol = PROB_SUM_TOL * 2 ** model.n_xi * cost_bound(model, x)
+    if not exp_hq - phi >= -tol:
+        raise ValueError(f"x={x}: <H_Q> = {exp_hq!r} lies below phi(x) = {phi!r} "
+                         f"by more than {tol!r}")
 
 
 def _qae_estimate_for_x(model, dist, x, exp_hq, a, config, oracle):
@@ -302,15 +306,20 @@ def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
     qae mode keeps the last (model, dist, T, oracle) anneal
     (``_qae_points``), so repeated calls differing only in ``seed_tag``
     anneal once; each x's readout seed still comes from ``seed_tag`` and x.
-    Every mode passes ``check_run``, with the oracle name, and qae mode
-    with m and ``amplify``, first.
+    The model and law may come from any caller, so every mode checks the
+    oracle, every x's ``check_block``, T and, in qae mode, the readout plan
+    before any anneal, and every x's <H_Q> against ``_check_variational``.
     """
     if mode not in ("expectation", "qae", "exact"):
         raise ConfigError(f"unknown outer-loop mode {mode!r}")
     if mode == "qae" and m is None:
         raise ConfigError("qae mode requires the estimate width m")
-    config = check_run(model, dist, range(model.d + 1), T,
-                       m if mode == "qae" else None, amplify, oracle)
+    check_oracle(oracle)
+    for x in range(model.d + 1):
+        check_block(model, x, dist)
+    AnnealSchedule.linear(T)
+    if mode == "qae":
+        config = _readout_config(model, dist, m, amplify)
     if mode == "expectation":
         exp_hqs = _block_values(model, dist, T, lambda block: block.expectation_hq())
     elif mode == "exact":
@@ -331,13 +340,12 @@ def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
             row.update(picked)
         else:
             exp_hq = phi_est = exp_hqs[x]
+        _check_variational(model, x, exp_hq, phi)
         row.update(exp_hq=exp_hq, delta=exp_hq - phi, phi_est=phi_est,
                    o_est=model.c_x * x + phi_est)
         result.rows.append(row)
-    o_exact = [r["o_exact"] for r in result.rows]
-    o_est = [r["o_est"] for r in result.rows]
-    result.x_star = int(np.argmin(o_exact))
-    result.x_est = int(np.argmin(o_est))
+    result.x_star = int(np.argmin([r["o_exact"] for r in result.rows]))
+    result.x_est = int(np.argmin([r["o_est"] for r in result.rows]))
     return result
 
 
@@ -356,9 +364,7 @@ def _pool_map(fn, tasks: list, workers: int) -> list:
 
 
 def _fig3_task(payload: tuple) -> list[dict]:
-    n_y, index, instance_seed = payload
-    inst = generate_instance(n_y, instance_seed)
-    model, dist = model_from_instance(inst)
+    n_y, index, instance_seed, model, dist = payload
     rows = []
     for t_rule, T in (("linear", n_y), ("quadratic", n_y * n_y)):
         res = outer_loop(model, dist, T, mode="expectation")
@@ -379,15 +385,17 @@ def experiment_fig3(spec: ExperimentSpec, out_dir, workers: int | None = None) -
     With ``workers > 1`` the instances run on spawned worker processes, so
     a script that calls this must guard its entry point with
     ``if __name__ == "__main__":``.  ``meta.json`` records the worker count.
+    Each task carries its instance's model and law from ``check_run``.
     """
     if workers is not None and workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     started = time.time()
-    tasks = [(n_y, i, derive_seed(spec.master_seed, "fig3", n_y, i))
-             for n_y in spec.n_y_values for i in range(spec.n_instances)]
-    for n_y, _, instance_seed in tasks:
-        model, dist = checked_model(generate_instance(n_y, instance_seed))
-        check_run(model, dist, range(model.d + 1))  # T = n_y and n_y^2 always valid
+    tasks = []
+    for n_y in spec.n_y_values:
+        for i in range(spec.n_instances):
+            seed = derive_seed(spec.master_seed, "fig3", n_y, i)
+            # T = n_y and n_y^2 are always valid
+            tasks.append((n_y, i, seed, *check_run(generate_instance(n_y, seed))[:2]))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if workers is None:
@@ -469,9 +477,9 @@ def experiment_fig4(spec: ExperimentSpec, out_dir) -> dict:
     """
     started = time.time()
     x = spec.x
-    model, dist = checked_model(
+    model, dist, _ = check_run(
         generate_instance(spec.n_y, derive_seed(spec.master_seed, "fig4")), (x,))
-    configs = [check_run(model, dist, (x,), m=m, repetitions=spec.n_estimates)
+    configs = [_readout_config(model, dist, m, spec.n_estimates)
                for m in spec.m_values]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -542,12 +550,9 @@ def experiment_fig5(spec: ExperimentSpec, out_dir) -> dict:
     """Objective surfaces from the entire algorithm, one measurement per
     first-stage point."""
     started = time.time()
-    models = []
-    for ci, (n_y, m, T) in enumerate(spec.configs):
-        model, dist = checked_model(
-            generate_instance(n_y, derive_seed(spec.master_seed, "fig5", ci)))
-        check_run(model, dist, range(model.d + 1), T, m, spec.amplify)
-        models.append((model, dist))
+    models = [check_run(generate_instance(n_y, derive_seed(spec.master_seed, "fig5", ci)),
+                        T=T, m=m, repetitions=spec.amplify, oracle=spec.oracle)[:2]
+              for ci, (n_y, m, T) in enumerate(spec.configs)]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     surface, summary = [], []
@@ -582,20 +587,19 @@ def single_run(inst: dict, x: int, T: int, oracle: str, m: int, seed: int,
                amplify: int = 1) -> dict:
     """One full-pipeline run; returns the run record.
 
-    Checks the oracle name, loads the instance with ``checked_model`` for
-    x and passes ``check_run``, then anneals x alone on its feasible block
-    and takes <H_Q> and the QAE target a from it as qae-mode
-    ``outer_loop`` does (``_qae_point``).
+    Loads the instance through ``check_run`` for x, then anneals x alone on
+    its feasible block and takes <H_Q> and the QAE target a from it as
+    qae-mode ``outer_loop`` does (``_qae_point``), under the same
+    variational bound (``_check_variational``).
     """
-    check_oracle(oracle)  # refused before a bad x, as in check_run
-    model, dist = checked_model(inst, (x,))
+    model, dist, config = check_run(inst, (x,), T, m, amplify, oracle)
     started = time.time()
-    config = replace(check_run(model, dist, (x,), T, m, amplify, oracle),
-                     rng_seed=derive_seed(seed, "run", x))
+    config = replace(config, rng_seed=derive_seed(seed, "run", x))
     (block,) = anneal_feasible_blocks(model, (x,), dist, AnnealSchedule.linear(T))
     exp_hq, a = _qae_point(model, block, oracle)
-    picked, phi_est = _qae_estimate_for_x(model, dist, x, exp_hq, a, config, oracle)
     phi = expected_value_exact(model, x, dist)
+    _check_variational(model, x, exp_hq, phi)
+    picked, phi_est = _qae_estimate_for_x(model, dist, x, exp_hq, a, config, oracle)
     return {
         "instance_seed": inst.get("seed"), "n_y": model.n_y, "x": x, "T": T,
         "m": m, "oracle": oracle, "amplify": amplify, "seed": seed,
@@ -609,12 +613,8 @@ def single_run(inst: dict, x: int, T: int, oracle: str, m: int, seed: int,
 
 def exact_table(inst: dict) -> list[dict]:
     """Classical oracles only: phi(x) and o(x) over the whole domain, after
-    ``checked_model`` and ``check_run``: x's cost matrix holds as many
-    entries as its feasible block."""
-    model, dist = checked_model(inst)
-    check_run(model, dist, range(model.d + 1))
-    rows = []
-    for x in range(model.d + 1):
-        phi = expected_value_exact(model, x, dist)
-        rows.append({"x": x, "phi": phi, "o": model.c_x * x + phi})
-    return rows
+    ``check_run``: x's cost matrix holds as many entries as its feasible
+    block."""
+    model, dist, _ = check_run(inst)
+    return [{"x": x, "phi": phi, "o": model.c_x * x + phi}
+            for x, phi in enumerate(_phi_table(model, dist))]

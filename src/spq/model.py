@@ -60,7 +60,7 @@ class UnitCommitmentModel:
     def __post_init__(self):
         object.__setattr__(self, "c", tuple(float(v) for v in self.c))
         if self.n_y < 1:
-            raise ValueError("need at least one turbine")
+            raise ValueError(f"n_y={self.n_y}: need at least one turbine")
         if len(self.c) != self.n_y:
             raise ValueError(f"expected {self.n_y} turbine costs, got {len(self.c)}")
         for cj in self.c:
@@ -332,7 +332,7 @@ def instance_model(inst: dict) -> UnitCommitmentModel:
 def instance_law(inst: dict, model: UnitCommitmentModel) -> DiscreteDistribution:
     """The scenario law of an instance file's contents, on the n_xi bits of
     its model (``instance_model``); a malformed law raises ``ConfigError``
-    (a bad value ``ValueError``)."""
+    (``distribution: ...`` for a bad value)."""
     try:
         spec = inst.get("distribution", {"type": "uniform"})
         if spec.get("type") == "uniform":
@@ -344,7 +344,9 @@ def instance_law(inst: dict, model: UnitCommitmentModel) -> DiscreteDistribution
                 [int(e["scenario"], 2) if isinstance(e["scenario"], str)
                  else as_integer("scenario", e["scenario"]) for e in entries],
                 [as_float("p", e["p"]) for e in entries])
-        raise ValueError(f"unknown distribution type {spec.get('type')!r}")
+        raise ValueError(f"unknown type {spec.get('type')!r}")
+    except ValueError as exc:
+        raise ConfigError(f"distribution: {exc}") from exc
     except (KeyError, TypeError, AttributeError) as exc:
         raise _instance_error(exc) from exc
 

@@ -20,10 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spq
+from spq import cli, harness, model as spq_model
 from spq.cli import main
-from spq import harness
 from spq.dqa import (
     AnnealSchedule,
+    FeasibleBlock,
     RegisterLayout,
     build_dqa,
     expectation_HQ,
@@ -189,6 +190,21 @@ class TestOuterLoop:
                                        n_estimates=100, master_seed=3),
                         tmp_path / "fig4_5")
 
+    def test_variational_bound_is_checked(self, monkeypatch):
+        # <H_Q> = -1 lies below phi(x) >= 0 by more than any column's mass
+        # error can explain, in every mode and in a single run
+        monkeypatch.setattr(FeasibleBlock, "expectation_hq", lambda block: -1.0)
+        harness._qae_points.cache_clear()
+        model, dist = model_from_instance(WORKED_INSTANCE)
+        try:
+            for mode in ("expectation", "qae", "exact"):
+                with pytest.raises(ValueError, match="x=0: <H_Q> = -1.0 lies below"):
+                    outer_loop(model, dist, T=4, mode=mode, m=4)
+            with pytest.raises(ValueError, match="x=1: <H_Q> = -1.0 lies below"):
+                single_run(WORKED_INSTANCE, x=1, T=4, oracle="exact", m=4, seed=0)
+        finally:
+            harness._qae_points.cache_clear()
+
     def test_unknown_mode_rejected(self):
         model, dist = model_from_instance(WORKED_INSTANCE)
         with pytest.raises(ConfigError):
@@ -347,15 +363,11 @@ class TestReadoutChecksBeforeAnneal:
     @pytest.mark.parametrize("n_xi", [2, 5])
     def test_distribution_width_must_match_the_model(self, monkeypatch, n_xi):
         self.refuse_anneal(monkeypatch)
-        inst = generate_instance(4, 3)
-        model, _ = model_from_instance(inst)
+        model, _ = model_from_instance(generate_instance(4, 3))
         dist = DiscreteDistribution.uniform(n_xi)
         for mode in ("expectation", "qae", "exact"):
             with pytest.raises(ConfigError, match=f"{n_xi} scenario bits"):
                 outer_loop(model, dist, T=8, mode=mode, m=5)
-        monkeypatch.setattr(harness, "instance_law", lambda inst, model: dist)
-        with pytest.raises(ConfigError, match=f"{n_xi} scenario bits"):
-            single_run(inst, x=2, T=8, oracle="sin", m=5, seed=0)
 
     @pytest.mark.parametrize("kwargs, _, exit_code", BAD_READOUTS)
     def test_cli_run_exit_codes(self, tmp_path, capsys, monkeypatch, kwargs, _,
@@ -452,23 +464,66 @@ class TestCheckBeforeWork:
     def test_block_budget_boundary_without_annealing(self, monkeypatch):
         self.refuse_work(monkeypatch)
         # n_y = 13: every block holds at most C(13, 6) * 2^13 = 14,057,472
-        model, dist = model_from_instance(generate_instance(13, 2))
-        assert check_run(model, dist, range(model.d + 1), 169) is None
-        model, dist = model_from_instance(generate_instance(14, 2))
+        assert check_run(generate_instance(13, 2), T=169)[2] is None
+        inst = generate_instance(14, 2)
         with pytest.raises(SimulationBudgetError, match="x=5 .* 32800768 amp"):
-            check_run(model, dist, range(model.d + 1), 196)
+            check_run(inst, T=196)
         with pytest.raises(SimulationBudgetError, match="56229888 amplitudes"):
-            check_run(model, dist, (7,), 196)
+            check_run(inst, (7,), 196)
 
     @pytest.mark.parametrize("T", [2.0, True, "3"])
     def test_non_integer_layer_count_rejected_before_annealing(self, monkeypatch, T):
         self.refuse_work(monkeypatch)
-        model, dist = model_from_instance(generate_instance(4, 1))
+        inst = generate_instance(4, 1)
+        model, dist = model_from_instance(inst)
         with pytest.raises(ConfigError, match="T: expected an integer"):
-            check_run(model, dist, range(model.d + 1), T)
+            check_run(inst, T=T)
         for mode in ("expectation", "qae"):
             with pytest.raises(ConfigError, match="T: expected an integer"):
                 outer_loop(model, dist, T, mode=mode, m=5)
+
+    @pytest.mark.parametrize("argv, config, checks", [
+        (["exact"], None, 1),
+        (["run", "--x", "1", "--T", "4", "--m", "4"], None, 1),
+        (["make-instance", "--n-y", "3", "--seed", "1"], None, 1),
+        (["experiment", "fig3"], {"n_y_values": [3], "n_instances": 2}, 2),
+        (["experiment", "fig4"], {"n_y": 3, "m_values": [4, 5], "n_estimates": 4}, 1),
+        (["experiment", "fig5"], {"configs": [[3, 4, 6]], "n_repetitions": 2}, 1),
+    ], ids=["exact", "run", "make-instance", "fig3", "fig4", "fig5"])
+    def test_one_check_and_one_law_per_instance(self, tmp_path, monkeypatch,
+                                                argv, config, checks):
+        # every command passes check_run once per instance it loads, and
+        # builds that instance's law once, in check_run; fig3's workers
+        # take the checked model and law from the parent
+        calls = {"check_run": 0, "instance_law": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        check = counted("check_run", harness.check_run)
+        law = counted("instance_law", harness.instance_law)
+        for module in (harness, cli):
+            monkeypatch.setattr(module, "check_run", check)
+        for module in (harness, spq_model):
+            monkeypatch.setattr(module, "instance_law", law)
+        inst_path = tmp_path / "inst.json"
+        save_instance(generate_instance(3, 1), str(inst_path))
+        if argv[0] in ("exact", "run"):
+            argv = [argv[0], "--instance", str(inst_path)] + argv[1:]
+        elif argv[0] == "make-instance":
+            argv = argv + ["--out", str(tmp_path / "made.json")]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"kind": argv[1], **config}))
+            argv = argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]
+            if argv[1] == "fig3":
+                argv += ["--workers", "1"]
+        harness._qae_points.cache_clear()
+        assert main(argv) == 0
+        assert calls == {"check_run": checks, "instance_law": checks}
 
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
                              ids=lambda path: path.name)
@@ -1033,6 +1088,18 @@ class TestCli:
             {"scenario": 0, "p": float("nan")}, {"scenario": 3, "p": 1.0}]}},
          "p: expected a finite number"),
         ({**WORKED_INSTANCE, "c_r": float("inf")}, "c_r: expected a finite number"),
+        ({**WORKED_INSTANCE, "distribution": {"type": "explicit", "entries": [
+            {"scenario": 0, "p": 0.5}, {"scenario": 3, "p": 0.4}]}},
+         "distribution: probabilities sum to 0.9"),
+        ({**WORKED_INSTANCE, "distribution": {"type": "explicit", "entries": [
+            {"scenario": 0, "p": 1.5}, {"scenario": 3, "p": -0.5}]}},
+         "distribution: negative or NaN probability"),
+        ({**WORKED_INSTANCE, "distribution": {"type": "explicit", "entries": [
+            {"scenario": 1, "p": 0.5}, {"scenario": 1, "p": 0.5}]}},
+         "distribution: duplicate scenario 1"),
+        ({**WORKED_INSTANCE, "distribution": {"type": "explicit", "entries": [
+            {"scenario": 4, "p": 1.0}]}}, "distribution: scenario 4 does not fit in 2 bits"),
+        ({**WORKED_INSTANCE, "n_y": 0}, "n_y=0: need at least one turbine"),
     ]
 
     @pytest.mark.parametrize("command", ["exact", "run"])
