@@ -41,6 +41,7 @@ from .model import (
     expected_value_exact,
     feasible_decisions,
     _cost_matrix,
+    _cost_table,
 )
 from .statevector import (
     Gate,
@@ -404,29 +405,22 @@ def _mixer_builder(n_y: int, weight: int, betas: np.ndarray, slots: int):
     return build
 
 
-def _layer_panel(phase: np.ndarray, base: np.ndarray, panel: np.ndarray,
+def _layer_panel(phase: np.ndarray, index: np.ndarray, panel: np.ndarray,
                  u: np.ndarray | None, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One (block, panel) task of an anneal layer: the running phase times
-    its base and the panel times the phase, in place, then, where the layer
+    """One (block, panel) task of an anneal layer: the panel times its
+    entries of the block's running phase table, read through the panel's
+    int32 ``index`` (y & xi per amplitude), in place, then, where the layer
     mixes, ``u @ panel`` into the thread's spare panel ``out``.  Returns
     the panel's new array and the thread's spare one, swapped by the GEMM."""
-    phase *= base
-    panel *= phase
+    panel *= phase.take(index)
     if u is None:
         return panel, out
     np.matmul(u, panel, out=out)
     return out, panel
 
 
-def _panels(a: np.ndarray, n: int) -> np.ndarray:
-    """A (rows, cols) block as n panel-major column panels, (n, rows,
-    cols / n), contiguous: a view of a contiguous block for n = 1."""
-    rows, cols = a.shape
-    return np.ascontiguousarray(a.reshape(rows, n, cols // n).swapaxes(0, 1))
-
-
-# Blocks of more than _PANEL_AMPS amplitudes may share column panels of at
-# most that many with a helper thread (``anneal_feasible_blocks``).
+# Every anneal cuts its blocks into column panels of at most _PANEL_AMPS
+# amplitudes, which a helper thread may share (``anneal_feasible_blocks``).
 _PANEL_AMPS = 2 ** 15
 
 
@@ -539,7 +533,7 @@ def check_block_size(model: UnitCommitmentModel, x: int) -> None:
 def _feasible_grid(model: UnitCommitmentModel, x: int,
                    dist: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
     """x's feasible rows and q(y, xi) on its ``FeasibleBlock`` grid, after
-    ``check_block``; every anneal and psi* starts here, so none skips it."""
+    ``check_block``; every anneal and psi* builds it, so none skips it."""
     check_block(model, x, dist)
     ys, q = _cost_matrix(model, model.d - x, np.arange(2 ** dist.n_xi, dtype=np.int64))
     return ys, np.ascontiguousarray(q.T)
@@ -584,14 +578,18 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
     scenario columns.  The mixer never leaks out of the weight block and
     the cost and penalty layers are diagonal, so each layer is one
     elementwise phase product per block followed by one GEMM per block
-    with the layer's fused mixer unitary.  On the linear ramp a(t) = t/T
-    the layer-t phase e^{i q t/T} is base^t with base = e^{i q/T}, so each
-    layer multiplies the running phase by the base instead of taking a
-    complex exp.  The XY mixer commutes with complementing every bit, which
+    with the layer's fused mixer unitary.  The phase of amplitude (y, xi)
+    depends on it only through q(y, xi) = table[y & xi], the block's cost
+    table of 2^n_y entries (``_cost_table``).  On the linear ramp a(t) =
+    t/T the layer-t phase e^{i q t/T} is base^t with base = e^{i table/T},
+    so each layer multiplies the block's running phase table by the base,
+    and each amplitude takes its entry through an int32 index of y & xi:
+    the products a phase held per amplitude would form, on the same
+    floats.  The XY mixer commutes with complementing every bit, which
     reverses the order of the feasible rows, so the unitary at weight
     n_y - w is the weight-w one with rows and columns reversed, bit for
     bit.  Only weights up to n_y/2 build one: a block of weight w above
-    n_y/2, lone or paired, anneals with its rows (and cost grid) reversed
+    n_y/2, lone or paired, anneals with its rows (and index) reversed
     under U(n_y - w), and its rows are reversed back at the end; a pair
     builds its unitary once per layer.  The unitaries are built a chunk of
     L layers per call, as one stack (``_mixer_unitaries``), L the most
@@ -602,29 +600,27 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
     exactly 0 (the last layer of the linear ramp) the unitary is the
     identity and is skipped.
 
-    The unitaries do not depend on the state.  Inline, the calling thread
-    runs each layer's phase products and GEMMs, one per block, then, where
-    layer t + 1 starts a chunk, builds the next chunk's stack.  Where T >
-    0, the block splits into more than one column panel (below) and
+    Every block is held as column panels, the widest power-of-two column
+    ranges of at most ``_PANEL_AMPS`` = 2^15 amplitudes (128 columns at
+    C(10, 5) = 252 rows, 512 at C(10, 2) = 45, the whole block up to 2^15
+    amplitudes), each with its index, so the layers hold 16 B of state and
+    4 B of index per amplitude.  A task is one panel of one block: its
+    phase product, then its GEMM (``_layer_panel``) into its thread's spare
+    panel, which then takes the multiplied panel's place.  The unitaries do
+    not depend on the state.  Inline, the calling thread runs each layer's
+    tasks, then, where layer t + 1 starts a chunk, builds the next chunk's
+    stack.  Where T > 0, the block has more than one panel and
     ``_helper_may_share``, a one-worker thread pool (``concurrent.futures``)
     helps instead: its job for layer t first builds the next chunk's stack,
     where layer t + 1 starts one, into the buffer that the chunk before
     layer t's chunk has released, then claims layer t's tasks alongside the
-    calling thread.  A task is one column panel of one block: its phase
-    product, then its GEMM (``_layer_panel``).  Both threads take tasks
-    from one shared iterator; each GEMM writes into its thread's spare
-    panel, which then takes the multiplied panel's place, so nothing is
-    copied back or allocated.  The panels are the widest power-of-two
-    column ranges of at most ``_PANEL_AMPS`` = 2^15 amplitudes: 128 columns
-    at C(10, 5) = 252 rows, 512 at C(10, 2) = 45.  Each block's state is a
-    list of panel arrays, and its phase and phase base are panel-major
-    arrays (``_panels``); inline, a block is one panel.  The caller waits
-    on layer t's job before it starts layer t + 1, so two stack buffers
-    suffice, and a failed build or panel raises from that wait; the pool
-    is joined before this returns or raises.  A column of U @ M is the
-    same bits whichever panel holds it and whichever thread ran it, since
-    each column's sums run in the same order, so both modes give the same
-    bits.
+    calling thread from one shared iterator.  The caller advances the phase
+    tables before it submits layer t's job and waits on that job before it
+    starts layer t + 1, so two stack buffers suffice, and a failed build or
+    panel raises from that wait; the pool is joined before this returns or
+    raises.  A column of U @ M is the same bits whichever panel holds it
+    and whichever thread ran it, since each column's sums run in the same
+    order, so both modes give the same bits.
 
     The layers run at one BLAS thread (``_one_blas_thread``), so their bits
     do not follow the caller's count and the two threads fit the cores;
@@ -632,11 +628,13 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
     count.  fig3's pool workers fill the cores already, and up to 2^15
     amplitudes, one panel, the hand-over of the GIL costs more than it hides.
 
-    The scenario register is only control, so each scenario column keeps
-    its probability: after the anneal, sum_y |amp|^2 must equal p(xi)
-    within ``PROB_SUM_TOL`` in every column, or this raises ValueError;
-    nothing is renormalised.  The blocks are returned C-contiguous, their
-    rows in ascending y.
+    Every x passes ``check_block`` before anything is allocated, and its
+    cost grid (``_feasible_grid``) is built once, after the layers.  The
+    scenario register is only control, so each scenario column keeps its
+    probability: after the anneal, sum_y |amp|^2 must equal p(xi) within
+    ``PROB_SUM_TOL`` in every column, or this raises ValueError; nothing
+    is renormalised.  The blocks are returned C-contiguous, their rows in
+    ascending y.
     """
     if len(xs) not in (1, 2):
         raise ValueError(f"anneal one or two first-stage decisions, got {len(xs)}")
@@ -645,37 +643,31 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
     if len(xs) == 2 and (weights[0] + weights[1] != n_y or xs[0] == xs[1]):
         raise ValueError(f"weights {weights} of x={xs} are not complementary "
                          f"on {n_y} qubits")
+    for x in xs:
+        check_block(model, x, dist)
     # each block's row order in the anneal, -1 reversed above weight n_y/2
     steps = [-1 if 2 * w > n_y else 1 for w in weights]
+    rows, cols, T = math.comb(n_y, weights[0]), 2 ** n_xi, schedule.T
+    # the widest power-of-two column panels of at most _PANEL_AMPS amplitudes
+    width = min(cols, 1 << max((_PANEL_AMPS // rows).bit_length() - 1, 0))
+    spans = [slice(lo, lo + width) for lo in range(0, cols, width)]
+    helper = T > 0 and len(spans) > 1 and _helper_may_share()
 
-    xi_amps = np.zeros(2 ** n_xi)
+    xi_amps = np.zeros(cols)
     xi_amps[dist.scenarios] = np.sqrt(dist.probabilities)
-    # q(y, xi) for populated rows; the fused cost+penalty layer is the
-    # diagonal phase e^{+i a(t) q} (P(theta) has the +i convention)
-    grids = [_feasible_grid(model, x, dist) for x in xs]
-    rows = len(grids[0][0])
-    T = schedule.T
-    cols = 2 ** n_xi
-    # with the helper, the widest power-of-two column panels of at most
-    # _PANEL_AMPS amplitudes, else the whole block as one panel
-    width = 1 << max((_PANEL_AMPS // rows).bit_length() - 1, 0)
-    helper = T > 0 and width < cols and _helper_may_share()
-    width = width if helper else cols
-    n_panels = cols // width
     column = xi_amps / math.sqrt(rows)
-    ms = [[np.ascontiguousarray(np.broadcast_to(column[p * width:(p + 1) * width],
-                                                (rows, width)), dtype=complex)
-           for p in range(n_panels)]
+    ms = [[np.ascontiguousarray(np.broadcast_to(column[span], (rows, width)),
+                                dtype=complex) for span in spans]
           for _ in xs]              # each block's column panels, in order
 
     if T > 0:
-        bases = [np.exp(1j * (1 / T) * _panels(q[::step], n_panels))
-                 for (_, q), step in zip(grids, steps)]
-        # the cost grids are dropped for the anneal and built again once
-        # the phases are gone, the same floats: this more than offsets the
-        # second buffer of the built-ahead unitaries in peak memory
-        del grids
-        phases = [np.ones_like(base) for base in bases]
+        # the fused cost+penalty layer is the diagonal phase e^{+i a(t) q}
+        # (P(theta) has the +i convention), held on each block's cost table
+        bases = np.exp(1j * (1 / T) * np.array([_cost_table(model, w) for w in weights]))
+        phases = np.ones_like(bases)        # one row per block
+        xis = np.arange(cols, dtype=np.int32)
+        indexes = [[feasible_decisions(n_y, w)[::step, None].astype(np.int32) & xis[span]
+                    for span in spans] for w, step in zip(weights, steps)]
         spares = [np.empty_like(ms[0][0]) for _ in range(1 + helper)]  # per thread
         # beta is 0 only at the ramp's end, t = T: the layers before it mix
         betas = schedule.mixer_angles()[:T - 1]
@@ -685,7 +677,7 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
         def mixer(t):       # layer t's unitary, None where it does not mix
             return build(t) if t < len(betas) else None
 
-        tasks = [(j, p) for j in range(len(xs)) for p in range(n_panels)]
+        tasks = [(j, p) for j in range(len(xs)) for p in range(len(spans))]
         claim = threading.Lock()
 
         def run(todo, u, k):        # thread k claims (block, panel) tasks until none is left
@@ -695,7 +687,7 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
                 if task is None:
                     return
                 j, p = task
-                ms[j][p], spares[k] = _layer_panel(phases[j][p], bases[j][p], ms[j][p],
+                ms[j][p], spares[k] = _layer_panel(phases[j], indexes[j][p], ms[j][p],
                                                    u, spares[k])
 
         def share(t, todo, u):      # build layer t + 1's unitary, then share t
@@ -710,15 +702,17 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
                 ThreadPoolExecutor(1, "spq-mixer") if helper else nullcontext() as pool:
             u = pool.submit(mixer, 0).result() if helper else mixer(0)
             for t in range(T):
+                phases *= bases
                 todo = iter(tasks)
                 job = pool.submit(share, t, todo, u) if helper else None
                 run(todo, u, 0)
                 u = job.result() if helper else mixer(t + 1)
-        del bases, phases, spares
-        grids = [_feasible_grid(model, x, dist) for x in xs]
+        del indexes, spares
 
-    ms = [m[0] if len(m) == 1 and step == 1 else np.concatenate([p[::step] for p in m], axis=1)
-          for m, step in zip(ms, steps)]     # each block one array, rows in ascending y
+    # each block one array, rows in ascending y, joined one block at a time
+    for j, step in enumerate(steps):
+        ms[j] = (ms[j][0] if len(spans) == 1 and step == 1
+                 else np.concatenate([p[::step] for p in ms[j]], axis=1))
     # the scenario register is only control, so each column keeps p(xi)
     p_xi = np.zeros(cols)
     p_xi[dist.scenarios] = dist.probabilities
@@ -727,6 +721,7 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
         if not worst <= PROB_SUM_TOL:
             raise ValueError(f"x={x}: a scenario column's probability is off "
                              f"p(xi) by {worst!r}, more than {PROB_SUM_TOL}")
+    grids = (_feasible_grid(model, x, dist) for x in xs)     # one per x, after the layers
     return [FeasibleBlock(x, ys, m, q) for x, (ys, q), m in zip(xs, grids, ms)]
 
 

@@ -190,7 +190,7 @@ def feasible_decisions(n_y: int, weight: int) -> np.ndarray:
 def second_stage_cost(model: UnitCommitmentModel, x: int, y: int, xi: int) -> float:
     """sum_j [c_j y_j xi_j - c_r y_j (xi_j - 1)] for a feasible y: the wind
     terms added in turbine order, then c_r per turbine without wind, the
-    same floats as ``_cost_matrix``."""
+    same floats as ``_cost_table``."""
     if not 0 <= x <= model.d:
         raise InfeasibleDecisionError(f"x={x} outside [0, d={model.d}]")
     if bin(y).count("1") != model.d - x:
@@ -204,26 +204,29 @@ def second_stage_cost(model: UnitCommitmentModel, x: int, y: int, xi: int) -> fl
     return wind + model.c_r * bin(y & ~xi).count("1")
 
 
-def _cost_matrix(model: UnitCommitmentModel, k: int,
-                 xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The y of Hamming weight k, ascending, and q(y, xi) for every
-    scenario in ``xis`` (rows) and every such y (columns).
-
-    The one second-stage cost kernel: q(y, xi) = table[y & xi], where
-    table[w] = wind[w] + c_r (k - |w|) and wind[w] adds c_j over the bits
-    of w in turbine order from 0.0.  Each entry is formed on its own, with
-    no BLAS call, so equal costs are equal floats and a lone row equals its
-    row of a batch bit for bit.
-    """
+def _cost_table(model: UnitCommitmentModel, k: int) -> np.ndarray:
+    """The one second-stage cost kernel: q(y, xi) = table[y & xi] for every
+    y of Hamming weight k, where table[w] = wind[w] + c_r (k - |w|) for
+    each w < 2^n_y and wind[w] adds c_j over the bits of w in turbine order
+    from 0.0.  Each entry is formed on its own, with no BLAS call, so equal
+    costs are equal floats."""
     wind, count = np.zeros(1), np.zeros(1, dtype=np.int64)
     for cj in model.c:
         wind = np.concatenate((wind, wind + cj))
         count = np.concatenate((count, count + 1))
-    table = wind + model.c_r * (k - count)
+    return wind + model.c_r * (k - count)
+
+
+def _cost_matrix(model: UnitCommitmentModel, k: int,
+                 xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The y of Hamming weight k, ascending, and q(y, xi) for every
+    scenario in ``xis`` (rows) and every such y (columns), read from
+    ``_cost_table``, so a lone row equals its row of a batch bit for bit.
+    """
     ys = feasible_decisions(model.n_y, k)
     # int32 operands: the same indices as int64 at half the bytes, and the
     # gather through them about 3x faster at n_y = 10
-    return ys, table[xis.astype(np.int32)[:, None] & ys.astype(np.int32)]
+    return ys, _cost_table(model, k)[xis.astype(np.int32)[:, None] & ys.astype(np.int32)]
 
 
 def brute_force_Q(model: UnitCommitmentModel, x: int, xi: int) -> tuple[int, float]:

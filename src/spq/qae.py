@@ -233,7 +233,7 @@ def qae_from_amplitude(a: float, config: QaeConfig,
     """Phase estimation on the Grover operator of any A whose ancilla
     marginal is ``a``: ``repetitions`` readouts and their amplitudes."""
     b = sample_readout(a, config, n_system_qubits)
-    return QaeEstimates(b, np.sin(np.pi * b / config.M) ** 2)
+    return QaeEstimates(b, (np.sin(np.pi * np.arange(config.M) / config.M) ** 2)[b])
 
 
 def run_qae(A_seq: OperatorSequence, config: QaeConfig, layout) -> QaeEstimates:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -468,7 +469,7 @@ class TestHelperThread:
             build_threads.add(threading.current_thread())
             return build(*args, **kwargs)
 
-        def recorded_panel(phase, base, m, u, out):
+        def recorded_panel(phase, index, m, u, out):
             thread = threading.current_thread()
             if thread is not threading.main_thread():
                 helper_ran.set()
@@ -476,7 +477,7 @@ class TestHelperThread:
                 helper_ran.wait(timeout=60)
             if panels is not None:
                 panels.append((thread, m.shape[1]))
-            return panel(phase, base, m, u, out)
+            return panel(phase, index, m, u, out)
 
         with monkeypatch.context() as patch:
             patch.setattr(dqa, "_mixer_unitaries", recorded)
@@ -493,8 +494,8 @@ class TestHelperThread:
     @pytest.mark.parametrize("rule", ["linear", "quadratic"])
     def test_helper_and_inline_blocks_are_identical(self, monkeypatch, n_y, rule):
         # inline, and with the helper building ahead and both threads
-        # claiming panels; at n_y = 8 the panels are narrowed, so that each
-        # block is split as at n_y = 10, where they keep their size
+        # claiming panels; at n_y = 8 the panels are narrowed in both modes,
+        # so that each block is split as at n_y = 10, where they keep their size
         model, dist = model_from_instance(generate_instance(n_y, 7))
         schedule = AnnealSchedule.linear(n_y if rule == "linear" else n_y * n_y)
         panel_amps = 2 ** 11 if n_y == 8 else dqa._PANEL_AMPS
@@ -502,19 +503,21 @@ class TestHelperThread:
             assert xs in lockstep_groups(model)
             inline_panels, panels = [], []
             inline, inline_threads = self.anneal_on(monkeypatch, False, model, xs,
-                                                    dist, schedule,
-                                                    panels=inline_panels)
+                                                    dist, schedule, panels=inline_panels,
+                                                    panel_amps=panel_amps)
             shared, shared_threads = self.anneal_on(
                 monkeypatch, True, model, xs, dist, schedule,
                 panels=panels, panel_amps=panel_amps, both=True)
             assert inline_threads == {threading.main_thread()}
-            assert {columns for _, columns in inline_panels} == {2 ** n_y}
             assert len(shared_threads) == 1
             assert threading.main_thread() not in shared_threads
-            # both threads ran panel tasks, more than one panel per block
+            # both threads ran panel tasks; one panel width in both modes,
+            # more than one panel per block
             assert {thread for thread, _ in panels} == (
                 shared_threads | {threading.main_thread()})
-            assert max(columns for _, columns in panels) < 2 ** n_y
+            widths = {columns for _, columns in inline_panels}
+            assert widths == {columns for _, columns in panels}
+            assert len(widths) == 1 and max(widths) < 2 ** n_y
             for a, b in zip(inline, shared, strict=True):
                 assert a.x == b.x
                 assert np.array_equal(a.amps, b.amps)
@@ -608,11 +611,12 @@ class TestHelperThread:
             assert threads <= {threading.main_thread()}
             assert {columns for _, columns in panels} == {2 ** 6}
             assert {thread for thread, _ in panels} == {threading.main_thread()}
-        # at n_y = 10, blocks of at least 2^15 amplitudes take the helper and
-        # split into the widest power-of-two panels of at most 2^15
-        # amplitudes: 128 columns at C(10, 5) = 252 rows and 512 at
-        # C(10, 2) = 45; C(10, 1) * 2^10 amplitudes stay inline, and so does
-        # every block where the helper may not share
+        # at n_y = 10, every block splits into the widest power-of-two panels
+        # of at most 2^15 amplitudes, with the helper or without: 128 columns
+        # at C(10, 5) = 252 rows and 512 at C(10, 2) = 45.  Blocks of more
+        # than 2^15 amplitudes take the helper; C(10, 1) * 2^10 amplitudes,
+        # one panel, stay inline, and so does every block where the helper
+        # may not share
         model, dist = model_from_instance(generate_instance(10, 1))
         for xs, columns in (((5,), 128), ((2, 8), 512), ((1, 9), 1024)):
             for helper in (False, None):
@@ -621,10 +625,9 @@ class TestHelperThread:
                                             AnnealSchedule.linear(3), panels=panels)
                 if helper is False or columns == 1024:
                     assert threads == {threading.main_thread()}
-                    assert {c for _, c in panels} == {1024}
                 else:
                     assert len(threads) == 1 and threading.main_thread() not in threads
-                    assert {c for _, c in panels} == {columns}
+                assert {c for _, c in panels} == {columns}
 
     def test_panel_failure_on_the_helper_reaches_the_caller(self, monkeypatch):
         model, dist = model_from_instance(generate_instance(6, 2))
@@ -997,6 +1000,68 @@ class TestLockstepAnneal:
         for xs in ((0, 1), (2, 2), (0, 1, 4), (), (0, 5)):
             with pytest.raises(ValueError):
                 anneal_feasible_blocks(model, xs, dist, sched)
+
+
+class TestAnnealFootprint:
+    """The anneal's bytes are pinned, it holds its phase on each block's
+    cost table rather than per amplitude, and it builds each x's cost
+    grid once."""
+
+    def test_amplitude_bytes_are_pinned(self):
+        # every lockstep group at n_y = 2..8 under the uniform law and a
+        # 4-scenario law (one of zero probability) at T = n_y and n_y^2,
+        # and two n_y = 10 groups, whose blocks split into panels, at T = 3.
+        # Like the fig5 pins, the digest also depends on the GEMM kernel
+        # OpenBLAS picks for the CPU
+        digest = hashlib.sha256()
+        cases = []
+        for n_y in range(2, 9):
+            model, uniform = model_from_instance(generate_instance(n_y, n_y))
+            scenarios = np.random.default_rng(n_y).permutation(2 ** n_y)[:4]
+            sparse = DiscreteDistribution(n_y, scenarios, (0.0, 0.5, 0.3, 0.2))
+            for dist in (uniform, sparse):
+                for T in (n_y, n_y * n_y):
+                    cases += [(model, xs, dist, T) for xs in lockstep_groups(model)]
+        model, dist = model_from_instance(generate_instance(10, 10))
+        cases += [(model, xs, dist, 3) for xs in ((4, 6), (5,))]
+        for model, xs, dist, T in cases:
+            for block in anneal_feasible_blocks(model, xs, dist, AnnealSchedule.linear(T)):
+                digest.update(block.amps.tobytes())
+        assert len(cases) == 94
+        assert digest.hexdigest() == (
+            "a5ba024f5f5a0ba6400193d0149e64370edf454c906c32a013be19a0e61fe773")
+
+    @pytest.mark.parametrize("helper", [False, True])
+    def test_traced_peak_below_2_75_times_the_blocks(self, monkeypatch, helper):
+        # the layers hold 16 B of state and a 4 B index per amplitude; a
+        # running phase and its base per amplitude traced 3.4-3.7 times
+        # the blocks' bytes
+        model, dist = model_from_instance(generate_instance(10, 0))
+        force_helper(monkeypatch, helper)
+        schedule = AnnealSchedule.linear(3)
+        anneal_feasible_blocks(model, (4, 6), dist, schedule)   # warm the caches
+        tracemalloc.start()
+        try:
+            blocks = anneal_feasible_blocks(model, (4, 6), dist, schedule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * sum(block.amps.nbytes for block in blocks)
+
+    def test_each_cost_grid_is_built_once(self, monkeypatch):
+        model, dist = model_from_instance(generate_instance(10, 2))
+        grid, built = dqa._feasible_grid, []
+
+        def recorded(model, x, dist):
+            built.append(x)
+            return grid(model, x, dist)
+
+        monkeypatch.setattr(dqa, "_feasible_grid", recorded)
+        for T in (0, 2):
+            built.clear()
+            for xs in lockstep_groups(model):
+                anneal_feasible_blocks(model, xs, dist, AnnealSchedule.linear(T))
+            assert sorted(built) == list(range(model.d + 1))
 
 
 def full_register_psi_star(model, x, dist):

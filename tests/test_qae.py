@@ -248,6 +248,14 @@ class TestQpeReadout:
             for b, a_hat in zip(range(M), res.a_hat.tolist()):
                 assert abs(a_hat - math.sin(math.pi * b / M) ** 2) <= 1e-15
 
+    def test_estimates_are_the_per_readout_formula_bit_for_bit(self):
+        # the table of sin^2(pi b / M) over b < M, indexed by the draws,
+        # holds the floats each readout gives on its own, m = 1..12
+        for m in range(1, 13):
+            res = qae_from_amplitude(0.3, QaeConfig(m=m, repetitions=10_000,
+                                                    rng_seed=m), 1)
+            assert np.array_equal(res.a_hat, np.sin(np.pi * res.b / 2 ** m) ** 2)
+
     def test_budget_guard(self):
         lay = RegisterLayout(7, 7, include_ancilla=True)
         with pytest.raises(SimulationBudgetError):
