@@ -379,16 +379,18 @@ def _mixer_unitary(n_y: int, weight: int, beta: float) -> np.ndarray:
 
 def _mixer_builder(n_y: int, weight: int, betas: np.ndarray, slots: int):
     """``build(t)``, layer t's unitary at ``betas[t]``, for t = 0, 1, ...
-    in turn.  The layers come in chunks of L, the most whose stack holds at
-    most ``_PANEL_AMPS`` amplitudes and at least one.  Where layer t starts
-    chunk k, ``build`` builds the chunk's stack (``_mixer_unitaries``) into
+    in turn.  The layers come in chunks of L, the most whose stack and
+    work space (``_mixer_shapes``: the four work-row buffers and the half
+    stack) hold at most ``_PANEL_AMPS`` amplitudes, and at least one.
+    Where layer t starts chunk k, ``build`` builds the chunk's stack (``_mixer_unitaries``) into
     the (k mod ``slots``)-th of ``slots`` reused buffers, so a buffer is
     overwritten ``slots`` chunks later; layer t reads row t mod L.  The
     buffers and the work space are allocated here, by the caller's thread,
     before any build, whichever thread then builds.
     """
-    n = len(feasible_decisions(n_y, weight))
-    layers = max(1, min(len(betas), _PANEL_AMPS // (n * n)))
+    n, rows, half = _mixer_shapes(n_y, weight, 1)
+    per_layer = n * n + 4 * math.prod(rows) + (math.prod(half) if half else 0)
+    layers = max(1, min(len(betas), _PANEL_AMPS // per_layer))
     scratch = _mixer_scratch(n_y, weight, layers)
     buffers = [np.empty((layers, n, n), dtype=complex) for _ in range(slots)]
     stacks = [None] * slots
@@ -406,21 +408,24 @@ def _mixer_builder(n_y: int, weight: int, betas: np.ndarray, slots: int):
 
 
 def _layer_panel(phase: np.ndarray, index: np.ndarray, panel: np.ndarray,
-                 u: np.ndarray | None, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One (block, panel) task of an anneal layer: the panel times its
-    entries of the block's running phase table, read through the panel's
-    int32 ``index`` (y & xi per amplitude), in place, then, where the layer
-    mixes, ``u @ panel`` into the thread's spare panel ``out``.  Returns
-    the panel's new array and the thread's spare one, swapped by the GEMM."""
-    panel *= phase.take(index)
+                 u: np.ndarray | None, out: np.ndarray) -> None:
+    """One (block, panel) task of an anneal layer, in place: ``panel``, a
+    column-range view of the block, times its entries of the block's
+    running phase table, gathered through the panel's int32 ``index`` (y &
+    xi per amplitude, all below the table's length, so ``clip`` clips
+    none) into the thread's spare panel ``out``; then, where the layer
+    mixes, ``u @`` that product written back into ``panel``."""
+    phase.take(index, out=out, mode="clip")
     if u is None:
-        return panel, out
-    np.matmul(u, panel, out=out)
-    return out, panel
+        np.multiply(panel, out, out=panel)
+    else:
+        np.matmul(u, np.multiply(panel, out, out=out), out=panel)
 
 
-# Every anneal cuts its blocks into column panels of at most _PANEL_AMPS
-# amplitudes, which a helper thread may share (``anneal_feasible_blocks``).
+# Every anneal works on its blocks through column panels of at most
+# _PANEL_AMPS amplitudes, which a helper thread may share
+# (``anneal_feasible_blocks``); the same budget bounds a mixer chunk with
+# its work space and each row range of ``_probabilities``.
 _PANEL_AMPS = 2 ** 15
 
 
@@ -473,6 +478,18 @@ def _helper_may_share() -> bool:
     return _BLAS_THREADS is not None and multiprocessing.parent_process() is None
 
 
+def _probabilities(amps: np.ndarray) -> np.ndarray:
+    """|amp|^2 of a (rows, cols) array, amps.real ** 2 + amps.imag ** 2
+    elementwise; the imaginary squares are formed and added one row range
+    of at most ``_PANEL_AMPS`` amplitudes (and at least one row) at a time,
+    so no block-sized temporary stands beside the result."""
+    probs = amps.real ** 2
+    step = max(1, _PANEL_AMPS // probs.shape[1])
+    for lo in range(0, len(probs), step):
+        probs[lo:lo + step] += amps[lo:lo + step].imag ** 2
+    return probs
+
+
 @dataclass
 class FeasibleBlock:
     """One first-stage decision's state on its feasible rows.
@@ -488,12 +505,14 @@ class FeasibleBlock:
     costs: np.ndarray
 
     def probabilities(self) -> np.ndarray:
-        """|amp|^2 on the block's grid."""
-        return self.amps.real ** 2 + self.amps.imag ** 2
+        """|amp|^2 on the block's grid (``_probabilities``)."""
+        return _probabilities(self.amps)
 
     def expectation_hq(self) -> float:
         """<H_Q> = sum |amp|^2 q over the block, without the full register."""
-        return float(np.sum(self.probabilities() * self.costs))
+        probs = self.probabilities()
+        probs *= self.costs
+        return float(np.sum(probs))
 
     def scatter(self, n_y: int) -> np.ndarray:
         """The amplitudes on the full (y, xi) register, in the block's dtype."""
@@ -535,8 +554,9 @@ def _feasible_grid(model: UnitCommitmentModel, x: int,
     """x's feasible rows and q(y, xi) on its ``FeasibleBlock`` grid, after
     ``check_block``; every anneal and psi* builds it, so none skips it."""
     check_block(model, x, dist)
-    ys, q = _cost_matrix(model, model.d - x, np.arange(2 ** dist.n_xi, dtype=np.int64))
-    return ys, np.ascontiguousarray(q.T)
+    ys = feasible_decisions(model.n_y, model.d - x)
+    xis = np.arange(2 ** dist.n_xi, dtype=np.int32)
+    return ys, _cost_table(model, model.d - x)[ys.astype(np.int32)[:, None] & xis]
 
 
 def per_scenario_optimal_block(model: UnitCommitmentModel, x: int,
@@ -593,23 +613,25 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
     under U(n_y - w), and its rows are reversed back at the end; a pair
     builds its unitary once per layer.  The unitaries are built a chunk of
     L layers per call, as one stack (``_mixer_unitaries``), L the most
-    layers whose stack holds at most ``_PANEL_AMPS`` amplitudes and at
-    least one: every layer of the shipped fig5 anneals, 16 at C(10, 2) =
-    45, one from C = 182 up.  The blocks keep separate GEMMs, so each one's
-    sums run in the order of a lone anneal.  Where the mixer angle is
-    exactly 0 (the last layer of the linear ramp) the unitary is the
-    identity and is skipped.
+    layers whose stack and its work space hold at most ``_PANEL_AMPS``
+    amplitudes, and at least one (``_mixer_builder``): every layer of the
+    shipped fig5 anneals, 9 at C(10, 2) = 45, one at C(10, 3) = 120 and
+    above.  The blocks keep separate GEMMs, so each one's sums run in the
+    order of a lone anneal.  Where the mixer angle is exactly 0 (the last
+    layer of the linear ramp) the unitary is the identity and is skipped.
 
-    Every block is held as column panels, the widest power-of-two column
-    ranges of at most ``_PANEL_AMPS`` = 2^15 amplitudes (128 columns at
-    C(10, 5) = 252 rows, 512 at C(10, 2) = 45, the whole block up to 2^15
-    amplitudes), each with its index, so the layers hold 16 B of state and
-    4 B of index per amplitude.  A task is one panel of one block: its
-    phase product, then its GEMM (``_layer_panel``) into its thread's spare
-    panel, which then takes the multiplied panel's place.  The unitaries do
-    not depend on the state.  Inline, the calling thread runs each layer's
-    tasks, then, where layer t + 1 starts a chunk, builds the next chunk's
-    stack.  Where T > 0, the block has more than one panel and
+    Each block is held from the start in the C-contiguous (C(n_y, w),
+    2^n_xi) array it is returned in, and is annealed in place through
+    column panels, views of the widest power-of-two column ranges of at
+    most ``_PANEL_AMPS`` = 2^15 amplitudes (128 columns at C(10, 5) = 252
+    rows, 512 at C(10, 2) = 45, the whole block up to 2^15 amplitudes),
+    each with its index, so the layers hold 16 B of state and 4 B of index
+    per amplitude and nothing is joined at the end.  A task is one panel
+    of one block: its phase product into its thread's spare panel, then
+    its GEMM written back into the view (``_layer_panel``).  The unitaries
+    do not depend on the state.  Inline, the calling thread runs each
+    layer's tasks, then, where layer t + 1 starts a chunk, builds the next
+    chunk's stack.  Where T > 0, the block has more than one panel and
     ``_helper_may_share``, a one-worker thread pool (``concurrent.futures``)
     helps instead: its job for layer t first builds the next chunk's stack,
     where layer t + 1 starts one, into the buffer that the chunk before
@@ -628,13 +650,14 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
     count.  fig3's pool workers fill the cores already, and up to 2^15
     amplitudes, one panel, the hand-over of the GIL costs more than it hides.
 
-    Every x passes ``check_block`` before anything is allocated, and its
-    cost grid (``_feasible_grid``) is built once, after the layers.  The
-    scenario register is only control, so each scenario column keeps its
-    probability: after the anneal, sum_y |amp|^2 must equal p(xi) within
-    ``PROB_SUM_TOL`` in every column, or this raises ValueError; nothing
-    is renormalised.  The blocks are returned C-contiguous, their rows in
-    ascending y.
+    Every x passes ``check_block`` before anything is allocated.  The
+    unitary stacks, their work space, the indexes and the spare panels are
+    dropped before the column check, and each x's cost grid
+    (``_feasible_grid``) is built once, after it.  The scenario register is
+    only control, so each scenario column keeps its probability: after the
+    anneal, sum_y |amp|^2 must equal p(xi) within ``PROB_SUM_TOL`` in every
+    column, or this raises ValueError; nothing is renormalised.  The
+    blocks are returned C-contiguous, their rows in ascending y.
     """
     if len(xs) not in (1, 2):
         raise ValueError(f"anneal one or two first-stage decisions, got {len(xs)}")
@@ -655,10 +678,9 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
 
     xi_amps = np.zeros(cols)
     xi_amps[dist.scenarios] = np.sqrt(dist.probabilities)
-    column = xi_amps / math.sqrt(rows)
-    ms = [[np.ascontiguousarray(np.broadcast_to(column[span], (rows, width)),
-                                dtype=complex) for span in spans]
-          for _ in xs]              # each block's column panels, in order
+    ms = [np.empty((rows, cols), dtype=complex) for _ in xs]
+    for m in ms:
+        m[...] = xi_amps / math.sqrt(rows)      # every row the start column
 
     if T > 0:
         # the fused cost+penalty layer is the diagonal phase e^{+i a(t) q}
@@ -668,7 +690,7 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
         xis = np.arange(cols, dtype=np.int32)
         indexes = [[feasible_decisions(n_y, w)[::step, None].astype(np.int32) & xis[span]
                     for span in spans] for w, step in zip(weights, steps)]
-        spares = [np.empty_like(ms[0][0]) for _ in range(1 + helper)]  # per thread
+        spares = [np.empty((rows, width), dtype=complex) for _ in range(1 + helper)]
         # beta is 0 only at the ramp's end, t = T: the layers before it mix
         betas = schedule.mixer_angles()[:T - 1]
         build = _mixer_builder(n_y, min(weights[0], n_y - weights[0]), betas,
@@ -687,8 +709,7 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
                 if task is None:
                     return
                 j, p = task
-                ms[j][p], spares[k] = _layer_panel(phases[j], indexes[j][p], ms[j][p],
-                                                   u, spares[k])
+                _layer_panel(phases[j], indexes[j][p], ms[j][:, spans[p]], u, spares[k])
 
         def share(t, todo, u):      # build layer t + 1's unitary, then share t
             built = mixer(t + 1)
@@ -707,21 +728,24 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
                 job = pool.submit(share, t, todo, u) if helper else None
                 run(todo, u, 0)
                 u = job.result() if helper else mixer(t + 1)
-        del indexes, spares
+        # rows back to ascending y, one column range at a time
+        for m, step in zip(ms, steps):
+            if step == -1:
+                for span in spans:
+                    np.copyto(spares[0], m[::-1, span])
+                    m[:, span] = spares[0]
+        # the stacks and their work space live in build's closure
+        del build, indexes, spares
 
-    # each block one array, rows in ascending y, joined one block at a time
-    for j, step in enumerate(steps):
-        ms[j] = (ms[j][0] if len(spans) == 1 and step == 1
-                 else np.concatenate([p[::step] for p in ms[j]], axis=1))
     # the scenario register is only control, so each column keeps p(xi)
     p_xi = np.zeros(cols)
     p_xi[dist.scenarios] = dist.probabilities
     for x, m in zip(xs, ms):
-        worst = float(np.abs((m.real ** 2 + m.imag ** 2).sum(axis=0) - p_xi).max())
+        worst = float(np.abs(_probabilities(m).sum(axis=0) - p_xi).max())
         if not worst <= PROB_SUM_TOL:
             raise ValueError(f"x={x}: a scenario column's probability is off "
                              f"p(xi) by {worst!r}, more than {PROB_SUM_TOL}")
-    grids = (_feasible_grid(model, x, dist) for x in xs)     # one per x, after the layers
+    grids = (_feasible_grid(model, x, dist) for x in xs)     # one per x, after the check
     return [FeasibleBlock(x, ys, m, q) for x, (ys, q), m in zip(xs, grids, ms)]
 
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
 from multiprocessing import get_context
 from pathlib import Path
-from statistics import median_low
+from statistics import median, median_low
 
 import numpy as np
 
@@ -409,11 +409,11 @@ def experiment_fig3(spec: ExperimentSpec, out_dir, workers: int | None = None) -
         for t_rule in ("linear", "quadratic"):
             sel = [r for r in rows if r["n_y"] == n_y and r["t_rule"] == t_rule]
             for metric in ("rel_error_sum", "minima_rel_error"):
-                vals = np.array([r[metric] for r in sel])
+                # statistics.median: np.median's floats, without importing numpy.ma
+                vals = [float(r[metric]) for r in sel]
                 summary.append({
                     "n_y": n_y, "t_rule": t_rule, "metric": metric,
-                    "min": float(vals.min()), "median": float(np.median(vals)),
-                    "max": float(vals.max()),
+                    "min": min(vals), "median": median(vals), "max": max(vals),
                 })
     write_csv(out_dir / "fig3_runs.csv",
               ["n_y", "instance_index", "instance_seed", "t_rule", "T",

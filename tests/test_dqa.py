@@ -525,9 +525,10 @@ class TestHelperThread:
 
     def test_chunked_helper_anneal_equals_inline(self, monkeypatch):
         # n_y = 10, x = (2, 8) at T = 100: the 99 mixing layers of
-        # U(10, 2), C(10, 2) = 45, build in chunks of 16 layers, the most
-        # whose stack holds at most _PANEL_AMPS amplitudes: 6 full chunks
-        # and one of 3, all on the helper, whose blocks equal the inline ones
+        # U(10, 2), C(10, 2) = 45, build in chunks of 9 layers, the most
+        # whose stack (45^2 amplitudes a layer) and work space (4 * 8 * 45)
+        # hold at most _PANEL_AMPS amplitudes: 11 full chunks, all on the
+        # helper, whose blocks equal the inline ones
         model, dist = model_from_instance(generate_instance(10, 7))
         schedule = AnnealSchedule.linear(100)
         build = dqa._mixer_unitaries
@@ -539,13 +540,12 @@ class TestHelperThread:
 
         monkeypatch.setattr(dqa, "_mixer_unitaries", recorded)
         inline, _ = self.anneal_on(monkeypatch, False, model, (2, 8), dist, schedule)
-        assert chunks == [(threading.main_thread(), 2, n)
-                          for n in [16] * 6 + [3]]
+        assert chunks == [(threading.main_thread(), 2, 9)] * 11
         chunks.clear()
         shared, threads = self.anneal_on(monkeypatch, True, model, (2, 8), dist,
                                          schedule, panel_amps=dqa._PANEL_AMPS)
         assert len(threads) == 1 and threading.main_thread() not in threads
-        assert [(weight, n) for _, weight, n in chunks] == [(2, 16)] * 6 + [(2, 3)]
+        assert [(weight, n) for _, weight, n in chunks] == [(2, 9)] * 11
         for a, b in zip(inline, shared, strict=True):
             assert a.x == b.x
             assert np.array_equal(a.amps, b.amps)
@@ -651,7 +651,8 @@ class TestHelperThread:
         assert threading.active_count() == start
 
     def test_helper_exception_reaches_the_caller(self, monkeypatch):
-        # the 21 mixing layers of T = 22 build in 3 chunks of 7 at C(6, 1) = 6
+        # the 21 mixing layers of T = 22 build in 6 chunks, 5 of 4 and one,
+        # at C(6, 1) = 6: 6^2 + 4 * 6 amplitudes a layer in 2^8
         model, dist = model_from_instance(generate_instance(6, 2))
         build = dqa._mixer_unitaries
         calls = []
@@ -1032,10 +1033,12 @@ class TestAnnealFootprint:
             "a5ba024f5f5a0ba6400193d0149e64370edf454c906c32a013be19a0e61fe773")
 
     @pytest.mark.parametrize("helper", [False, True])
-    def test_traced_peak_below_2_75_times_the_blocks(self, monkeypatch, helper):
-        # the layers hold 16 B of state and a 4 B index per amplitude; a
-        # running phase and its base per amplitude traced 3.4-3.7 times
-        # the blocks' bytes
+    def test_traced_peak_below_1_9_times_the_blocks(self, monkeypatch, helper):
+        # the anneal and <H_Q> of both blocks: the layers hold 16 B of state
+        # and a 4 B index per amplitude, annealed in the returned arrays, and
+        # |amp|^2 forms no block-sized temporary.  Joining column panels
+        # into fresh blocks traced 2.00-2.08 times the blocks' bytes, and a
+        # running phase and its base per amplitude 3.4-3.7 times
         model, dist = model_from_instance(generate_instance(10, 0))
         force_helper(monkeypatch, helper)
         schedule = AnnealSchedule.linear(3)
@@ -1043,10 +1046,41 @@ class TestAnnealFootprint:
         tracemalloc.start()
         try:
             blocks = anneal_feasible_blocks(model, (4, 6), dist, schedule)
+            for block in blocks:
+                block.expectation_hq()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.75 * sum(block.amps.nbytes for block in blocks)
+        assert peak < 1.9 * sum(block.amps.nbytes for block in blocks)
+
+    @pytest.mark.parametrize("helper", [False, True])
+    def test_panels_are_views_of_the_returned_blocks(self, monkeypatch, helper):
+        # every panel a task receives is a column range of a returned
+        # block, annealed in place; the blocks come back C-contiguous, rows
+        # in ascending y (scenario column 1 matches its literal circuit), for
+        # a lockstep pair whose second block anneals in complement order and
+        # for the lone weight n_y/2
+        model, dist = model_from_instance(generate_instance(10, 0))
+        schedule = AnnealSchedule.linear(3)
+        force_helper(monkeypatch, helper)
+        layer_panel, panels = dqa._layer_panel, []
+
+        def recorded(phase, index, panel, u, out):
+            panels.append(panel)
+            return layer_panel(phase, index, panel, u, out)
+
+        monkeypatch.setattr(dqa, "_layer_panel", recorded)
+        for xs in ((4, 6), (5,)):
+            panels.clear()
+            blocks = anneal_feasible_blocks(model, xs, dist, schedule)
+            assert len(panels) == 3 * sum(block.amps.shape[1] // 128 for block in blocks)
+            for panel in panels:
+                assert sum(np.shares_memory(panel, block.amps) for block in blocks) == 1
+            for block in blocks:
+                assert block.amps.flags.c_contiguous
+                assert np.array_equal(block.ys, feasible_decisions(10, model.d - block.x))
+                ref = column_reference(model, block.x, 1, schedule)[block.ys] / 32
+                assert np.abs(block.amps[:, 1] - ref).max() <= 1e-12
 
     def test_each_cost_grid_is_built_once(self, monkeypatch):
         model, dist = model_from_instance(generate_instance(10, 2))

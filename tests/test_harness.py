@@ -12,7 +12,7 @@ import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
-from statistics import median_low
+from statistics import median, median_low
 
 import numpy as np
 import pytest
@@ -655,6 +655,40 @@ class TestExperimentOutputs:
         med = {s["t_rule"]: s["median"] for s in out["summary"]
                if s["metric"] == "rel_error_sum"}
         assert med["quadratic"] < med["linear"]
+
+    def test_fig3_summary_median_is_numpys(self, tmp_path):
+        # the summary takes statistics.median of the Python floats, which
+        # gives np.median's float bit for bit on odd, even and tied samples
+        rng = np.random.default_rng(3)
+        for size in (1, 2, 5, 6, 38, 39):
+            sample = (rng.random(size) * 10.0 ** rng.integers(-3, 3)).tolist()
+            for vals in (sample, sample[:1] * size, sample[:size // 2 + 1] * 2):
+                assert median(vals).hex() == float(np.median(vals)).hex()
+        for n in (3, 4):
+            spec = ExperimentSpec(kind="fig3", n_y_values=(3,), n_instances=n,
+                                  master_seed=5)
+            out = experiment_fig3(spec, tmp_path / str(n), workers=1)
+            for s in out["summary"]:
+                vals = [r[s["metric"]] for r in out["rows"] if r["t_rule"] == s["t_rule"]]
+                assert len(vals) == n
+                assert s["median"].hex() == float(np.median(vals)).hex()
+
+    def test_fig3_loads_no_numpy_ma(self, tmp_path):
+        # np.median imports numpy.ma on its first call (10-19 ms in a fresh
+        # process on 2 cores); a small fig3 in a child process leaves it
+        # unloaded
+        script = ("import sys\n"
+                  "from spq.harness import ExperimentSpec, experiment_fig3\n"
+                  "spec = ExperimentSpec(kind='fig3', n_y_values=(3,), n_instances=2)\n"
+                  f"experiment_fig3(spec, {str(tmp_path)!r}, workers=1)\n"
+                  "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(spq.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", script], timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+        assert (tmp_path / "fig3_summary.csv").exists()
 
     def test_fig3_deterministic_across_worker_counts(self, tmp_path):
         spec = ExperimentSpec(kind="fig3", n_y_values=(3,), n_instances=3,
