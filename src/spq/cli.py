@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--config", required=True, help="experiment config JSON")
     exp.add_argument("--out", required=True, help="output directory")
     exp.add_argument("--workers", type=int, default=None,
-                     help="fig3 only: worker processes (default: one per core)")
+                     help="fig3 only: worker processes (default: one per usable core)")
 
     gen = sub.add_parser("make-instance", help="generate a seeded instance file")
     gen.add_argument("--n-y", type=int, required=True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import ctypes
 import math
 import multiprocessing
+import os
 import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -448,34 +449,40 @@ def _blas_thread_calls():
 
 
 _BLAS_THREADS = _blas_thread_calls()
-# process-wide, as the thread count is: a lock, anneals running, the count they replaced
-_blas_lock, _blas_anneals, _blas_saved = threading.Lock(), 0, 0
+# process-wide, as the thread count is
+_blas_lock = threading.Lock()
 
 
 @contextmanager
 def _one_blas_thread():
-    """BLAS at one thread while any anneal runs (``_BLAS_THREADS``): the
-    first anneal in saves the count and sets one, the last one out restores it."""
-    global _blas_anneals, _blas_saved
+    """BLAS at one thread for one anneal (``_BLAS_THREADS``), the caller's
+    count restored after it; the lock held throughout makes an anneal in
+    another thread wait its turn."""
     get, set_threads = _BLAS_THREADS
     with _blas_lock:
-        if _blas_anneals == 0:
-            _blas_saved = get()
-            set_threads(1)
-        _blas_anneals += 1
+        saved = get()
+        set_threads(1)
+        try:
+            yield
+        finally:
+            set_threads(saved)
+
+
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the OS
+    reports one, else the CPU count."""
     try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_anneals -= 1
-            if _blas_anneals == 0:
-                set_threads(_blas_saved)
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _helper_may_share() -> bool:
-    """Whether anneals set one BLAS thread, outside ``multiprocessing`` children
-    (fig3's workers fill the cores); asked per anneal, as workers import this early."""
-    return _BLAS_THREADS is not None and multiprocessing.parent_process() is None
+    """Whether anneals set one BLAS thread and at least two cores are
+    usable, outside ``multiprocessing`` children (fig3's workers fill the
+    cores); asked per anneal, as workers import this early."""
+    return (_BLAS_THREADS is not None and multiprocessing.parent_process() is None
+            and usable_cores() >= 2)
 
 
 def _probabilities(amps: np.ndarray) -> np.ndarray:
@@ -571,103 +578,82 @@ def per_scenario_optimal_block(model: UnitCommitmentModel, x: int,
     return FeasibleBlock(x, ys, amps, costs)
 
 
-def lockstep_groups(model: UnitCommitmentModel) -> list[tuple[int, ...]]:
-    """The decisions 0..d grouped for ``anneal_feasible_blocks``.
+def anneal_feasible_blocks(requests: list, schedule: AnnealSchedule, value=None) -> list:
+    """DQA confined to the feasible subspace, for a list of ``(model,
+    dist, x)`` requests: ``value(block)`` of each request's annealed
+    ``FeasibleBlock`` (the block itself where ``value`` is None), in
+    request order.
 
-    x (weight w = d - x) pairs with the x' of weight n_y - w when both
-    weights lie in [0, d]; a weight without a partner, or its own
-    complement, anneals alone.  Groups are ordered by their first x.
+    Every request passes ``check_block``, and all share one n_y and n_xi,
+    or this raises before anything is allocated.  A layer's mixer unitary
+    depends only on n_y, the weight class {w, n_y - w} of w = d - x and the
+    layer, so the requests are annealed one class at a time, the classes
+    in the order of their first request, each under one unitary per layer
+    (``_anneal_class``); for x = 0..d of one model, each x anneals with the
+    x' of complementary weight.  A class's blocks are dropped once
+    ``value`` has read them, before the next class anneals, so with a
+    ``value`` at most one class's blocks are live.
     """
-    groups = []
-    for x in range(model.d + 1):
-        partner = model.d - (model.n_y - (model.d - x))
-        if x < partner <= model.d:
-            groups.append((x, partner))
-        elif not 0 <= partner < x:          # else grouped with partner
-            groups.append((x,))
-    return groups
-
-
-def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
-                           dist: DiscreteDistribution,
-                           schedule: AnnealSchedule) -> list[FeasibleBlock]:
-    """DQA confined to the feasible subspace, for one x or for two whose
-    weights d - x add up to n_y, annealed in lockstep.
-
-    Each evolving state is a (C(n_y, d-x), 2^n_xi) block: feasible y rows,
-    scenario columns.  The mixer never leaks out of the weight block and
-    the cost and penalty layers are diagonal, so each layer is one
-    elementwise phase product per block followed by one GEMM per block
-    with the layer's fused mixer unitary.  The phase of amplitude (y, xi)
-    depends on it only through q(y, xi) = table[y & xi], the block's cost
-    table of 2^n_y entries (``_cost_table``).  On the linear ramp a(t) =
-    t/T the layer-t phase e^{i q t/T} is base^t with base = e^{i table/T},
-    so each layer multiplies the block's running phase table by the base,
-    and each amplitude takes its entry through an int32 index of y & xi:
-    the products a phase held per amplitude would form, on the same
-    floats.  The XY mixer commutes with complementing every bit, which
-    reverses the order of the feasible rows, so the unitary at weight
-    n_y - w is the weight-w one with rows and columns reversed, bit for
-    bit.  Only weights up to n_y/2 build one: a block of weight w above
-    n_y/2, lone or paired, anneals with its rows (and index) reversed
-    under U(n_y - w), and its rows are reversed back at the end; a pair
-    builds its unitary once per layer.  The unitaries are built a chunk of
-    L layers per call, as one stack (``_mixer_unitaries``), L the most
-    layers whose stack and its work space hold at most ``_PANEL_AMPS``
-    amplitudes, and at least one (``_mixer_builder``): every layer of the
-    shipped fig5 anneals, 9 at C(10, 2) = 45, one at C(10, 3) = 120 and
-    above.  The blocks keep separate GEMMs, so each one's sums run in the
-    order of a lone anneal.  Where the mixer angle is exactly 0 (the last
-    layer of the linear ramp) the unitary is the identity and is skipped.
-
-    Each block is held from the start in the C-contiguous (C(n_y, w),
-    2^n_xi) array it is returned in, and is annealed in place through
-    column panels, views of the widest power-of-two column ranges of at
-    most ``_PANEL_AMPS`` = 2^15 amplitudes (128 columns at C(10, 5) = 252
-    rows, 512 at C(10, 2) = 45, the whole block up to 2^15 amplitudes),
-    each with its index, so the layers hold 16 B of state and 4 B of index
-    per amplitude and nothing is joined at the end.  A task is one panel
-    of one block: its phase product into its thread's spare panel, then
-    its GEMM written back into the view (``_layer_panel``).  The unitaries
-    do not depend on the state.  Inline, the calling thread runs each
-    layer's tasks, then, where layer t + 1 starts a chunk, builds the next
-    chunk's stack.  Where T > 0, the block has more than one panel and
-    ``_helper_may_share``, a one-worker thread pool (``concurrent.futures``)
-    helps instead: its job for layer t first builds the next chunk's stack,
-    where layer t + 1 starts one, into the buffer that the chunk before
-    layer t's chunk has released, then claims layer t's tasks alongside the
-    calling thread from one shared iterator.  The caller advances the phase
-    tables before it submits layer t's job and waits on that job before it
-    starts layer t + 1, so two stack buffers suffice, and a failed build or
-    panel raises from that wait; the pool is joined before this returns or
-    raises.  A column of U @ M is the same bits whichever panel holds it
-    and whichever thread ran it, since each column's sums run in the same
-    order, so both modes give the same bits.
-
-    The layers run at one BLAS thread (``_one_blas_thread``), so their bits
-    do not follow the caller's count and the two threads fit the cores;
-    without OpenBLAS's thread-count calls they run inline at the caller's
-    count.  fig3's pool workers fill the cores already, and up to 2^15
-    amplitudes, one panel, the hand-over of the GIL costs more than it hides.
-
-    Every x passes ``check_block`` before anything is allocated.  The
-    unitary stacks, their work space, the indexes and the spare panels are
-    dropped before the column check, and each x's cost grid
-    (``_feasible_grid``) is built once, after it.  The scenario register is
-    only control, so each scenario column keeps its probability: after the
-    anneal, sum_y |amp|^2 must equal p(xi) within ``PROB_SUM_TOL`` in every
-    column, or this raises ValueError; nothing is renormalised.  The
-    blocks are returned C-contiguous, their rows in ascending y.
-    """
-    if len(xs) not in (1, 2):
-        raise ValueError(f"anneal one or two first-stage decisions, got {len(xs)}")
-    n_y, n_xi = model.n_y, dist.n_xi
-    weights = [model.d - x for x in xs]
-    if len(xs) == 2 and (weights[0] + weights[1] != n_y or xs[0] == xs[1]):
-        raise ValueError(f"weights {weights} of x={xs} are not complementary "
-                         f"on {n_y} qubits")
-    for x in xs:
+    for model, dist, x in requests:
         check_block(model, x, dist)
+    if len({(model.n_y, dist.n_xi) for model, dist, _ in requests}) > 1:
+        raise ValueError("the requests of one anneal must share one n_y and n_xi")
+    classes = {}        # weight class -> the positions of its requests
+    for i, (model, _, x) in enumerate(requests):
+        classes.setdefault(min(model.d - x, model.n_y - model.d + x), []).append(i)
+    out = [None] * len(requests)
+    for members in classes.values():
+        # a comprehension, so that no name holds a block into the next class
+        values = [block if value is None else value(block)
+                  for block in _anneal_class([requests[i] for i in members], schedule)]
+        for i, v in zip(members, values):
+            out[i] = v
+    return out
+
+
+def _anneal_class(requests, schedule: AnnealSchedule) -> list[FeasibleBlock]:
+    """The blocks of checked requests of one weight class, annealed
+    together, in request order: C-contiguous (C(n_y, w), 2^n_xi) arrays of
+    feasible y rows, ascending, by scenario columns.
+
+    The cost and penalty layers are diagonal and the mixer keeps the
+    weight block, so each layer is a phase product and a GEMM with the
+    layer's fused mixer unitary per block.  The phase of (y, xi) is read
+    from the block's cost table of 2^n_y entries at y & xi
+    (``_cost_table``): on the ramp a(t) = t/T layer t's phase e^{i q t/T}
+    is base^t with base = e^{i table/T}, so each layer multiplies each
+    block's running table by its base, and each amplitude takes its entry
+    through an int32 index of y & xi.  Complementing every bit commutes
+    with the mixer and reverses the feasible rows, so U(n_y - w) is U(w)
+    with rows and columns reversed, bit for bit: only the class's lower
+    weight builds a unitary, a chunk of layers per call
+    (``_mixer_builder``), and a block above weight n_y/2 anneals with its
+    rows and index reversed and is reversed back at the end.  The mixer is
+    skipped where its angle is 0, at t = T.  Each block keeps its own
+    GEMMs, so it has the bits of its lone anneal.
+
+    Each block is annealed in place through column panels, views of the
+    widest power-of-two column ranges of at most ``_PANEL_AMPS``
+    amplitudes, each with its index; a task is one panel of one block
+    (``_layer_panel``).  Inline, the calling thread runs each layer's
+    tasks, then builds the next layer's unitary.  Where T > 0, a block has
+    more than one panel and ``_helper_may_share``, a one-worker thread pool
+    builds layer t + 1's unitary and then claims layer t's tasks beside the
+    caller from one shared iterator; the caller waits on that job before
+    layer t + 1, so a failed build or panel raises there, and the pool is
+    joined before this returns or raises.  A column of U @ M is the same
+    bits whichever panel and thread computed it, so both modes agree.  The
+    layers run at one BLAS thread (``_one_blas_thread``) where numpy's
+    OpenBLAS has the thread-count calls, else inline at the caller's count.
+
+    The stacks, indexes and spare panels are dropped before the column
+    check: the scenario register is only control, so sum_y |amp|^2 must
+    equal p(xi) within ``PROB_SUM_TOL`` in every column, or this raises
+    ValueError; nothing is renormalised.  Each cost grid
+    (``_feasible_grid``) is built once, after it.
+    """
+    n_y, n_xi = requests[0][0].n_y, requests[0][1].n_xi
+    weights = [model.d - x for model, _, x in requests]
     # each block's row order in the anneal, -1 reversed above weight n_y/2
     steps = [-1 if 2 * w > n_y else 1 for w in weights]
     rows, cols, T = math.comb(n_y, weights[0]), 2 ** n_xi, schedule.T
@@ -676,16 +662,17 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
     spans = [slice(lo, lo + width) for lo in range(0, cols, width)]
     helper = T > 0 and len(spans) > 1 and _helper_may_share()
 
-    xi_amps = np.zeros(cols)
-    xi_amps[dist.scenarios] = np.sqrt(dist.probabilities)
-    ms = [np.empty((rows, cols), dtype=complex) for _ in xs]
-    for m in ms:
-        m[...] = xi_amps / math.sqrt(rows)      # every row the start column
+    p_xis = [np.zeros(cols) for _ in requests]
+    ms = [np.empty((rows, cols), dtype=complex) for _ in requests]
+    for p_xi, m, (_, dist, _) in zip(p_xis, ms, requests):
+        p_xi[dist.scenarios] = dist.probabilities
+        m[...] = np.sqrt(p_xi) / math.sqrt(rows)        # every row the start column
 
     if T > 0:
         # the fused cost+penalty layer is the diagonal phase e^{+i a(t) q}
         # (P(theta) has the +i convention), held on each block's cost table
-        bases = np.exp(1j * (1 / T) * np.array([_cost_table(model, w) for w in weights]))
+        bases = np.exp(1j * (1 / T) * np.array(
+            [_cost_table(model, w) for (model, _, _), w in zip(requests, weights)]))
         phases = np.ones_like(bases)        # one row per block
         xis = np.arange(cols, dtype=np.int32)
         indexes = [[feasible_decisions(n_y, w)[::step, None].astype(np.int32) & xis[span]
@@ -699,7 +686,7 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
         def mixer(t):       # layer t's unitary, None where it does not mix
             return build(t) if t < len(betas) else None
 
-        tasks = [(j, p) for j in range(len(xs)) for p in range(len(spans))]
+        tasks = [(j, p) for j in range(len(requests)) for p in range(len(spans))]
         claim = threading.Lock()
 
         def run(todo, u, k):        # thread k claims (block, panel) tasks until none is left
@@ -738,15 +725,14 @@ def anneal_feasible_blocks(model: UnitCommitmentModel, xs: tuple[int, ...],
         del build, indexes, spares
 
     # the scenario register is only control, so each column keeps p(xi)
-    p_xi = np.zeros(cols)
-    p_xi[dist.scenarios] = dist.probabilities
-    for x, m in zip(xs, ms):
+    for (_, _, x), p_xi, m in zip(requests, p_xis, ms):
         worst = float(np.abs(_probabilities(m).sum(axis=0) - p_xi).max())
         if not worst <= PROB_SUM_TOL:
             raise ValueError(f"x={x}: a scenario column's probability is off "
                              f"p(xi) by {worst!r}, more than {PROB_SUM_TOL}")
-    grids = (_feasible_grid(model, x, dist) for x in xs)     # one per x, after the check
-    return [FeasibleBlock(x, ys, m, q) for x, (ys, q), m in zip(xs, grids, ms)]
+    grids = (_feasible_grid(model, x, dist) for model, dist, x in requests)
+    return [FeasibleBlock(x, ys, m, q)
+            for (_, _, x), (ys, q), m in zip(requests, grids, ms)]
 
 
 def run_dqa_fast(model: UnitCommitmentModel, x: int, dist: DiscreteDistribution,
@@ -757,7 +743,7 @@ def run_dqa_fast(model: UnitCommitmentModel, x: int, dist: DiscreteDistribution,
     (y, xi) register.  The result reproduces run_dqa(build_dqa(...)) to
     rounding; tests pin the equivalence at 1e-12.
     """
-    (block,) = anneal_feasible_blocks(model, (x,), dist, schedule)
+    (block,) = anneal_feasible_blocks([(model, dist, x)], schedule)
     return StateVector(model.n_y + dist.n_xi, block.scatter(model.n_y))
 
 

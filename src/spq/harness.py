@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import time
 import zlib
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -26,12 +25,13 @@ import numpy as np
 
 from .dqa import (
     AnnealSchedule,
+    FeasibleBlock,
     anneal_feasible_blocks,
     check_block,
     check_block_size,
-    lockstep_groups,
     per_scenario_optimal_block,
     run_dqa_fast,  # not called here; perfbench/selftest.py checks that it is traced
+    usable_cores,
 )
 from .model import (
     ConfigError,
@@ -92,8 +92,8 @@ class ExperimentSpec:
         if self.kind not in ("fig3", "fig4", "fig5"):
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         check_oracle(self.oracle)
-        if self.amplify < 1 or self.n_instances < 1 or self.n_repetitions < 1:
-            raise ConfigError("counts must be positive")
+        for name in ("n_instances", "n_estimates", "n_repetitions", "amplify"):
+            check_count(name, getattr(self, name))
         for name in ("n_y_values", "m_values", "configs"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must not be empty")
@@ -121,6 +121,13 @@ def check_seed(name: str, seed) -> int:
     if not 0 <= seed < 2 ** 32:
         raise ConfigError(f"{name}: {seed} outside [0, 2^32)")
     return seed
+
+
+def check_count(name: str, count: int) -> int:
+    """``count``, unless it is below 1: a ``ConfigError`` naming it."""
+    if count < 1:
+        raise ConfigError(f"{name} must be at least 1, got {count}")
+    return count
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -188,20 +195,6 @@ class OuterLoopResult:
         return float(np.corrcoef(est, o)[0, 1])
 
 
-def _block_values(model, dist, T, value) -> dict:
-    """``value(block)`` for the annealed feasible block of every x.
-
-    Each ``lockstep_groups`` group anneals together and its blocks die
-    before the next group anneals, so at most two blocks are live.
-    """
-    schedule = AnnealSchedule.linear(T)
-    out = {}
-    for xs in lockstep_groups(model):
-        out.update((block.x, value(block))
-                   for block in anneal_feasible_blocks(model, xs, dist, schedule))
-    return out
-
-
 def _qae_point(model, block, oracle) -> tuple[float, float]:
     """(<H_Q>, a) of one feasible block, annealed or psi*, where a =
     Pr[ancilla = 1] after the oracle; both are sums over the block alone."""
@@ -217,9 +210,9 @@ def _qae_points(model, dist, T, oracle) -> tuple[tuple[float, float], ...]:
     Pure in its hashable arguments; the one cached entry lets fig5's
     repetitions of a config share one anneal per x.
     """
-    points = _block_values(
-        model, dist, T, lambda block: _qae_point(model, block, oracle))
-    return tuple(points[x] for x in range(model.d + 1))
+    return tuple(anneal_feasible_blocks(
+        [(model, dist, x) for x in range(model.d + 1)], AnnealSchedule.linear(T),
+        lambda block: _qae_point(model, block, oracle)))
 
 
 @lru_cache(maxsize=1)
@@ -243,12 +236,12 @@ def _readout_config(model, dist, m: int, repetitions: int) -> QaeConfig:
 
 
 def check_run(inst: dict, xs=None, T: int | None = None, m: int | None = None,
-              repetitions: int = 1, oracle: str = "exact"
+              amplify: int = 1, oracle: str = "exact"
               ) -> tuple[UnitCommitmentModel, DiscreteDistribution, QaeConfig | None]:
     """The one check of an instance before any output, anneal or exact
     table, in order: the oracle name, the model, ``check_block_size`` for
     every x in ``xs`` (0..d for None), the law, T unless None, and the
-    readout plan of m and ``repetitions`` unless m is None.  The block rule
+    readout plan of m and ``amplify`` readouts unless m is None.  The block rule
     reads n_y, d and n_xi alone, so it refuses before the law, 2^n_xi
     entries for a uniform one, is built.  Returns (model, law, plan)."""
     check_oracle(oracle)
@@ -258,7 +251,8 @@ def check_run(inst: dict, xs=None, T: int | None = None, m: int | None = None,
     dist = instance_law(inst, model)
     if T is not None:
         AnnealSchedule.linear(T)
-    config = None if m is None else _readout_config(model, dist, m, repetitions)
+    config = (None if m is None
+              else _readout_config(model, dist, m, check_count("amplify", amplify)))
     return model, dist, config
 
 
@@ -302,8 +296,8 @@ def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
     brute-force per-scenario optimal state psi* as a converged surrogate.
     Every mode takes <H_Q>, and qae mode the QAE target a, from sums over
     a feasible block, never the full register.  Expectation and qae modes
-    anneal x with the x' of complementary weight (``lockstep_groups``);
-    qae mode keeps the last (model, dist, T, oracle) anneal
+    anneal every x in one ``anneal_feasible_blocks`` call; qae mode keeps
+    the last (model, dist, T, oracle) anneal
     (``_qae_points``), so repeated calls differing only in ``seed_tag``
     anneal once; each x's readout seed still comes from ``seed_tag`` and x.
     The model and law may come from any caller, so every mode checks the
@@ -319,12 +313,14 @@ def outer_loop(model: UnitCommitmentModel, dist: DiscreteDistribution, T: int,
         check_block(model, x, dist)
     AnnealSchedule.linear(T)
     if mode == "qae":
-        config = _readout_config(model, dist, m, amplify)
+        config = _readout_config(model, dist, m, check_count("amplify", amplify))
     if mode == "expectation":
-        exp_hqs = _block_values(model, dist, T, lambda block: block.expectation_hq())
+        exp_hqs = anneal_feasible_blocks([(model, dist, x) for x in range(model.d + 1)],
+                                         AnnealSchedule.linear(T),
+                                         FeasibleBlock.expectation_hq)
     elif mode == "exact":
-        exp_hqs = {x: per_scenario_optimal_block(model, x, dist).expectation_hq()
-                   for x in range(model.d + 1)}
+        exp_hqs = [per_scenario_optimal_block(model, x, dist).expectation_hq()
+                   for x in range(model.d + 1)]
     else:
         points = _qae_points(model, dist, T, oracle)
     result = OuterLoopResult()
@@ -384,7 +380,9 @@ def experiment_fig3(spec: ExperimentSpec, out_dir, workers: int | None = None) -
 
     With ``workers > 1`` the instances run on spawned worker processes, so
     a script that calls this must guard its entry point with
-    ``if __name__ == "__main__":``.  ``meta.json`` records the worker count.
+    ``if __name__ == "__main__":``.  By default there is one worker per
+    usable core (``usable_cores``), and at most one per instance;
+    ``meta.json`` records the worker count.
     Each task carries its instance's model and law from ``check_run``.
     """
     if workers is not None and workers < 1:
@@ -399,7 +397,7 @@ def experiment_fig3(spec: ExperimentSpec, out_dir, workers: int | None = None) -
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if workers is None:
-        workers = min(os.cpu_count() or 1, len(tasks))
+        workers = min(usable_cores(), len(tasks))
     chunks = (_pool_map(_fig3_task, tasks, workers) if workers > 1
               else [_fig3_task(t) for t in tasks])
     rows = [row for chunk in chunks for row in chunk]
@@ -551,7 +549,7 @@ def experiment_fig5(spec: ExperimentSpec, out_dir) -> dict:
     first-stage point."""
     started = time.time()
     models = [check_run(generate_instance(n_y, derive_seed(spec.master_seed, "fig5", ci)),
-                        T=T, m=m, repetitions=spec.amplify, oracle=spec.oracle)[:2]
+                        T=T, m=m, amplify=spec.amplify, oracle=spec.oracle)[:2]
               for ci, (n_y, m, T) in enumerate(spec.configs)]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -595,8 +593,8 @@ def single_run(inst: dict, x: int, T: int, oracle: str, m: int, seed: int,
     model, dist, config = check_run(inst, (x,), T, m, amplify, oracle)
     started = time.time()
     config = replace(config, rng_seed=derive_seed(seed, "run", x))
-    (block,) = anneal_feasible_blocks(model, (x,), dist, AnnealSchedule.linear(T))
-    exp_hq, a = _qae_point(model, block, oracle)
+    ((exp_hq, a),) = anneal_feasible_blocks([(model, dist, x)], AnnealSchedule.linear(T),
+                                            lambda block: _qae_point(model, block, oracle))
     phi = expected_value_exact(model, x, dist)
     _check_variational(model, x, exp_hq, phi)
     picked, phi_est = _qae_estimate_for_x(model, dist, x, exp_hq, a, config, oracle)

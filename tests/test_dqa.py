@@ -20,13 +20,13 @@ import spq
 from spq import dqa, harness
 from spq.dqa import (
     AnnealSchedule,
+    FeasibleBlock,
     RegisterLayout,
     anneal_feasible_blocks,
     build_dqa,
     check_block,
     dicke_amplitudes,
     expectation_HQ,
-    lockstep_groups,
     mixer_pair_angle,
     per_scenario_optimal_block,
     prepare_dicke,
@@ -397,6 +397,34 @@ class TestMixerUnitary:
 FORCED_PANEL_AMPS = 2 ** 8
 
 
+def anneal_xs(model, xs, dist, schedule, value=None):
+    """``anneal_feasible_blocks`` on the decisions ``xs`` of one model and law."""
+    return anneal_feasible_blocks([(model, dist, x) for x in xs], schedule, value)
+
+
+def weight_classes(model):
+    """The decisions 0..d grouped by weight class min(w, n_y - w), w = d - x,
+    the groups in the order of their first x."""
+    groups = {}
+    for x in range(model.d + 1):
+        groups.setdefault(min(model.d - x, model.n_y - model.d + x), []).append(x)
+    return [tuple(xs) for xs in groups.values()]
+
+
+def class_anneals(model, xs, dist, schedule):
+    """The blocks of one call on ``xs``, and the decisions of each class it
+    anneals (``dqa._anneal_class``), in the order the classes run."""
+    anneal_class, classes = dqa._anneal_class, []
+
+    def recorded(requests, schedule):
+        classes.append(tuple(x for _, _, x in requests))
+        return anneal_class(requests, schedule)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dqa, "_anneal_class", recorded)
+        return anneal_xs(model, xs, dist, schedule), classes
+
+
 # the variables OpenBLAS reads its thread count from at start-up
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OPENBLAS_DEFAULT_NUM_THREADS",
                     "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -434,7 +462,8 @@ from spq.model import generate_instance, model_from_instance
 model, dist = model_from_instance(generate_instance(10, 0))
 get = dqa._BLAS_THREADS[0]
 before = get()
-blocks = dqa.anneal_feasible_blocks(model, {xs}, dist, dqa.AnnealSchedule.linear({T}))
+blocks = dqa.anneal_feasible_blocks([(model, dist, x) for x in {xs}],
+                                    dqa.AnnealSchedule.linear({T}))
 print(before, get(), 'concurrent.futures' in sys.modules,
       hashlib.sha256(b''.join(b.amps.tobytes() for b in blocks)).hexdigest())
 """
@@ -487,7 +516,7 @@ class TestHelperThread:
                 panel_amps = FORCED_PANEL_AMPS
             if panel_amps is not None:
                 patch.setattr(dqa, "_PANEL_AMPS", panel_amps)
-            blocks = anneal_feasible_blocks(model, xs, dist, schedule)
+            blocks = anneal_xs(model, xs, dist, schedule)
         return blocks, build_threads
 
     @pytest.mark.parametrize("n_y", [8, 10])
@@ -499,8 +528,8 @@ class TestHelperThread:
         model, dist = model_from_instance(generate_instance(n_y, 7))
         schedule = AnnealSchedule.linear(n_y if rule == "linear" else n_y * n_y)
         panel_amps = 2 ** 11 if n_y == 8 else dqa._PANEL_AMPS
-        for xs in ((2, n_y - 2), (n_y // 2,)):    # a lockstep pair, weight n_y/2
-            assert xs in lockstep_groups(model)
+        for xs in ((2, n_y - 2), (n_y // 2,)):    # a pair of one class, weight n_y/2
+            assert xs in weight_classes(model)
             inline_panels, panels = [], []
             inline, inline_threads = self.anneal_on(monkeypatch, False, model, xs,
                                                     dist, schedule, panels=inline_panels,
@@ -565,7 +594,7 @@ class TestHelperThread:
         monkeypatch.setattr(dqa, "_PANEL_AMPS", FORCED_PANEL_AMPS)
         force_helper(monkeypatch, True)
         callers = [threading.Thread(target=lambda xs=xs: got.__setitem__(
-                       xs, anneal_feasible_blocks(model, xs, dist, schedule)))
+                       xs, anneal_xs(model, xs, dist, schedule)))
                    for xs in groups]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -584,27 +613,44 @@ class TestHelperThread:
 
     @needs_blas_threads
     def test_overlapping_anneals_restore_the_count_last(self):
-        # the first anneal in sets one thread; the count comes back when the
-        # last one leaves, whichever entered first
+        # an anneal in a second thread waits until the first has left; each
+        # runs at one thread, and the caller's count is back after both
         get, set_threads = dqa._BLAS_THREADS
         before = get()
+        inside, leave, counts = threading.Event(), threading.Event(), []
+
+        def first():
+            with dqa._one_blas_thread():
+                counts.append(get())
+                inside.set()
+                leave.wait(timeout=60)
+
+        def second():
+            with dqa._one_blas_thread():
+                counts.append(get())
+
         set_threads(2)
         try:
-            first, second = dqa._one_blas_thread(), dqa._one_blas_thread()
-            first.__enter__()
-            second.__enter__()
+            threads = [threading.Thread(target=first), threading.Thread(target=second)]
+            threads[0].start()
+            assert inside.wait(timeout=60)
+            threads[1].start()
+            threads[1].join(timeout=0.2)
+            assert threads[1].is_alive() and counts == [1]     # the second waits
             assert get() == 1
-            first.__exit__(None, None, None)
-            assert get() == 1
-            second.__exit__(None, None, None)
-            assert get() == 2
+            leave.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert counts == [1, 1] and get() == 2
         finally:
+            leave.set()
             set_threads(before)
 
     def test_size_rule(self, monkeypatch):
         # fig5's blocks (n_y <= 6) stay on the calling thread as one panel
         model, dist = model_from_instance(generate_instance(6, 1))
-        for xs in lockstep_groups(model):
+        for xs in weight_classes(model):
             panels = []
             _, threads = self.anneal_on(monkeypatch, None, model, xs, dist,
                                         AnnealSchedule.linear(36), panels=panels)
@@ -646,7 +692,7 @@ class TestHelperThread:
         monkeypatch.setattr(dqa, "_PANEL_AMPS", FORCED_PANEL_AMPS)
         force_helper(monkeypatch, True)
         with pytest.raises(FloatingPointError, match="panel GEMM failed"):
-            anneal_feasible_blocks(model, (1, 5), dist, AnnealSchedule.linear(8))
+            anneal_xs(model, (1, 5), dist, AnnealSchedule.linear(8))
         assert helper_failed.is_set()
         assert threading.active_count() == start
 
@@ -668,7 +714,7 @@ class TestHelperThread:
         monkeypatch.setattr(dqa, "_PANEL_AMPS", FORCED_PANEL_AMPS)
         force_helper(monkeypatch, True)
         with pytest.raises(FloatingPointError, match="build 3 failed"):
-            anneal_feasible_blocks(model, (1, 5), dist, AnnealSchedule.linear(22))
+            anneal_xs(model, (1, 5), dist, AnnealSchedule.linear(22))
         assert len(calls) == 3 and threading.main_thread() not in calls
         assert threading.active_count() == start
 
@@ -700,7 +746,7 @@ class TestHelperThread:
         monkeypatch.setattr(dqa, "_PANEL_AMPS", FORCED_PANEL_AMPS)
         force_helper(monkeypatch, helper)
         with pytest.raises(ZeroDivisionError, match="layer 5"):
-            anneal_feasible_blocks(model, (3,), dist, schedule)
+            anneal_xs(model, (3,), dist, schedule)
         assert threading.active_count() == start
 
     @pytest.mark.parametrize("T", [1, 2])
@@ -710,8 +756,8 @@ class TestHelperThread:
         model, dist = model_from_instance(generate_instance(6, 5))
         schedule = AnnealSchedule.linear(T)
         start = threading.active_count()
-        for xs in ((1, 5), (3,)):               # a lockstep pair, a lone x
-            assert xs in lockstep_groups(model)
+        for xs in ((1, 5), (3,)):               # a pair of one class, a lone x
+            assert xs in weight_classes(model)
             inline, _ = self.anneal_on(monkeypatch, False, model, xs, dist, schedule)
             shared, threads = self.anneal_on(monkeypatch, True, model, xs, dist,
                                              schedule)
@@ -737,12 +783,12 @@ class TestHelperThread:
 
     @needs_blas_threads
     def test_blocks_do_not_follow_the_blas_thread_count(self):
-        # a lockstep group anneals, with the helper, to the bytes of the
+        # a pair of one class anneals, with the helper, to the bytes of the
         # in-process anneal at one and two BLAS threads and at OpenBLAS's
         # default, one thread per core, and gives the caller its count back;
         # before the anneal set its own count, the default gave other bytes
         model, dist = model_from_instance(generate_instance(10, 0))
-        blocks = anneal_feasible_blocks(model, (4, 6), dist, AnnealSchedule.linear(2))
+        blocks = anneal_xs(model, (4, 6), dist, AnnealSchedule.linear(2))
         expected = hashlib.sha256(b"".join(b.amps.tobytes() for b in blocks)).hexdigest()
         runs = [run_spq(ANNEAL_N10.format(xs=(4, 6), T=2), env)
                 for env in ({"OPENBLAS_NUM_THREADS": "1"},
@@ -772,7 +818,7 @@ class TestHelperThread:
         start, before = threading.active_count(), get()
         set_threads(2)
         try:
-            anneal_feasible_blocks(model, (5,), dist, AnnealSchedule.linear(3))
+            anneal_xs(model, (5,), dist, AnnealSchedule.linear(3))
             assert get() == 2
         finally:
             set_threads(before)
@@ -836,26 +882,25 @@ class TestColumnReference:
 
     @staticmethod
     def pin_columns(monkeypatch, model, dist, pick):
-        """Pin columns of every lockstep group's blocks at both T rules, with
-        the helper sharing panels (forced on at n_y = 8, where no block
+        """Pin columns of the blocks of one call on every x at both T rules,
+        with the helper sharing panels (forced on at n_y = 8, where no block
         splits at the shipped panel size, by panels of at most 2^7
         amplitudes, so that every block splits): pick(p_xi) gives two
-        scenario columns per group,
-        the first pinned in the group's first block, the second in its last.
-        Returns the worst deviation."""
+        scenario columns per weight class, the first pinned in the class's
+        first block, the second in its last.  Returns the worst deviation."""
         n_y = model.n_y
         force_helper(monkeypatch, True)
         if n_y == 8:
             monkeypatch.setattr(dqa, "_PANEL_AMPS", 2 ** 7)
         p_xi = np.zeros(2 ** n_y)
         p_xi[dist.scenarios] = dist.probabilities
-        groups = lockstep_groups(model)
-        assert (n_y // 2,) in groups               # the lone C(n_y, n_y/2)-row block
+        classes = weight_classes(model)
+        assert (n_y // 2,) in classes              # the lone C(n_y, n_y/2)-row block
         worst = 0.0
         for schedule in (AnnealSchedule.linear(n_y), AnnealSchedule.linear(n_y * n_y)):
-            for xs in groups:
-                blocks = anneal_feasible_blocks(model, xs, dist, schedule)
-                for xi, block in zip(pick(p_xi), (blocks[0], blocks[-1])):
+            blocks = anneal_xs(model, range(model.d + 1), dist, schedule)
+            for xs in classes:
+                for xi, block in zip(pick(p_xi), (blocks[xs[0]], blocks[xs[-1]])):
                     ref = column_reference(model, block.x, xi, schedule)
                     expected = math.sqrt(p_xi[xi]) * ref[block.ys]
                     deviation = np.abs(block.amps[:, xi] - expected).max()
@@ -866,7 +911,7 @@ class TestColumnReference:
     @pytest.mark.parametrize("n_y", [8, 10])
     def test_blocks_at_the_shipped_sizes(self, monkeypatch, n_y):
         # T = n_y and n_y^2 on a generated instance; two scenario columns
-        # per group, drawn from a fixed seed
+        # per class, drawn from a fixed seed
         model, dist = model_from_instance(generate_instance(n_y, 0))
         rng = np.random.default_rng(1000 + n_y)
         worst = self.pin_columns(monkeypatch, model, dist,
@@ -897,38 +942,90 @@ def scattered(block, n_y, n_xi):
 
 
 class TestLockstepAnneal:
-    """Pairs of complementary weights annealed together reproduce the lone
-    anneal of each x exactly, and their in-block <H_Q> the full-register one."""
+    """One anneal takes (model, law, x) requests and anneals them one weight
+    class at a time; every block equals its lone anneal bit for bit, and its
+    in-block <H_Q> the full-register one."""
 
     @staticmethod
-    def assert_blocks_match_lone_runs(model, dist, schedule, groups):
-        for xs in groups:
-            blocks = anneal_feasible_blocks(model, xs, dist, schedule)
-            assert [b.x for b in blocks] == list(xs)
-            for block in blocks:
-                lone = run_dqa_fast(model, block.x, dist, schedule)
-                assert np.array_equal(scattered(block, model.n_y, dist.n_xi),
-                                      lone.amplitudes)
-                assert abs(block.expectation_hq()
-                           - expectation_HQ(lone, model)) <= 1e-12
+    def assert_blocks_match_lone_runs(model, dist, schedule, xs):
+        blocks = anneal_xs(model, xs, dist, schedule)
+        assert [b.x for b in blocks] == list(xs)
+        for block in blocks:
+            lone = run_dqa_fast(model, block.x, dist, schedule)
+            assert np.array_equal(scattered(block, model.n_y, dist.n_xi),
+                                  lone.amplitudes)
+            assert abs(block.expectation_hq()
+                       - expectation_HQ(lone, model)) <= 1e-12
 
     @pytest.mark.parametrize("n_y", [4, 5, 6, 7, 8])
     def test_every_block_equals_the_lone_anneal(self, n_y):
+        # one call on every x anneals (n_y + 1) // 2 complementary pairs
         model, dist = model_from_instance(generate_instance(n_y, 20 + n_y))
-        groups = lockstep_groups(model)
-        assert sorted(x for xs in groups for x in xs) == list(range(model.d + 1))
-        assert sum(len(xs) == 2 for xs in groups) == (n_y + 1) // 2
-        self.assert_blocks_match_lone_runs(model, dist, AnnealSchedule.linear(n_y),
-                                           groups)
+        schedule = AnnealSchedule.linear(n_y)
+        _, classes = class_anneals(model, range(model.d + 1), dist, schedule)
+        assert sorted(x for xs in classes for x in xs) == list(range(model.d + 1))
+        assert sum(len(xs) == 2 for xs in classes) == (n_y + 1) // 2
+        self.assert_blocks_match_lone_runs(model, dist, schedule, range(model.d + 1))
 
     def test_blocks_equal_the_lone_anneal_with_the_helper(self, monkeypatch):
         # n_y = 10 with the helper forced on, so both threads share the
         # GEMMs' column panels: the pair (2, 8), whose x = 2 block anneals in
-        # complement order, and the lone x = 5
+        # complement order, and the lone x = 5, in one call
         force_helper(monkeypatch, True)
         model, dist = model_from_instance(generate_instance(10, 30))
         self.assert_blocks_match_lone_runs(model, dist, AnnealSchedule.linear(10),
-                                           [(2, 8), (5,)])
+                                           (2, 8, 5))
+
+    @pytest.mark.parametrize("helper", [False, True])
+    def test_three_instances_of_one_class(self, monkeypatch, helper):
+        # x = 2 and 6 of three n_y = 8 instances, weights 6 and 2 of one
+        # class, in one call, inline and with the helper sharing panels
+        # narrowed to 2^11 amplitudes: each block has its lone anneal's bytes
+        schedule = AnnealSchedule.linear(64)
+        requests = [(model, dist, x) for seed in (1, 2, 3)
+                    for model, dist in [model_from_instance(generate_instance(8, seed))]
+                    for x in (2, 6)]
+        lone = [anneal_feasible_blocks([request], schedule)[0] for request in requests]
+        panel, threads = dqa._layer_panel, set()
+
+        def recorded(*args):
+            threads.add(threading.current_thread())
+            return panel(*args)
+
+        monkeypatch.setattr(dqa, "_layer_panel", recorded)
+        force_helper(monkeypatch, helper)
+        if helper:
+            monkeypatch.setattr(dqa, "_PANEL_AMPS", 2 ** 11)
+        together = anneal_feasible_blocks(requests, schedule)
+        assert len(threads) == 1 + helper
+        for a, b in zip(lone, together, strict=True):
+            assert a.x == b.x
+            assert np.array_equal(a.amps, b.amps)
+            assert np.array_equal(a.costs, b.costs)
+
+    @pytest.mark.parametrize("n_y,T", [(6, 36), (10, 25)])
+    def test_one_unitary_per_class_layer(self, monkeypatch, n_y, T):
+        # every x in one call builds the unitaries one lone anneal per class
+        # builds: the same (weight, layers) chunks, in class order; a pair
+        # that built its unitary twice would build twice the chunks
+        model, dist = model_from_instance(generate_instance(n_y, 5))
+        schedule = AnnealSchedule.linear(T)
+        build, chunks = dqa._mixer_unitaries, []
+
+        def recorded(n, weight, betas, *args):
+            chunks.append((weight, len(betas)))
+            return build(n, weight, betas, *args)
+
+        monkeypatch.setattr(dqa, "_mixer_unitaries", recorded)
+        anneal_xs(model, range(model.d + 1), dist, schedule)
+        together = chunks[:]
+        chunks.clear()
+        for xs in weight_classes(model):
+            anneal_xs(model, xs[:1], dist, schedule)
+        assert together == chunks
+        # each class builds T - 1 layers: one unitary per mixing layer
+        for w in range(n_y // 2 + 1):
+            assert sum(n for weight, n in together if weight == w) == T - 1
 
     @pytest.mark.parametrize("n_y", [6, 8, 10])
     def test_only_weights_up_to_half_build_a_unitary(self, monkeypatch, n_y):
@@ -948,8 +1045,8 @@ class TestLockstepAnneal:
             force_helper(monkeypatch, helper)
             if helper:
                 monkeypatch.setattr(dqa, "_PANEL_AMPS", 2 ** 7)
-            for xs in lockstep_groups(model) + [(1,)]:
-                for block in anneal_feasible_blocks(model, xs, dist, schedule):
+            for xs in (range(model.d + 1), (1,)):
+                for block in anneal_xs(model, xs, dist, schedule):
                     assert block.amps.flags.c_contiguous, (helper, block.x)
             run_dqa_fast(model, 1, dist, schedule)    # weight n_y - 1, alone
         assert set(weights) == set(range(n_y // 2 + 1))
@@ -960,19 +1057,25 @@ class TestLockstepAnneal:
         # exceed d
         model, dist = model_from_instance(generate_instance(6, 3))
         model = dataclasses.replace(model, d=4)
-        groups = lockstep_groups(model)
-        assert groups == [(0, 2), (1,), (3,), (4,)]
-        self.assert_blocks_match_lone_runs(model, dist, AnnealSchedule.linear(9),
-                                           groups)
+        schedule = AnnealSchedule.linear(9)
+        _, classes = class_anneals(model, range(5), dist, schedule)
+        assert classes == [(0, 2), (1,), (3,), (4,)]
+        self.assert_blocks_match_lone_runs(model, dist, schedule, range(5))
 
     def test_groups_pair_exactly_the_complementary_weights(self):
+        # one call on every x anneals each class once, the classes in the
+        # order of their first x, a pair only of weights adding up to n_y
         for n_y in range(1, 8):
+            dist = DiscreteDistribution.uniform(n_y)
             for d in range(0, n_y + 1):
                 model = UnitCommitmentModel(n_y=n_y, c_x=0.4, c=(0.1,) * n_y,
                                             c_r=1.0, d=d)
-                groups = lockstep_groups(model)
-                assert sorted(x for xs in groups for x in xs) == list(range(d + 1))
-                for xs in groups:
+                blocks, classes = class_anneals(model, range(d + 1), dist,
+                                                AnnealSchedule.linear(0))
+                assert [b.x for b in blocks] == list(range(d + 1))
+                assert sorted(x for xs in classes for x in xs) == list(range(d + 1))
+                assert [xs[0] for xs in classes] == sorted(xs[0] for xs in classes)
+                for xs in classes:
                     weights = [d - x for x in xs]
                     partner = n_y - weights[0]
                     if len(xs) == 2:
@@ -988,19 +1091,45 @@ class TestLockstepAnneal:
         betas = sched.mixer_angles()
         assert betas[-1] == 0.0 and np.all(betas[:-1] != 0.0)
         model, dist = model_from_instance(generate_instance(n_y, 11))
-        groups = lockstep_groups(model)
-        self.assert_blocks_match_lone_runs(model, dist, sched, groups)
+        self.assert_blocks_match_lone_runs(model, dist, sched, range(model.d + 1))
         lay = RegisterLayout(n_y, n_y)
-        for block in anneal_feasible_blocks(model, (1, 3), dist, sched):
+        for block in anneal_xs(model, (1, 3), dist, sched):
             ref = run_dqa(build_dqa(model, block.x, dist, sched), lay)
             assert np.abs(scattered(block, n_y, n_y) - ref.amplitudes).max() <= 1e-12
 
-    def test_rejects_non_complementary_pairs(self):
+    def test_rejects_requests_of_another_width(self, monkeypatch):
+        # a decision outside [0, d], a model of another n_y and a law of
+        # another width each raise before any class anneals
         model, dist = model_from_instance(generate_instance(4, 2))
+        other, other_dist = model_from_instance(generate_instance(5, 2))
         sched = AnnealSchedule.linear(3)
-        for xs in ((0, 1), (2, 2), (0, 1, 4), (), (0, 5)):
-            with pytest.raises(ValueError):
-                anneal_feasible_blocks(model, xs, dist, sched)
+
+        def refuse(*args):
+            raise AssertionError("annealed a class")
+
+        monkeypatch.setattr(dqa, "_anneal_class", refuse)
+        with pytest.raises(InfeasibleDecisionError):
+            anneal_xs(model, (0, 5), dist, sched)
+        with pytest.raises(ValueError, match="one n_y and n_xi"):
+            anneal_feasible_blocks([(model, dist, 0), (other, other_dist, 2)], sched)
+        with pytest.raises(ConfigError, match="5 scenario bits"):
+            anneal_feasible_blocks([(model, dist, 0), (model, other_dist, 2)], sched)
+
+    def test_no_requests_anneal_nothing(self):
+        sched = AnnealSchedule.linear(3)
+        assert anneal_feasible_blocks([], sched) == []
+        assert anneal_feasible_blocks([], sched, FeasibleBlock.expectation_hq) == []
+
+    def test_a_repeated_request_gives_two_equal_blocks(self):
+        # x = 1 twice and x = 3, one class: three arrays, the repeated x's
+        # two equal to each other and to the lone anneal
+        model, dist = model_from_instance(generate_instance(4, 2))
+        sched = AnnealSchedule.linear(8)
+        first, second, third = anneal_xs(model, (1, 1, 3), dist, sched)
+        (lone,) = anneal_xs(model, (1,), dist, sched)
+        assert not np.shares_memory(first.amps, second.amps)
+        assert np.array_equal(first.amps, second.amps)
+        assert np.array_equal(first.amps, lone.amps) and third.x == 3
 
 
 class TestAnnealFootprint:
@@ -1009,11 +1138,12 @@ class TestAnnealFootprint:
     grid once."""
 
     def test_amplitude_bytes_are_pinned(self):
-        # every lockstep group at n_y = 2..8 under the uniform law and a
+        # every weight class at n_y = 2..8 under the uniform law and a
         # 4-scenario law (one of zero probability) at T = n_y and n_y^2,
-        # and two n_y = 10 groups, whose blocks split into panels, at T = 3.
-        # Like the fig5 pins, the digest also depends on the GEMM kernel
-        # OpenBLAS picks for the CPU
+        # one call per (instance, law, T) with the blocks requested class by
+        # class, and two n_y = 10 classes, whose blocks split into panels,
+        # at T = 3: 94 class anneals.  Like the fig5 pins, the digest also
+        # depends on the GEMM kernel OpenBLAS picks for the CPU
         digest = hashlib.sha256()
         cases = []
         for n_y in range(2, 9):
@@ -1022,13 +1152,17 @@ class TestAnnealFootprint:
             sparse = DiscreteDistribution(n_y, scenarios, (0.0, 0.5, 0.3, 0.2))
             for dist in (uniform, sparse):
                 for T in (n_y, n_y * n_y):
-                    cases += [(model, xs, dist, T) for xs in lockstep_groups(model)]
+                    xs = [x for group in weight_classes(model) for x in group]
+                    cases.append((model, xs, dist, T))
         model, dist = model_from_instance(generate_instance(10, 10))
-        cases += [(model, xs, dist, 3) for xs in ((4, 6), (5,))]
+        cases.append((model, (4, 6, 5), dist, 3))
+        anneals = 0
         for model, xs, dist, T in cases:
-            for block in anneal_feasible_blocks(model, xs, dist, AnnealSchedule.linear(T)):
+            blocks, classes = class_anneals(model, xs, dist, AnnealSchedule.linear(T))
+            anneals += len(classes)
+            for block in blocks:
                 digest.update(block.amps.tobytes())
-        assert len(cases) == 94
+        assert anneals == 94
         assert digest.hexdigest() == (
             "a5ba024f5f5a0ba6400193d0149e64370edf454c906c32a013be19a0e61fe773")
 
@@ -1042,10 +1176,10 @@ class TestAnnealFootprint:
         model, dist = model_from_instance(generate_instance(10, 0))
         force_helper(monkeypatch, helper)
         schedule = AnnealSchedule.linear(3)
-        anneal_feasible_blocks(model, (4, 6), dist, schedule)   # warm the caches
+        anneal_xs(model, (4, 6), dist, schedule)   # warm the caches
         tracemalloc.start()
         try:
-            blocks = anneal_feasible_blocks(model, (4, 6), dist, schedule)
+            blocks = anneal_xs(model, (4, 6), dist, schedule)
             for block in blocks:
                 block.expectation_hq()
             _, peak = tracemalloc.get_traced_memory()
@@ -1054,11 +1188,33 @@ class TestAnnealFootprint:
         assert peak < 1.9 * sum(block.amps.nbytes for block in blocks)
 
     @pytest.mark.parametrize("helper", [False, True])
+    def test_all_x_traced_peak_below_1_9_times_the_pair(self, monkeypatch, helper):
+        # every x of an n_y = 10 instance in one call, reading <H_Q>: each
+        # class's blocks are dropped before the next class anneals, so the
+        # peak is the largest class's, the (4, 6) pair's: 1.79 times its
+        # blocks.  Holding a class's last block into the next class traced
+        # 2.08 times them inline and 2.20 with the helper
+        model, dist = model_from_instance(generate_instance(10, 0))
+        force_helper(monkeypatch, helper)
+        schedule = AnnealSchedule.linear(3)
+        xs = range(model.d + 1)
+        expected = [b.expectation_hq() for b in anneal_xs(model, xs, dist, schedule)]
+        pair = sum(block.amps.nbytes for block in anneal_xs(model, (4, 6), dist, schedule))
+        tracemalloc.start()
+        try:
+            values = anneal_xs(model, xs, dist, schedule, FeasibleBlock.expectation_hq)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values == expected
+        assert peak < 1.9 * pair
+
+    @pytest.mark.parametrize("helper", [False, True])
     def test_panels_are_views_of_the_returned_blocks(self, monkeypatch, helper):
         # every panel a task receives is a column range of a returned
         # block, annealed in place; the blocks come back C-contiguous, rows
         # in ascending y (scenario column 1 matches its literal circuit), for
-        # a lockstep pair whose second block anneals in complement order and
+        # a pair of one class whose second block anneals in complement order and
         # for the lone weight n_y/2
         model, dist = model_from_instance(generate_instance(10, 0))
         schedule = AnnealSchedule.linear(3)
@@ -1072,7 +1228,7 @@ class TestAnnealFootprint:
         monkeypatch.setattr(dqa, "_layer_panel", recorded)
         for xs in ((4, 6), (5,)):
             panels.clear()
-            blocks = anneal_feasible_blocks(model, xs, dist, schedule)
+            blocks = anneal_xs(model, xs, dist, schedule)
             assert len(panels) == 3 * sum(block.amps.shape[1] // 128 for block in blocks)
             for panel in panels:
                 assert sum(np.shares_memory(panel, block.amps) for block in blocks) == 1
@@ -1093,8 +1249,7 @@ class TestAnnealFootprint:
         monkeypatch.setattr(dqa, "_feasible_grid", recorded)
         for T in (0, 2):
             built.clear()
-            for xs in lockstep_groups(model):
-                anneal_feasible_blocks(model, xs, dist, AnnealSchedule.linear(T))
+            anneal_xs(model, range(model.d + 1), dist, AnnealSchedule.linear(T))
             assert sorted(built) == list(range(model.d + 1))
 
 
@@ -1171,8 +1326,7 @@ class TestPerScenarioOptimalBlock:
 
     def test_scatter_keeps_an_annealed_block_complex(self):
         model, dist = model_from_instance(generate_instance(4, 9))
-        for block in anneal_feasible_blocks(model, (1, 3), dist,
-                                            AnnealSchedule.linear(5)):
+        for block in anneal_xs(model, (1, 3), dist, AnnealSchedule.linear(5)):
             full = block.scatter(4)
             assert full.dtype == np.complex128
             assert np.array_equal(full, scattered(block, 4, 4))
@@ -1217,7 +1371,7 @@ class TestBlockBudget:
         dist = DiscreteDistribution.uniform(n_xi)
         sched = AnnealSchedule.linear(3)
         for build in (lambda: check_block(model, 2, dist),
-                      lambda: anneal_feasible_blocks(model, (2,), dist, sched),
+                      lambda: anneal_xs(model, (2,), dist, sched),
                       lambda: per_scenario_optimal_block(model, 2, dist),
                       lambda: build_dqa(model, 2, dist, sched)):
             with pytest.raises(ConfigError, match=f"{n_xi} scenario bits"):
@@ -1234,12 +1388,12 @@ class TestBlockBudget:
         sched = AnnealSchedule.linear(3)
         for xs in ((8,), (4, 12)):
             with pytest.raises(SimulationBudgetError):
-                anneal_feasible_blocks(model, xs, dist, sched)
+                anneal_xs(model, xs, dist, sched)
         with pytest.raises(SimulationBudgetError):
             per_scenario_optimal_block(model, 8, dist)
         # a block within the budget reaches the refused builders
         with pytest.raises(AssertionError, match="feasible grid"):
-            anneal_feasible_blocks(model, (16,), dist, sched)
+            anneal_xs(model, (16,), dist, sched)
         with pytest.raises(AssertionError, match="feasible grid"):
             per_scenario_optimal_block(model, 16, dist)
 

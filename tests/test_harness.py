@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spq
-from spq import cli, harness, model as spq_model
+from spq import cli, dqa, harness, model as spq_model
 from spq.cli import main
 from spq.dqa import (
     AnnealSchedule,
@@ -28,7 +28,6 @@ from spq.dqa import (
     RegisterLayout,
     build_dqa,
     expectation_HQ,
-    lockstep_groups,
     run_dqa_fast,
 )
 from spq.harness import (
@@ -229,7 +228,7 @@ class TestOuterLoop:
 class TestQaeOnFeasibleBlocks:
     @pytest.mark.parametrize("n_y", [2, 3, 4, 5, 6])
     def test_block_points_match_the_full_register(self, n_y):
-        # <H_Q> and the oracle target a from the lockstep blocks against
+        # <H_Q> and the oracle target a from one anneal of every x against
         # one lone full-register anneal per x and the cost diagonal
         model, dist = model_from_instance(generate_instance(n_y, 40 + n_y))
         T = 2 * n_y
@@ -244,34 +243,33 @@ class TestQaeOnFeasibleBlocks:
                 assert abs(a - target_amplitude(kind, sv.probabilities(), costs)) <= 1e-12
 
     def _count_anneals(self, monkeypatch) -> list:
+        """The decisions each anneal call of the harness requests."""
         calls = []
         inner = harness.anneal_feasible_blocks
 
-        def counted(model, xs, *args, **kwargs):
-            calls.append(tuple(xs))
-            return inner(model, xs, *args, **kwargs)
+        def counted(requests, *args, **kwargs):
+            calls.append([x for _, _, x in requests])
+            return inner(requests, *args, **kwargs)
 
         monkeypatch.setattr(harness, "anneal_feasible_blocks", counted)
         harness._qae_points.cache_clear()
         return calls
 
     def test_fig5_anneals_each_config_once(self, tmp_path, monkeypatch):
+        # one call per config, on every x, whatever the repetitions
         configs = ((3, 4, 6), (4, 4, 8))
-        models = [model_from_instance(generate_instance(n_y, derive_seed(4, "fig5", ci)))[0]
-                  for ci, (n_y, _, _) in enumerate(configs)]
-        groups = sum(len(lockstep_groups(model)) for model in models)
         for reps in (1, 3):
             calls = self._count_anneals(monkeypatch)
             experiment_fig5(ExperimentSpec(kind="fig5", configs=configs,
                                            n_repetitions=reps, master_seed=4),
                             tmp_path / str(reps))
-            assert len(calls) == groups
+            assert calls == [list(range(4)), list(range(5))]
 
     def test_single_run_anneals_only_its_x(self, monkeypatch):
         calls = self._count_anneals(monkeypatch)
         inst = generate_instance(5, 8)
         record = single_run(inst, x=2, T=10, oracle="sin", m=5, seed=1)
-        assert calls == [(2,)]
+        assert calls == [[2]]
         model, dist = model_from_instance(inst)
         sv = run_dqa_fast(model, 2, dist, AnnealSchedule.linear(10))
         assert abs(record["exp_hq"] - expectation_HQ(sv, model)) <= 1e-12
@@ -623,6 +621,26 @@ class TestSpecParsing:
         with pytest.raises(ConfigError):
             ExperimentSpec(kind="fig5", oracle="magic")
 
+    @pytest.mark.parametrize("name, kind", [
+        ("n_instances", "fig3"), ("n_estimates", "fig4"),
+        ("n_repetitions", "fig5"), ("amplify", "fig5"), ("amplify", "run")])
+    def test_a_zero_count_exits_2_naming_it(self, tmp_path, capsys, name, kind):
+        # each count is checked at load under its own name: a config field,
+        # or the --amplify flag of spq run
+        if kind == "run":
+            inst = tmp_path / "inst.json"
+            save_instance(WORKED_INSTANCE, str(inst))
+            argv = ["run", "--instance", str(inst), "--x", "1", "--T", "4",
+                    "--m", "5", "--amplify", "0"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"kind": kind, name: 0}))
+            argv = ["experiment", kind, "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {name} must be at least 1, got 0\n"
+        assert not (tmp_path / "out").exists()
+
     def test_round_trip(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"kind": "fig4", "m_values": [5], "n_estimates": 10}))
@@ -731,6 +749,17 @@ class TestExperimentOutputs:
         for name in ("fig3_runs.csv", "fig3_summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    def test_fig3_default_workers_follow_the_usable_cores(self, tmp_path, monkeypatch):
+        # pinned to one core, a default fig3 starts one worker, however many
+        # cores the machine has, and an anneal never takes the helper
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert dqa.usable_cores() == 1
+        assert not dqa._helper_may_share()
+        spec = ExperimentSpec(kind="fig3", n_y_values=(3,), n_instances=2,
+                              master_seed=1)
+        experiment_fig3(spec, tmp_path)
+        assert json.loads((tmp_path / "meta.json").read_text())["workers"] == 1
 
     def test_fig3_pool_in_unguarded_script_fails_instead_of_respawning(self,
                                                                       tmp_path):
