@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 on success, 2 on invalid configuration or arguments, 3 when a
-run would exceed the simulator's qubit budget or its anneal block budget.
+Exit codes: 0 on success, 2 on invalid configuration or arguments,
+including a file or directory that cannot be read or written, 3 when a run
+would exceed the simulator's qubit budget or its anneal block budget.
 """
 
 from __future__ import annotations
@@ -123,8 +124,13 @@ def main(argv=None) -> int:
     except SimulationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        if exc.filename is None:        # not about a path the command named
+            raise
+        print(f"error: {exc}", file=sys.stderr)     # names the path
         return EXIT_CONFIG
 
 

@@ -290,7 +290,10 @@ def _mixer_pairs(n_y: int, weight: int, j: int, k: int) -> tuple[np.ndarray, np.
     their (j, k) swap reaches, both ascending in a."""
     ys = feasible_decisions(n_y, weight)
     a = np.flatnonzero((ys >> j) & 1 & ~(ys >> k))
-    return a, np.searchsorted(ys, ys[a] ^ (1 << j) ^ (1 << k))
+    b = np.searchsorted(ys, ys[a] ^ (1 << j) ^ (1 << k))
+    # cached: a write into either would corrupt every later mixer build
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
 
 
 def _mixer_shapes(n_y: int, weight: int, layers: int):
@@ -412,8 +415,8 @@ def _layer_panel(phase: np.ndarray, index: np.ndarray, panel: np.ndarray,
                  u: np.ndarray | None, out: np.ndarray) -> None:
     """One (block, panel) task of an anneal layer, in place: ``panel``, a
     column-range view of the block, times its entries of the block's
-    running phase table, gathered through the panel's int32 ``index`` (y &
-    xi per amplitude, all below the table's length, so ``clip`` clips
+    running phase table, gathered through the thread's intp ``index`` of
+    the panel's y & xi (all below the table's length, so ``clip`` clips
     none) into the thread's spare panel ``out``; then, where the layer
     mixes, ``u @`` that product written back into ``panel``."""
     phase.take(index, out=out, mode="clip")
@@ -425,8 +428,9 @@ def _layer_panel(phase: np.ndarray, index: np.ndarray, panel: np.ndarray,
 
 # Every anneal works on its blocks through column panels of at most
 # _PANEL_AMPS amplitudes, which a helper thread may share
-# (``anneal_feasible_blocks``); the same budget bounds a mixer chunk with
-# its work space and each row range of ``_probabilities``.
+# (``anneal_feasible_blocks``), and each thread's spare and index panel;
+# the same budget bounds a mixer chunk with its work space and each row
+# range (``_row_ranges``) of |amp|^2 and <H_Q>.
 _PANEL_AMPS = 2 ** 15
 
 
@@ -485,16 +489,28 @@ def _helper_may_share() -> bool:
             and usable_cores() >= 2)
 
 
+def _row_ranges(rows: int, cols: int) -> list[slice]:
+    """The row ranges of a (rows, cols) array, in order, each of at most
+    ``_PANEL_AMPS`` amplitudes and at least one row."""
+    step = max(1, _PANEL_AMPS // cols)
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
 def _probabilities(amps: np.ndarray) -> np.ndarray:
     """|amp|^2 of a (rows, cols) array, amps.real ** 2 + amps.imag ** 2
     elementwise; the imaginary squares are formed and added one row range
-    of at most ``_PANEL_AMPS`` amplitudes (and at least one row) at a time,
-    so no block-sized temporary stands beside the result."""
+    (``_row_ranges``) at a time, so no block-sized temporary stands beside
+    the result."""
     probs = amps.real ** 2
-    step = max(1, _PANEL_AMPS // probs.shape[1])
-    for lo in range(0, len(probs), step):
-        probs[lo:lo + step] += amps[lo:lo + step].imag ** 2
+    for rows in _row_ranges(*probs.shape):
+        probs[rows] += amps[rows].imag ** 2
     return probs
+
+
+def _cost_grid(table: np.ndarray, ys: np.ndarray, cols: int) -> np.ndarray:
+    """q(y, xi) = table[y & xi] (``_cost_table``) for each y of ``ys``
+    (rows) and each xi < cols (columns)."""
+    return table.take(ys[:, None] & np.arange(cols))
 
 
 @dataclass
@@ -502,23 +518,32 @@ class FeasibleBlock:
     """One first-stage decision's state on its feasible rows.
 
     ``amps[i, s]`` is the amplitude of |y = ys[i]>|xi = s>; every other
-    amplitude of the (y, xi) register is zero.  ``costs`` holds q(y, xi)
-    on the same grid.
+    amplitude of the (y, xi) register is zero.  q(y, xi) = table[y & xi],
+    ``table`` the 2^n_y-entry cost table of the block's weight
+    (``_cost_table``); the block holds no grid of q.
     """
 
     x: int
     ys: np.ndarray
     amps: np.ndarray
-    costs: np.ndarray
+    table: np.ndarray
+
+    @property
+    def costs(self) -> np.ndarray:
+        """q(y, xi) on the block's grid, gathered from ``table``."""
+        return _cost_grid(self.table, self.ys, self.amps.shape[1])
 
     def probabilities(self) -> np.ndarray:
         """|amp|^2 on the block's grid (``_probabilities``)."""
         return _probabilities(self.amps)
 
     def expectation_hq(self) -> float:
-        """<H_Q> = sum |amp|^2 q over the block, without the full register."""
+        """<H_Q> = sum |amp|^2 q over the block, without the full register;
+        q is gathered one row range (``_row_ranges``) at a time, so the
+        products and the sum are those of ``probabilities() * costs``."""
         probs = self.probabilities()
-        probs *= self.costs
+        for rows in _row_ranges(*probs.shape):
+            probs[rows] *= _cost_grid(self.table, self.ys[rows], probs.shape[1])
         return float(np.sum(probs))
 
     def scatter(self, n_y: int) -> np.ndarray:
@@ -556,14 +581,15 @@ def check_block_size(model: UnitCommitmentModel, x: int) -> None:
             f"simulator cap of 2^{MAX_QUBITS}")
 
 
-def _feasible_grid(model: UnitCommitmentModel, x: int,
-                   dist: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """x's feasible rows and q(y, xi) on its ``FeasibleBlock`` grid, after
-    ``check_block``; every anneal and psi* builds it, so none skips it."""
+def _feasible_grid(model: UnitCommitmentModel, x: int, dist: DiscreteDistribution
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x's feasible rows, their weight's cost table (``_cost_table``) and
+    q(y, xi) on its ``FeasibleBlock`` grid, after ``check_block``; psi*
+    builds it, an anneal does not."""
     check_block(model, x, dist)
     ys = feasible_decisions(model.n_y, model.d - x)
-    xis = np.arange(2 ** dist.n_xi, dtype=np.int32)
-    return ys, _cost_table(model, model.d - x)[ys.astype(np.int32)[:, None] & xis]
+    table = _cost_table(model, model.d - x)
+    return ys, table, _cost_grid(table, ys, 2 ** dist.n_xi)
 
 
 def per_scenario_optimal_block(model: UnitCommitmentModel, x: int,
@@ -571,11 +597,11 @@ def per_scenario_optimal_block(model: UnitCommitmentModel, x: int,
     """psi*, the T -> infinity surrogate: real amplitude sqrt(p(xi)) at
     (y*(xi), xi), y* the first, i.e. lowest, minimizing row of the block's
     cost grid, the y* of ``scenario_optima``."""
-    ys, costs = _feasible_grid(model, x, dist)
+    ys, table, costs = _feasible_grid(model, x, dist)
     rows = np.argmin(costs, axis=0)[dist.scenarios]
     amps = np.zeros(costs.shape)
     amps[rows, dist.scenarios] = np.sqrt(dist.probabilities)
-    return FeasibleBlock(x, ys, amps, costs)
+    return FeasibleBlock(x, ys, amps, table)
 
 
 def anneal_feasible_blocks(requests: list, schedule: AnnealSchedule, value=None) -> list:
@@ -623,34 +649,36 @@ def _anneal_class(requests, schedule: AnnealSchedule) -> list[FeasibleBlock]:
     (``_cost_table``): on the ramp a(t) = t/T layer t's phase e^{i q t/T}
     is base^t with base = e^{i table/T}, so each layer multiplies each
     block's running table by its base, and each amplitude takes its entry
-    through an int32 index of y & xi.  Complementing every bit commutes
-    with the mixer and reverses the feasible rows, so U(n_y - w) is U(w)
-    with rows and columns reversed, bit for bit: only the class's lower
-    weight builds a unitary, a chunk of layers per call
-    (``_mixer_builder``), and a block above weight n_y/2 anneals with its
-    rows and index reversed and is reversed back at the end.  The mixer is
-    skipped where its angle is 0, at t = T.  Each block keeps its own
-    GEMMs, so it has the bits of its lone anneal.
+    at y & xi.  Complementing every bit commutes with the mixer and
+    reverses the feasible rows, so U(n_y - w) is U(w) with rows and
+    columns reversed, bit for bit: only the class's lower weight builds a
+    unitary, a chunk of layers per call (``_mixer_builder``), and a block
+    above weight n_y/2 anneals with its rows, and so its y column,
+    reversed and is reversed back at the end.  The mixer is skipped where
+    its angle is 0, at t = T.  Each block keeps its own GEMMs, so it has
+    the bits of its lone anneal.
 
     Each block is annealed in place through column panels, views of the
     widest power-of-two column ranges of at most ``_PANEL_AMPS``
-    amplitudes, each with its index; a task is one panel of one block
-    (``_layer_panel``).  Inline, the calling thread runs each layer's
-    tasks, then builds the next layer's unitary.  Where T > 0, a block has
-    more than one panel and ``_helper_may_share``, a one-worker thread pool
-    builds layer t + 1's unitary and then claims layer t's tasks beside the
-    caller from one shared iterator; the caller waits on that job before
+    amplitudes; a task is one panel of one block, whose y & xi the thread
+    writes into its own intp index panel before ``_layer_panel`` gathers
+    through it, so no block holds an index per amplitude.  Inline, the
+    calling thread runs each layer's tasks, then builds the next layer's
+    unitary.  Where T > 0, a block has more than one panel and
+    ``_helper_may_share``, a one-worker thread pool builds layer t + 1's
+    unitary and then claims layer t's tasks beside the caller from one
+    shared iterator; the caller waits on that job before
     layer t + 1, so a failed build or panel raises there, and the pool is
     joined before this returns or raises.  A column of U @ M is the same
     bits whichever panel and thread computed it, so both modes agree.  The
     layers run at one BLAS thread (``_one_blas_thread``) where numpy's
     OpenBLAS has the thread-count calls, else inline at the caller's count.
 
-    The stacks, indexes and spare panels are dropped before the column
-    check: the scenario register is only control, so sum_y |amp|^2 must
-    equal p(xi) within ``PROB_SUM_TOL`` in every column, or this raises
-    ValueError; nothing is renormalised.  Each cost grid
-    (``_feasible_grid``) is built once, after it.
+    The stacks and the spare and index panels are dropped before the
+    column check: the scenario register is only control, so sum_y |amp|^2
+    must equal p(xi) within ``PROB_SUM_TOL`` in every column, or this
+    raises ValueError; nothing is renormalised.  A block keeps its cost
+    table, not a cost grid (``FeasibleBlock``).
     """
     n_y, n_xi = requests[0][0].n_y, requests[0][1].n_xi
     weights = [model.d - x for model, _, x in requests]
@@ -662,6 +690,7 @@ def _anneal_class(requests, schedule: AnnealSchedule) -> list[FeasibleBlock]:
     spans = [slice(lo, lo + width) for lo in range(0, cols, width)]
     helper = T > 0 and len(spans) > 1 and _helper_may_share()
 
+    tables = [_cost_table(model, w) for (model, _, _), w in zip(requests, weights)]
     p_xis = [np.zeros(cols) for _ in requests]
     ms = [np.empty((rows, cols), dtype=complex) for _ in requests]
     for p_xi, m, (_, dist, _) in zip(p_xis, ms, requests):
@@ -671,13 +700,15 @@ def _anneal_class(requests, schedule: AnnealSchedule) -> list[FeasibleBlock]:
     if T > 0:
         # the fused cost+penalty layer is the diagonal phase e^{+i a(t) q}
         # (P(theta) has the +i convention), held on each block's cost table
-        bases = np.exp(1j * (1 / T) * np.array(
-            [_cost_table(model, w) for (model, _, _), w in zip(requests, weights)]))
+        bases = np.exp(1j * (1 / T) * np.array(tables))
         phases = np.ones_like(bases)        # one row per block
-        xis = np.arange(cols, dtype=np.int32)
-        indexes = [[feasible_decisions(n_y, w)[::step, None].astype(np.int32) & xis[span]
-                    for span in spans] for w, step in zip(weights, steps)]
+        # each block's y column in its anneal's row order, and xi
+        y_columns = [feasible_decisions(n_y, w)[::step, None]
+                     for w, step in zip(weights, steps)]
+        xis = np.arange(cols, dtype=np.intp)
+        # each thread's spare panel and index panel
         spares = [np.empty((rows, width), dtype=complex) for _ in range(1 + helper)]
+        indexes = [np.empty((rows, width), dtype=np.intp) for _ in range(1 + helper)]
         # beta is 0 only at the ramp's end, t = T: the layers before it mix
         betas = schedule.mixer_angles()[:T - 1]
         build = _mixer_builder(n_y, min(weights[0], n_y - weights[0]), betas,
@@ -696,7 +727,8 @@ def _anneal_class(requests, schedule: AnnealSchedule) -> list[FeasibleBlock]:
                 if task is None:
                     return
                 j, p = task
-                _layer_panel(phases[j], indexes[j][p], ms[j][:, spans[p]], u, spares[k])
+                np.bitwise_and(y_columns[j], xis[spans[p]], out=indexes[k])
+                _layer_panel(phases[j], indexes[k], ms[j][:, spans[p]], u, spares[k])
 
         def share(t, todo, u):      # build layer t + 1's unitary, then share t
             built = mixer(t + 1)
@@ -730,9 +762,8 @@ def _anneal_class(requests, schedule: AnnealSchedule) -> list[FeasibleBlock]:
         if not worst <= PROB_SUM_TOL:
             raise ValueError(f"x={x}: a scenario column's probability is off "
                              f"p(xi) by {worst!r}, more than {PROB_SUM_TOL}")
-    grids = (_feasible_grid(model, x, dist) for model, dist, x in requests)
-    return [FeasibleBlock(x, ys, m, q)
-            for (_, _, x), (ys, q), m in zip(requests, grids, ms)]
+    return [FeasibleBlock(x, feasible_decisions(n_y, w), m, table)
+            for (_, _, x), w, m, table in zip(requests, weights, ms, tables)]
 
 
 def run_dqa_fast(model: UnitCommitmentModel, x: int, dist: DiscreteDistribution,

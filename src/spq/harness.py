@@ -103,7 +103,7 @@ class ExperimentSpec:
         try:
             with open(path) as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:     # ValueError: not JSON, or not text
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} is not a JSON object")

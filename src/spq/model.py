@@ -181,10 +181,13 @@ class GenericDiagonalProblem:
 
 @cache
 def feasible_decisions(n_y: int, weight: int) -> np.ndarray:
-    """All y bitmasks of the given Hamming weight, ascending."""
-    return np.array(sorted(sum(1 << j for j in comb)
-                           for comb in combinations(range(n_y), weight)),
-                    dtype=np.int64)
+    """All y bitmasks of the given Hamming weight, ascending, as a read-only
+    array: it is cached, so a write would corrupt every later caller's."""
+    ys = np.array(sorted(sum(1 << j for j in comb)
+                         for comb in combinations(range(n_y), weight)),
+                  dtype=np.int64)
+    ys.flags.writeable = False
+    return ys
 
 
 def second_stage_cost(model: UnitCommitmentModel, x: int, y: int, xi: int) -> float:
@@ -363,8 +366,13 @@ def model_from_instance(inst: dict) -> tuple[UnitCommitmentModel, DiscreteDistri
 
 
 def load_instance(path) -> dict:
+    """The parsed JSON of an instance file; text that is not JSON, or not
+    in the file's encoding, raises ``ConfigError`` naming the file."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"cannot read instance {path}: {exc}") from exc
 
 
 def save_instance(inst: dict, path) -> None:

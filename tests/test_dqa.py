@@ -391,6 +391,20 @@ class TestMixerUnitary:
                     assert a_rows.dtype == b_rows.dtype == np.int64
                     assert a_rows.tolist() == a and b_rows.tolist() == b
 
+    def test_cached_rows_are_read_only(self):
+        # feasible_decisions and _mixer_pairs are cached, and a block's ys
+        # is the cached array itself: a write into any of them would
+        # corrupt every later anneal in the process, so each raises
+        model, dist = model_from_instance(generate_instance(4, 1))
+        (annealed,) = anneal_xs(model, (1,), dist, AnnealSchedule.linear(3))
+        psi_star = per_scenario_optimal_block(model, 1, dist)
+        assert annealed.ys is psi_star.ys is feasible_decisions(4, 3)
+        for array in (*dqa._mixer_pairs(4, 3, 0, 1), annealed.ys, psi_star.ys):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        assert feasible_decisions(4, 3).tolist() == [7, 11, 13, 14]
+        assert [rows.tolist() for rows in dqa._mixer_pairs(4, 3, 0, 1)] == [[2], [3]]
+
 
 # panels of at most 2^8 amplitudes split every block of more than one row
 # at n_y = 6, so a test can force the helper on at that size
@@ -1133,9 +1147,9 @@ class TestLockstepAnneal:
 
 
 class TestAnnealFootprint:
-    """The anneal's bytes are pinned, it holds its phase on each block's
-    cost table rather than per amplitude, and it builds each x's cost
-    grid once."""
+    """The anneal's bytes are pinned, and it holds only its state: the
+    phase lives on each block's cost table, the index on one panel per
+    thread, and a block keeps its cost table, not a cost grid."""
 
     def test_amplitude_bytes_are_pinned(self):
         # every weight class at n_y = 2..8 under the uniform law and a
@@ -1167,12 +1181,15 @@ class TestAnnealFootprint:
             "a5ba024f5f5a0ba6400193d0149e64370edf454c906c32a013be19a0e61fe773")
 
     @pytest.mark.parametrize("helper", [False, True])
-    def test_traced_peak_below_1_9_times_the_blocks(self, monkeypatch, helper):
+    def test_traced_peak_below_1_7_times_the_blocks(self, monkeypatch, helper):
         # the anneal and <H_Q> of both blocks: the layers hold 16 B of state
-        # and a 4 B index per amplitude, annealed in the returned arrays, and
-        # |amp|^2 forms no block-sized temporary.  Joining column panels
-        # into fresh blocks traced 2.00-2.08 times the blocks' bytes, and a
-        # running phase and its base per amplitude 3.4-3.7 times
+        # per amplitude, annealed in the returned arrays, and an index panel
+        # per thread; |amp|^2 forms no block-sized temporary and <H_Q>
+        # gathers q one row range at a time: 1.36 times the blocks' bytes
+        # inline, 1.60 with the helper.  An int32 index per amplitude and a
+        # cost grid per block traced 1.79 times them, joining column panels
+        # into fresh blocks 2.00-2.08 times, and a running phase and its
+        # base per amplitude 3.4-3.7 times
         model, dist = model_from_instance(generate_instance(10, 0))
         force_helper(monkeypatch, helper)
         schedule = AnnealSchedule.linear(3)
@@ -1185,15 +1202,17 @@ class TestAnnealFootprint:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.9 * sum(block.amps.nbytes for block in blocks)
+        assert peak < 1.7 * sum(block.amps.nbytes for block in blocks)
 
     @pytest.mark.parametrize("helper", [False, True])
-    def test_all_x_traced_peak_below_1_9_times_the_pair(self, monkeypatch, helper):
+    def test_all_x_traced_peak_below_1_7_times_the_pair(self, monkeypatch, helper):
         # every x of an n_y = 10 instance in one call, reading <H_Q>: each
         # class's blocks are dropped before the next class anneals, so the
-        # peak is the largest class's, the (4, 6) pair's: 1.79 times its
-        # blocks.  Holding a class's last block into the next class traced
-        # 2.08 times them inline and 2.20 with the helper
+        # peak is the largest class's, the (4, 6) pair's: 1.38 times its
+        # blocks inline, 1.60 with the helper.  An int32 index per
+        # amplitude and a cost grid per block traced 1.79-1.81 times them,
+        # and holding a class's last block into the next class 2.08 inline
+        # and 2.20 with the helper
         model, dist = model_from_instance(generate_instance(10, 0))
         force_helper(monkeypatch, helper)
         schedule = AnnealSchedule.linear(3)
@@ -1207,7 +1226,7 @@ class TestAnnealFootprint:
         finally:
             tracemalloc.stop()
         assert values == expected
-        assert peak < 1.9 * pair
+        assert peak < 1.7 * pair
 
     @pytest.mark.parametrize("helper", [False, True])
     def test_panels_are_views_of_the_returned_blocks(self, monkeypatch, helper):
@@ -1239,18 +1258,84 @@ class TestAnnealFootprint:
                 assert np.abs(block.amps[:, 1] - ref).max() <= 1e-12
 
     def test_each_cost_grid_is_built_once(self, monkeypatch):
+        # an expectation-mode call on every x of an n_y = 10 instance,
+        # inline and with the helper, builds no cost grid: no
+        # _feasible_grid, and no gather of q larger than one row range.
+        # Its layers gather the phase through intp index panels, at most
+        # one per thread and class, never an index per block.  psi* builds
+        # its grid once per x
         model, dist = model_from_instance(generate_instance(10, 2))
-        grid, built = dqa._feasible_grid, []
+        feasible_grid, cost_grid = dqa._feasible_grid, dqa._cost_grid
+        anneal_class, layer_panel = dqa._anneal_class, dqa._layer_panel
+        built, gathered, indexes = [], [], []
 
-        def recorded(model, x, dist):
+        def recorded_grid(model, x, dist):
             built.append(x)
-            return grid(model, x, dist)
+            return feasible_grid(model, x, dist)
 
-        monkeypatch.setattr(dqa, "_feasible_grid", recorded)
-        for T in (0, 2):
-            built.clear()
-            anneal_xs(model, range(model.d + 1), dist, AnnealSchedule.linear(T))
-            assert sorted(built) == list(range(model.d + 1))
+        def recorded_gather(table, ys, cols):
+            gathered.append(len(ys) * cols)
+            return cost_grid(table, ys, cols)
+
+        def recorded_class(requests, schedule):
+            indexes.append([])          # the index panels of this class
+            return anneal_class(requests, schedule)
+
+        def recorded_panel(phase, index, panel, u, out):
+            indexes[-1].append(index)
+            return layer_panel(phase, index, panel, u, out)
+
+        monkeypatch.setattr(dqa, "_feasible_grid", recorded_grid)
+        monkeypatch.setattr(dqa, "_cost_grid", recorded_gather)
+        monkeypatch.setattr(dqa, "_anneal_class", recorded_class)
+        monkeypatch.setattr(dqa, "_layer_panel", recorded_panel)
+        xs = range(model.d + 1)
+        for helper in (False, True):
+            for T in (0, 2):
+                for record in (built, gathered, indexes):
+                    record.clear()
+                with monkeypatch.context() as patch:
+                    force_helper(patch, helper)
+                    anneal_xs(model, xs, dist, AnnealSchedule.linear(T),
+                              FeasibleBlock.expectation_hq)
+                assert built == [] and 0 < max(gathered) <= dqa._PANEL_AMPS
+                assert len(indexes) == 6
+                # layers * (two blocks of 1, 1, 2, 4 and 8 panels, and one of 8)
+                assert sum(map(len, indexes)) == (0 if T == 0 else 2 * (
+                    2 * (1 + 1 + 2 + 4 + 8) + 8))
+                for panels in indexes:
+                    assert len({id(index) for index in panels}) <= 1 + helper
+                    for index in panels:
+                        assert index.dtype == np.intp and index.size <= dqa._PANEL_AMPS
+        built.clear()
+        gathered.clear()
+        for x in xs:
+            per_scenario_optimal_block(model, x, dist)
+        assert built == list(xs)
+        assert gathered == [math.comb(10, model.d - x) * 1024 for x in xs]
+
+    @pytest.mark.parametrize("panel_amps", [None, 2 ** 9])
+    def test_costs_and_expectation_without_a_grid(self, monkeypatch, panel_amps):
+        # every x of an n_y = 8 instance under the uniform law and a
+        # 4-scenario law, annealed and psi*: costs is the grid of
+        # _feasible_grid, and <H_Q>, gathered one row range at a time (2
+        # rows of 256 columns where the ranges hold 2^9 amplitudes), is the
+        # sum of |amp|^2 times that grid, bit for bit
+        model, uniform = model_from_instance(generate_instance(8, 8))
+        scenarios = np.random.default_rng(8).permutation(2 ** 8)[:4]
+        sparse = DiscreteDistribution(8, scenarios, (0.0, 0.5, 0.3, 0.2))
+        if panel_amps is not None:
+            monkeypatch.setattr(dqa, "_PANEL_AMPS", panel_amps)
+        xs = range(model.d + 1)
+        for dist in (uniform, sparse):
+            annealed = anneal_xs(model, xs, dist, AnnealSchedule.linear(8))
+            psi_star = [per_scenario_optimal_block(model, x, dist) for x in xs]
+            for block in annealed + psi_star:
+                ys, table, grid = dqa._feasible_grid(model, block.x, dist)
+                assert block.ys is ys and np.array_equal(block.table, table)
+                assert np.array_equal(block.costs, grid)
+                expected = float(np.sum(dqa._probabilities(block.amps) * grid))
+                assert block.expectation_hq().hex() == expected.hex()
 
 
 def full_register_psi_star(model, x, dist):

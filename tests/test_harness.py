@@ -448,6 +448,42 @@ class TestCheckBeforeWork:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    # (arguments, the path the message names): {dir} is a directory,
+    # {file} an existing file, {inst} a valid instance and {cfg} a fig4
+    # config; {json} holds text that is not JSON and {bytes} bytes that are
+    # not UTF-8
+    UNUSABLE_PATHS = [
+        ("exact --instance {dir}", "{dir}"),
+        ("run --instance {dir} --x 0 --T 1 --m 3", "{dir}"),
+        ("exact --instance {json}", "{json}"),
+        ("run --instance {bytes} --x 0 --T 1 --m 3", "{bytes}"),
+        ("exact --instance {inst} --out {dir}", "{dir}"),
+        ("run --instance {inst} --x 0 --T 1 --m 3 --out {dir}", "{dir}"),
+        ("make-instance --n-y 3 --seed 1 --out {dir}", "{dir}"),
+        ("experiment fig4 --config {cfg} --out {file}", "{file}"),
+        ("experiment fig4 --config {bytes} --out {dir}/out", "{bytes}"),
+    ]
+
+    @pytest.mark.parametrize("args, path", UNUSABLE_PATHS)
+    def test_unusable_path_exits_2_naming_it(self, tmp_path, capsys, args, path):
+        # a directory where a file is read or written, a file where the
+        # output directory goes, and a file that is not JSON or not UTF-8:
+        # exit 2, the message naming the path, where each was a traceback
+        paths = {"dir": tmp_path / "dir", "file": tmp_path / "file",
+                 "inst": tmp_path / "inst.json", "cfg": tmp_path / "cfg.json",
+                 "json": tmp_path / "text.json", "bytes": tmp_path / "bytes.json"}
+        paths["dir"].mkdir()
+        paths["file"].write_text("")
+        save_instance(generate_instance(3, 1), paths["inst"])
+        paths["cfg"].write_text(json.dumps({"kind": "fig4", "n_y": 3, "x": 1,
+                                            "m_values": [3], "n_estimates": 2}))
+        paths["json"].write_text('{"n_y": 3 "c_x": 0.4}')
+        paths["bytes"].write_bytes(b"\xff\xfe{")
+        names = {key: str(value) for key, value in paths.items()}
+        assert main(args.format(**names).split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path.format(**names) in err
+
     @pytest.mark.parametrize("config", [
         {"kind": "fig3", "n_y_values": [3], "n_instances": 1},
         {"kind": "fig4", "m_values": [5], "n_estimates": 4},
